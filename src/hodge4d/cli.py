@@ -3,7 +3,8 @@
 Commands: verify-tables, identities, expand, boundary, solve, sweep.
 Configuration files are flat key=value text with one section per command
 (configparser syntax); command-line flags override file values and unknown
-keys are rejected.  Exit codes: 0 all checks passed, 1 verification failure,
+keys are rejected; expressions go through ``expressions.parse_expression``.
+Exit codes: 0 all checks passed, 1 verification failure or failed solve,
 2 usage or configuration error.
 """
 
@@ -21,9 +22,11 @@ from .convdiff import expand_componentwise
 from .fields import PolyField
 from .forms import MaterialParams
 from .solver import (
+    AssemblyError,
     Grid1p1,
     ProblemConfig,
     Scheme,
+    SolveError,
     SweepFloorError,
     assemble,
     epsilon_sweep,
@@ -172,44 +175,37 @@ def _build_problem(values: dict, args) -> tuple:
         scheme = Scheme(pick("scheme", "centered"))
     except ValueError:
         raise UsageError(f"unknown scheme {pick('scheme')!r}")
-    grid = Grid1p1.with_cells(cells_x, cells_t, lx=lx, t0=t0, t_final=t_final)
-
     alpha = pick("alpha", "1.0")
     beta = pick("beta", "0.0")
     manufactured = pick("manufactured")
-    if manufactured:
-        config = ProblemConfig.from_manufactured(
-            manufactured,
-            alpha=alpha,
-            beta=beta,
-            epsilon=epsilon,
-            scheme=scheme,
-            target=pick("target", "spacetime"),
-        )
-        return config, grid
-    f_text = pick("f", "0")
-    g_text = pick("g", "0")
-    import sympy
-
-    x, t = sympy.symbols("x t")
-    loc = {"x": x, "t": t, "pi": sympy.pi}
-    f_fn = sympy.lambdify((x, t), sympy.sympify(f_text, locals=loc), "numpy")
-    g_fn = sympy.lambdify((x, t), sympy.sympify(g_text, locals=loc), "numpy")
-    config = ProblemConfig(
-        alpha=float(sympy.sympify(alpha)) if not sympy.sympify(alpha).free_symbols else sympy.lambdify(x, sympy.sympify(alpha)),
-        beta=float(sympy.sympify(beta)) if not sympy.sympify(beta).free_symbols else sympy.lambdify(x, sympy.sympify(beta)),
-        epsilon=epsilon,
-        f=lambda xv, tv: float(f_fn(xv, tv)),
-        g=lambda xv, tv: float(g_fn(xv, tv)),
-        scheme=scheme,
-    )
+    try:
+        grid = Grid1p1.with_cells(cells_x, cells_t, lx=lx, t0=t0, t_final=t_final)
+        if manufactured:
+            config = ProblemConfig.from_manufactured(
+                manufactured,
+                alpha=alpha,
+                beta=beta,
+                epsilon=epsilon,
+                scheme=scheme,
+                target=pick("target", "spacetime"),
+            )
+        else:
+            config = ProblemConfig.from_expressions(
+                pick("f", "0"), pick("g", "0"), alpha=alpha, beta=beta, epsilon=epsilon, scheme=scheme
+            )
+    except ValueError as exc:
+        raise UsageError(str(exc))
     return config, grid
 
 
 def cmd_solve(args) -> int:
     values = _read_section(args.config, "solve", _SOLVE_KEYS)
     config, grid = _build_problem(values, args)
-    field = solve(assemble(config, grid))
+    try:
+        system = assemble(config, grid)
+    except AssemblyError as exc:
+        raise UsageError(str(exc))
+    field = solve(system)
     print(f"solved {grid.nx + 1}x{grid.nt + 1} cells, scheme {config.scheme.value}, eps={config.epsilon}")
     print(f"value range: [{field.values.min():.6e}, {field.values.max():.6e}]")
     if config.manufactured is not None:
@@ -301,6 +297,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except SolveError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return CHECK_ERROR
 
 
 if __name__ == "__main__":

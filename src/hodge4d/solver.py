@@ -5,9 +5,12 @@ grid over [0, Lx] x [t0, T] in edge-flux form, with Dirichlet data on the
 spatial boundary and the initial-time face, and the artificial terminal
 condition eps du/dt = q at the final time (q = 0 unless manufactured data is
 supplied).  Three edge-flux schemes are available: centered, donor-cell
-upwind, and the exponentially fitted Bernoulli-weight scheme.  A classical
-backward Euler marcher provides the independent zero-perturbation reference,
-and the sweep driver measures the decay of the difference as eps shrinks.
+upwind, and the exponentially fitted Bernoulli-weight scheme.  The operator
+is a tensor product: a 1D spatial stencil Ax and a 1D temporal stencil At,
+each built once, give At (x) I + I (x) Ax on the interior nodes.  A classical
+backward Euler marcher, I/ht + Ax, provides the independent zero-perturbation
+reference, and ``epsilon_sweep`` measures the decay of the difference as eps
+shrinks.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from .expressions import ExpressionError, parse_expression
 
 
 class Scheme(str, Enum):
@@ -45,20 +50,30 @@ class SweepFloorError(RuntimeError):
         self.entries = entries
 
 
-def bernoulli(z: float) -> float:
-    """B(z) = z / (exp(z) - 1), with a series branch near zero.
+def bernoulli(z):
+    """B(z) = z / (exp(z) - 1), elementwise, with a series branch near zero.
 
-    The quadratic series keeps full precision for |z| < 1e-4; the large-|z|
-    branches avoid overflow of exp for the strongly convection-dominated
-    edges that appear when eps is tiny.
+    Accepts a scalar (returns a float) or an array.  The quadratic series
+    keeps full precision for |z| < 1e-4; the large-|z| branches avoid overflow
+    of exp for the strongly convection-dominated edges that appear when eps is
+    tiny.  Each branch is evaluated only on its own arguments.  The two
+    transcendental branches call the C library's exp and expm1 per element,
+    because numpy's vectorised versions round differently in the last bit
+    for some arguments and the fitted weights would then change; there is
+    one call per grid edge, so this costs microseconds.
     """
-    if abs(z) < 1e-4:
-        return 1.0 - z / 2.0 + z * z / 12.0
-    if z > 500.0:
-        return z * math.exp(-z)
-    if z < -500.0:
-        return -z
-    return z / math.expm1(z)
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    small = np.abs(z) < 1e-4
+    large = z > 500.0
+    negative = z < -500.0
+    middle = ~(small | large | negative)
+    zs = z[small]
+    out[small] = 1.0 - zs / 2.0 + zs * zs / 12.0
+    out[large] = [v * math.exp(-v) for v in z[large]]
+    out[negative] = -z[negative]
+    out[middle] = [v / math.expm1(v) for v in z[middle]]
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -113,6 +128,10 @@ class Grid1p1:
     def index(self, i: int, j: int) -> int:
         return j * (self.nx + 2) + i
 
+    def nodes(self) -> tuple:
+        """Coordinate arrays (x, t) of every node, each of shape ``shape``."""
+        return np.meshgrid(self.xs, self.ts)
+
 
 @dataclass
 class DiscreteField:
@@ -125,10 +144,6 @@ class DiscreteField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != self.grid.shape:
             raise ValueError(f"values shape {self.values.shape} != grid {self.grid.shape}")
-
-    def l2_x(self, j: int) -> float:
-        """Trapezoidal L2 norm over the spatial slab at time index j."""
-        return math.sqrt(float(np.trapezoid(self.values[j] ** 2, dx=self.grid.hx)))
 
 
 @dataclass
@@ -150,6 +165,16 @@ class ProblemConfig:
     eps*du/dt on the final-time face (zero when absent) as a function of
     (x, t) evaluated at the grid's final time.  ``manufactured`` optionally
     carries the exact solution for error measurement.
+
+    Every function is array-in, array-out under numpy broadcasting: it is
+    called once per grid with arrays of node coordinates and returns the
+    values at those nodes (``np.sin``, ``np.where`` and friends, not
+    ``math``).  A function may return a scalar for a constant.  Each one is
+    evaluated only where the discretization needs it: ``g`` on the Dirichlet
+    faces (spatial ends and initial time), ``f`` on all other nodes,
+    ``q_terminal`` on the interior of the final-time face, ``alpha`` and
+    ``beta`` at edge midpoints (and at the nodes in ``discrete_bilinear``),
+    ``manufactured`` at every node.
     """
 
     alpha: object
@@ -179,14 +204,14 @@ class ProblemConfig:
         terminal data equals eps*u_t), which is the manufactured-convergence
         setup.  ``target='limit'`` makes it solve the eps = 0 evolution
         problem with homogeneous terminal data, the setup used to observe the
-        perturbation decay.
+        perturbation decay.  Expressions go through ``parse_expression``.
         """
         import sympy
 
         x, t = sympy.symbols("x t")
-        u = sympy.sympify(expression, locals={"x": x, "t": t, "pi": sympy.pi})
-        alpha_e = sympy.sympify(alpha)
-        beta_e = sympy.sympify(beta)
+        u = parse_expression(expression)
+        alpha_e = parse_expression(alpha)
+        beta_e = parse_expression(beta)
         transport = u.diff(t) - (alpha_e * u.diff(x) + beta_e * u).diff(x)
         if target == "spacetime":
             f_expr = -epsilon * u.diff(t, 2) + transport
@@ -196,45 +221,89 @@ class ProblemConfig:
             q_expr = None
         else:
             raise ValueError(f"unknown target {target!r}")
-
-        def lam(expr):
-            fn = sympy.lambdify((x, t), expr, "numpy")
-            return lambda xv, tv: float(fn(xv, tv))
-
-        alpha_v = float(alpha_e) if not alpha_e.free_symbols else sympy.lambdify(x, alpha_e, "numpy")
-        beta_v = float(beta_e) if not beta_e.free_symbols else sympy.lambdify(x, beta_e, "numpy")
         return cls(
-            alpha=alpha_v,
-            beta=beta_v,
+            alpha=_coefficient_function(alpha_e, "alpha"),
+            beta=_coefficient_function(beta_e, "beta"),
             epsilon=epsilon,
-            f=lam(f_expr),
-            g=lam(u),
+            f=_data_function(f_expr),
+            g=_data_function(u),
             scheme=scheme,
-            q_terminal=lam(q_expr) if q_expr is not None else None,
-            manufactured=lam(u),
+            q_terminal=_data_function(q_expr) if q_expr is not None else None,
+            manufactured=_data_function(u),
+        )
+
+    @classmethod
+    def from_expressions(
+        cls,
+        f,
+        g,
+        *,
+        alpha=1.0,
+        beta=0.0,
+        epsilon: float,
+        scheme: Scheme = Scheme.CENTERED,
+    ) -> "ProblemConfig":
+        """Forcing ``f``, Dirichlet data ``g`` and coefficients as expressions.
+
+        Expressions go through ``parse_expression``; the terminal data is zero.
+        """
+        return cls(
+            alpha=_coefficient_function(parse_expression(alpha), "alpha"),
+            beta=_coefficient_function(parse_expression(beta), "beta"),
+            epsilon=epsilon,
+            f=_data_function(parse_expression(f)),
+            g=_data_function(parse_expression(g)),
+            scheme=scheme,
         )
 
 
-def _as_xfunc(value) -> Callable:
+def _data_function(expr) -> Callable:
+    """Array-in, array-out numpy function of (x, t) for a sympy expression."""
+    import sympy
+
+    return sympy.lambdify(sympy.symbols("x t"), expr, "numpy")
+
+
+def _coefficient_function(expr, name: str):
+    """A float for a constant expression, else a numpy function of x."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    if expr.free_symbols - {x}:
+        raise ExpressionError(f"{name} may depend on x only, got {expr}")
+    if expr.free_symbols:
+        return sympy.lambdify(x, expr, "numpy")
+    try:
+        return float(expr)
+    except TypeError:
+        raise ExpressionError(f"{name} must be a real number, got {expr}") from None
+
+
+def _evaluate(fn: Callable, *coords: np.ndarray) -> np.ndarray:
+    """Values of an array-in, array-out data function at the given nodes.
+
+    A scalar result (a constant) is broadcast to the shape of the nodes.
+    """
+    shape = np.broadcast_shapes(*(c.shape for c in coords))
+    return np.broadcast_to(np.asarray(fn(*coords), dtype=float), shape)
+
+
+def _coefficient(value, x: np.ndarray) -> np.ndarray:
+    """A coefficient given as a constant or a function of x, at the points x."""
     if callable(value):
-        return value
-    v = float(value)
-    return lambda x: v
+        return _evaluate(value, x)
+    return np.full(x.shape, float(value))
 
 
 def _x_edge_weights(config: ProblemConfig, grid: Grid1p1):
     """Linear edge-flux weights: J_e = wl*u_left + wr*u_right per x-edge."""
-    alpha = _as_xfunc(config.alpha)
-    beta = _as_xfunc(config.beta)
     hx = grid.hx
     xs = grid.xs
     mids = 0.5 * (xs[:-1] + xs[1:])
-    a = np.array([float(alpha(xm)) for xm in mids])
-    b = np.array([float(beta(xm)) for xm in mids])
+    a = _coefficient(config.alpha, mids)
+    b = _coefficient(config.beta, mids)
     if np.any(a <= 0):
         raise AssemblyError("nonpositive diffusion coefficient on an edge")
-    wl = np.empty_like(a)
-    wr = np.empty_like(a)
     if config.scheme is Scheme.CENTERED:
         wl = -a / hx + b / 2.0
         wr = a / hx + b / 2.0
@@ -243,8 +312,8 @@ def _x_edge_weights(config: ProblemConfig, grid: Grid1p1):
         wr = a / hx + np.maximum(b, 0.0)
     elif config.scheme is Scheme.EXP_FITTED:
         z = b * hx / a
-        wl = -(a / hx) * np.array([bernoulli(v) for v in z])
-        wr = (a / hx) * np.array([bernoulli(-v) for v in z])
+        wl = -(a / hx) * bernoulli(z)
+        wr = (a / hx) * bernoulli(-z)
     else:
         raise AssemblyError(f"unknown scheme {config.scheme}")
     return wl, wr
@@ -264,61 +333,76 @@ def _t_edge_weights(config: ProblemConfig, grid: Grid1p1):
     raise AssemblyError(f"unknown scheme {config.scheme}")
 
 
+def _x_stencil(config: ProblemConfig, grid: Grid1p1) -> sp.csr_matrix:
+    """Spatial operator Ax = -(J_right - J_left)/hx on the interior nodes.
+
+    Row i couples nodes i-1, i, i+1 through the edge weights; the rows of the
+    two Dirichlet ends are zero.
+    """
+    wl, wr = _x_edge_weights(config, grid)
+    hx = grid.hx
+    lower = np.append(wl[:-1] / hx, 0.0)
+    main = np.concatenate(([0.0], (wr[:-1] - wl[1:]) / hx, [0.0]))
+    upper = np.insert(-wr[1:] / hx, 0, 0.0)
+    return sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
+
+
+def _t_stencil(wd: float, wu: float, grid: Grid1p1) -> sp.csr_matrix:
+    """Temporal operator At = -(J_up - J_down)/ht on the nodes above t0.
+
+    The final-time row eliminates the ghost slab through the centered
+    terminal condition eps*(u_ghost - u_below)/(2 ht) = q, which folds the
+    ghost coupling -wu/ht into the sub-diagonal.  Row 0 (the initial-time
+    face) is zero.
+    """
+    ntn, ht = grid.nt + 2, grid.ht
+    lower = np.full(ntn - 1, wd / ht)
+    lower[-1] = wd / ht + (-wu / ht)
+    main = np.full(ntn, (wu - wd) / ht)
+    main[0] = 0.0
+    upper = np.full(ntn - 1, -wu / ht)
+    upper[0] = 0.0
+    return sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
+
+
 def assemble(config: ProblemConfig, grid: Grid1p1) -> LinearSystem:
     """Five-point edge-flux discretization of the space-time equation.
 
-    Dirichlet nodes keep identity rows.  The final-time rows use the interior
-    stencil with the ghost slab eliminated through the centered terminal
-    condition eps*u_t = q, which preserves both second order and the
-    M-matrix sign pattern of the fitted scheme.
+    The matrix is kron(I_t', Ax) + kron(At, I_x') + D, where the primed
+    identities have their Dirichlet rows zeroed and D keeps identity rows on
+    the Dirichlet nodes.  The final-time rows use the interior stencil with
+    the ghost slab eliminated through the centered terminal condition
+    eps*u_t = q, which preserves both second order and the M-matrix sign
+    pattern of the fitted scheme.
     """
     eps = float(config.epsilon)
     if eps <= 0:
         raise AssemblyError(f"space-time assembly needs epsilon > 0, got {eps}")
-    wl, wr = _x_edge_weights(config, grid)
     wd, wu = _t_edge_weights(config, grid)
-    nxn, ntn = grid.nx + 2, grid.nt + 2
-    hx, ht = grid.hx, grid.ht
-    xs, ts = grid.xs, grid.ts
+    ht = grid.ht
 
-    rows, cols, data = [], [], []
-    rhs = np.zeros(grid.n_nodes)
-    dirichlet = np.zeros(grid.n_nodes, dtype=bool)
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        data.append(v)
-
-    qfun = config.q_terminal or (lambda x, t: 0.0)
-    top = ntn - 1
-    for j in range(ntn):
-        for i in range(nxn):
-            r = grid.index(i, j)
-            if i == 0 or i == nxn - 1 or j == 0:
-                add(r, r, 1.0)
-                rhs[r] = float(config.g(xs[i], ts[j]))
-                dirichlet[r] = True
-                continue
-            # -(Jx_right - Jx_left)/hx - (Jt_up - Jt_down)/ht = f
-            add(r, grid.index(i - 1, j), wl[i - 1] / hx)
-            add(r, r, (wr[i - 1] - wl[i]) / hx)
-            add(r, grid.index(i + 1, j), -wr[i] / hx)
-            add(r, grid.index(i, j - 1), wd / ht)
-            add(r, r, (wu - wd) / ht)
-            rhs[r] = float(config.f(xs[i], ts[j]))
-            if j < top:
-                add(r, grid.index(i, j + 1), -wu / ht)
-            else:
-                # ghost slab from eps*(u_ghost - u_below)/(2 ht) = q
-                ghost_coeff = -wu / ht
-                add(r, grid.index(i, j - 1), ghost_coeff)
-                rhs[r] -= ghost_coeff * (2.0 * ht / eps) * float(qfun(xs[i], ts[j]))
-
-    matrix = sp.csr_matrix(
-        sp.coo_matrix((data, (rows, cols)), shape=(grid.n_nodes, grid.n_nodes))
+    interior_x = np.ones(grid.nx + 2)
+    interior_x[[0, -1]] = 0.0
+    interior_t = np.ones(grid.nt + 2)
+    interior_t[0] = 0.0
+    interior = np.outer(interior_t, interior_x).astype(bool)
+    dirichlet = ~interior
+    matrix = (
+        sp.kron(sp.diags(interior_t), _x_stencil(config, grid), format="csr")
+        + sp.kron(_t_stencil(wd, wu, grid), sp.diags(interior_x), format="csr")
+        + sp.diags(dirichlet.ravel().astype(float), format="csr")
     )
-    return LinearSystem(matrix, rhs, grid, eps, config.scheme, dirichlet)
+
+    x, t = grid.nodes()
+    rhs = np.empty(grid.shape)
+    rhs[dirichlet] = _evaluate(config.g, x[dirichlet], t[dirichlet])
+    rhs[interior] = _evaluate(config.f, x[interior], t[interior])
+    if config.q_terminal is not None:
+        # ghost slab from eps*(u_ghost - u_below)/(2 ht) = q
+        ghost_coeff = -wu / ht
+        q = _evaluate(config.q_terminal, x[-1, 1:-1], t[-1, 1:-1])
+        rhs[-1, 1:-1] -= ghost_coeff * (2.0 * ht / eps) * q
+    return LinearSystem(matrix, rhs.ravel(), grid, eps, config.scheme, dirichlet.ravel())
 
 
 def solve(system: LinearSystem) -> DiscreteField:
@@ -346,33 +430,26 @@ def solve(system: LinearSystem) -> DiscreteField:
 def reference_evolution(config: ProblemConfig, grid: Grid1p1) -> DiscreteField:
     """Backward Euler marching of the eps = 0 evolution problem.
 
-    Uses the same spatial edge fluxes as the space-time assembly and the
-    grid's own time step; unconditionally stable.
+    Each step solves (I/ht + Ax) u_n = u_{n-1}/ht + f_n with the spatial
+    stencil Ax of the space-time assembly and the grid's own time step;
+    unconditionally stable.
     """
     if float(config.epsilon) != 0.0:
         raise ValueError("the reference evolution is the epsilon = 0 problem")
-    wl, wr = _x_edge_weights(config, grid)
-    nxn = grid.nx + 2
-    hx, ht = grid.hx, grid.ht
-    xs, ts = grid.xs, grid.ts
+    ht = grid.ht
+    step_diagonal = np.full(grid.nx + 2, 1.0 / ht)
+    step_diagonal[[0, -1]] = 1.0  # Dirichlet ends
+    lu = spla.splu((sp.diags(step_diagonal) + _x_stencil(config, grid)).tocsc())
 
-    rows, cols, data = [], [], []
-    for i in range(nxn):
-        if i == 0 or i == nxn - 1:
-            rows.append(i), cols.append(i), data.append(1.0)
-            continue
-        rows.append(i), cols.append(i - 1), data.append(wl[i - 1] / hx)
-        rows.append(i), cols.append(i), data.append(1.0 / ht + (wr[i - 1] - wl[i]) / hx)
-        rows.append(i), cols.append(i + 1), data.append(-wr[i] / hx)
-    step_matrix = sp.csc_matrix(sp.coo_matrix((data, (rows, cols)), shape=(nxn, nxn)))
-    lu = spla.splu(step_matrix)
-
-    values = np.zeros(grid.shape)
-    values[0] = [config.g(x, ts[0]) for x in xs]
+    x, t = grid.nodes()
+    forcing = _evaluate(config.f, x[1:, 1:-1], t[1:, 1:-1])
+    ends = _evaluate(config.g, x[1:, [0, -1]], t[1:, [0, -1]])
+    values = np.empty(grid.shape)
+    values[0] = _evaluate(config.g, x[0], t[0])
+    rhs = np.empty(grid.nx + 2)
     for n in range(1, grid.nt + 2):
-        rhs = values[n - 1] / ht + np.array([config.f(x, ts[n]) for x in xs])
-        rhs[0] = config.g(xs[0], ts[n])
-        rhs[-1] = config.g(xs[-1], ts[n])
+        rhs[1:-1] = values[n - 1, 1:-1] / ht + forcing[n - 1]
+        rhs[[0, -1]] = ends[n - 1]
         values[n] = lu.solve(rhs)
     return DiscreteField(grid, values)
 
@@ -395,8 +472,7 @@ def _energy_integral(diff: np.ndarray, grid: Grid1p1) -> float:
 
 def l2_error(field: DiscreteField, exact: Callable) -> float:
     grid = field.grid
-    exact_values = np.array([[exact(x, t) for x in grid.xs] for t in grid.ts])
-    diff = field.values - exact_values
+    diff = field.values - _evaluate(exact, *grid.nodes())
     per_slab = np.trapezoid(diff**2, dx=grid.hx, axis=1)
     return math.sqrt(float(np.trapezoid(per_slab, dx=grid.ht)))
 
@@ -521,11 +597,9 @@ def discrete_bilinear(u: DiscreteField, v: DiscreteField, config: ProblemConfig)
     if u.grid != v.grid:
         raise ValueError("fields live on different grids")
     grid = u.grid
-    alpha = _as_xfunc(config.alpha)
-    beta = _as_xfunc(config.beta)
     eps = float(config.epsilon)
-    ax = np.array([float(alpha(x)) for x in grid.xs])
-    bx = np.array([float(beta(x)) for x in grid.xs])
+    ax = _coefficient(config.alpha, grid.xs)
+    bx = _coefficient(config.beta, grid.xs)
 
     ux = np.gradient(u.values, grid.hx, axis=1, edge_order=1)
     vx = np.gradient(v.values, grid.hx, axis=1, edge_order=1)

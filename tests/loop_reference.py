@@ -1,0 +1,134 @@
+"""Node-by-node builders that the tensor-product solver core replaced.
+
+They are kept as test oracles: ``loop_assemble`` builds the space-time system
+one node at a time with ``add()``, ``loop_reference`` marches backward Euler
+with the data functions called one point at a time, and ``scalar_bernoulli``
+is the branch-by-branch scalar Bernoulli weight.  They use nothing from
+``hodge4d.solver`` except the ``Scheme`` names and the grid.
+"""
+
+import math
+
+import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from hodge4d.solver import Scheme
+
+
+def scalar_bernoulli(z):
+    if abs(z) < 1e-4:
+        return 1.0 - z / 2.0 + z * z / 12.0
+    if z > 500.0:
+        return z * math.exp(-z)
+    if z < -500.0:
+        return -z
+    return z / math.expm1(z)
+
+
+def _as_xfunc(value):
+    if callable(value):
+        return value
+    v = float(value)
+    return lambda x: v
+
+
+def _loop_x_weights(config, grid):
+    alpha = _as_xfunc(config.alpha)
+    beta = _as_xfunc(config.beta)
+    hx = grid.hx
+    xs = grid.xs
+    mids = 0.5 * (xs[:-1] + xs[1:])
+    a = np.array([float(alpha(xm)) for xm in mids])
+    b = np.array([float(beta(xm)) for xm in mids])
+    if config.scheme is Scheme.CENTERED:
+        return -a / hx + b / 2.0, a / hx + b / 2.0
+    if config.scheme is Scheme.UPWIND:
+        return -a / hx + np.minimum(b, 0.0), a / hx + np.maximum(b, 0.0)
+    z = b * hx / a
+    wl = -(a / hx) * np.array([scalar_bernoulli(v) for v in z])
+    wr = (a / hx) * np.array([scalar_bernoulli(-v) for v in z])
+    return wl, wr
+
+
+def _loop_t_weights(config, grid):
+    eps = float(config.epsilon)
+    ht = grid.ht
+    if config.scheme is Scheme.CENTERED:
+        return -eps / ht - 0.5, eps / ht - 0.5
+    if config.scheme is Scheme.UPWIND:
+        return -eps / ht - 1.0, eps / ht
+    z = -ht / eps
+    return -(eps / ht) * scalar_bernoulli(z), (eps / ht) * scalar_bernoulli(-z)
+
+
+def loop_assemble(config, grid):
+    eps = float(config.epsilon)
+    wl, wr = _loop_x_weights(config, grid)
+    wd, wu = _loop_t_weights(config, grid)
+    nxn, ntn = grid.nx + 2, grid.nt + 2
+    hx, ht = grid.hx, grid.ht
+    xs, ts = grid.xs, grid.ts
+
+    rows, cols, data = [], [], []
+    rhs = np.zeros(grid.n_nodes)
+    dirichlet = np.zeros(grid.n_nodes, dtype=bool)
+
+    def add(r, c, v):
+        rows.append(r)
+        cols.append(c)
+        data.append(v)
+
+    qfun = config.q_terminal or (lambda x, t: 0.0)
+    top = ntn - 1
+    for j in range(ntn):
+        for i in range(nxn):
+            r = grid.index(i, j)
+            if i == 0 or i == nxn - 1 or j == 0:
+                add(r, r, 1.0)
+                rhs[r] = float(config.g(xs[i], ts[j]))
+                dirichlet[r] = True
+                continue
+            add(r, grid.index(i - 1, j), wl[i - 1] / hx)
+            add(r, r, (wr[i - 1] - wl[i]) / hx)
+            add(r, grid.index(i + 1, j), -wr[i] / hx)
+            add(r, grid.index(i, j - 1), wd / ht)
+            add(r, r, (wu - wd) / ht)
+            rhs[r] = float(config.f(xs[i], ts[j]))
+            if j < top:
+                add(r, grid.index(i, j + 1), -wu / ht)
+            else:
+                ghost_coeff = -wu / ht
+                add(r, grid.index(i, j - 1), ghost_coeff)
+                rhs[r] -= ghost_coeff * (2.0 * ht / eps) * float(qfun(xs[i], ts[j]))
+
+    matrix = sp.csr_matrix(
+        sp.coo_matrix((data, (rows, cols)), shape=(grid.n_nodes, grid.n_nodes))
+    )
+    return matrix, rhs, dirichlet
+
+
+def loop_reference(config, grid):
+    wl, wr = _loop_x_weights(config, grid)
+    nxn = grid.nx + 2
+    hx, ht = grid.hx, grid.ht
+    xs, ts = grid.xs, grid.ts
+
+    rows, cols, data = [], [], []
+    for i in range(nxn):
+        if i == 0 or i == nxn - 1:
+            rows.append(i), cols.append(i), data.append(1.0)
+            continue
+        rows.append(i), cols.append(i - 1), data.append(wl[i - 1] / hx)
+        rows.append(i), cols.append(i), data.append(1.0 / ht + (wr[i - 1] - wl[i]) / hx)
+        rows.append(i), cols.append(i + 1), data.append(-wr[i] / hx)
+    lu = spla.splu(sp.csc_matrix(sp.coo_matrix((data, (rows, cols)), shape=(nxn, nxn))))
+
+    values = np.zeros(grid.shape)
+    values[0] = [config.g(x, ts[0]) for x in xs]
+    for n in range(1, grid.nt + 2):
+        rhs = values[n - 1] / ht + np.array([config.f(x, ts[n]) for x in xs])
+        rhs[0] = config.g(xs[0], ts[n])
+        rhs[-1] = config.g(xs[-1], ts[n])
+        values[n] = lu.solve(rhs)
+    return values

@@ -281,7 +281,7 @@ def test_c09_discrete_maximum_principle():
     @criterion("09 discrete-maximum-principle", 10.0)
     def body():
         def g(x, t):
-            return 1.0 if x >= 1.0 else 0.0
+            return np.where(x >= 1.0, 1.0, 0.0)
 
         base = dict(alpha=1e-3, beta=1.0, epsilon=1e-3, f=lambda x, t: 0.0, g=g)
         grid = Grid1p1.with_cells(64, 64)

@@ -129,3 +129,73 @@ def test_flag_overrides_file_value(tmp_path, capsys):
     code, out = run(capsys, "solve", "--config", str(config), "--nx", "24", "--nt", "24")
     assert code == 0
     assert "24x24" in out
+
+
+# -- exit-code contract: one-line "error:" message, no traceback ----------------------
+
+
+def run_failing(capsys, *argv):
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return code, err
+
+
+def test_solve_too_few_cells_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "solve.cfg"
+    config.write_text(SOLVE_CONFIG)
+    code, err = run_failing(capsys, "solve", "--config", str(config), "--nx", "1")
+    assert code == 2
+    assert "interior nodes" in err
+
+
+def test_solve_zero_epsilon_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "solve.cfg"
+    config.write_text(SOLVE_CONFIG)
+    code, err = run_failing(capsys, "solve", "--config", str(config), "--epsilon", "0")
+    assert code == 2
+    assert "epsilon > 0" in err
+
+
+def test_solve_malformed_expression_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "solve.cfg"
+    config.write_text("[solve]\nnx = 8\nnt = 8\nf = x+\n")
+    code, err = run_failing(capsys, "solve", "--config", str(config))
+    assert code == 2
+    assert "'x+'" in err
+
+
+def test_solve_expression_is_not_evaluated(tmp_path, capsys, monkeypatch):
+    import os
+
+    calls = []
+    monkeypatch.setattr(os, "getcwd", lambda: calls.append("getcwd") or "/")
+    config = tmp_path / "solve.cfg"
+    config.write_text('[solve]\nnx = 8\nnt = 8\nf = __import__("os").getcwd()\n')
+    code, err = run_failing(capsys, "solve", "--config", str(config))
+    assert code == 2
+    assert "not allowed" in err
+    assert calls == []
+
+
+def test_solve_failure_exits_one(tmp_path, capsys, monkeypatch):
+    import hodge4d.cli
+    from hodge4d.solver import SolveError
+
+    def failing_solve(system):
+        raise SolveError("relative residual 1.000e+00 above 1e-10")
+
+    monkeypatch.setattr(hodge4d.cli, "solve", failing_solve)
+    config = tmp_path / "solve.cfg"
+    config.write_text(SOLVE_CONFIG)
+    code, err = run_failing(capsys, "solve", "--config", str(config))
+    assert code == 1
+    assert "residual" in err
+
+
+def test_solve_with_expression_data(tmp_path, capsys):
+    config = tmp_path / "solve.cfg"
+    config.write_text("[solve]\nnx = 8\nnt = 8\nalpha = 1 + x\nf = sin(pi*x)*t\ng = x*exp(-t)\n")
+    code, out = run(capsys, "solve", "--config", str(config))
+    assert code == 0
+    assert "value range" in out

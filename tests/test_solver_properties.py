@@ -1,0 +1,80 @@
+"""Property tests: the Bernoulli branches and the M-matrix sign pattern.
+
+The fitted and upwind schemes owe their discrete maximum principle to an
+M-matrix: non-positive off-diagonals, a positive diagonal and weak diagonal
+dominance on the interior rows (Xu & Zikatanov, Math. Comp. 68, 1999).  These
+must hold for every positive alpha and eps and every beta, hx and ht, not
+only for the examples in test_solver.py.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from loop_reference import scalar_bernoulli
+
+from hodge4d.solver import Grid1p1, ProblemConfig, Scheme, assemble, bernoulli
+
+SWITCHES = (1e-4, -1e-4, 500.0, -500.0)
+
+
+def _around(z0):
+    return [np.nextafter(z0, -np.inf), z0, np.nextafter(z0, np.inf)]
+
+
+SWITCH_POINTS = [z for z0 in SWITCHES for z in _around(z0)]
+
+
+def test_bernoulli_equals_scalar_branches_at_the_switches():
+    zs = np.array(SWITCH_POINTS + [0.0, -0.0, 1.0, -1.0, 1e3, -1e3])
+    expected = [scalar_bernoulli(float(z)) for z in zs]
+    assert bernoulli(zs).tolist() == expected
+    assert [bernoulli(float(z)) for z in zs] == expected
+
+
+@given(st.lists(st.one_of(st.floats(-2000.0, 2000.0), st.sampled_from(SWITCH_POINTS)), max_size=40))
+def test_bernoulli_array_equals_scalar_branches(zs):
+    values = bernoulli(np.array(zs, dtype=float))
+    assert values.tolist() == [scalar_bernoulli(z) for z in zs]
+
+
+def test_bernoulli_continuous_across_switches():
+    for z0 in SWITCHES:
+        below, at, above = (bernoulli(z) for z in _around(z0))
+        assert abs(above - below) <= 1e-8 * abs(at), z0
+        assert abs(at - below) <= 1e-8 * abs(at), z0
+
+
+def _zero(x, t):
+    return 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scheme=st.sampled_from([Scheme.UPWIND, Scheme.EXP_FITTED]),
+    alpha=st.floats(1e-3, 10.0),
+    alpha_slope=st.sampled_from([0.0, 1.0]),
+    beta=st.floats(-50.0, 50.0),
+    eps=st.floats(1e-6, 10.0),
+    lx=st.floats(0.1, 10.0),
+    duration=st.floats(0.1, 10.0),
+    cells_x=st.integers(3, 7),
+    cells_t=st.integers(3, 7),
+)
+def test_fitted_and_upwind_matrices_are_m_matrices(
+    scheme, alpha, alpha_slope, beta, eps, lx, duration, cells_x, cells_t
+):
+    grid = Grid1p1.with_cells(cells_x, cells_t, lx=lx, t_final=duration)
+
+    def alpha_of_x(x):
+        return alpha * (1.0 + alpha_slope * x / lx)
+
+    cfg = ProblemConfig(alpha=alpha_of_x, beta=beta, epsilon=eps, f=_zero, g=_zero, scheme=scheme)
+    system = assemble(cfg, grid)
+    rows = system.matrix.toarray()[~system.dirichlet]
+    index = np.flatnonzero(~system.dirichlet)
+    diagonal = rows[np.arange(len(index)), index]
+    off = rows.copy()
+    off[np.arange(len(index)), index] = 0.0
+    assert (off <= 0.0).all()
+    assert (diagonal > 0.0).all()
+    assert (diagonal >= np.abs(off).sum(axis=1) * (1.0 - 1e-12)).all()
