@@ -1,3 +1,5 @@
+import warnings
+
 from hodge4d.cli import main
 
 SOLVE_CONFIG = """
@@ -199,3 +201,28 @@ def test_solve_with_expression_data(tmp_path, capsys):
     code, out = run(capsys, "solve", "--config", str(config))
     assert code == 0
     assert "value range" in out
+
+
+def run_quietly(capsys, *argv):
+    """run_failing, asserting that no warning was raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = run_failing(capsys, *argv)
+    assert [str(w.message) for w in caught] == []
+    return code, err
+
+
+def test_solve_non_finite_data_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "solve.cfg"
+    config.write_text("[solve]\nnx = 8\nnt = 8\ng = log(x)\n")
+    code, err = run_quietly(capsys, "solve", "--config", str(config))
+    assert code == 2
+    assert err == "error: g is not finite at x=0, t=0\n"
+
+
+def test_sweep_non_finite_data_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("[sweep]\nnx = 8\nnt = 16\ng = log(x)\neps_list = 0.1,0.05\n")
+    code, err = run_quietly(capsys, "sweep", "--config", str(config))
+    assert code == 2
+    assert err == "error: g is not finite at x=0, t=0\n"

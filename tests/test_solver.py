@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -82,6 +83,18 @@ def test_assemble_rejects_bad_parameters():
         assemble(make_config(epsilon=0.0), g)
     with pytest.raises(AssemblyError):
         assemble(make_config(alpha=-1.0), g)
+
+
+def test_non_finite_data_is_rejected_by_name_and_node():
+    g = Grid1p1.with_cells(8, 8)
+    with pytest.raises(AssemblyError, match=r"^g is not finite at x=0, t=0$"):
+        assemble(make_config(g=lambda x, t: np.log(x)), g)
+    with pytest.raises(AssemblyError, match=r"^f is not finite at x=0.5, t=0.125$"):
+        assemble(make_config(f=lambda x, t: 1.0 / (x - 0.5)), g)
+    with pytest.raises(AssemblyError, match=r"^alpha is not finite at x=0.0625$"):
+        assemble(make_config(alpha=lambda x: np.sqrt(x - 0.1)), g)
+    with pytest.raises(AssemblyError, match=r"^g is not finite at x=0, t=0$"):
+        reference_evolution(make_config(epsilon=0.0, g=lambda x, t: np.log(x)), g)
 
 
 def test_dirichlet_rows_are_identity():
@@ -185,6 +198,35 @@ def test_manufactured_nodal_residual_refines_at_second_order():
 # -- solve -------------------------------------------------------------------------
 
 
+def solve_logged(caplog, system):
+    """Solve and return the field and the one solver-path log message."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="hodge4d.solver"):
+        field = solve(system)
+    messages = [r.getMessage() for r in caplog.records if r.name == "hodge4d.solver"]
+    assert len(messages) == 1, messages
+    return field, messages[0]
+
+
+def test_solve_takes_fast_path_for_a_diffusive_problem(caplog):
+    cfg = make_config(beta=0.5, f=lambda x, t: np.sin(np.pi * x) * t, g=lambda x, t: x + t)
+    _, message = solve_logged(caplog, assemble(cfg, Grid1p1.with_cells(12, 9)))
+    assert message.startswith("solve path: fast-diagonalisation")
+
+
+@pytest.mark.parametrize(
+    "scheme, reason",
+    [(Scheme.CENTERED, "complex spatial eigenvalues"), (Scheme.EXP_FITTED, "scaling ratio")],
+)
+def test_convection_dominated_solve_falls_back_to_splu(caplog, scheme, reason):
+    # cell Peclet |beta|*hx/alpha = 31.25: centered has complex spatial
+    # eigenvalues; the fitted ones are real, but the symmetrising scaling
+    # spans about 1e200, so the eigenvector matrix cannot be trusted
+    cfg = make_config(alpha=1e-3, beta=1.0, epsilon=1e-4, scheme=scheme, g=lambda x, t: 1.0 + x)
+    _, message = solve_logged(caplog, assemble(cfg, Grid1p1.with_cells(32, 32)))
+    assert message.startswith("solve path: splu, fallback because " + reason)
+
+
 def test_solve_identity_system():
     g = Grid1p1.with_cells(6, 6)
 
@@ -199,6 +241,18 @@ def test_solve_identity_system():
     system = dataclasses.replace(system, matrix=sp.identity(g.n_nodes, format="csr"))
     out = solve(system)
     assert np.allclose(out.values.ravel(), system.rhs)
+
+
+def test_stale_kronecker_factors_fail_the_residual_gate(caplog):
+    # the factors still describe the assembled operator, not the identity
+    import scipy.sparse as sp
+
+    g = Grid1p1.with_cells(6, 6)
+    system = assemble(make_config(f=lambda x, t: 1.0 + x * t, g=lambda x, t: np.sin(x + t)), g)
+    system = dataclasses.replace(system, matrix=sp.identity(g.n_nodes, format="csr"))
+    out, message = solve_logged(caplog, system)
+    assert np.allclose(out.values.ravel(), system.rhs)
+    assert message.startswith("solve path: splu, fallback because relative residual")
 
 
 def test_zero_data_gives_zero_solution():
@@ -235,7 +289,8 @@ def test_singular_system_reports_context():
     import scipy.sparse as sp
 
     singular = sp.csr_matrix(system.matrix.shape)
-    system = dataclasses.replace(system, matrix=singular)
+    # drop the Kronecker factors too, so that the solve reaches sparse LU
+    system = dataclasses.replace(system, matrix=singular, x_stencil=None, t_stencil=None)
     with pytest.raises(SolveError, match="eps"):
         solve(system)
 

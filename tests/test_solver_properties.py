@@ -1,18 +1,28 @@
-"""Property tests: the Bernoulli branches and the M-matrix sign pattern.
+"""Property tests: the Bernoulli branches, the M-matrix sign pattern, the solve.
 
 The fitted and upwind schemes owe their discrete maximum principle to an
 M-matrix: non-positive off-diagonals, a positive diagonal and weak diagonal
 dominance on the interior rows (Xu & Zikatanov, Math. Comp. 68, 1999).  These
 must hold for every positive alpha and eps and every beta, hx and ht, not
-only for the examples in test_solver.py.
+only for the examples in test_solver.py.  The fast-diagonalisation solve is
+checked against a sparse LU of the whole matrix over the same parameters.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import scipy.sparse.linalg as spla
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from loop_reference import scalar_bernoulli
 
-from hodge4d.solver import Grid1p1, ProblemConfig, Scheme, assemble, bernoulli
+from hodge4d.solver import (
+    Grid1p1,
+    ProblemConfig,
+    Scheme,
+    _fast_diagonalisation,
+    assemble,
+    bernoulli,
+    solve,
+)
 
 SWITCHES = (1e-4, -1e-4, 500.0, -500.0)
 
@@ -78,3 +88,50 @@ def test_fitted_and_upwind_matrices_are_m_matrices(
     assert (off <= 0.0).all()
     assert (diagonal > 0.0).all()
     assert (diagonal >= np.abs(off).sum(axis=1) * (1.0 - 1e-12)).all()
+
+
+def _splu_refined(system):
+    """Sparse LU of the whole matrix with one refinement step: the oracle."""
+    lu = spla.splu(system.matrix.tocsc())
+    x = lu.solve(system.rhs)
+    x += lu.solve(system.rhs - system.matrix @ x)
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scheme=st.sampled_from(list(Scheme)),
+    alpha=st.floats(1e-3, 10.0),
+    beta=st.floats(-50.0, 50.0),
+    eps=st.floats(1e-6, 10.0),
+    lx=st.floats(0.1, 10.0),
+    duration=st.floats(0.1, 10.0),
+    cells_x=st.integers(3, 12),
+    cells_t=st.integers(3, 12),
+)
+def test_fast_diagonalisation_agrees_with_splu(
+    scheme, alpha, beta, eps, lx, duration, cells_x, cells_t
+):
+    grid = Grid1p1.with_cells(cells_x, cells_t, lx=lx, t_final=duration)
+    cfg = ProblemConfig(
+        alpha=alpha,
+        beta=beta,
+        epsilon=eps,
+        f=lambda x, t: 1.0 + x * t,
+        g=lambda x, t: np.cos(x + t),
+        scheme=scheme,
+        q_terminal=lambda x, t: np.sin(x),
+    )
+    system = assemble(cfg, grid)
+    oracle = _splu_refined(system)
+    fast, reason = _fast_diagonalisation(system)
+    event(" ".join(reason.split()[:2]) or "fast-diagonalisation")
+    if fast is None:
+        # rejected by the guard: the solve is the sparse LU, bit for bit
+        assert reason
+        assert solve(system).values.ravel().tolist() == oracle.tolist()
+    else:
+        assert reason == ""
+        error = np.linalg.norm(fast.ravel() - oracle) / np.linalg.norm(oracle)
+        assert error <= 1e-10
+        assert solve(system).values.ravel().tolist() == fast.ravel().tolist()
