@@ -26,6 +26,7 @@ from .forms import (
     hodge_star,
     merge_sign,
     spatial_form,
+    spatial_parts,
     star_sign,
     temporal_parts,
     wedge,
@@ -210,8 +211,6 @@ def _coerce_solution_fields(degree, fields):
         if any(b.contains_dt for b in fields.components):
             bad = [b.label for b in fields.components if b.contains_dt]
             raise ValueError(f"solution forms carry no dt components; found {bad}")
-        from .forms import spatial_parts
-
         return spatial_parts(fields) if degree < 4 else None
     return fields
 

@@ -83,10 +83,6 @@ class PolyField:
         return cls({tuple(exps): 1})
 
     @classmethod
-    def monomial(cls, coeff, exps) -> "PolyField":
-        return cls({tuple(exps): coeff})
-
-    @classmethod
     def coerce(cls, value) -> "PolyField":
         if isinstance(value, PolyField):
             return value
@@ -97,20 +93,6 @@ class PolyField:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def is_constant(self) -> bool:
-        return all(e == (0, 0, 0, 0) for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError(f"not a constant: {self}")
-        return self.terms.get((0, 0, 0, 0), Fraction(0))
-
-    def total_degree(self) -> int:
-        if self.is_zero:
-            return 0
-        return max(sum(e) for e in self.terms)
 
     def depends_on(self, axis) -> bool:
         idx = axis_index(axis)

@@ -333,35 +333,37 @@ def scaled_hodge_star(w: KForm, m: MaterialParams) -> KForm:
     return KForm(4 - w.degree, comps)
 
 
-def codifferential_1a(w: KForm, m: MaterialParams) -> KForm:
-    """Weighted codifferential, literally -(star (d (scaled_star w)))."""
+def _codifferential_out_of_range(w: KForm) -> Optional[KForm]:
+    """The zero result of a codifferential of a 0-form or above degree four, else None.
+
+    A 0-form warns (pointing at the codifferential's caller); a nonzero form
+    above degree four is an error.
+    """
     if w.degree == 0:
         warnings.warn(
             "codifferential below 0-forms is identically zero",
             DegreeUnderflowWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
         return KForm.zero(0)
     if w.degree > 4:
         if not w.is_zero:
             raise ValueError("nonzero form above degree four")
         return KForm.zero(4)
+    return None
+
+
+def codifferential_1a(w: KForm, m: MaterialParams) -> KForm:
+    """Weighted codifferential, literally -(star (d (scaled_star w)))."""
+    if (zero := _codifferential_out_of_range(w)) is not None:
+        return zero
     return -hodge_star(exterior_derivative(scaled_hodge_star(w, m)))
 
 
 def codifferential_a1(w: KForm, m: MaterialParams) -> KForm:
     """Weighted codifferential with the stars swapped: -(scaled_star (d (star w)))."""
-    if w.degree == 0:
-        warnings.warn(
-            "codifferential below 0-forms is identically zero",
-            DegreeUnderflowWarning,
-            stacklevel=2,
-        )
-        return KForm.zero(0)
-    if w.degree > 4:
-        if not w.is_zero:
-            raise ValueError("nonzero form above degree four")
-        return KForm.zero(4)
+    if (zero := _codifferential_out_of_range(w)) is not None:
+        return zero
     return -scaled_hodge_star(exterior_derivative(hodge_star(w)), m)
 
 
@@ -387,12 +389,6 @@ def interior_product_dt(w: KForm) -> KForm:
 # classical-field representation and display ordering
 # ---------------------------------------------------------------------------
 
-_B_X, _B_Y, _B_Z, _B_T = (BasisForm(1 << i) for i in range(4))
-_B_YZ = BasisForm(0b0110)
-_B_XZ = BasisForm(0b0101)
-_B_XY = BasisForm(0b0011)
-_B_XYZ = BasisForm(0b0111)
-
 DISPLAY_LABELS = {
     0: ("1",),
     1: ("dx", "dy", "dz", "dt"),
@@ -417,14 +413,38 @@ def parse_basis_label(label: str) -> tuple:
     return basis, sign
 
 
+# (label, basis, sign) per degree, in display order; the sign carries the
+# translation of cyclic labels such as dz^dx to the canonical basis.
+_DISPLAY_ROWS = {
+    degree: tuple((label, *parse_basis_label(label)) for label in labels)
+    for degree, labels in DISPLAY_LABELS.items()
+}
+
+
+def _signed(sign: int, coeff):
+    return coeff if sign > 0 else -coeff
+
+
+def _display_block(degree: int, with_dt: bool, degrees: range) -> list:
+    """(basis, sign) of the display rows of one degree with or without dt."""
+    if degree not in degrees:
+        raise ValueError(f"degree out of range: {degree}")
+    rows = _DISPLAY_ROWS[degree]
+    return [(basis, sign) for _, basis, sign in rows if basis.contains_dt == with_dt]
+
+
+def _read_block(w: KForm, block: list):
+    """Coefficients of ``w`` on a display block: a scalar for one row, else a tuple."""
+    values = tuple(_signed(sign, w.coefficient(basis)) for basis, sign in block)
+    return values[0] if len(values) == 1 else values
+
+
 def display_components(w: KForm) -> list:
     """Coefficients of a form in display-basis order, with translated signs."""
-    out = []
-    for label in DISPLAY_LABELS[w.degree]:
-        basis, sign = parse_basis_label(label)
-        coeff = w.coefficient(basis)
-        out.append((label, coeff if sign > 0 else -coeff))
-    return out
+    return [
+        (label, _signed(sign, w.coefficient(basis)))
+        for label, basis, sign in _DISPLAY_ROWS[w.degree]
+    ]
 
 
 def spatial_form(degree: int, fields) -> KForm:
@@ -434,32 +454,18 @@ def spatial_form(degree: int, fields) -> KForm:
     (the middle 2-form component sits on the cyclic element dz^dx), and the
     degree-4 form is identically zero.
     """
-    if degree == 0:
-        return KForm(0, {BasisForm(0): coerce_field(fields)})
-    if degree == 1:
-        u1, u2, u3 = (coerce_field(f) for f in fields)
-        return KForm(1, {_B_X: u1, _B_Y: u2, _B_Z: u3})
-    if degree == 2:
-        u1, u2, u3 = (coerce_field(f) for f in fields)
-        return KForm(2, {_B_YZ: u1, _B_XZ: -u2, _B_XY: u3})
-    if degree == 3:
-        return KForm(3, {_B_XYZ: coerce_field(fields)})
-    if degree == 4:
-        return KForm.zero(4)
-    raise ValueError(f"degree out of range: {degree}")
+    block = _display_block(degree, False, range(5))
+    if not block:
+        return KForm.zero(degree)
+    if len(block) == 1:
+        fields = (fields,)
+    pairs = zip(block, fields, strict=True)
+    return KForm(degree, {basis: _signed(sign, coerce_field(f)) for (basis, sign), f in pairs})
 
 
 def spatial_parts(w: KForm):
     """Inverse of ``spatial_form``: read the dt-free block classically."""
-    if w.degree == 0:
-        return w.coefficient(BasisForm(0))
-    if w.degree == 1:
-        return (w.coefficient(_B_X), w.coefficient(_B_Y), w.coefficient(_B_Z))
-    if w.degree == 2:
-        return (w.coefficient(_B_YZ), -w.coefficient(_B_XZ), w.coefficient(_B_XY))
-    if w.degree == 3:
-        return w.coefficient(_B_XYZ)
-    raise ValueError(f"degree out of range: {w.degree}")
+    return _read_block(w, _display_block(w.degree, False, range(4)))
 
 
 def temporal_parts(w: KForm):
@@ -468,15 +474,4 @@ def temporal_parts(w: KForm):
     Degree 1 yields the scalar dt coefficient; degree 2 the coefficients on
     dx^dt, dy^dt, dz^dt; degree 3 those on dy^dz^dt, dz^dx^dt, dx^dy^dt.
     """
-    if w.degree == 1:
-        return w.coefficient(_B_T)
-    if w.degree == 2:
-        return tuple(
-            w.coefficient(BasisForm((1 << i) | T_BIT)) for i in range(3)
-        )
-    if w.degree == 3:
-        yzt = w.coefficient(BasisForm(0b1110))
-        xzt = w.coefficient(BasisForm(0b1101))
-        xyt = w.coefficient(BasisForm(0b1011))
-        return (yzt, -xzt, xyt)
-    raise ValueError(f"degree out of range: {w.degree}")
+    return _read_block(w, _display_block(w.degree, True, range(1, 4)))

@@ -323,74 +323,64 @@ def _coefficient(name: str, value, x: np.ndarray) -> np.ndarray:
     return np.full(x.shape, float(value))
 
 
-def _x_edge_weights(config: ProblemConfig, grid: Grid1p1):
-    """Linear edge-flux weights: J_e = wl*u_left + wr*u_right per x-edge."""
-    hx = grid.hx
+def _edge_weights(a, b, h: float, scheme: Scheme):
+    """Edge-flux weights of one axis: J_e = wl*u_left + wr*u_right per edge.
+
+    ``a`` is the diffusion and ``b`` the velocity on the edges, ``h`` the
+    spacing.  x takes alpha and beta at the edge midpoints; t takes eps and
+    velocity -1, so time is one more convection-diffusion axis.  The
+    exponentially fitted weights are the Scharfetter-Gummel flux.
+    """
+    if scheme is Scheme.CENTERED:
+        return -a / h + b / 2.0, a / h + b / 2.0
+    if scheme is Scheme.UPWIND:
+        return -a / h + np.minimum(b, 0.0), a / h + np.maximum(b, 0.0)
+    if scheme is Scheme.EXP_FITTED:
+        z = b * h / a
+        return -(a / h) * bernoulli(z), (a / h) * bernoulli(-z)
+    raise AssemblyError(f"unknown scheme {scheme}")
+
+
+def _stencil(wl: np.ndarray, wr: np.ndarray, h: float) -> tuple:
+    """Diagonals (lower, main, upper) of -(J_right - J_left)/h over the edges.
+
+    Row i couples nodes i-1, i, i+1 through the weights of its two edges; the
+    two end rows are zero.
+    """
+    lower = np.append(wl[:-1] / h, 0.0)
+    main = np.concatenate(([0.0], (wr[:-1] - wl[1:]) / h, [0.0]))
+    upper = np.insert(-wr[1:] / h, 0, 0.0)
+    return lower, main, upper
+
+
+def _x_stencil(config: ProblemConfig, grid: Grid1p1) -> sp.csr_matrix:
+    """Spatial operator Ax = -(J_right - J_left)/hx; the Dirichlet end rows are zero."""
     xs = grid.xs
     mids = 0.5 * (xs[:-1] + xs[1:])
     a = _coefficient("alpha", config.alpha, mids)
     b = _coefficient("beta", config.beta, mids)
     if np.any(a <= 0):
         raise AssemblyError("nonpositive diffusion coefficient on an edge")
-    if config.scheme is Scheme.CENTERED:
-        wl = -a / hx + b / 2.0
-        wr = a / hx + b / 2.0
-    elif config.scheme is Scheme.UPWIND:
-        wl = -a / hx + np.minimum(b, 0.0)
-        wr = a / hx + np.maximum(b, 0.0)
-    elif config.scheme is Scheme.EXP_FITTED:
-        z = b * hx / a
-        wl = -(a / hx) * bernoulli(z)
-        wr = (a / hx) * bernoulli(-z)
-    else:
-        raise AssemblyError(f"unknown scheme {config.scheme}")
-    return wl, wr
+    wl, wr = _edge_weights(a, b, grid.hx, config.scheme)
+    return sp.diags(_stencil(wl, wr, grid.hx), [-1, 0, 1], format="csr")
 
 
-def _t_edge_weights(config: ProblemConfig, grid: Grid1p1):
-    """Edge-flux weights in time: J_e = wd*u_down + wu*u_up (velocity -1)."""
-    eps = float(config.epsilon)
-    ht = grid.ht
-    if config.scheme is Scheme.CENTERED:
-        return -eps / ht - 0.5, eps / ht - 0.5
-    if config.scheme is Scheme.UPWIND:
-        return -eps / ht - 1.0, eps / ht
-    if config.scheme is Scheme.EXP_FITTED:
-        z = -ht / eps
-        return -(eps / ht) * bernoulli(z), (eps / ht) * bernoulli(-z)
-    raise AssemblyError(f"unknown scheme {config.scheme}")
-
-
-def _x_stencil(config: ProblemConfig, grid: Grid1p1) -> sp.csr_matrix:
-    """Spatial operator Ax = -(J_right - J_left)/hx on the interior nodes.
-
-    Row i couples nodes i-1, i, i+1 through the edge weights; the rows of the
-    two Dirichlet ends are zero.
-    """
-    wl, wr = _x_edge_weights(config, grid)
-    hx = grid.hx
-    lower = np.append(wl[:-1] / hx, 0.0)
-    main = np.concatenate(([0.0], (wr[:-1] - wl[1:]) / hx, [0.0]))
-    upper = np.insert(-wr[1:] / hx, 0, 0.0)
-    return sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
-
-
-def _t_stencil(wd: float, wu: float, grid: Grid1p1) -> sp.csr_matrix:
+def _t_stencil(config: ProblemConfig, grid: Grid1p1) -> tuple:
     """Temporal operator At = -(J_up - J_down)/ht on the nodes above t0.
 
-    The final-time row eliminates the ghost slab through the centered
-    terminal condition eps*(u_ghost - u_below)/(2 ht) = q, which folds the
-    ghost coupling -wu/ht into the sub-diagonal.  Row 0 (the initial-time
-    face) is zero.
+    The stencil spans nt + 2 edges, the last of which reaches a ghost slab
+    above the final time.  The final-time row eliminates the ghost through
+    the centered terminal condition eps*(u_ghost - u_below)/(2 ht) = q, which
+    folds the ghost coupling into the sub-diagonal; the ghost row is then
+    dropped.  Row 0 (the initial-time face) is zero.  Returns At and the
+    ghost coupling, through which q enters the right-hand side.
     """
-    ntn, ht = grid.nt + 2, grid.ht
-    lower = np.full(ntn - 1, wd / ht)
-    lower[-1] = wd / ht + (-wu / ht)
-    main = np.full(ntn, (wu - wd) / ht)
-    main[0] = 0.0
-    upper = np.full(ntn - 1, -wu / ht)
-    upper[0] = 0.0
-    return sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
+    wd, wu = _edge_weights(float(config.epsilon), -1.0, grid.ht, config.scheme)
+    edges = grid.nt + 2
+    lower, main, upper = _stencil(np.full(edges, wd), np.full(edges, wu), grid.ht)
+    ghost = upper[-1]
+    lower[-2] += ghost
+    return sp.diags([lower[:-1], main[:-1], upper[:-1]], [-1, 0, 1], format="csr"), ghost
 
 
 def assemble(config: ProblemConfig, grid: Grid1p1) -> LinearSystem:
@@ -406,7 +396,6 @@ def assemble(config: ProblemConfig, grid: Grid1p1) -> LinearSystem:
     eps = float(config.epsilon)
     if eps <= 0:
         raise AssemblyError(f"space-time assembly needs epsilon > 0, got {eps}")
-    wd, wu = _t_edge_weights(config, grid)
     ht = grid.ht
 
     interior_x = np.ones(grid.nx + 2)
@@ -416,7 +405,7 @@ def assemble(config: ProblemConfig, grid: Grid1p1) -> LinearSystem:
     interior = np.outer(interior_t, interior_x).astype(bool)
     dirichlet = ~interior
     x_stencil = _x_stencil(config, grid)
-    t_stencil = _t_stencil(wd, wu, grid)
+    t_stencil, ghost_coupling = _t_stencil(config, grid)
     matrix = (
         sp.kron(sp.diags(interior_t), x_stencil, format="csr")
         + sp.kron(t_stencil, sp.diags(interior_x), format="csr")
@@ -429,9 +418,8 @@ def assemble(config: ProblemConfig, grid: Grid1p1) -> LinearSystem:
     rhs[interior] = _evaluate("f", config.f, x[interior], t[interior])
     if config.q_terminal is not None:
         # ghost slab from eps*(u_ghost - u_below)/(2 ht) = q
-        ghost_coeff = -wu / ht
         q = _evaluate("q_terminal", config.q_terminal, x[-1, 1:-1], t[-1, 1:-1])
-        rhs[-1, 1:-1] -= ghost_coeff * (2.0 * ht / eps) * q
+        rhs[-1, 1:-1] -= ghost_coupling * (2.0 * ht / eps) * q
     return LinearSystem(
         matrix, rhs.ravel(), grid, eps, config.scheme, dirichlet.ravel(), x_stencil, t_stencil
     )
@@ -443,9 +431,22 @@ _MAX_SCALING_RATIO = 1e6
 _RESIDUAL_TOLERANCE = 1e-10
 
 
-def _relative_residual(system: LinearSystem, x: np.ndarray) -> float:
+def _refined(system: LinearSystem, correction: Callable, x0: np.ndarray):
+    """Two steps of x += correction(rhs - matrix @ x) from x0, then the gate.
+
+    Where x0 holds no data it is -0.0, the exact additive identity of IEEE
+    arithmetic, so the first step returns the first correction bit for bit.
+    Returns ``(x, "")``, or ``(None, reason)`` when x is not finite or its
+    relative residual is above the gate.
+    """
+    x = x0
+    for _ in range(2):
+        x += correction(system.rhs - system.matrix @ x)
     residual = np.linalg.norm(system.rhs - system.matrix @ x)
-    return residual / max(np.linalg.norm(system.rhs), 1e-300)
+    residual /= max(np.linalg.norm(system.rhs), 1e-300)
+    if not (np.all(np.isfinite(x)) and residual <= _RESIDUAL_TOLERANCE):
+        return None, f"relative residual {residual:.3e} above {_RESIDUAL_TOLERANCE:g}"
+    return x, ""
 
 
 def _fast_diagonalisation(system: LinearSystem):
@@ -498,20 +499,17 @@ def _fast_diagonalisation(system: LinearSystem):
     if info != 0:
         return None, f"shifted tridiagonal factorization failed (dgttrf info {info})"
 
-    def interior_solve(b):
-        modes, _ = dgttrs(*factors, ((b / d) @ q).T.reshape(-1, 1))  # one block per mode
-        return (modes.reshape(nx, ntn).T @ q.T) * d
-
     shape = system.grid.shape
-    values = np.where(system.dirichlet, system.rhs, 0.0).reshape(shape)
-    moved = system.rhs - system.matrix @ values.ravel()
-    values[1:, 1:-1] = interior_solve(moved.reshape(shape)[1:, 1:-1])
-    remainder = system.rhs - system.matrix @ values.ravel()
-    values[1:, 1:-1] += interior_solve(remainder.reshape(shape)[1:, 1:-1])
-    residual = _relative_residual(system, values.ravel())
-    if not (np.all(np.isfinite(values)) and residual <= _RESIDUAL_TOLERANCE):
-        return None, f"relative residual {residual:.3e} above {_RESIDUAL_TOLERANCE:g}"
-    return values, ""
+
+    def interior_solve(residual):
+        b = residual.reshape(shape)[1:, 1:-1]
+        modes, _ = dgttrs(*factors, ((b / d) @ q).T.reshape(-1, 1))  # one block per mode
+        step = np.full(shape, -0.0)
+        step[1:, 1:-1] = (modes.reshape(nx, ntn).T @ q.T) * d
+        return step.ravel()
+
+    values, reason = _refined(system, interior_solve, np.where(system.dirichlet, system.rhs, -0.0))
+    return (None if values is None else values.reshape(shape)), reason
 
 
 def solve(system: LinearSystem) -> DiscreteField:
@@ -534,15 +532,11 @@ def solve(system: LinearSystem) -> DiscreteField:
     logger.debug("solve path: splu, fallback because %s (%s)", reason, context)
     try:
         lu = spla.splu(system.matrix.tocsc())
-        x = lu.solve(system.rhs)
-        x += lu.solve(system.rhs - system.matrix @ x)
     except RuntimeError as exc:
         raise SolveError(f"factorization failed ({context}): {exc}") from exc
-    residual = _relative_residual(system, x)
-    if not np.all(np.isfinite(x)) or residual > _RESIDUAL_TOLERANCE:
-        raise SolveError(
-            f"relative residual {residual:.3e} above {_RESIDUAL_TOLERANCE:g} ({context})"
-        )
+    x, reason = _refined(system, lu.solve, np.full(system.rhs.shape, -0.0))
+    if x is None:
+        raise SolveError(f"{reason} ({context})")
     return DiscreteField(system.grid, x.reshape(system.grid.shape))
 
 

@@ -41,10 +41,16 @@ STAR_TABLE = (
 
 
 @dataclass
-class TableCheck:
+class CheckResult:
     name: str
     passed: bool
     detail: str = ""
+    note: bool = False  # informational entries never fail a run
+
+
+def _equality_check(name: str, actual, expected) -> CheckResult:
+    passed = actual == expected
+    return CheckResult(name, passed, "" if passed else f"got {actual!r}, expected {expected!r}")
 
 
 def _display_form(label: str, scale=1) -> KForm:
@@ -59,23 +65,11 @@ def star_table_checks(m: MaterialParams, rows=STAR_TABLE) -> list:
         w = _display_form(in_label)
         expected_plain = _display_form(out_label, out_sign)
         actual_plain = hodge_star(w)
-        results.append(
-            TableCheck(
-                f"star[{in_label}]",
-                actual_plain == expected_plain,
-                "" if actual_plain == expected_plain else f"got {actual_plain!r}, expected {expected_plain!r}",
-            )
-        )
+        results.append(_equality_check(f"star[{in_label}]", actual_plain, expected_plain))
         scale = m.alpha if scale_name == "alpha" else m.epsilon
         expected_scaled = _display_form(out_label, Fraction(out_sign) * scale)
         actual_scaled = scaled_hodge_star(w, m)
-        results.append(
-            TableCheck(
-                f"scaled-star[{in_label}]",
-                actual_scaled == expected_scaled,
-                "" if actual_scaled == expected_scaled else f"got {actual_scaled!r}, expected {expected_scaled!r}",
-            )
-        )
+        results.append(_equality_check(f"scaled-star[{in_label}]", actual_scaled, expected_scaled))
     return results
 
 
@@ -91,11 +85,6 @@ def double_star_checks(m: MaterialParams) -> list:
                 value = -value
             factor = m.epsilon if basis.contains_dt else m.alpha
             expected = w.scale(factor)
-            results.append(
-                TableCheck(
-                    f"double-star[{basis.label}][alpha={m.alpha},eps={m.epsilon}]",
-                    value == expected,
-                    "" if value == expected else f"got {value!r}, expected {expected!r}",
-                )
-            )
+            name = f"double-star[{basis.label}][alpha={m.alpha},eps={m.epsilon}]"
+            results.append(_equality_check(name, value, expected))
     return results

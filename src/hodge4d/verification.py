@@ -33,15 +33,7 @@ from .forms import (
     interior_product_dt,
     wedge,
 )
-from .tables import double_star_checks, star_table_checks
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-    note: bool = False  # informational entries never fail a run
+from .tables import CheckResult, double_star_checks, star_table_checks
 
 
 @dataclass
@@ -50,10 +42,6 @@ class Report:
 
     def add(self, name, passed, detail="", note=False):
         self.checks.append(CheckResult(name, bool(passed), detail, note))
-
-    def extend_table_checks(self, results):
-        for r in results:
-            self.checks.append(CheckResult(r.name, r.passed, r.detail))
 
     @property
     def failures(self) -> list:
@@ -301,10 +289,10 @@ def run_identities(seed: int, count: int) -> Report:
     """The randomized exact-identity suite; deterministic under the seed."""
     rng = random.Random(seed)
     report = Report()
-    report.extend_table_checks(star_table_checks(MaterialParams(alpha=Fraction(3), epsilon=Fraction(5, 2))))
+    report.checks.extend(star_table_checks(MaterialParams(alpha=Fraction(3), epsilon=Fraction(5, 2))))
     for _ in range(5):
         m = random_material(rng)
-        report.extend_table_checks(double_star_checks(m))
+        report.checks.extend(double_star_checks(m))
     for results in (
         check_d_after_d(rng, count),
         check_leibniz(rng, max(1, count // 10)),
@@ -342,7 +330,7 @@ def run_table_verification(seed: int = 0) -> Report:
     rng = random.Random(seed)
     report = Report()
     m_fixed = MaterialParams(alpha=Fraction(2), epsilon=Fraction(3))
-    report.extend_table_checks(star_table_checks(m_fixed))
+    report.checks.extend(star_table_checks(m_fixed))
 
     m = MaterialParams(
         alpha=Fraction(2),

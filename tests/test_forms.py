@@ -252,6 +252,14 @@ def test_codifferential_below_zero_warns_and_returns_zero():
         assert out.degree == 0 and out.is_zero
 
 
+def test_codifferential_underflow_warning_points_at_the_caller():
+    w = spatial_form(0, PolyField.variable(0))
+    for op in (codifferential_1a, codifferential_a1):
+        with pytest.warns(DegreeUnderflowWarning) as record:
+            op(w, MaterialParams())
+        assert record[0].filename == __file__
+
+
 # -- interior product -------------------------------------------------------------
 
 
@@ -299,6 +307,26 @@ def test_spatial_form_round_trip(rng):
     assert spatial_parts(spatial_form(0, u)) == u
     assert spatial_parts(spatial_form(3, u)) == u
     assert spatial_form(4, None).is_zero
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_spatial_form_rejects_a_pair_for_a_triple(degree, xyzt):
+    with pytest.raises(ValueError):
+        spatial_form(degree, xyzt[:2])
+
+
+@pytest.mark.parametrize("degree", [-1, 5])
+def test_spatial_form_rejects_degree_out_of_range(degree):
+    with pytest.raises(ValueError):
+        spatial_form(degree, PolyField.one())
+
+
+def test_parts_reject_degrees_without_a_block():
+    with pytest.raises(ValueError):
+        spatial_parts(KForm.zero(4))
+    for degree in (0, 4):
+        with pytest.raises(ValueError):
+            temporal_parts(KForm.zero(degree))
 
 
 def test_cyclic_two_form_component_sign(xyzt):
