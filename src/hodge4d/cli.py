@@ -143,7 +143,10 @@ _SWEEP_KEYS = _SOLVE_KEYS | {"eps_list"}
 
 def _read_section(path: str, section: str, allowed: set) -> dict:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise UsageError(f"malformed config file {path!r}: {' '.join(str(exc).split())}")
     if not read:
         raise UsageError(f"cannot read config file {path!r}")
     if not parser.has_section(section):

@@ -87,8 +87,8 @@ def scaled_star_convection(w: KForm, m: MaterialParams) -> KForm:
     The spatial-slot products of the convection form pick up the alpha weight
     of the scaled star, which cancels the 1/alpha in the convection
     coefficients; the dt-slot product picks up epsilon, cancelling 1/epsilon.
-    Exact for spatially varying alpha as well, provided w carries no
-    dt-involving components (the solution-form construction guarantees that).
+    Exact for spatially varying alpha on dt-free w; a spatial-slot product with
+    a dt component of w is starred with epsilon instead, so carries epsilon/alpha.
     """
     comps = {}
 
@@ -99,38 +99,23 @@ def scaled_star_convection(w: KForm, m: MaterialParams) -> KForm:
         comps[target] = comps[target] + term if target in comps else term
 
     for basis, coeff in w.components.items():
-        if basis.contains_dt:
+        if basis.contains_dt and m.alpha_field is not None:
             raise ValueError(
-                "fused convection star needs dt-free components; "
+                "fused convection star with alpha_field needs dt-free components; "
                 f"found {basis.label}"
             )
+        spatial = coeff * (m.epsilon / m.alpha) if basis.contains_dt else coeff
         for i in range(3):
             bit = 1 << i
             sign = merge_sign(bit, basis.mask)
             if sign == 0:
                 continue
-            term = m.beta[i] * coeff
+            term = m.beta[i] * spatial
             accumulate(BasisForm(basis.mask | bit), term if sign > 0 else -term)
         sign = merge_sign(T_BIT, basis.mask)
-        term = -coeff
-        accumulate(BasisForm(basis.mask | T_BIT), term if sign > 0 else -term)
+        if sign != 0:  # zero on the dt components of w
+            accumulate(BasisForm(basis.mask | T_BIT), -coeff if sign > 0 else coeff)
     return KForm(4 - (w.degree + 1), comps)
-
-
-def _delta_wedge_piece(w: KForm, m: MaterialParams) -> KForm:
-    """The convection contribution: weighted codifferential of b ^ w."""
-    if w.degree >= 4:
-        # the convection wedge overflows degree four, so this piece vanishes
-        return KForm.zero(w.degree)
-    dt_free = not any(basis.contains_dt for basis in w.components)
-    if dt_free:
-        starred = scaled_star_convection(w, m)
-        return -hodge_star(exterior_derivative(starred))
-    if m.alpha_field is not None:
-        raise ValueError(
-            "spatially varying alpha supports only dt-free solution forms"
-        )
-    return codifferential_1a(wedge(build_convection_form(m).form, w), m)
 
 
 def operator_pieces(w: KForm, m: MaterialParams) -> dict:
@@ -142,7 +127,10 @@ def operator_pieces(w: KForm, m: MaterialParams) -> dict:
     """
     k = w.degree
     delta_d = codifferential_1a(exterior_derivative(w), m)
-    delta_wedge = _delta_wedge_piece(w, m)
+    # the convection wedge overflows degree four, where this piece vanishes
+    delta_wedge = (
+        KForm.zero(k) if k >= 4 else -hodge_star(exterior_derivative(scaled_star_convection(w, m)))
+    )
     if k == 0:
         # no codifferential below 0-forms; this piece is identically zero
         d_delta = KForm.zero(0)

@@ -101,6 +101,9 @@ class Grid1p1:
     def __post_init__(self):
         if self.nx < 2 or self.nt < 2:
             raise ValueError("need at least two interior nodes per direction")
+        for name in ("lx", "t0", "t_final"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.lx > 0 and self.t_final > self.t0):
             raise ValueError("empty domain")
 
@@ -157,20 +160,42 @@ class DiscreteField:
 class LinearSystem:
     """The assembled space-time system ``matrix @ u = rhs``.
 
-    ``x_stencil`` (Ax) and ``t_stencil`` (At) are the Kronecker factors of
-    ``matrix``: on the interior nodes it equals At[1:, 1:] (x) I + I (x)
-    Ax[1:-1, 1:-1].  ``solve`` uses them for its fast path; a system without
-    them (None) is solved by sparse LU alone.
+    The operator is stored once, as the diagonals ``(lower, main, upper)`` of
+    ``x_stencil`` (Ax) and ``t_stencil`` (At) and the Dirichlet mask; ``apply``
+    multiplies by it, and only the sparse LU fallback forms ``matrix``.
     """
 
-    matrix: sp.csr_matrix
     rhs: np.ndarray
     grid: Grid1p1
     epsilon: float
     scheme: Scheme
     dirichlet: np.ndarray  # boolean mask over flat node indices
-    x_stencil: Optional[sp.csr_matrix] = None
-    t_stencil: Optional[sp.csr_matrix] = None
+    x_stencil: tuple
+    t_stencil: tuple
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """kron(I_t', Ax) + kron(At, I_x') + D in CSR: I' zero, D one on Dirichlet rows."""
+        interior = (~self.dirichlet.reshape(self.grid.shape)).astype(float)
+        x_op, t_op = (sp.diags(s, [-1, 0, 1], format="csr") for s in (self.x_stencil, self.t_stencil))
+        return (
+            sp.kron(sp.diags(interior[:, 1]), x_op, format="csr")
+            + sp.kron(t_op, sp.diags(interior[-1]), format="csr")
+            + sp.diags(self.dirichlet.astype(float), format="csr")
+        )
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """``matrix @ u`` without the matrix: each row summed in column order from 0.0."""
+        (lower_x, main_x, upper_x), (lower_t, main_t, upper_t) = self.x_stencil, self.t_stencil
+        v = u.reshape(self.grid.shape)
+        out = 0.0 + v
+        row = 0.0 + lower_t[:, None] * v[:-1, 1:-1]
+        row += lower_x[:-1] * v[1:, :-2]
+        row += (main_t[1:, None] + main_x[1:-1]) * v[1:, 1:-1]
+        row += upper_x[1:] * v[1:, 2:]
+        row[:-1] += upper_t[1:, None] * v[2:, 1:-1]
+        out[1:, 1:-1] = row
+        return out.ravel()
 
 
 @dataclass
@@ -353,8 +378,8 @@ def _stencil(wl: np.ndarray, wr: np.ndarray, h: float) -> tuple:
     return lower, main, upper
 
 
-def _x_stencil(config: ProblemConfig, grid: Grid1p1) -> sp.csr_matrix:
-    """Spatial operator Ax = -(J_right - J_left)/hx; the Dirichlet end rows are zero."""
+def _x_stencil(config: ProblemConfig, grid: Grid1p1) -> tuple:
+    """Diagonals of Ax = -(J_right - J_left)/hx; the Dirichlet end rows are zero."""
     xs = grid.xs
     mids = 0.5 * (xs[:-1] + xs[1:])
     a = _coefficient("alpha", config.alpha, mids)
@@ -362,55 +387,44 @@ def _x_stencil(config: ProblemConfig, grid: Grid1p1) -> sp.csr_matrix:
     if np.any(a <= 0):
         raise AssemblyError("nonpositive diffusion coefficient on an edge")
     wl, wr = _edge_weights(a, b, grid.hx, config.scheme)
-    return sp.diags(_stencil(wl, wr, grid.hx), [-1, 0, 1], format="csr")
+    return _stencil(wl, wr, grid.hx)
 
 
 def _t_stencil(config: ProblemConfig, grid: Grid1p1) -> tuple:
-    """Temporal operator At = -(J_up - J_down)/ht on the nodes above t0.
+    """Diagonals of At = -(J_up - J_down)/ht on the nodes above t0.
 
     The stencil spans nt + 2 edges, the last of which reaches a ghost slab
     above the final time.  The final-time row eliminates the ghost through
     the centered terminal condition eps*(u_ghost - u_below)/(2 ht) = q, which
     folds the ghost coupling into the sub-diagonal; the ghost row is then
-    dropped.  Row 0 (the initial-time face) is zero.  Returns At and the
-    ghost coupling, through which q enters the right-hand side.
+    dropped.  Row 0 (the initial-time face) is zero.  Returns the diagonals
+    and the ghost coupling, through which q enters the right-hand side.
     """
     wd, wu = _edge_weights(float(config.epsilon), -1.0, grid.ht, config.scheme)
     edges = grid.nt + 2
     lower, main, upper = _stencil(np.full(edges, wd), np.full(edges, wu), grid.ht)
     ghost = upper[-1]
     lower[-2] += ghost
-    return sp.diags([lower[:-1], main[:-1], upper[:-1]], [-1, 0, 1], format="csr"), ghost
+    return (lower[:-1], main[:-1], upper[:-1]), ghost
 
 
 def assemble(config: ProblemConfig, grid: Grid1p1) -> LinearSystem:
     """Five-point edge-flux discretization of the space-time equation.
 
-    The matrix is kron(I_t', Ax) + kron(At, I_x') + D, where the primed
-    identities have their Dirichlet rows zeroed and D keeps identity rows on
-    the Dirichlet nodes.  The final-time rows use the interior stencil with
-    the ghost slab eliminated through the centered terminal condition
-    eps*u_t = q, which preserves both second order and the M-matrix sign
-    pattern of the fitted scheme.
+    The system holds the 1D stencils Ax and At (see ``LinearSystem``).  The
+    final-time rows use the interior stencil with the ghost slab eliminated
+    through the centered terminal condition eps*u_t = q, which preserves both
+    second order and the M-matrix sign pattern of the fitted scheme.
     """
     eps = float(config.epsilon)
-    if eps <= 0:
-        raise AssemblyError(f"space-time assembly needs epsilon > 0, got {eps}")
+    if not 0 < eps < math.inf:
+        raise AssemblyError(f"space-time assembly needs epsilon > 0 and finite, got {eps}")
     ht = grid.ht
 
-    interior_x = np.ones(grid.nx + 2)
-    interior_x[[0, -1]] = 0.0
-    interior_t = np.ones(grid.nt + 2)
-    interior_t[0] = 0.0
-    interior = np.outer(interior_t, interior_x).astype(bool)
-    dirichlet = ~interior
-    x_stencil = _x_stencil(config, grid)
+    dirichlet = np.zeros(grid.shape, dtype=bool)
+    dirichlet[0] = dirichlet[:, [0, -1]] = True
+    interior = ~dirichlet
     t_stencil, ghost_coupling = _t_stencil(config, grid)
-    matrix = (
-        sp.kron(sp.diags(interior_t), x_stencil, format="csr")
-        + sp.kron(t_stencil, sp.diags(interior_x), format="csr")
-        + sp.diags(dirichlet.ravel().astype(float), format="csr")
-    )
 
     x, t = grid.nodes()
     rhs = np.empty(grid.shape)
@@ -421,7 +435,7 @@ def assemble(config: ProblemConfig, grid: Grid1p1) -> LinearSystem:
         q = _evaluate("q_terminal", config.q_terminal, x[-1, 1:-1], t[-1, 1:-1])
         rhs[-1, 1:-1] -= ghost_coupling * (2.0 * ht / eps) * q
     return LinearSystem(
-        matrix, rhs.ravel(), grid, eps, config.scheme, dirichlet.ravel(), x_stencil, t_stencil
+        rhs.ravel(), grid, eps, config.scheme, dirichlet.ravel(), _x_stencil(config, grid), t_stencil
     )
 
 
@@ -431,18 +445,18 @@ _MAX_SCALING_RATIO = 1e6
 _RESIDUAL_TOLERANCE = 1e-10
 
 
-def _refined(system: LinearSystem, correction: Callable, x0: np.ndarray):
-    """Two steps of x += correction(rhs - matrix @ x) from x0, then the gate.
+def _refined(system: LinearSystem, apply: Callable, correction: Callable, x0: np.ndarray):
+    """Two steps of x += correction(rhs - apply(x)) from x0, then the gate.
 
-    Where x0 holds no data it is -0.0, the exact additive identity of IEEE
-    arithmetic, so the first step returns the first correction bit for bit.
-    Returns ``(x, "")``, or ``(None, reason)`` when x is not finite or its
-    relative residual is above the gate.
+    ``apply`` is the matrix product.  Where x0 holds no data it is -0.0, the
+    exact additive identity of IEEE arithmetic, so the first step returns the
+    first correction bit for bit.  Returns ``(x, "")``, or ``(None, reason)``
+    when x is not finite or its relative residual is above the gate.
     """
     x = x0
     for _ in range(2):
-        x += correction(system.rhs - system.matrix @ x)
-    residual = np.linalg.norm(system.rhs - system.matrix @ x)
+        x += correction(system.rhs - apply(x))
+    residual = np.linalg.norm(system.rhs - apply(x))
     residual /= max(np.linalg.norm(system.rhs), 1e-300)
     if not (np.all(np.isfinite(x)) and residual <= _RESIDUAL_TOLERANCE):
         return None, f"relative residual {residual:.3e} above {_RESIDUAL_TOLERANCE:g}"
@@ -469,11 +483,8 @@ def _fast_diagonalisation(system: LinearSystem):
     system: complex eigenvalues, a scaling D too ill-conditioned to trust, a
     singular shifted system, or a result that fails the residual gate.
     """
-    if system.x_stencil is None or system.t_stencil is None:
-        return None, "no Kronecker factors"
-    x_op = system.x_stencil[1:-1, 1:-1]
-    t_op = system.t_stencil[1:, 1:]
-    lower, upper = x_op.diagonal(-1), x_op.diagonal(1)
+    lower, main, upper = (diagonal[1:-1] for diagonal in system.x_stencil)
+    t_lower, t_main, t_upper = system.t_stencil
     coupling = lower * upper
     if not np.all(coupling > 0):
         row = int(np.argmin(coupling > 0))
@@ -484,16 +495,16 @@ def _fast_diagonalisation(system: LinearSystem):
     if not ratio <= _MAX_SCALING_RATIO:
         return None, f"scaling ratio {ratio:.3g} above {_MAX_SCALING_RATIO:g}"
     try:
-        lam, q = eigh_tridiagonal(x_op.diagonal(), np.sign(lower) * np.sqrt(coupling))
+        lam, q = eigh_tridiagonal(main, np.sign(lower) * np.sqrt(coupling))
     except LinAlgError as exc:
         return None, f"spatial eigendecomposition failed ({exc})"
 
-    nx, ntn = len(lam), t_op.shape[0]
-    block_lower = np.append(t_op.diagonal(-1), 0.0)  # zero coupling to the next block
-    block_upper = np.append(t_op.diagonal(1), 0.0)
+    nx, ntn = len(lam), len(t_main) - 1
+    block_lower = np.append(t_lower[1:], 0.0)  # zero coupling to the next block
+    block_upper = np.append(t_upper[1:], 0.0)
     *factors, info = dgttrf(
         np.tile(block_lower, nx)[:-1],
-        (t_op.diagonal()[None, :] + lam[:, None]).ravel(),
+        (t_main[1:] + lam[:, None]).ravel(),
         np.tile(block_upper, nx)[:-1],
     )
     if info != 0:
@@ -508,7 +519,8 @@ def _fast_diagonalisation(system: LinearSystem):
         step[1:, 1:-1] = (modes.reshape(nx, ntn).T @ q.T) * d
         return step.ravel()
 
-    values, reason = _refined(system, interior_solve, np.where(system.dirichlet, system.rhs, -0.0))
+    x0 = np.where(system.dirichlet, system.rhs, -0.0)
+    values, reason = _refined(system, system.apply, interior_solve, x0)
     return (None if values is None else values.reshape(shape)), reason
 
 
@@ -530,11 +542,12 @@ def solve(system: LinearSystem) -> DiscreteField:
         logger.debug("solve path: fast-diagonalisation (%s)", context)
         return DiscreteField(system.grid, values)
     logger.debug("solve path: splu, fallback because %s (%s)", reason, context)
+    matrix = system.matrix
     try:
-        lu = spla.splu(system.matrix.tocsc())
+        lu = spla.splu(matrix.tocsc())
     except RuntimeError as exc:
         raise SolveError(f"factorization failed ({context}): {exc}") from exc
-    x, reason = _refined(system, lu.solve, np.full(system.rhs.shape, -0.0))
+    x, reason = _refined(system, matrix.dot, lu.solve, np.full(system.rhs.shape, -0.0))
     if x is None:
         raise SolveError(f"{reason} ({context})")
     return DiscreteField(system.grid, x.reshape(system.grid.shape))
@@ -552,7 +565,8 @@ def reference_evolution(config: ProblemConfig, grid: Grid1p1) -> DiscreteField:
     ht = grid.ht
     step_diagonal = np.full(grid.nx + 2, 1.0 / ht)
     step_diagonal[[0, -1]] = 1.0  # Dirichlet ends
-    lu = spla.splu((sp.diags(step_diagonal) + _x_stencil(config, grid)).tocsc())
+    lower, main, upper = _x_stencil(config, grid)
+    lu = spla.splu(sp.diags([lower, step_diagonal + main, upper], [-1, 0, 1], format="csc"))
 
     x, t = grid.nodes()
     values = np.empty(grid.shape)
@@ -649,8 +663,8 @@ def epsilon_sweep(config: ProblemConfig, grid: Grid1p1, eps_list: Sequence[float
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
         raise ValueError("empty epsilon list")
-    if any(e <= 0 for e in eps_list):
-        raise ValueError("epsilon values must be positive")
+    if not all(0 < e < math.inf for e in eps_list):
+        raise ValueError("epsilon values must be positive and finite")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilon list must be strictly decreasing")
 

@@ -1,5 +1,7 @@
 import warnings
 
+import pytest
+
 from hodge4d.cli import main
 
 SOLVE_CONFIG = """
@@ -226,3 +228,48 @@ def test_sweep_non_finite_data_is_usage_error(tmp_path, capsys):
     code, err = run_quietly(capsys, "sweep", "--config", str(config))
     assert code == 2
     assert err == "error: g is not finite at x=0, t=0\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"nx = 8\n",  # no section header
+        b"[solve]\nnx = 8\n[solve]\nnt = 8\n",  # duplicate section
+        b"[solve]\nnx = 8\nnx = 9\n",  # duplicate key
+        b"[solve]\n  stray\nnx = 8\n",  # indented continuation line with nothing to continue
+        b"[solve]\nnx = 8\ng = \xff\n",  # not UTF-8
+    ],
+    ids=["no-header", "duplicate-section", "duplicate-key", "stray-continuation", "bad-bytes"],
+)
+def test_malformed_config_is_usage_error(tmp_path, capsys, text):
+    config = tmp_path / "solve.cfg"
+    config.write_bytes(text)
+    code, err = run_quietly(capsys, "solve", "--config", str(config))
+    assert code == 2
+    assert err.startswith(f"error: malformed config file {str(config)!r}: ")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_solve_non_finite_epsilon_is_usage_error(tmp_path, capsys, value):
+    config = tmp_path / "solve.cfg"
+    config.write_text(SOLVE_CONFIG)
+    code, err = run_quietly(capsys, "solve", "--config", str(config), "--epsilon", value)
+    assert code == 2
+    assert "epsilon > 0" in err
+
+
+def test_sweep_non_finite_epsilon_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(SWEEP_CONFIG.replace("eps_list = 0.1,0.05", "eps_list = 0.1,nan"))
+    code, err = run_quietly(capsys, "sweep", "--config", str(config))
+    assert code == 2
+    assert "positive and finite" in err
+
+
+@pytest.mark.parametrize("key, value", [("lx", "inf"), ("t_final", "inf"), ("t0", "-inf")])
+def test_solve_non_finite_domain_is_usage_error(tmp_path, capsys, key, value):
+    config = tmp_path / "solve.cfg"
+    config.write_text(SOLVE_CONFIG + f"{key} = {value}\n")
+    code, err = run_quietly(capsys, "solve", "--config", str(config))
+    assert code == 2
+    assert err == f"error: {key} must be finite, got {float(value)}\n"

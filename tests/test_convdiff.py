@@ -94,6 +94,23 @@ def test_fused_convection_star_matches_explicit(rng):
         )
         w = spatial_form(degree, fields)
         assert scaled_star_convection(w, m) == scaled_hodge_star(wedge(b.form, w), m)
+    # general forms, with dt components: those spatial-slot products are starred by epsilon
+    for degree in range(4):
+        for _ in range(5):
+            m = random_material(rng)
+            w = random_kform(rng, degree)
+            b = build_convection_form(m)
+            assert scaled_star_convection(w, m) == scaled_hodge_star(wedge(b.form, w), m)
+
+
+def test_fused_convection_star_rejects_dt_components_with_alpha_field(xyzt):
+    x, _, _, t = xyzt
+    m = MaterialParams(alpha=Fraction(1), epsilon=Fraction(1), beta=(1, 0, 0), alpha_field=1 + x * x)
+    w = form_of("dx", x) + form_of("dt", t)
+    with pytest.raises(ValueError, match="dt-free"):
+        scaled_star_convection(w, m)
+    with pytest.raises(ValueError, match="dt-free"):
+        unified_operator(w, m)
 
 
 # -- Hodge Laplacian and the unified operator -----------------------------------

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from hodge4d.solver import (
     AssemblyError,
     DiscreteField,
     Grid1p1,
+    LinearSystem,
     ProblemConfig,
     Scheme,
     SolveError,
@@ -227,6 +230,16 @@ def test_convection_dominated_solve_falls_back_to_splu(caplog, scheme, reason):
     assert message.startswith("solve path: splu, fallback because " + reason)
 
 
+def stencils(grid, x_main=0.0):
+    """Zero stencils (lower, main, upper) for x and t; Ax gets ``x_main`` on its interior rows."""
+    main = np.zeros(grid.nx + 2)
+    main[1:-1] = x_main
+    return (
+        (np.zeros(grid.nx + 1), main, np.zeros(grid.nx + 1)),
+        (np.zeros(grid.nt + 1), np.zeros(grid.nt + 2), np.zeros(grid.nt + 1)),
+    )
+
+
 def test_solve_identity_system():
     g = Grid1p1.with_cells(6, 6)
 
@@ -235,24 +248,41 @@ def test_solve_identity_system():
 
     cfg = make_config(alpha=1.0, epsilon=1.0, g=data)
     system = assemble(cfg, g)
-    # replace with the identity: solution equals the right-hand side
-    import scipy.sparse as sp
-
-    system = dataclasses.replace(system, matrix=sp.identity(g.n_nodes, format="csr"))
+    # replace with the identity, Ax = diag(0, 1, ..., 1, 0) and At = 0:
+    # solution equals the right-hand side
+    x_stencil, t_stencil = stencils(g, x_main=1.0)
+    system = dataclasses.replace(system, x_stencil=x_stencil, t_stencil=t_stencil)
     out = solve(system)
     assert np.allclose(out.values.ravel(), system.rhs)
 
 
-def test_stale_kronecker_factors_fail_the_residual_gate(caplog):
-    # the factors still describe the assembled operator, not the identity
-    import scipy.sparse as sp
+def test_wrong_spatial_eigenvalues_fail_the_residual_gate(caplog, monkeypatch):
+    # a fault in the fast path: every spatial eigenvalue 1% too large
+    from hodge4d import solver
+
+    def eigh_one_percent_off(*args, **kwargs):
+        lam, q = scipy.linalg.eigh_tridiagonal(*args, **kwargs)
+        return lam * 1.01, q
 
     g = Grid1p1.with_cells(6, 6)
     system = assemble(make_config(f=lambda x, t: 1.0 + x * t, g=lambda x, t: np.sin(x + t)), g)
-    system = dataclasses.replace(system, matrix=sp.identity(g.n_nodes, format="csr"))
+    monkeypatch.setattr(solver, "eigh_tridiagonal", eigh_one_percent_off)
     out, message = solve_logged(caplog, system)
-    assert np.allclose(out.values.ravel(), system.rhs)
     assert message.startswith("solve path: splu, fallback because relative residual")
+    lu = scipy.sparse.linalg.splu(system.matrix.tocsc())
+    expected = lu.solve(system.rhs)
+    expected += lu.solve(system.rhs - system.matrix @ expected)
+    assert out.values.ravel().tolist() == expected.tolist()
+
+
+def test_fast_path_solve_never_forms_the_matrix(caplog, monkeypatch):
+    def no_matrix(system):
+        raise AssertionError("the fast path formed the sparse matrix")
+
+    monkeypatch.setattr(LinearSystem, "matrix", property(no_matrix))
+    cfg = make_config(beta=0.5, f=lambda x, t: np.sin(np.pi * x) * t, g=lambda x, t: x + t)
+    _, message = solve_logged(caplog, assemble(cfg, Grid1p1.with_cells(12, 9)))
+    assert message.startswith("solve path: fast-diagonalisation")
 
 
 def test_zero_data_gives_zero_solution():
@@ -286,11 +316,9 @@ def test_manufactured_convergence_second_order():
 def test_singular_system_reports_context():
     g = Grid1p1.with_cells(6, 6)
     system = assemble(make_config(), g)
-    import scipy.sparse as sp
-
-    singular = sp.csr_matrix(system.matrix.shape)
-    # drop the Kronecker factors too, so that the solve reaches sparse LU
-    system = dataclasses.replace(system, matrix=singular, x_stencil=None, t_stencil=None)
+    # zero stencils: every interior row of the matrix is zero
+    x_stencil, t_stencil = stencils(g)
+    system = dataclasses.replace(system, x_stencil=x_stencil, t_stencil=t_stencil)
     with pytest.raises(SolveError, match="eps"):
         solve(system)
 

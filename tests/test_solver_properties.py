@@ -135,3 +135,33 @@ def test_fast_diagonalisation_agrees_with_splu(
         error = np.linalg.norm(fast.ravel() - oracle) / np.linalg.norm(oracle)
         assert error <= 1e-10
         assert solve(system).values.ravel().tolist() == fast.ravel().tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scheme=st.sampled_from(list(Scheme)),
+    alpha=st.floats(1e-3, 10.0),
+    alpha_slope=st.sampled_from([0.0, 1.0]),
+    beta=st.floats(-50.0, 50.0),
+    eps=st.floats(1e-6, 10.0),
+    cells_x=st.integers(3, 12),
+    cells_t=st.integers(3, 12),
+    data=st.data(),
+)
+def test_apply_is_the_matrix_product(
+    scheme, alpha, alpha_slope, beta, eps, cells_x, cells_t, data
+):
+    grid = Grid1p1.with_cells(cells_x, cells_t)
+
+    def alpha_of_x(x):
+        return alpha * (1.0 + alpha_slope * x)
+
+    cfg = ProblemConfig(alpha=alpha_of_x, beta=beta, epsilon=eps, f=_zero, g=_zero, scheme=scheme)
+    system = assemble(cfg, grid)
+    entries = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0]))
+    u = np.array(data.draw(st.lists(entries, min_size=grid.n_nodes, max_size=grid.n_nodes)))
+    matrix = system.matrix
+    # rounding bound of a sum of at most five products, plus their underflow;
+    # a compiled sparse product may fuse multiply and add on other platforms
+    bound = 5 * 2.0**-53 * (abs(matrix) @ np.abs(u)) + 5 * np.finfo(float).smallest_subnormal
+    assert (np.abs(system.apply(u) - matrix @ u) <= bound).all()
