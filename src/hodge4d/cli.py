@@ -4,6 +4,7 @@ Commands: verify-tables, identities, expand, boundary, solve, sweep.
 Configuration files are flat key=value text with one section per command
 (configparser syntax); command-line flags override file values and unknown
 keys are rejected; expressions go through ``expressions.parse_expression``.
+Only solve and sweep import the numeric solver (and with it numpy and scipy).
 Exit codes: 0 all checks passed, 1 verification failure or failed solve,
 2 usage or configuration error.
 """
@@ -19,20 +20,9 @@ from fractions import Fraction
 
 from .boundary import boundary_report
 from .convdiff import expand_componentwise
+from .errors import SolveError
 from .fields import PolyField
 from .forms import MaterialParams
-from .solver import (
-    AssemblyError,
-    Grid1p1,
-    ProblemConfig,
-    Scheme,
-    SolveError,
-    SweepFloorError,
-    assemble,
-    epsilon_sweep,
-    l2_error,
-    solve,
-)
 from .verification import run_identities, run_table_verification
 
 USAGE_ERROR = 2
@@ -159,6 +149,8 @@ def _read_section(path: str, section: str, allowed: set) -> dict:
 
 
 def _build_problem(values: dict, args) -> tuple:
+    from .solver import Grid1p1, ProblemConfig, Scheme
+
     def pick(key, default=None):
         flag = getattr(args, key, None)
         if flag is not None:
@@ -202,6 +194,8 @@ def _build_problem(values: dict, args) -> tuple:
 
 
 def cmd_solve(args) -> int:
+    from .solver import AssemblyError, assemble, l2_error, solve
+
     values = _read_section(args.config, "solve", _SOLVE_KEYS)
     config, grid = _build_problem(values, args)
     try:
@@ -218,6 +212,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .solver import SweepFloorError, epsilon_sweep
+
     values = _read_section(args.config, "sweep", _SWEEP_KEYS)
     config, grid = _build_problem(values, args)
     eps_text = values.get("eps_list", "")

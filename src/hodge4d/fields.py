@@ -1,19 +1,23 @@
 """Exact scalar coefficient fields on the four space-time coordinates.
 
-Polynomials carry ``Fraction`` coefficients so that every algebraic identity
-in the package is checked by literal equality instead of floating tolerances.
-``ExpPolyField`` adds a single exponential weight factor ``exp(p)`` with a
-polynomial exponent; it is closed under differentiation and under the
-products that arise in exponentially fitted fluxes.
+A polynomial keeps integer numerators over one positive common denominator,
+in lowest terms, so every algebraic identity in the package is checked by
+literal equality instead of floating tolerances while the inner loops of the
+arithmetic run on plain ints.  ``ExpPolyField`` adds a single exponential
+weight factor ``exp(p)`` with a polynomial exponent; it is closed under
+differentiation and under the products that arise in exponentially fitted
+fluxes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 AXES = ("x", "y", "z", "t")
 X, Y, Z, T = range(4)
 _AXIS_BY_NAME = {name: idx for idx, name in enumerate(AXES)}
+_ORIGIN = (0, 0, 0, 0)
 
 
 def axis_index(axis) -> int:
@@ -40,18 +44,42 @@ def _scalar(value) -> Fraction:
     )
 
 
+def _field(num: dict, den: int) -> "PolyField":
+    """Trusted constructor for arithmetic results.
+
+    ``num`` maps valid exponent tuples to ints and ``den`` is a positive int;
+    only zero numerators are dropped and the gcd is divided out.
+    """
+    if 0 in num.values():
+        num = {e: c for e, c in num.items() if c}
+    if den != 1:
+        g = gcd(den, *num.values())  # den itself when num is empty
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
+    field = object.__new__(PolyField)
+    field.num = num
+    field.den = den
+    return field
+
+
 class PolyField:
     """Polynomial in (x, y, z, t) with exact rational coefficients.
 
-    ``terms`` maps exponent 4-tuples to nonzero Fractions.  Instances are
-    immutable by convention; every operation returns a fresh object, so
-    values can be shared freely across threads.
+    ``num`` maps exponent 4-tuples to nonzero int numerators over the one
+    positive denominator ``den``, with ``gcd(den, *num.values()) == 1`` (so
+    the zero field has ``den == 1``): equal polynomials have equal
+    ``(num, den)``.  ``terms`` gives the coefficients as exponents ->
+    ``Fraction``.  The constructor validates its input; arithmetic results
+    come from a trusted internal one.  Instances are immutable by
+    convention; every operation returns a fresh object, so values can be
+    shared freely across threads.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den")
 
     def __init__(self, terms=None):
-        clean = {}
+        coeffs = {}
         for exps, coeff in (terms or {}).items():
             coeff = _scalar(coeff)
             if coeff == 0:
@@ -59,28 +87,32 @@ class PolyField:
             exps = tuple(int(e) for e in exps)
             if len(exps) != 4 or min(exps) < 0:
                 raise ValueError(f"bad exponent tuple {exps!r}")
-            clean[exps] = coeff
-        self.terms = clean
+            coeffs[exps] = coeff
+        # reduced coefficients over their lcm are already in lowest terms
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        self.num = {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
+        self.den = den
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "PolyField":
-        return cls()
+        return _field({}, 1)
 
     @classmethod
     def one(cls) -> "PolyField":
-        return cls.constant(1)
+        return _field({_ORIGIN: 1}, 1)
 
     @classmethod
     def constant(cls, value) -> "PolyField":
-        return cls({(0, 0, 0, 0): _scalar(value)})
+        value = _scalar(value)
+        return _field({_ORIGIN: value.numerator}, value.denominator)
 
     @classmethod
     def variable(cls, axis) -> "PolyField":
         exps = [0, 0, 0, 0]
         exps[axis_index(axis)] = 1
-        return cls({tuple(exps): 1})
+        return _field({tuple(exps): 1}, 1)
 
     @classmethod
     def coerce(cls, value) -> "PolyField":
@@ -91,32 +123,46 @@ class PolyField:
     # -- queries -----------------------------------------------------------
 
     @property
+    def terms(self) -> dict:
+        """The coefficients as a fresh dict: exponent tuple -> ``Fraction``."""
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.num.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def depends_on(self, axis) -> bool:
         idx = axis_index(axis)
-        return any(e[idx] > 0 for e in self.terms)
+        return any(e[idx] > 0 for e in self.num)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, ExpPolyField):
-            return NotImplemented
         if not isinstance(other, PolyField):
+            if isinstance(other, ExpPolyField):
+                return NotImplemented
             try:
                 other = PolyField.constant(other)
             except TypeError:
                 return NotImplemented
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return PolyField(terms)
+        den, oden = self.den, other.den
+        if den == oden:
+            num = dict(self.num)
+            for exps, c in other.num.items():
+                num[exps] = num.get(exps, 0) + c
+            return _field(num, den)
+        g = gcd(den, oden)
+        scale, oscale = oden // g, den // g
+        num = {e: c * scale for e, c in self.num.items()}
+        for exps, c in other.num.items():
+            num[exps] = num.get(exps, 0) + c * oscale
+        return _field(num, den * scale)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyField({e: -c for e, c in self.terms.items()})
+        return _field({e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, (PolyField, ExpPolyField)) else -PolyField.constant(other))
@@ -125,19 +171,21 @@ class PolyField:
         return PolyField.constant(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, ExpPolyField):
-            return NotImplemented
         if not isinstance(other, PolyField):
+            if isinstance(other, ExpPolyField):
+                return NotImplemented
             try:
                 other = PolyField.constant(other)
             except TypeError:
                 return NotImplemented
-        terms = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exps = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2], ea[3] + eb[3])
-                terms[exps] = terms.get(exps, Fraction(0)) + ca * cb
-        return PolyField(terms)
+        num = {}
+        onum = other.num.items()
+        for ea, ca in self.num.items():
+            a0, a1, a2, a3 = ea
+            for (b0, b1, b2, b3), cb in onum:
+                exps = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+                num[exps] = num.get(exps, 0) + ca * cb
+        return _field(num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -158,61 +206,61 @@ class PolyField:
 
     def diff(self, axis) -> "PolyField":
         idx = axis_index(axis)
-        terms = {}
-        for exps, coeff in self.terms.items():
+        num = {}
+        for exps, c in self.num.items():
             e = exps[idx]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[idx] = e - 1
-            new = tuple(new)
-            terms[new] = terms.get(new, Fraction(0)) + coeff * e
-        return PolyField(terms)
+            if e:  # lowering one exponent maps distinct monomials apart
+                num[exps[:idx] + (e - 1,) + exps[idx + 1 :]] = c * e
+        return _field(num, self.den)
 
     def integrate(self, axis) -> "PolyField":
         """Antiderivative along one axis with zero integration constant."""
         idx = axis_index(axis)
-        terms = {}
-        for exps, coeff in self.terms.items():
-            new = list(exps)
-            new[idx] = exps[idx] + 1
-            terms[tuple(new)] = coeff / (exps[idx] + 1)
-        return PolyField(terms)
+        scale = lcm(*(exps[idx] + 1 for exps in self.num))
+        num = {
+            exps[:idx] + (exps[idx] + 1,) + exps[idx + 1 :]: c * (scale // (exps[idx] + 1))
+            for exps, c in self.num.items()
+        }
+        return _field(num, self.den * scale)
 
     def substitute(self, axis, value) -> "PolyField":
         """Partially evaluate one coordinate at an exact rational value."""
         idx = axis_index(axis)
         value = _scalar(value)
-        terms = {}
-        for exps, coeff in self.terms.items():
-            new = list(exps)
-            new[idx] = 0
-            new = tuple(new)
-            terms[new] = terms.get(new, Fraction(0)) + coeff * value ** exps[idx]
-        return PolyField(terms)
+        p, q = value.numerator, value.denominator
+        top = max((exps[idx] for exps in self.num), default=0)
+        num = {}
+        for exps, c in self.num.items():
+            e = exps[idx]
+            new = exps[:idx] + (0,) + exps[idx + 1 :]
+            num[new] = num.get(new, 0) + c * p**e * q ** (top - e)
+        return _field(num, self.den * q**top)
 
     def evaluate(self, x, y, z, t) -> Fraction:
         point = tuple(_scalar(v) for v in (x, y, z, t))
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
+        total = 0
+        for exps, c in self.num.items():
+            term = c
             for v, e in zip(point, exps):
                 if e:
-                    term *= v ** e
+                    term *= v**e
             total += term
-        return total
+        return Fraction(total, self.den)
 
     # -- comparison / display --------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, PolyField):
-            return self.terms == other.terms
+            return self.den == other.den and self.num == other.num
         if isinstance(other, (int, Fraction)):
-            return self.terms == PolyField.constant(other).terms
+            return self == PolyField.constant(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        num = self.num
+        if num.keys() <= {_ORIGIN}:  # a constant hashes like its Fraction
+            return hash(Fraction(num.get(_ORIGIN, 0), self.den))
+        return hash((self.den, frozenset(num.items())))
 
     def __bool__(self):
         return not self.is_zero
@@ -221,11 +269,14 @@ class PolyField:
         return f"PolyField({self})"
 
     def __str__(self):
-        if self.is_zero:
+        num, den = self.num, self.den
+        if not num:
             return "0"
         parts = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), e)):
-            coeff = self.terms[exps]
+        for exps in sorted(num, key=lambda e: (sum(e), e)):
+            c = num[exps]
+            g = gcd(c, den)
+            coeff = str(c // g) if g == den else f"{c // g}/{den // g}"
             factors = []
             for name, e in zip(AXES, exps):
                 if e == 1:
@@ -234,10 +285,10 @@ class PolyField:
                     factors.append(f"{name}^{e}")
             mono = "*".join(factors)
             if not mono:
-                parts.append(str(coeff))
-            elif coeff == 1:
+                parts.append(coeff)
+            elif coeff == "1":
                 parts.append(mono)
-            elif coeff == -1:
+            elif coeff == "-1":
                 parts.append(f"-{mono}")
             else:
                 parts.append(f"{coeff}*{mono}")
@@ -333,6 +384,8 @@ class ExpPolyField:
         return NotImplemented
 
     def __hash__(self):
+        if self.weight.is_zero:  # equal to its amplitude, so hashes like it
+            return hash(self.amplitude)
         return hash((self.weight, self.amplitude))
 
     def __bool__(self):

@@ -30,6 +30,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, eigh_tridiagonal
 from scipy.linalg.lapack import dgttrf, dgttrs
 
+from .errors import SolveError
 from .expressions import ExpressionError, parse_expression
 
 logger = logging.getLogger(__name__)
@@ -42,10 +43,6 @@ class Scheme(str, Enum):
 
 
 class AssemblyError(ValueError):
-    pass
-
-
-class SolveError(RuntimeError):
     pass
 
 

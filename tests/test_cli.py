@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import hodge4d
 from hodge4d.cli import main
 
 SOLVE_CONFIG = """
@@ -54,6 +59,23 @@ def test_identities_seed_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("HODGE4D_SEED", "7")
     code, out = run(capsys, "identities", "--count", "10")
     assert code == 0
+
+
+def test_symbolic_commands_do_not_load_the_solver():
+    script = (
+        "import sys\n"
+        "from hodge4d.cli import main\n"
+        "assert main(['verify-tables']) == 0\n"
+        "assert main(['identities', '--count', '2']) == 0\n"
+        "loaded = sorted({'numpy', 'scipy'} & set(sys.modules))\n"
+        "assert not loaded, f'symbolic commands loaded {loaded}'\n"
+        "from hodge4d import solve\n"
+        "assert callable(solve) and 'scipy' in sys.modules\n"
+    )
+    src = str(Path(hodge4d.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_expand_command(capsys):
@@ -183,13 +205,14 @@ def test_solve_expression_is_not_evaluated(tmp_path, capsys, monkeypatch):
 
 
 def test_solve_failure_exits_one(tmp_path, capsys, monkeypatch):
-    import hodge4d.cli
+    import hodge4d.solver
     from hodge4d.solver import SolveError
 
     def failing_solve(system):
         raise SolveError("relative residual 1.000e+00 above 1e-10")
 
-    monkeypatch.setattr(hodge4d.cli, "solve", failing_solve)
+    # the CLI imports the solver inside the command, so patch it at its home
+    monkeypatch.setattr(hodge4d.solver, "solve", failing_solve)
     config = tmp_path / "solve.cfg"
     config.write_text(SOLVE_CONFIG)
     code, err = run_failing(capsys, "solve", "--config", str(config))

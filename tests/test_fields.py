@@ -124,3 +124,52 @@ def test_exp_field_nonzero_weight_refuses_poly_conversion(xyzt):
     x, y, _, _ = xyzt
     with pytest.raises(ValueError):
         ExpPolyField(x, y).to_poly()
+
+
+def test_constants_and_zero_weight_fields_hash_like_what_they_equal(xyzt):
+    x, _, _, t = xyzt
+    assert hash(PolyField.constant(3)) == hash(3)
+    assert hash(PolyField.constant(Fraction(-1, 2))) == hash(Fraction(-1, 2))
+    assert hash(PolyField.zero()) == hash(0)
+    assert len({ExpPolyField(0, x), x}) == 1
+    assert len({ExpPolyField(x, 0), ExpPolyField(t, 0), 0}) == 1
+
+
+_scalars = st.one_of(st.integers(-5, 5), _coeffs)
+
+
+@st.composite
+def _equal_pairs(draw):
+    """Two values that must compare equal, possibly in different representations."""
+    kind = draw(st.sampled_from(["poly", "constant", "exp"]))
+    if kind == "constant":
+        c = draw(_scalars)
+        forms = [Fraction(c), PolyField.constant(c), ExpPolyField(0, c), ExpPolyField(draw(_polys), 0) + c]
+        if Fraction(c).denominator == 1:
+            forms.append(int(c))
+    elif kind == "poly":
+        p, q = draw(_polys), draw(_polys)
+        forms = [p, (p + q) - q, ExpPolyField(PolyField.zero(), p), ExpPolyField(q - q, p * 1)]
+    else:
+        w, p, q = draw(_polys), draw(_polys), draw(_polys)
+        forms = [ExpPolyField(w, p), ExpPolyField(w + q - q, (p + q) - q)]
+    return draw(st.sampled_from(forms)), draw(st.sampled_from(forms))
+
+
+_values = st.one_of(
+    _scalars,
+    _polys,
+    _scalars.map(PolyField.constant),
+    st.builds(ExpPolyField, st.just(0), _polys),
+    st.builds(ExpPolyField, _polys, _polys),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_equal_pairs(), _values, _values)
+def test_equal_values_hash_equal(pair, a, b):
+    first, second = pair
+    assert first == second and second == first
+    assert hash(first) == hash(second)
+    if a == b:
+        assert hash(a) == hash(b)

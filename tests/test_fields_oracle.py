@@ -1,0 +1,71 @@
+"""The integer-numerator ``PolyField`` against the ``Fraction``-dict oracle.
+
+Every operation is run on both representations of the same random fields;
+the coefficients, the printed text and equality must agree, and every result
+must be in canonical form: nonzero int numerators over a positive int
+denominator with ``gcd(den, *numerators) == 1`` (so the zero field has
+``den == 1``).
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fraction_reference import FractionPolyField
+from hodge4d.fields import PolyField
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_large = st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**6))
+_coeffs = st.one_of(_small, _large)
+_exps = st.tuples(*[st.integers(0, 3)] * 4)
+_terms = st.dictionaries(_exps, _coeffs, max_size=5)
+_scalars = st.one_of(st.integers(-(10**6), 10**6), _coeffs)
+_axes = st.integers(0, 3)
+
+
+def assert_canonical(field):
+    assert all(type(c) is int and c != 0 for c in field.num.values())
+    assert type(field.den) is int and field.den > 0
+    assert gcd(field.den, *field.num.values()) == 1  # gcd(den) == den: zero field has den 1
+
+
+def assert_matches(field, ref):
+    assert_canonical(field)
+    assert field.terms == ref.terms
+    assert str(field) == str(ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_terms, _terms, _scalars, _axes, st.integers(0, 3))
+def test_operations_match_fraction_oracle(ta, tb, s, axis, n):
+    a, b = PolyField(ta), PolyField(tb)
+    ra, rb = FractionPolyField(ta), FractionPolyField(tb)
+    assert_matches(a, ra)
+    assert_matches(a + b, ra + rb)
+    assert_matches(a - b, ra - rb)
+    assert_matches(a * b, ra * rb)
+    assert_matches(-a, -ra)
+    assert_matches(a + s, ra + s)
+    assert_matches(s - a, FractionPolyField.constant(s) - ra)
+    assert_matches(a * s, ra * s)
+    assert_matches(a**n, ra**n)
+    assert_matches(a.diff(axis), ra.diff(axis))
+    assert_matches(a.integrate(axis), ra.integrate(axis))
+    assert_matches(a.substitute(axis, s), ra.substitute(axis, s))
+    point = (s, 2, Fraction(-3, 7), 0)
+    assert a.evaluate(*point) == ra.evaluate(*point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_terms, _terms, _scalars)
+def test_equality_matches_fraction_oracle(ta, tb, s):
+    a, b = PolyField(ta), PolyField(tb)
+    ra, rb = FractionPolyField(ta), FractionPolyField(tb)
+    assert (a == b) == (ra == rb)
+    assert (a == s) == (ra == s)
+    # the same value reached along different routes is literally equal
+    assert (a + b) - b == a
+    assert a * (b + 1) - a * b == a
+    assert (a * s) + (a * (1 - s)) == a
