@@ -78,47 +78,5 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "AXES",
-    "ExpPolyField",
-    "PolyField",
-    "BasisForm",
-    "DegreeUnderflowWarning",
-    "KForm",
-    "MaterialParams",
-    "basis_forms",
-    "codifferential_1a",
-    "codifferential_a1",
-    "display_components",
-    "exterior_derivative",
-    "hodge_star",
-    "interior_product_dt",
-    "parse_basis_label",
-    "scaled_hodge_star",
-    "spatial_form",
-    "spatial_parts",
-    "temporal_parts",
-    "wedge",
-    "ConvectionForm",
-    "ExpansionReport",
-    "NoPotentialError",
-    "Potential",
-    "build_convection_form",
-    "emergent_constraint",
-    "exp_fitted_flux",
-    "expand_componentwise",
-    "flux",
-    "hodge_laplacian",
-    "make_potential",
-    "operator_pieces",
-    "unified_operator",
-    "BoundaryKind",
-    "BoundaryReport",
-    "NormalForm",
-    "artificial_bc",
-    "boundary_report",
-    "wedge_trace",
-    "SolveError",
-    *_SOLVER_NAMES,
-]
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_SOLVER_NAMES)
 __version__ = "0.1.0"

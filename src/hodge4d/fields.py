@@ -147,11 +147,6 @@ class PolyField:
             except TypeError:
                 return NotImplemented
         den, oden = self.den, other.den
-        if den == oden:
-            num = dict(self.num)
-            for exps, c in other.num.items():
-                num[exps] = num.get(exps, 0) + c
-            return _field(num, den)
         g = gcd(den, oden)
         scale, oscale = oden // g, den // g
         num = {e: c * scale for e, c in self.num.items()}
