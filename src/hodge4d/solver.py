@@ -31,7 +31,7 @@ from scipy.linalg import LinAlgError, eigh_tridiagonal
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import SolveError
-from .expressions import ExpressionError, parse_expression
+from .expressions import derivative, numpy_function, parse_expression, substitute, variables
 
 logger = logging.getLogger(__name__)
 
@@ -245,30 +245,28 @@ class ProblemConfig:
         problem with homogeneous terminal data, the setup used to observe the
         perturbation decay.  Expressions go through ``parse_expression``.
         """
-        import sympy
-
-        x, t = sympy.symbols("x t")
-        u = parse_expression(expression)
-        alpha_e = parse_expression(alpha)
-        beta_e = parse_expression(beta)
-        transport = u.diff(t) - (alpha_e * u.diff(x) + beta_e * u).diff(x)
+        u, alpha_e, beta_e = (parse_expression(e) for e in (expression, alpha, beta))
+        u_t = derivative(u, "t")
+        flux = substitute("alpha*u_x + beta*u", alpha=alpha_e, beta=beta_e, u=u, u_x=derivative(u, "x"))
+        transport = substitute("u_t - flux_x", u_t=u_t, flux_x=derivative(flux, "x"))
+        eps = parse_expression(epsilon)
         if target == "spacetime":
-            f_expr = -epsilon * u.diff(t, 2) + transport
-            q_expr = epsilon * u.diff(t)
+            f = substitute("transport - eps*u_tt", transport=transport, eps=eps, u_tt=derivative(u_t, "t"))
+            q = numpy_function(substitute("eps*u_t", eps=eps, u_t=u_t), "x", "t")
         elif target == "limit":
-            f_expr = transport
-            q_expr = None
+            f, q = transport, None
         else:
             raise ValueError(f"unknown target {target!r}")
+        exact = numpy_function(u, "x", "t")
         return cls(
-            alpha=_coefficient_function(alpha_e, "alpha"),
-            beta=_coefficient_function(beta_e, "beta"),
+            alpha=_coefficient_data(alpha_e),
+            beta=_coefficient_data(beta_e),
             epsilon=epsilon,
-            f=_data_function(f_expr),
-            g=_data_function(u),
+            f=numpy_function(f, "x", "t"),
+            g=exact,
             scheme=scheme,
-            q_terminal=_data_function(q_expr) if q_expr is not None else None,
-            manufactured=_data_function(u),
+            q_terminal=q,
+            manufactured=exact,
         )
 
     @classmethod
@@ -287,47 +285,31 @@ class ProblemConfig:
         Expressions go through ``parse_expression``; the terminal data is zero.
         """
         return cls(
-            alpha=_coefficient_function(parse_expression(alpha), "alpha"),
-            beta=_coefficient_function(parse_expression(beta), "beta"),
+            alpha=_coefficient_data(parse_expression(alpha)),
+            beta=_coefficient_data(parse_expression(beta)),
             epsilon=epsilon,
-            f=_data_function(parse_expression(f)),
-            g=_data_function(parse_expression(g)),
+            f=numpy_function(parse_expression(f), "x", "t"),
+            g=numpy_function(parse_expression(g), "x", "t"),
             scheme=scheme,
         )
 
 
-def _data_function(expr) -> Callable:
-    """Array-in, array-out numpy function of (x, t) for a sympy expression."""
-    import sympy
-
-    return sympy.lambdify(sympy.symbols("x t"), expr, "numpy")
-
-
-def _coefficient_function(expr, name: str):
-    """A float for a constant expression, else a numpy function of x."""
-    import sympy
-
-    x = sympy.Symbol("x")
-    if expr.free_symbols - {x}:
-        raise ExpressionError(f"{name} may depend on x only, got {expr}")
-    if expr.free_symbols:
-        return sympy.lambdify(x, expr, "numpy")
-    try:
-        return float(expr)
-    except TypeError:
-        raise ExpressionError(f"{name} must be a real number, got {expr}") from None
+def _coefficient_data(tree):
+    """A float for a constant coefficient tree, else its numpy function of x."""
+    with np.errstate(all="ignore"):
+        return numpy_function(tree, "x") if variables(tree) else float(numpy_function(tree)())
 
 
-def _evaluate(name: str, fn: Callable, *coords: np.ndarray) -> np.ndarray:
-    """Values of the array-in, array-out data function ``name`` at the nodes.
+def _evaluate(name: str, data, *coords: np.ndarray) -> np.ndarray:
+    """Values of the data ``name`` at the nodes: a constant or an array-in, array-out function.
 
-    ``coords`` are x, or x and t.  A scalar result (a constant) is broadcast
-    to the shape of the nodes.  A NaN or infinite value raises AssemblyError
-    naming the function and the first such node.
+    ``coords`` are x, or x and t.  A constant, or a scalar result, is
+    broadcast to the shape of the nodes.  A NaN or infinite value raises
+    AssemblyError naming the data and the first such node.
     """
     shape = np.broadcast_shapes(*(c.shape for c in coords))
     with np.errstate(all="ignore"):
-        values = np.broadcast_to(np.asarray(fn(*coords), dtype=float), shape)
+        values = np.broadcast_to(np.asarray(data(*coords) if callable(data) else data, dtype=float), shape)
     bad = ~np.isfinite(values)
     if bad.any():
         first = np.unravel_index(np.argmax(bad), shape)
@@ -336,13 +318,6 @@ def _evaluate(name: str, fn: Callable, *coords: np.ndarray) -> np.ndarray:
         )
         raise AssemblyError(f"{name} is not finite at {where}")
     return values
-
-
-def _coefficient(name: str, value, x: np.ndarray) -> np.ndarray:
-    """A coefficient given as a constant or a function of x, at the points x."""
-    if callable(value):
-        return _evaluate(name, value, x)
-    return np.full(x.shape, float(value))
 
 
 def _edge_weights(a, b, h: float, scheme: Scheme):
@@ -379,8 +354,8 @@ def _x_stencil(config: ProblemConfig, grid: Grid1p1) -> tuple:
     """Diagonals of Ax = -(J_right - J_left)/hx; the Dirichlet end rows are zero."""
     xs = grid.xs
     mids = 0.5 * (xs[:-1] + xs[1:])
-    a = _coefficient("alpha", config.alpha, mids)
-    b = _coefficient("beta", config.beta, mids)
+    a = _evaluate("alpha", config.alpha, mids)
+    b = _evaluate("beta", config.beta, mids)
     if np.any(a <= 0):
         raise AssemblyError("nonpositive diffusion coefficient on an edge")
     wl, wr = _edge_weights(a, b, grid.hx, config.scheme)
@@ -722,8 +697,8 @@ def discrete_bilinear(u: DiscreteField, v: DiscreteField, config: ProblemConfig)
         raise ValueError("fields live on different grids")
     grid = u.grid
     eps = float(config.epsilon)
-    ax = _coefficient("alpha", config.alpha, grid.xs)
-    bx = _coefficient("beta", config.beta, grid.xs)
+    ax = _evaluate("alpha", config.alpha, grid.xs)
+    bx = _evaluate("beta", config.beta, grid.xs)
 
     ux = np.gradient(u.values, grid.hx, axis=1, edge_order=1)
     vx = np.gradient(v.values, grid.hx, axis=1, edge_order=1)

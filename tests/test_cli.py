@@ -61,6 +61,13 @@ def test_identities_seed_from_environment(capsys, monkeypatch):
     assert code == 0
 
 
+def _run_python(script, *args):
+    """Run ``script`` in a fresh interpreter that imports hodge4d from this checkout."""
+    src = str(Path(hodge4d.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True)
+
+
 def test_symbolic_commands_do_not_load_the_solver():
     script = (
         "import sys\n"
@@ -72,10 +79,38 @@ def test_symbolic_commands_do_not_load_the_solver():
         "from hodge4d import solve\n"
         "assert callable(solve) and 'scipy' in sys.modules\n"
     )
-    src = str(Path(hodge4d.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    done = _run_python(script)
     assert done.returncode == 0, done.stderr
+
+
+README_SWEEP_CONFIG = """
+[sweep]
+nx = 64
+nt = 1024
+alpha = 1.0
+beta = 0.5
+epsilon = 0.1
+scheme = centered
+manufactured = sin(pi*x)*(1+t**2)
+target = limit
+eps_list = 0.1,0.05,0.025,0.0125
+"""
+
+
+def test_solve_and_sweep_run_without_sympy(tmp_path):
+    solve_config, sweep_config = tmp_path / "solve.cfg", tmp_path / "sweep.cfg"
+    solve_config.write_text(SOLVE_CONFIG)
+    sweep_config.write_text(README_SWEEP_CONFIG)
+    script = (
+        "import sys\n"
+        "sys.modules['sympy'] = None  # import sympy now raises ImportError\n"
+        "from hodge4d.cli import main\n"
+        "assert main(['solve', '--config', sys.argv[1]]) == 0\n"
+        "assert main(['sweep', '--config', sys.argv[2]]) == 0\n"
+    )
+    done = _run_python(script, str(solve_config), str(sweep_config))
+    assert done.returncode == 0, done.stderr
+    assert "L2 error" in done.stdout and "fitted slope" in done.stdout
 
 
 def test_expand_command(capsys):
@@ -296,3 +331,27 @@ def test_solve_non_finite_domain_is_usage_error(tmp_path, capsys, key, value):
     code, err = run_quietly(capsys, "solve", "--config", str(config))
     assert code == 2
     assert err == f"error: {key} must be finite, got {float(value)}\n"
+
+
+@pytest.mark.parametrize(
+    "line, err",
+    [
+        ("manufactured = Abs(x-0.5)*t**2", ""),  # the kink at x = 0.5 is a grid node
+        ("g = 10**10**10", "error: g is not finite at x=0, t=0\n"),
+        ("g = sqrt(-1)", "error: g is not finite at x=0, t=0\n"),
+        ("f = 1/0", "error: f is not finite at x=0.0625, t=0.0625\n"),
+        ("alpha = 1e400", "error: alpha is not finite at x=0.03125\n"),
+        ("beta = 1e400", "error: beta is not finite at x=0.03125\n"),
+    ],
+    ids=["abs-kink", "huge-power", "sqrt-negative", "divide-by-zero", "huge-alpha", "huge-beta"],
+)
+def test_constant_and_kinked_expressions(tmp_path, capsys, line, err):
+    config = tmp_path / "solve.cfg"
+    config.write_text(f"[solve]\nnx = 16\nnt = 16\n{line}\n")
+    if not err:
+        code, out = run(capsys, "solve", "--config", str(config))
+        assert code == 0 and "L2 error" in out
+        return
+    code, got = run_quietly(capsys, "solve", "--config", str(config))
+    assert code == 2
+    assert got == err

@@ -2,7 +2,8 @@
 
 For a polynomial u(x, t) the k = 0 unified operator with beta = (b, 0, 0),
 evaluated exactly, is the forcing that ``ProblemConfig.from_manufactured``
-derives with sympy for the 1+1D space-time problem.
+derives on the expression tree (``expressions.derivative``) for the 1+1D
+space-time problem.
 """
 
 from fractions import Fraction

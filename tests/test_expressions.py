@@ -1,26 +1,30 @@
 import math
 
+import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hodge4d.expressions import ExpressionError, parse_expression
+from hodge4d.expressions import FUNCTIONS, ExpressionError, numpy_function, parse_expression
 from hodge4d.solver import ProblemConfig
 
-x, t = sympy.symbols("x t")
+XS, TS = np.meshgrid(np.linspace(0.05, 0.95, 9), np.linspace(0.05, 0.95, 7))
 
 
 @pytest.mark.parametrize(
     "text, expected",
     [
-        ("sin(pi*x)*(1+t**2)", sympy.sin(sympy.pi * x) * (1 + t**2)),
-        ("-x/2 + 1e-3", -x / 2 + sympy.Float(1e-3)),
-        ("+Abs(x - 1/2)", sympy.Abs(x - sympy.Rational(1, 2))),
-        ("sqrt(exp(t)) * log(1 + x) - tanh(t)", sympy.sqrt(sympy.exp(t)) * sympy.log(1 + x) - sympy.tanh(t)),
-        (0.5, sympy.Float(0.5)),
+        ("sin(pi*x)*(1+t**2)", np.sin(np.pi * XS) * (1 + TS**2)),
+        ("-x/2 + 1e-3", -XS / 2 + 1e-3),
+        ("+Abs(x - 1/2)", np.abs(XS - 0.5)),
+        ("sqrt(exp(t)) * log(1 + x) - tanh(t)", np.sqrt(np.exp(TS)) * np.log(1 + XS) - np.tanh(TS)),
+        (0.5, np.full(XS.shape, 0.5)),
     ],
 )
 def test_whitelisted_expressions_parse(text, expected):
-    assert parse_expression(text) == expected
+    values = numpy_function(parse_expression(text), "x", "t")(XS, TS)
+    np.testing.assert_allclose(np.broadcast_to(values, XS.shape), expected, rtol=1e-15, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -53,3 +57,69 @@ def test_coefficients_may_depend_on_x_only():
     cfg = ProblemConfig.from_expressions("x", "t", alpha="2", beta="x", epsilon=0.1)
     assert cfg.alpha == 2.0 and cfg.beta(0.25) == 0.25
     assert math.isclose(cfg.g(0.0, 0.5), 0.5)
+
+
+# -- the engine against sympy's diff + lambdify --------------------------------------
+
+# pi is a symbol set to its float, as the engine has it: sympy's exact sin(pi) = 0 would make
+# 1/sin(pi) infinite, and lambdify prints sympy floats to 15 digits only
+_X, _T, _PI = sympy.symbols("x t pi", real=True)
+_SYMPY = {"x": _X, "t": _T, "pi": _PI, **{name: getattr(sympy, name) for name in FUNCTIONS}}
+_NUMBERS = st.sampled_from(["1", "2", "3", "0.5", "1.5", "pi"])
+
+
+def _sympy_values(expr):
+    """``expr`` at the sample points; NaN throughout where sympy finds it infinite or undefined."""
+    if expr.has(sympy.zoo, sympy.nan, sympy.oo, -sympy.oo):
+        return np.full(XS.shape, np.nan)
+    return np.broadcast_to(sympy.lambdify((_X, _T, _PI), expr, "numpy")(XS, TS, np.pi), XS.shape)
+
+
+def _trees(leaves):
+    """Whitelisted expression text over ``leaves``, a few operations deep."""
+
+    def extend(inner):
+        return st.one_of(
+            st.builds("-({})".format, inner),
+            st.builds("{}({})".format, st.sampled_from(sorted(FUNCTIONS)), inner),
+            st.builds("({}) {} ({})".format, inner, st.sampled_from(["+", "-", "*", "/", "**"]), inner),
+            st.builds("({})**{}".format, inner, st.sampled_from(["2", "3", "-1", "0.5"])),
+        )
+
+    return st.recursive(st.one_of(leaves, _NUMBERS), extend, max_leaves=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    u=_trees(st.sampled_from(["x", "t"])),
+    alpha=_trees(st.just("x")),
+    beta=_trees(st.just("x")),
+    target=st.sampled_from(["spacetime", "limit"]),
+)
+@example(u="Abs(x - 0.3)*t**2", alpha="1 + x", beta="x", target="spacetime")
+def test_forcing_matches_the_sympy_oracle(u, alpha, beta, target):
+    eps = 0.3
+    config = ProblemConfig.from_manufactured(u, alpha=alpha, beta=beta, epsilon=eps, target=target)
+    u_e, a_e, b_e = (sympy.sympify(text, locals=_SYMPY) for text in (u, alpha, beta))
+    terms = [u_e.diff(_T), -(a_e * u_e.diff(_X)).diff(_X), -(b_e * u_e).diff(_X)]
+    if target == "spacetime":
+        terms.append(-sympy.Float(eps) * u_e.diff(_T, 2))
+    # sign(a), the derivative of Abs(a), differentiates to a delta at the kink, which is
+    # excluded; sympy leaves some of those derivatives unevaluated
+    terms = [
+        term.replace(sympy.DiracDelta, lambda *args: sympy.S.Zero).replace(
+            lambda e: isinstance(e, sympy.Derivative) and isinstance(e.expr, sympy.sign), lambda e: sympy.S.Zero
+        )
+        for term in terms
+    ]
+    with np.errstate(all="ignore"):
+        parts = [_sympy_values(term) for term in terms]
+        want = sum(parts)
+        got = np.broadcast_to(config.f(XS, TS), XS.shape)
+        near_kink = np.zeros(XS.shape, dtype=bool)
+        for kink in (a.args[0] for e in (u_e, a_e, b_e) for a in e.atoms(sympy.Abs)):
+            near_kink |= ~(np.abs(_sympy_values(kink)) > 1e-9)
+    compared = np.isfinite(got) & np.isfinite(want) & ~near_kink
+    # rounding differs between the two; relative to the size of the summed terms
+    scale = np.max(sum(np.abs(p) for p in parts)[compared], initial=1.0)
+    assert np.all(np.abs(got[compared] - want[compared]) <= 1e-12 * scale), (u, alpha, beta, target)
