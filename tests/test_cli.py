@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -7,7 +8,10 @@ from pathlib import Path
 import pytest
 
 import hodge4d
+from hodge4d import convdiff, verification
 from hodge4d.cli import main
+from hodge4d.convdiff import NoPotentialError
+from hodge4d.forms import BasisForm, KForm
 
 SOLVE_CONFIG = """
 [solve]
@@ -355,3 +359,119 @@ def test_constant_and_kinked_expressions(tmp_path, capsys, line, err):
     code, got = run_quietly(capsys, "solve", "--config", str(config))
     assert code == 2
     assert got == err
+
+
+# -- a failing identity names its first failing instance -------------------------------
+
+
+def _plus_one(form):
+    """``form`` plus a spurious 1 on the first basis form of its degree."""
+    if form.degree > 4:
+        return form
+    return form + KForm(form.degree, {BasisForm((1 << form.degree) - 1): 1})
+
+
+def _spurious(calls=0):
+    """original -> the original, plus ``_plus_one`` on every result after its first ``calls`` calls."""
+
+    def make(original):
+        seen = itertools.count()
+        return lambda *args: _plus_one(original(*args)) if next(seen) >= calls else original(*args)
+
+    return make
+
+
+def _on_no_potential(outcome):
+    """A ``make_potential`` that returns ``outcome``, or raises it if it is an
+    error, where the real one rejects a non-closed field."""
+
+    def make(make_potential):
+        def broken(b):
+            try:
+                return make_potential(b)
+            except NoPotentialError:
+                if isinstance(outcome, Exception):
+                    raise outcome
+                return outcome
+
+        return broken
+
+    return make
+
+
+# name -> (module, function, original -> broken function)
+_BROKEN = {
+    "exterior_derivative": (verification, "exterior_derivative", _spurious(5)),
+    "wedge": (verification, "wedge", _spurious()),
+    "interior_product_dt": (verification, "interior_product_dt", _spurious()),
+    "exp_fitted_flux": (verification, "exp_fitted_flux", _spurious()),
+    "potential-accepted": (verification, "make_potential", _on_no_potential(None)),
+    "potential-unnamed": (verification, "make_potential", _on_no_potential(NoPotentialError([]))),
+    "unified_operator": (verification, "unified_operator", _spurious(3)),
+    "scaled_star_convection": (convdiff, "scaled_star_convection", lambda s: lambda w, m: s(w, m).scale(2)),
+}
+
+# the FAIL lines of ``identities --seed 0 --count 10`` with each function broken
+_EXPECTED_FAILURES = {
+    "exp_fitted_flux": [
+        "FAIL flux-exponential-fitting[k=0] x10: instance #0",
+        "FAIL flux-exponential-fitting[k=1] x10: instance #0",
+        "FAIL flux-exponential-fitting[k=2] x10: instance #0",
+        "FAIL flux-exponential-fitting[k=3] x10: instance #0",
+    ],
+    "exterior_derivative": [
+        "FAIL d-after-d[k=0] x10: instance #2: d(d(w)) = KForm<2>((1)*dx^dy)",
+        "FAIL d-after-d[k=1] x10: instance #0: d(d(w)) = KForm<3>((1)*dx^dy^dz)",
+        "FAIL d-after-d[k=2] x10: instance #0: d(d(w)) = KForm<4>((1)*dx^dy^dz^dt)",
+        "FAIL graded-leibniz[0,0] x1: instance #0",
+        "FAIL graded-leibniz[0,1] x1: instance #0",
+        "FAIL graded-leibniz[0,2] x1: instance #0",
+        "FAIL graded-leibniz[0,3] x1: instance #0",
+        "FAIL graded-leibniz[1,0] x1: instance #0",
+        "FAIL graded-leibniz[1,1] x1: instance #0",
+        "FAIL graded-leibniz[1,2] x1: instance #0",
+        "FAIL graded-leibniz[2,0] x1: instance #0",
+        "FAIL graded-leibniz[2,1] x1: instance #0",
+        "FAIL graded-leibniz[3,0] x1: instance #0",
+    ],
+    "interior_product_dt": [
+        "FAIL interior-product-antiderivation[signed]: basis dy^dz^dt",
+        "FAIL interior-product-nilpotent x10: instance #0",
+    ],
+    "potential-accepted": [
+        "FAIL potential-rejects-nonclosed x1: instance #0: non-closed field accepted",
+    ],
+    "potential-unnamed": [
+        "FAIL potential-rejects-nonclosed x1: instance #0: no components named",
+    ],
+    "scaled_star_convection": [
+        "FAIL constraint-block[k=1] x2: instance #0",
+        "FAIL constraint-block[k=2] x2: instance #0",
+        "FAIL constraint-block[k=3] x2: instance #0",
+        "FAIL scalar-equation-expansion x2: instance #0: expand[k=0][1][delta_wedge]: residual -4*z - 2/3*x + x*z + 1/12*x^2 - 4*y^2*z + x*y^2*z",
+    ],
+    "unified_operator": [
+        "FAIL operator-linearity x2: instance #1 (k=3)",
+    ],
+    "wedge": [
+        "FAIL graded-leibniz[0,0] x1: instance #0",
+        "FAIL graded-leibniz[0,1] x1: instance #0",
+        "FAIL graded-leibniz[0,2] x1: instance #0",
+        "FAIL graded-leibniz[0,3] x1: instance #0",
+        "FAIL graded-leibniz[2,0] x1: instance #0",
+        "FAIL graded-leibniz[2,1] x1: instance #0",
+        "FAIL wedge-anticommute[1,1] x1: instance #0",
+        "FAIL wedge-anticommute[1,3] x1: instance #0",
+        "FAIL wedge-anticommute[3,1] x1: instance #0",
+        "FAIL interior-product-antiderivation[signed]: basis dy^dz^dt",
+    ],
+}
+
+
+@pytest.mark.parametrize("broken", sorted(_BROKEN))
+def test_failing_identities_name_their_instance(capsys, monkeypatch, broken):
+    module, name, breaks = _BROKEN[broken]
+    monkeypatch.setattr(module, name, breaks(getattr(module, name)))
+    code, out = run(capsys, "identities", "--seed", "0", "--count", "10")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == _EXPECTED_FAILURES[broken]
