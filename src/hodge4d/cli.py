@@ -69,6 +69,8 @@ def cmd_verify_tables(args) -> int:
 
 
 def cmd_identities(args) -> int:
+    if args.count < 1:
+        raise UsageError(f"count must be at least 1, got {args.count}")
     report = run_identities(args.seed, args.count)
     for line in report.lines():
         print(line)
@@ -84,11 +86,10 @@ def cmd_expand(args) -> int:
         if len(parts) != 3:
             raise UsageError("beta needs three comma-separated components")
         beta = tuple(_parse_fraction(p) for p in parts)
-    m = MaterialParams(
-        alpha=_parse_fraction(args.alpha),
-        epsilon=_parse_fraction(args.eps),
-        beta=beta,
-    )
+    try:
+        m = MaterialParams(alpha=_parse_fraction(args.alpha), epsilon=_parse_fraction(args.eps), beta=beta)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     report = expand_componentwise(args.k, _sample_fields(args.k), m)
     print(f"component-wise expansion, degree {args.k}, alpha={m.alpha}, eps={m.epsilon}")
     for row in report.rows:

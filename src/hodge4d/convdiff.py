@@ -19,6 +19,9 @@ from .forms import (
     KForm,
     MaterialParams,
     T_BIT,
+    _form,
+    _signed,
+    _star,
     codifferential_1a,
     codifferential_a1,
     display_components,
@@ -27,7 +30,6 @@ from .forms import (
     merge_sign,
     spatial_form,
     spatial_parts,
-    star_sign,
     temporal_parts,
     wedge,
 )
@@ -90,15 +92,8 @@ def scaled_star_convection(w: KForm, m: MaterialParams) -> KForm:
     Exact for spatially varying alpha on dt-free w; a spatial-slot product with
     a dt component of w is starred with epsilon instead, so carries epsilon/alpha.
     """
-    comps = {}
-
-    def accumulate(basis, coeff):
-        sign = star_sign(basis.mask)
-        target = basis.complement
-        term = coeff if sign > 0 else -coeff
-        comps[target] = comps[target] + term if target in comps else term
-
-    for basis, coeff in w.components.items():
+    images = []
+    for basis, coeff in w.items():
         if basis.contains_dt and m.alpha_field is not None:
             raise ValueError(
                 "fused convection star with alpha_field needs dt-free components; "
@@ -106,16 +101,11 @@ def scaled_star_convection(w: KForm, m: MaterialParams) -> KForm:
             )
         spatial = coeff * (m.epsilon / m.alpha) if basis.contains_dt else coeff
         for i in range(3):
-            bit = 1 << i
-            sign = merge_sign(bit, basis.mask)
-            if sign == 0:
-                continue
-            term = m.beta[i] * spatial
-            accumulate(BasisForm(basis.mask | bit), term if sign > 0 else -term)
-        sign = merge_sign(T_BIT, basis.mask)
-        if sign != 0:  # zero on the dt components of w
-            accumulate(BasisForm(basis.mask | T_BIT), -coeff if sign > 0 else coeff)
-    return KForm(4 - (w.degree + 1), comps)
+            if sign := merge_sign(1 << i, basis.mask):
+                images.append((BasisForm(basis.mask | (1 << i)), _signed(sign, m.beta[i] * spatial)))
+        if sign := merge_sign(T_BIT, basis.mask):  # zero on the dt components of w
+            images.append((BasisForm(basis.mask | T_BIT), _signed(-sign, coeff)))
+    return _star(_form(w.degree + 1, images))  # the star weights are in the terms already
 
 
 def operator_pieces(w: KForm, m: MaterialParams) -> dict:

@@ -12,6 +12,7 @@ overflows, divides by zero or leaves the reals is inf or nan.
 """
 
 import ast
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -23,6 +24,15 @@ _UNARY = (ast.USub, ast.UAdd)
 
 class ExpressionError(ValueError):
     """An expression that is malformed or uses something outside the whitelist."""
+
+
+@contextmanager
+def _shallow():
+    """Turn the RecursionError of an expression nested too deeply into an ExpressionError."""
+    try:
+        yield
+    except RecursionError:
+        raise ExpressionError("expression is nested too deeply") from None
 
 
 def _check(node: ast.AST, text: str) -> None:
@@ -48,17 +58,19 @@ def parse_expression(text) -> ast.expr:
     """Parse a whitelisted expression in x and t into its checked tree.
 
     ``text`` is a string, or an int or float taken as a constant.  Text that
-    does not parse or pass the whitelist raises ``ExpressionError``.
+    does not parse, does not pass the whitelist or is nested too deeply for
+    Python's recursion limit raises ``ExpressionError``.
     """
     if isinstance(text, (int, float)) and not isinstance(text, bool):
         return ast.Constant(float(text))
     if not isinstance(text, str):
         raise ExpressionError(f"expected an expression string, got {type(text).__name__}")
-    try:
-        tree = ast.parse(text.strip(), mode="eval").body
-    except SyntaxError as exc:
-        raise ExpressionError(f"cannot parse expression {text!r}: {exc.msg}") from None
-    _check(tree, text)
+    with _shallow():
+        try:
+            tree = ast.parse(text.strip(), mode="eval").body
+        except SyntaxError as exc:
+            raise ExpressionError(f"cannot parse expression {text!r}: {exc.msg}") from None
+        _check(tree, text)
     return tree
 
 
@@ -105,6 +117,11 @@ _RULES = {key: ast.parse(rule, mode="eval").body for key, rule in _RULES.items()
 
 def derivative(tree: ast.expr, var: str) -> ast.expr:
     """The tree of d(tree)/d(var), by the sum, product, quotient, power and chain rules."""
+    with _shallow():
+        return _derivative(tree, var)
+
+
+def _derivative(tree: ast.expr, var: str) -> ast.expr:
     if isinstance(tree, (ast.Constant, ast.Name)):
         return ast.Constant(float(isinstance(tree, ast.Name) and tree.id == var))
     if isinstance(tree, ast.Call):
@@ -113,7 +130,7 @@ def derivative(tree: ast.expr, var: str) -> ast.expr:
         rule, operands = type(tree.op), [tree.operand] if isinstance(tree, ast.UnaryOp) else [tree.left, tree.right]
     parts = dict(zip(("a", "b"), operands))
     for name, operand in zip(("da", "db"), operands):  # a loop, not a generator: one frame per level
-        parts[name] = derivative(operand, var)
+        parts[name] = _derivative(operand, var)
     if rule is ast.Pow and _is(parts["db"], 0):
         rule = "constant power"
     return substitute(_RULES[rule], **parts)
@@ -144,5 +161,6 @@ def numpy_function(tree: ast.expr, *args: str):
         return node
 
     signature = ast.arguments([], [ast.arg(name) for name in args], None, [], [], None, [])
-    code = ast.fix_missing_locations(ast.Expression(ast.Lambda(signature, float64(tree))))
-    return eval(compile(code, "<expression>", "eval"), scope)
+    with _shallow():
+        code = ast.fix_missing_locations(ast.Expression(ast.Lambda(signature, float64(tree))))
+        return eval(compile(code, "<expression>", "eval"), scope)

@@ -22,8 +22,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .fields import AXES, ExpPolyField, PolyField, T, coerce_field
@@ -77,17 +78,11 @@ class BasisForm:
         """
         seen = 0
         sign = 1
-        order = []
         for a in axes:
-            bit = 1 << a
-            if seen & bit:
+            sign *= merge_sign(seen, 1 << a)
+            if not sign:
                 return None, 0
-            # count previously placed axes larger than this one
-            inversions = sum(1 for b in order if b > a)
-            if inversions % 2:
-                sign = -sign
-            order.append(a)
-            seen |= bit
+            seen |= 1 << a
         return cls(seen), sign
 
     def __repr__(self):
@@ -112,12 +107,11 @@ def merge_sign(mask_a: int, mask_b: int) -> int:
 
 def star_sign(mask: int) -> int:
     """Parity of the permutation (axes(mask), axes(complement)) of (x,y,z,t)."""
-    comp = mask ^ FULL_MASK
-    inversions = 0
-    for a in range(4):
-        if mask >> a & 1:
-            inversions += (comp & ((1 << a) - 1)).bit_count()
-    return -1 if inversions % 2 else 1
+    return merge_sign(mask, mask ^ FULL_MASK)
+
+
+def _signed(sign: int, coeff):
+    return coeff if sign > 0 else -coeff
 
 
 class KForm:
@@ -184,16 +178,10 @@ class KForm:
             return NotImplemented
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        comps = dict(self.components)
-        for basis, coeff in other.components.items():
-            if basis in comps:
-                comps[basis] = comps[basis] + coeff
-            else:
-                comps[basis] = coeff
-        return KForm(self.degree, comps)
+        return _form(self.degree, chain(self.items(), other.items()))
 
     def __neg__(self):
-        return KForm(self.degree, {b: -c for b, c in self.components.items()})
+        return _form(self.degree, ((b, -c) for b, c in self.items()))
 
     def __sub__(self, other):
         return self + (-other)
@@ -201,10 +189,10 @@ class KForm:
     def scale(self, factor) -> "KForm":
         """Multiply every coefficient by a scalar or coefficient field."""
         factor = coerce_field(factor)
-        return KForm(self.degree, {b: factor * c for b, c in self.components.items()})
+        return _form(self.degree, ((b, factor * c) for b, c in self.items()))
 
     def map_coefficients(self, fn) -> "KForm":
-        return KForm(self.degree, {b: fn(c) for b, c in self.components.items()})
+        return _form(self.degree, ((b, coerce_field(fn(c))) for b, c in self.items()))
 
     def substitute_t(self, value) -> "KForm":
         """Restrict symbolically to a constant-time hyperplane t = value."""
@@ -228,6 +216,28 @@ class KForm:
             for basis, coeff in sorted(self.components.items(), key=lambda kv: kv[0].mask)
         ]
         return f"KForm<{self.degree}>(" + " + ".join(parts) + ")"
+
+
+def _form(degree: int, images) -> KForm:
+    """Trusted constructor for operation results.
+
+    ``images`` yields (basis, coefficient) pairs with bases of the right
+    degree and field coefficients.  Coefficients on one basis are summed,
+    a zero-weight ExpPolyField becomes its amplitude and zero sums are dropped.
+    """
+    comps = {}
+    for basis, coeff in images:
+        total = comps.get(basis)
+        comps[basis] = coeff if total is None else total + coeff
+    for basis, coeff in list(comps.items()):  # in place: hashing a BasisForm is a Python call
+        if isinstance(coeff, ExpPolyField) and coeff.weight.is_zero:
+            comps[basis] = coeff = coeff.amplitude
+        if coeff.is_zero:
+            del comps[basis]
+    form = object.__new__(KForm)
+    form.degree = degree
+    form.components = comps
+    return form
 
 
 @dataclass(frozen=True)
@@ -277,60 +287,48 @@ def wedge(a: KForm, b: KForm) -> KForm:
     degree = a.degree + b.degree
     if degree > 4:
         return KForm.zero(degree)
-    comps = {}
-    for ba, ca in a.components.items():
-        for bb, cb in b.components.items():
-            sign = merge_sign(ba.mask, bb.mask)
-            if sign == 0:
-                continue
-            basis = BasisForm(ba.mask | bb.mask)
-            term = ca * cb
-            if sign < 0:
-                term = -term
-            comps[basis] = comps[basis] + term if basis in comps else term
-    return KForm(degree, comps)
+    return _form(degree, (
+        (BasisForm(ba.mask | bb.mask), _signed(sign, ca * cb))
+        for ba, ca in a.items()
+        for bb, cb in b.items()
+        if (sign := merge_sign(ba.mask, bb.mask))
+    ))
 
 
 def exterior_derivative(w: KForm) -> KForm:
     """Degree-raising derivative; satisfies d(d(w)) = 0 exactly."""
-    comps = {}
-    for basis, coeff in w.components.items():
+    images = []
+    for basis, coeff in w.items():
         for axis in range(4):
             bit = 1 << axis
             if basis.mask & bit:
                 continue
             dc = coeff.diff(axis)
-            if dc.is_zero:
-                continue
-            sign = merge_sign(bit, basis.mask)
-            target = BasisForm(basis.mask | bit)
-            term = dc if sign > 0 else -dc
-            comps[target] = comps[target] + term if target in comps else term
-    return KForm(w.degree + 1, comps)
+            if not dc.is_zero:
+                images.append((BasisForm(basis.mask | bit), _signed(merge_sign(bit, basis.mask), dc)))
+    return _form(w.degree + 1, images)
+
+
+def _star(w: KForm, factors=None) -> KForm:
+    """The star of ``w``; ``factors`` = (dt-free, dt) weights each coefficient first."""
+    if w.degree > 4:
+        raise ValueError(f"no star for degree {w.degree}")
+    images = []
+    for basis, coeff in w.items():
+        if factors:
+            coeff = coeff * factors[basis.contains_dt]
+        images.append((basis.complement, _signed(star_sign(basis.mask), coeff)))
+    return _form(4 - w.degree, images)
 
 
 def hodge_star(w: KForm) -> KForm:
     """Euclidean star mapping degree k to degree 4 - k."""
-    if w.degree > 4:
-        raise ValueError(f"no star for degree {w.degree}")
-    comps = {}
-    for basis, coeff in w.components.items():
-        sign = star_sign(basis.mask)
-        comps[basis.complement] = coeff if sign > 0 else -coeff
-    return KForm(4 - w.degree, comps)
+    return _star(w)
 
 
 def scaled_hodge_star(w: KForm, m: MaterialParams) -> KForm:
     """Star weighted by alpha on dt-free inputs and by epsilon otherwise."""
-    if w.degree > 4:
-        raise ValueError(f"no star for degree {w.degree}")
-    comps = {}
-    for basis, coeff in w.components.items():
-        factor = m.epsilon if basis.contains_dt else m.spatial_diffusion
-        sign = star_sign(basis.mask)
-        term = coeff * factor
-        comps[basis.complement] = term if sign > 0 else -term
-    return KForm(4 - w.degree, comps)
+    return _star(w, (m.spatial_diffusion, m.epsilon))
 
 
 def _codifferential_out_of_range(w: KForm) -> Optional[KForm]:
@@ -377,12 +375,7 @@ def interior_product_dt(w: KForm) -> KForm:
     """
     if w.degree == 0:
         return KForm.zero(0)
-    comps = {}
-    for basis, coeff in w.components.items():
-        if not basis.contains_dt:
-            continue
-        comps[BasisForm(basis.mask ^ T_BIT)] = coeff
-    return KForm(w.degree - 1, comps)
+    return _form(w.degree - 1, ((BasisForm(b.mask ^ T_BIT), c) for b, c in w.items() if b.contains_dt))
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +412,6 @@ _DISPLAY_ROWS = {
     degree: tuple((label, *parse_basis_label(label)) for label in labels)
     for degree, labels in DISPLAY_LABELS.items()
 }
-
-
-def _signed(sign: int, coeff):
-    return coeff if sign > 0 else -coeff
 
 
 def _display_block(degree: int, with_dt: bool, degrees: range) -> list:

@@ -112,63 +112,57 @@ def random_material(rng: random.Random, polynomial_beta=True) -> MaterialParams:
 # ---------------------------------------------------------------------------
 
 
+def _instances(name, count, trial, *args) -> CheckResult:
+    """Run ``trial(*args)`` ``count`` times; the check fails at the first trial
+    that does not return True, naming it by ``instance #n`` and the suffix it returns."""
+    for n in range(count):
+        outcome = trial(*args)
+        if outcome is not True:
+            return CheckResult(name, False, f"instance #{n}{outcome}")
+    return CheckResult(name, True, "")
+
+
 def check_d_after_d(rng, count) -> list:
-    out = []
-    for degree in range(4):
-        bad = ""
-        for n in range(count):
-            w = random_kform(rng, degree)
-            ddw = exterior_derivative(exterior_derivative(w))
-            if not ddw.is_zero:
-                bad = f"instance #{n}: d(d(w)) = {ddw!r}"
-                break
-        out.append(CheckResult(f"d-after-d[k={degree}] x{count}", not bad, bad))
-    return out
+    def trial(degree):
+        ddw = exterior_derivative(exterior_derivative(random_kform(rng, degree)))
+        return ddw.is_zero or f": d(d(w)) = {ddw!r}"
+
+    return [_instances(f"d-after-d[k={degree}] x{count}", count, trial, degree) for degree in range(4)]
 
 
 def check_leibniz(rng, count) -> list:
-    out = []
-    for da in range(5):
-        for db in range(5 - da):
-            bad = ""
-            for n in range(count):
-                a = random_kform(rng, da, max_degree=2)
-                b = random_kform(rng, db, max_degree=2)
-                left = exterior_derivative(wedge(a, b))
-                right = wedge(exterior_derivative(a), b)
-                second = wedge(a, exterior_derivative(b))
-                if da % 2:
-                    second = -second
-                if left.degree <= 4 and left != right + second:
-                    bad = f"instance #{n}"
-                    break
-            out.append(CheckResult(f"graded-leibniz[{da},{db}] x{count}", not bad, bad))
-    return out
+    def trial(da, db):
+        a = random_kform(rng, da, max_degree=2)
+        b = random_kform(rng, db, max_degree=2)
+        left = exterior_derivative(wedge(a, b))
+        right = wedge(exterior_derivative(a), b)
+        second = wedge(a, exterior_derivative(b))
+        return left.degree > 4 or left == right + (-second if da % 2 else second) or ""
+
+    return [
+        _instances(f"graded-leibniz[{da},{db}] x{count}", count, trial, da, db)
+        for da in range(5)
+        for db in range(5 - da)
+    ]
 
 
 def check_anticommutativity(rng, count) -> list:
-    out = []
-    for da in range(5):
-        for db in range(5 - da):
-            bad = ""
-            for n in range(count):
-                a = random_kform(rng, da, max_degree=2)
-                b = random_kform(rng, db, max_degree=2)
-                ab = wedge(a, b)
-                ba = wedge(b, a)
-                if (da * db) % 2:
-                    ba = -ba
-                if ab != ba:
-                    bad = f"instance #{n}"
-                    break
-            out.append(CheckResult(f"wedge-anticommute[{da},{db}] x{count}", not bad, bad))
-    return out
+    def trial(da, db):
+        a = random_kform(rng, da, max_degree=2)
+        b = random_kform(rng, db, max_degree=2)
+        ab, ba = wedge(a, b), wedge(b, a)
+        return ab == (-ba if da * db % 2 else ba) or ""
+
+    return [
+        _instances(f"wedge-anticommute[{da},{db}] x{count}", count, trial, da, db)
+        for da in range(5)
+        for db in range(5 - da)
+    ]
 
 
 def check_interior_product(rng, count) -> list:
     """Contraction against a dt wedge: signed antiderivation on basis forms."""
     n_t = KForm(1, {BasisForm(0b1000): 1})
-    out = []
     bad = ""
     for degree in range(4):
         for basis in basis_forms(degree):
@@ -180,39 +174,37 @@ def check_interior_product(rng, count) -> list:
             expected = w if spatial_count % 2 == 0 else -w
             if lhs != expected:
                 bad = f"basis {basis.label}"
-    out.append(CheckResult("interior-product-antiderivation[signed]", not bad, bad))
-    bad = ""
-    for n in range(count):
-        w = random_kform(rng, rng.randint(1, 4))
-        twice = interior_product_dt(interior_product_dt(w))
-        if not twice.is_zero:
-            bad = f"instance #{n}"
-            break
-    out.append(CheckResult(f"interior-product-nilpotent x{count}", not bad, bad))
-    return out
+
+    def nilpotent():
+        twice = interior_product_dt(interior_product_dt(random_kform(rng, rng.randint(1, 4))))
+        return twice.is_zero or ""
+
+    return [
+        CheckResult("interior-product-antiderivation[signed]", not bad, bad),
+        _instances(f"interior-product-nilpotent x{count}", count, nilpotent),
+    ]
 
 
 def check_flux_fitting(rng, count) -> list:
     """Exact equality of the plain and exponentially fitted fluxes."""
-    out = []
-    for degree in range(4):
-        bad = ""
-        for n in range(count):
-            m = random_material(rng, polynomial_beta=False)
-            b = build_convection_form(m)
-            p = make_potential(b)
-            w = random_kform(rng, degree, max_degree=2)
-            if flux(w, b) != exp_fitted_flux(w, p):
-                bad = f"instance #{n}"
-                break
-        out.append(CheckResult(f"flux-exponential-fitting[k={degree}] x{count}", not bad, bad))
-    return out
+
+    def trial(degree):
+        m = random_material(rng, polynomial_beta=False)
+        b = build_convection_form(m)
+        p = make_potential(b)
+        w = random_kform(rng, degree, max_degree=2)
+        return flux(w, b) == exp_fitted_flux(w, p) or ""
+
+    return [
+        _instances(f"flux-exponential-fitting[k={degree}] x{count}", count, trial, degree)
+        for degree in range(4)
+    ]
 
 
 def check_potential_negatives(rng, count) -> list:
     """Non-closed convection fields must be rejected by name."""
-    bad = ""
-    for n in range(count):
+
+    def trial():
         i = rng.randrange(3)
         j = rng.choice([axis for axis in range(3) if axis != i])
         beta = [PolyField.zero()] * 3
@@ -221,68 +213,52 @@ def check_potential_negatives(rng, count) -> list:
         try:
             make_potential(build_convection_form(m))
         except NoPotentialError as exc:
-            if not exc.components:
-                bad = f"instance #{n}: no components named"
-                break
-        else:
-            bad = f"instance #{n}: non-closed field accepted"
-            break
-    return [CheckResult(f"potential-rejects-nonclosed x{count}", not bad, bad)]
+            return bool(exc.components) or ": no components named"
+        return ": non-closed field accepted"
+
+    return [_instances(f"potential-rejects-nonclosed x{count}", count, trial)]
 
 
 def check_emergent_constraints(rng, count) -> list:
-    out = []
-    for degree in (1, 2, 3):
-        bad = ""
-        for n in range(count):
-            m = random_material(rng)
-            if degree in (1, 2):
-                fields = tuple(random_poly(rng) for _ in range(3))
-                expected = (
-                    -vc.divergence(fields)
-                    if degree == 1
-                    else tuple(-c for c in vc.curl(fields))
-                )
-            else:
-                fields = random_poly(rng)
-                expected = tuple(-c for c in vc.gradient(fields))
-            if emergent_constraint(degree, fields, m) != expected:
-                bad = f"instance #{n}"
-                break
-        out.append(CheckResult(f"constraint-block[k={degree}] x{count}", not bad, bad))
-    return out
+    def trial(degree):
+        m = random_material(rng)
+        if degree in (1, 2):
+            fields = tuple(random_poly(rng) for _ in range(3))
+            expected = -vc.divergence(fields) if degree == 1 else tuple(-c for c in vc.curl(fields))
+        else:
+            fields = random_poly(rng)
+            expected = tuple(-c for c in vc.gradient(fields))
+        return emergent_constraint(degree, fields, m) == expected or ""
+
+    return [
+        _instances(f"constraint-block[k={degree}] x{count}", count, trial, degree)
+        for degree in (1, 2, 3)
+    ]
 
 
 def check_linearity(rng, count) -> list:
-    out = []
-    bad = ""
-    for n in range(count):
+    def trial():
         degree = rng.randint(0, 4)
         m = random_material(rng)
         a, b = random_fraction(rng), random_fraction(rng)
         u = random_kform(rng, degree, max_degree=2)
         v = random_kform(rng, degree, max_degree=2)
-        combo = u.scale(a) + v.scale(b)
-        lhs = unified_operator(combo, m)
+        lhs = unified_operator(u.scale(a) + v.scale(b), m)
         rhs = unified_operator(u, m).scale(a) + unified_operator(v, m).scale(b)
-        if lhs != rhs:
-            bad = f"instance #{n} (k={degree})"
-            break
-    out.append(CheckResult(f"operator-linearity x{count}", not bad, bad))
-    return out
+        return lhs == rhs or f" (k={degree})"
+
+    return [_instances(f"operator-linearity x{count}", count, trial)]
 
 
 def check_scalar_expansion(rng, count) -> list:
     """Degree-0 operator against the classical scalar equation, exactly."""
-    bad = ""
-    for n in range(count):
+
+    def trial():
         m = random_material(rng)
-        u = random_poly(rng, max_degree=3)
-        report = expand_componentwise(0, u, m)
-        if not report.matches:
-            bad = f"instance #{n}: {report.failures()[0]}"
-            break
-    return [CheckResult(f"scalar-equation-expansion x{count}", not bad, bad)]
+        report = expand_componentwise(0, random_poly(rng, max_degree=3), m)
+        return report.matches or f": {report.failures()[0]}"
+
+    return [_instances(f"scalar-equation-expansion x{count}", count, trial)]
 
 
 def run_identities(seed: int, count: int) -> Report:

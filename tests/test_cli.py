@@ -346,8 +346,13 @@ def test_solve_non_finite_domain_is_usage_error(tmp_path, capsys, key, value):
         ("f = 1/0", "error: f is not finite at x=0.0625, t=0.0625\n"),
         ("alpha = 1e400", "error: alpha is not finite at x=0.03125\n"),
         ("beta = 1e400", "error: beta is not finite at x=0.03125\n"),
+        ("g = " + "+".join(["x"] * 3000), "error: expression is nested too deeply\n"),
+        ("manufactured = " + "+".join(["x*t"] * 1200), "error: expression is nested too deeply\n"),
     ],
-    ids=["abs-kink", "huge-power", "sqrt-negative", "divide-by-zero", "huge-alpha", "huge-beta"],
+    ids=[
+        "abs-kink", "huge-power", "sqrt-negative", "divide-by-zero", "huge-alpha", "huge-beta",
+        "deep-data", "deep-manufactured",
+    ],
 )
 def test_constant_and_kinked_expressions(tmp_path, capsys, line, err):
     config = tmp_path / "solve.cfg"
@@ -359,6 +364,24 @@ def test_constant_and_kinked_expressions(tmp_path, capsys, line, err):
     code, got = run_quietly(capsys, "solve", "--config", str(config))
     assert code == 2
     assert got == err
+
+
+@pytest.mark.parametrize(
+    "flag, value, err",
+    [("--alpha", "0", "alpha must be positive, got 0"), ("--eps", "-1", "epsilon must be positive, got -1")],
+    ids=["alpha-zero", "eps-negative"],
+)
+def test_expand_bad_material_is_usage_error(capsys, flag, value, err):
+    code, got = run_quietly(capsys, "expand", "--k", "0", flag, value)
+    assert code == 2
+    assert got == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_identities_count_below_one_is_usage_error(capsys, count):
+    code, err = run_quietly(capsys, "identities", "--count", count)
+    assert code == 2
+    assert err == f"error: count must be at least 1, got {count}\n"
 
 
 # -- a failing identity names its first failing instance -------------------------------
