@@ -138,6 +138,13 @@ def test_boundary_command(capsys):
     assert "u = 0" in out
 
 
+@pytest.mark.parametrize("k", range(4))
+def test_boundary_initial_data_satisfies_the_trace(capsys, k):
+    code, out = run(capsys, "boundary", "--k", str(k))
+    assert code == 0
+    assert "  t0-BC: u(x, t0) matches the prescribed initial form  [satisfied]" in out.splitlines()
+
+
 def test_solve_command(tmp_path, capsys):
     config = tmp_path / "solve.cfg"
     config.write_text(SOLVE_CONFIG)

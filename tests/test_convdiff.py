@@ -4,6 +4,7 @@ import pytest
 
 from hodge4d import vectorcalc as vc
 from hodge4d.convdiff import (
+    ConvectionForm,
     NoPotentialError,
     build_convection_form,
     emergent_constraint,
@@ -60,6 +61,26 @@ def test_convection_form_rejects_variable_alpha(xyzt):
     m = MaterialParams(alpha=Fraction(1), epsilon=Fraction(1), alpha_field=1 + x * x)
     with pytest.raises(ValueError):
         build_convection_form(m)
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        form_of("dt", Fraction(-1, 2)),
+        form_of("dx") + form_of("dt"),
+        KForm.from_scalar(-2),
+        form_of("dx^dt", -2),
+        form_of("dx^dy^dz^dt", -2),
+        KForm.zero(5),
+    ],
+    ids=["wrong-dt", "positive-dt", "0-form", "2-form", "4-form", "zero-5-form"],
+)
+def test_convection_form_rejects_all_but_minus_inverse_eps_on_dt(form):
+    m = MaterialParams(epsilon=Fraction(1, 2))
+    assert ConvectionForm(form_of("dt", -2), m).form == form_of("dt", -2)
+    with pytest.raises(ValueError) as excinfo:
+        ConvectionForm(form, m)
+    assert str(excinfo.value) == "dt component must be exactly -1/epsilon"
 
 
 # -- flux ----------------------------------------------------------------------
