@@ -18,6 +18,7 @@ from .forms import (
     exterior_derivative,
     hodge_star,
     interior_product_dt,
+    one_form,
     parse_basis_label,
     scaled_hodge_star,
     spatial_form,

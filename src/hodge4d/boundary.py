@@ -16,15 +16,14 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .fields import T, coerce_field
+from .fields import T
 from .forms import (
-    BasisForm,
     KForm,
     MaterialParams,
-    T_BIT,
     exterior_derivative,
     hodge_star,
     interior_product_dt,
+    one_form,
     scaled_hodge_star,
     spatial_form,
     wedge,
@@ -52,24 +51,15 @@ class NormalForm:
 
     @classmethod
     def spatial(cls, n1, n2, n3) -> "NormalForm":
-        comps = {BasisForm(1 << i): coerce_field(c) for i, c in enumerate((n1, n2, n3))}
-        return cls(BoundaryKind.SPATIAL, KForm(1, comps))
+        return cls(BoundaryKind.SPATIAL, one_form(n1, n2, n3, 0))
 
     @classmethod
     def initial_time(cls, t0=0) -> "NormalForm":
-        return cls(
-            BoundaryKind.INITIAL,
-            KForm(1, {BasisForm(T_BIT): -1}),
-            Fraction(t0),
-        )
+        return cls(BoundaryKind.INITIAL, one_form(0, 0, 0, -1), Fraction(t0))
 
     @classmethod
     def final_time(cls, t_final=1) -> "NormalForm":
-        return cls(
-            BoundaryKind.FINAL,
-            KForm(1, {BasisForm(T_BIT): 1}),
-            Fraction(t_final),
-        )
+        return cls(BoundaryKind.FINAL, one_form(0, 0, 0, 1), Fraction(t_final))
 
 
 def wedge_trace(n: NormalForm, w: KForm) -> KForm:

@@ -22,7 +22,7 @@ from .boundary import boundary_report
 from .convdiff import expand_componentwise
 from .errors import SolveError
 from .fields import PolyField
-from .forms import MaterialParams
+from .forms import MaterialParams, spatial_form, spatial_parts
 from .verification import run_identities, run_table_verification
 
 USAGE_ERROR = 2
@@ -110,10 +110,7 @@ def cmd_boundary(args) -> int:
         raise UsageError(f"degree must be 0..3, got {args.k}")
     fields = _sample_fields(args.k)
     m = MaterialParams(alpha=Fraction(1), epsilon=Fraction(1, 2))
-    if args.k in (0, 3):
-        initial = fields.substitute("t", 0)
-    else:
-        initial = tuple(f.substitute("t", 0) for f in fields)
+    initial = spatial_parts(spatial_form(args.k, fields).substitute_t(0))
     report = boundary_report(args.k, fields, initial, m)
     for line in report.lines():
         print(line)

@@ -15,19 +15,14 @@ from fractions import Fraction
 from . import vectorcalc as vc
 from .fields import ExpPolyField, PolyField, T
 from .forms import (
-    BasisForm,
     KForm,
     MaterialParams,
-    T_BIT,
-    _form,
-    _signed,
-    _star,
     codifferential_1a,
     codifferential_a1,
     display_components,
     exterior_derivative,
     hodge_star,
-    merge_sign,
+    one_form,
     spatial_form,
     spatial_parts,
     temporal_parts,
@@ -54,8 +49,7 @@ class ConvectionForm:
     material: MaterialParams
 
     def __post_init__(self):
-        dt_coeff = self.form.coefficient(BasisForm(T_BIT))
-        if dt_coeff != PolyField.constant(-1 / Fraction(self.material.epsilon)):
+        if self.form.degree != 1 or temporal_parts(self.form) != -1 / self.material.epsilon:
             raise ValueError("dt component must be exactly -1/epsilon")
 
 
@@ -71,9 +65,7 @@ def build_convection_form(m: MaterialParams) -> ConvectionForm:
     if m.alpha_field is not None:
         raise ValueError("convection form requires a constant diffusion coefficient")
     inv_alpha = Fraction(1) / m.alpha
-    comps = {BasisForm(1 << i): m.beta[i] * inv_alpha for i in range(3)}
-    comps[BasisForm(T_BIT)] = PolyField.constant(-Fraction(1) / m.epsilon)
-    return ConvectionForm(KForm(1, comps), m)
+    return ConvectionForm(one_form(*(b * inv_alpha for b in m.beta), -1 / m.epsilon), m)
 
 
 def flux(w: KForm, b: ConvectionForm) -> KForm:
@@ -84,28 +76,25 @@ def flux(w: KForm, b: ConvectionForm) -> KForm:
 
 
 def scaled_star_convection(w: KForm, m: MaterialParams) -> KForm:
-    """scaled_star(b ^ w) computed without materializing beta/alpha.
+    """scaled_star(b ^ w) as star((beta - dt) ^ w'), without materializing beta/alpha.
 
-    The spatial-slot products of the convection form pick up the alpha weight
-    of the scaled star, which cancels the 1/alpha in the convection
-    coefficients; the dt-slot product picks up epsilon, cancelling 1/epsilon.
-    Exact for spatially varying alpha on dt-free w; a spatial-slot product with
-    a dt component of w is starred with epsilon instead, so carries epsilon/alpha.
+    The spatial-slot products pick up the alpha weight of the scaled star,
+    cancelling the 1/alpha of the convection coefficients; on a dt component
+    of w they pick up epsilon instead, so w' weights those by epsilon/alpha.
+    The dt-slot product picks up epsilon, cancelling 1/epsilon, and vanishes
+    on dt components.  Exact for spatially varying alpha on dt-free w.
     """
-    images = []
+    weighted = {}
     for basis, coeff in w.items():
-        if basis.contains_dt and m.alpha_field is not None:
-            raise ValueError(
-                "fused convection star with alpha_field needs dt-free components; "
-                f"found {basis.label}"
-            )
-        spatial = coeff * (m.epsilon / m.alpha) if basis.contains_dt else coeff
-        for i in range(3):
-            if sign := merge_sign(1 << i, basis.mask):
-                images.append((BasisForm(basis.mask | (1 << i)), _signed(sign, m.beta[i] * spatial)))
-        if sign := merge_sign(T_BIT, basis.mask):  # zero on the dt components of w
-            images.append((BasisForm(basis.mask | T_BIT), _signed(-sign, coeff)))
-    return _star(_form(w.degree + 1, images))  # the star weights are in the terms already
+        if basis.contains_dt:
+            if m.alpha_field is not None:
+                raise ValueError(
+                    "fused convection star with alpha_field needs dt-free components; "
+                    f"found {basis.label}"
+                )
+            coeff = coeff * (m.epsilon / m.alpha)
+        weighted[basis] = coeff
+    return hodge_star(wedge(one_form(*m.beta, -1), KForm(w.degree, weighted)))
 
 
 def operator_pieces(w: KForm, m: MaterialParams) -> dict:
@@ -319,8 +308,7 @@ def make_potential(b: ConvectionForm) -> Potential:
         bad = [(label, c) for label, c in display_components(closedness) if not c.is_zero]
         raise NoPotentialError(bad)
     psi = PolyField.zero()
-    for axis in range(4):
-        component = b.form.coefficient(BasisForm(1 << axis))
+    for axis, component in enumerate((*spatial_parts(b.form), temporal_parts(b.form))):
         if isinstance(component, ExpPolyField):
             component = component.to_poly()
         for later in range(axis + 1, 4):

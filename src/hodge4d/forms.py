@@ -240,6 +240,11 @@ def _form(degree: int, images) -> KForm:
     return form
 
 
+def one_form(x, y, z, t) -> KForm:
+    """The 1-form x dx + y dy + z dz + t dt, from scalars or coefficient fields."""
+    return _form(1, ((BasisForm(1 << i), coerce_field(c)) for i, c in enumerate((x, y, z, t))))
+
+
 @dataclass(frozen=True)
 class MaterialParams:
     """Diffusion and convection data: alpha, epsilon and the spatial field.

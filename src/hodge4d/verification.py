@@ -25,12 +25,12 @@ from .convdiff import (
 )
 from .fields import PolyField
 from .forms import (
-    BasisForm,
     KForm,
     MaterialParams,
     basis_forms,
     exterior_derivative,
     interior_product_dt,
+    one_form,
     wedge,
 )
 from .tables import CheckResult, double_star_checks, star_table_checks
@@ -162,18 +162,18 @@ def check_anticommutativity(rng, count) -> list:
 
 def check_interior_product(rng, count) -> list:
     """Contraction against a dt wedge: signed antiderivation on basis forms."""
-    n_t = KForm(1, {BasisForm(0b1000): 1})
+    n_t = one_form(0, 0, 0, 1)
     bad = ""
-    for degree in range(4):
-        for basis in basis_forms(degree):
-            w = KForm(degree, {basis: 1})
-            lhs = interior_product_dt(wedge(n_t, w))
-            if degree >= 1:
-                lhs = lhs + wedge(n_t, interior_product_dt(w))
-            spatial_count = basis.degree - (1 if basis.contains_dt else 0)
-            expected = w if spatial_count % 2 == 0 else -w
-            if lhs != expected:
-                bad = f"basis {basis.label}"
+    for basis in (b for degree in range(4) for b in basis_forms(degree)):
+        w = KForm(basis.degree, {basis: 1})
+        lhs = interior_product_dt(wedge(n_t, w))
+        if basis.degree >= 1:
+            lhs = lhs + wedge(n_t, interior_product_dt(w))
+        spatial_count = basis.degree - (1 if basis.contains_dt else 0)
+        expected = w if spatial_count % 2 == 0 else -w
+        if lhs != expected:
+            bad = f"basis {basis.label}"
+            break
 
     def nilpotent():
         twice = interior_product_dt(interior_product_dt(random_kform(rng, rng.randint(1, 4))))

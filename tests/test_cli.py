@@ -465,7 +465,7 @@ _EXPECTED_FAILURES = {
         "FAIL graded-leibniz[3,0] x1: instance #0",
     ],
     "interior_product_dt": [
-        "FAIL interior-product-antiderivation[signed]: basis dy^dz^dt",
+        "FAIL interior-product-antiderivation[signed]: basis 1",
         "FAIL interior-product-nilpotent x10: instance #0",
     ],
     "potential-accepted": [
@@ -493,7 +493,7 @@ _EXPECTED_FAILURES = {
         "FAIL wedge-anticommute[1,1] x1: instance #0",
         "FAIL wedge-anticommute[1,3] x1: instance #0",
         "FAIL wedge-anticommute[3,1] x1: instance #0",
-        "FAIL interior-product-antiderivation[signed]: basis dy^dz^dt",
+        "FAIL interior-product-antiderivation[signed]: basis dx",
     ],
 }
 

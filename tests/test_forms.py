@@ -1,8 +1,11 @@
+import ast
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hodge4d
 from hodge4d.fields import PolyField
 from hodge4d.forms import (
     BasisForm,
@@ -17,6 +20,7 @@ from hodge4d.forms import (
     hodge_star,
     interior_product_dt,
     merge_sign,
+    one_form,
     parse_basis_label,
     scaled_hodge_star,
     spatial_form,
@@ -357,3 +361,34 @@ def test_material_params_validation():
         MaterialParams(epsilon=Fraction(-1, 2))
     m = MaterialParams(beta=(1, 2, 3))
     assert m.beta[2] == PolyField.constant(3)
+
+
+def test_one_form_coerces_and_drops_zeros(xyzt):
+    x = xyzt[0]
+    w = one_form(x, 0, Fraction(1, 2), -1)
+    assert w == KForm(1, {BasisForm(0b0001): x, BasisForm(0b0100): Fraction(1, 2), BasisForm(0b1000): -1})
+    assert one_form(0, 0, 0, 0) == KForm.zero(1)
+    assert spatial_parts(w) == (x, 0, Fraction(1, 2)) and temporal_parts(w) == -1
+
+
+# the basis encoding (masks, the dt bit, the parity rule) is private to forms.py
+_ENCODING_NAMES = {"T_BIT", "FULL_MASK", "merge_sign", "star_sign"}
+
+
+def test_only_forms_knows_the_basis_encoding():
+    leaks = []
+    for path in sorted(Path(hodge4d.__file__).parent.glob("*.py")):
+        if path.name == "forms.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("forms", "hodge4d.forms"):
+                leaks += [
+                    f"{path.name}:{node.lineno} imports {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") or alias.name in _ENCODING_NAMES
+                ]
+            elif isinstance(node, ast.Attribute) and node.attr == "mask":
+                leaks.append(f"{path.name}:{node.lineno} reads .mask")
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "BasisForm":
+                leaks.append(f"{path.name}:{node.lineno} builds a BasisForm from a mask")
+    assert leaks == []
