@@ -37,15 +37,29 @@ class DegreeUnderflowWarning(UserWarning):
     """Codifferential applied below 0-forms; the result is taken to be zero."""
 
 
-@dataclass(frozen=True)
 class BasisForm:
-    """One of the sixteen wedge-product basis elements, as an axis bitmask."""
+    """One of the sixteen wedge-product basis elements, as an axis bitmask.
 
-    mask: int
+    ``BasisForm(mask)`` returns one of sixteen shared, immutable instances,
+    so equality and hashing are identity; copies and unpickled values are
+    the shared instance too.
+    """
 
-    def __post_init__(self):
-        if not 0 <= self.mask <= FULL_MASK:
-            raise ValueError(f"mask out of range: {self.mask}")
+    __slots__ = ("mask",)
+
+    def __new__(cls, mask):
+        if not 0 <= mask <= FULL_MASK:
+            raise ValueError(f"mask out of range: {mask}")
+        return _BASIS[mask]  # a non-int mask such as 2.0 raises TypeError here
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BasisForm is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"BasisForm is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):  # copy, deepcopy and pickle go through BasisForm(mask)
+        return BasisForm, (self.mask,)
 
     @property
     def degree(self) -> int:
@@ -61,7 +75,7 @@ class BasisForm:
 
     @property
     def complement(self) -> "BasisForm":
-        return BasisForm(self.mask ^ FULL_MASK)
+        return _BASIS[self.mask ^ FULL_MASK]
 
     @property
     def label(self) -> str:
@@ -89,9 +103,19 @@ class BasisForm:
         return f"BasisForm({self.label})"
 
 
+def _basis_instance(mask: int) -> BasisForm:
+    basis = object.__new__(BasisForm)
+    object.__setattr__(basis, "mask", mask)
+    return basis
+
+
+# the sixteen shared instances, indexed by mask
+_BASIS = tuple(_basis_instance(mask) for mask in range(FULL_MASK + 1))
+
+
 def basis_forms(degree: int) -> list:
     """All basis forms of one degree, in increasing mask order."""
-    return [BasisForm(m) for m in range(16) if m.bit_count() == degree]
+    return [basis for basis in _BASIS if basis.degree == degree]
 
 
 def merge_sign(mask_a: int, mask_b: int) -> int:
@@ -105,9 +129,9 @@ def merge_sign(mask_a: int, mask_b: int) -> int:
     return -1 if inversions % 2 else 1
 
 
-def star_sign(mask: int) -> int:
-    """Parity of the permutation (axes(mask), axes(complement)) of (x,y,z,t)."""
-    return merge_sign(mask, mask ^ FULL_MASK)
+# _SIGN[a][b] == merge_sign(a, b), read by the form operations' inner loops;
+# the star's sign for mask a is _SIGN[a][a ^ FULL_MASK]
+_SIGN = tuple(tuple(merge_sign(a, b) for b in range(FULL_MASK + 1)) for a in range(FULL_MASK + 1))
 
 
 def _signed(sign: int, coeff):
@@ -157,7 +181,7 @@ class KForm:
 
     @classmethod
     def from_scalar(cls, value) -> "KForm":
-        return cls(0, {BasisForm(0): coerce_field(value)})
+        return cls(0, {_BASIS[0]: coerce_field(value)})
 
     # -- queries ------------------------------------------------------------
 
@@ -229,7 +253,7 @@ def _form(degree: int, images) -> KForm:
     for basis, coeff in images:
         total = comps.get(basis)
         comps[basis] = coeff if total is None else total + coeff
-    for basis, coeff in list(comps.items()):  # in place: hashing a BasisForm is a Python call
+    for basis, coeff in list(comps.items()):
         if isinstance(coeff, ExpPolyField) and coeff.weight.is_zero:
             comps[basis] = coeff = coeff.amplitude
         if coeff.is_zero:
@@ -242,7 +266,7 @@ def _form(degree: int, images) -> KForm:
 
 def one_form(x, y, z, t) -> KForm:
     """The 1-form x dx + y dy + z dz + t dt, from scalars or coefficient fields."""
-    return _form(1, ((BasisForm(1 << i), coerce_field(c)) for i, c in enumerate((x, y, z, t))))
+    return _form(1, ((_BASIS[1 << i], coerce_field(c)) for i, c in enumerate((x, y, z, t))))
 
 
 @dataclass(frozen=True)
@@ -292,25 +316,29 @@ def wedge(a: KForm, b: KForm) -> KForm:
     degree = a.degree + b.degree
     if degree > 4:
         return KForm.zero(degree)
-    return _form(degree, (
-        (BasisForm(ba.mask | bb.mask), _signed(sign, ca * cb))
-        for ba, ca in a.items()
-        for bb, cb in b.items()
-        if (sign := merge_sign(ba.mask, bb.mask))
-    ))
+    b_items = [(bb.mask, cb) for bb, cb in b.items()]
+    images = []
+    for ba, ca in a.items():
+        mask_a = ba.mask
+        signs = _SIGN[mask_a]
+        for mask_b, cb in b_items:
+            if sign := signs[mask_b]:
+                images.append((_BASIS[mask_a | mask_b], _signed(sign, ca * cb)))
+    return _form(degree, images)
 
 
 def exterior_derivative(w: KForm) -> KForm:
     """Degree-raising derivative; satisfies d(d(w)) = 0 exactly."""
     images = []
     for basis, coeff in w.items():
+        mask = basis.mask
         for axis in range(4):
             bit = 1 << axis
-            if basis.mask & bit:
+            if mask & bit:
                 continue
             dc = coeff.diff(axis)
             if not dc.is_zero:
-                images.append((BasisForm(basis.mask | bit), _signed(merge_sign(bit, basis.mask), dc)))
+                images.append((_BASIS[mask | bit], _signed(_SIGN[bit][mask], dc)))
     return _form(w.degree + 1, images)
 
 
@@ -320,9 +348,11 @@ def _star(w: KForm, factors=None) -> KForm:
         raise ValueError(f"no star for degree {w.degree}")
     images = []
     for basis, coeff in w.items():
+        mask = basis.mask
         if factors:
-            coeff = coeff * factors[basis.contains_dt]
-        images.append((basis.complement, _signed(star_sign(basis.mask), coeff)))
+            coeff = coeff * factors[mask >> T]  # 1 exactly when dt is present
+        complement = mask ^ FULL_MASK
+        images.append((_BASIS[complement], _signed(_SIGN[mask][complement], coeff)))
     return _form(4 - w.degree, images)
 
 
@@ -380,7 +410,7 @@ def interior_product_dt(w: KForm) -> KForm:
     """
     if w.degree == 0:
         return KForm.zero(0)
-    return _form(w.degree - 1, ((BasisForm(b.mask ^ T_BIT), c) for b, c in w.items() if b.contains_dt))
+    return _form(w.degree - 1, ((_BASIS[b.mask ^ T_BIT], c) for b, c in w.items() if b.mask & T_BIT))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .convdiff import (
     make_potential,
     unified_operator,
 )
-from .fields import PolyField
+from .fields import PolyField, _field
 from .forms import (
     KForm,
     MaterialParams,
@@ -79,14 +79,22 @@ def random_fraction(rng: random.Random, zero_ok=True) -> Fraction:
 
 
 def random_poly(rng: random.Random, max_degree=3, max_terms=4) -> PolyField:
-    terms = {}
+    """Sum of up to ``max_terms`` monomials with ``random_fraction`` coefficients.
+
+    It makes the same draws as summing ``random_fraction`` values, but keeps
+    each coefficient as an int over 12 = lcm(1..4) and builds the field
+    without re-validating it.
+    """
+    num = {}
     for _ in range(rng.randint(1, max_terms)):
         exps = [0, 0, 0, 0]
         budget = rng.randint(0, max_degree)
         for _ in range(budget):
             exps[rng.randrange(4)] += 1
-        terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + random_fraction(rng)
-    return PolyField(terms)
+        exps = tuple(exps)
+        numerator = rng.randint(-4, 4)
+        num[exps] = num.get(exps, 0) + numerator * (12 // rng.randint(1, 4))
+    return _field(num, 12)
 
 
 def random_kform(rng: random.Random, degree: int, max_degree=3) -> KForm:

@@ -4,17 +4,21 @@ Every operation is run on both representations of the same random fields;
 the coefficients, the printed text and equality must agree, and every result
 must be in canonical form: nonzero int numerators over a positive int
 denominator with ``gcd(den, *numerators) == 1`` (so the zero field has
-``den == 1``).
+``den == 1``).  The random polynomials of ``verification`` are checked
+against their ``Fraction``-built oracle in the same way.
 """
 
+import random
 from fractions import Fraction
 from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import random_reference
 from fraction_reference import FractionPolyField
 from hodge4d.fields import PolyField
+from hodge4d.verification import random_poly
 
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 _large = st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**6))
@@ -69,3 +73,29 @@ def test_equality_matches_fraction_oracle(ta, tb, s):
     assert (a + b) - b == a
     assert a * (b + 1) - a * b == a
     assert (a * s) + (a * (1 - s)) == a
+
+
+@settings(max_examples=200, deadline=None)
+@given(_terms, _coeffs)
+def test_constant_and_zero_operands_match_fraction_oracle(ta, c):
+    a, ra = PolyField(ta), FractionPolyField(ta)
+    for value in (c, Fraction(0)):
+        k, rk = PolyField.constant(value), FractionPolyField.constant(value)
+        assert_matches(a * k, ra * rk)
+        assert_matches(k * a, rk * ra)
+        assert_matches(a + k, ra + rk)
+        assert_matches(k + a, rk + ra)
+        assert_matches(k * k, rk * rk)
+        assert_matches(k + k, rk + rk)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64), st.integers(0, 6), st.integers(1, 8))
+def test_random_poly_matches_the_fraction_built_oracle(seed, max_degree, max_terms):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        field = random_poly(rng, max_degree=max_degree, max_terms=max_terms)
+        ref = random_reference.random_poly(ref_rng, max_degree=max_degree, max_terms=max_terms)
+        assert_canonical(field)
+        assert (field.num, field.den) == (ref.num, ref.den)
+        assert rng.getstate() == ref_rng.getstate()

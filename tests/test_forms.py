@@ -1,5 +1,7 @@
 import ast
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -84,6 +86,52 @@ def test_merge_sign_matches_oracle(rng):
 def test_parse_cyclic_label():
     basis, sign = parse_basis_label("dz^dx")
     assert basis.label == "dx^dz" and sign == -1
+
+
+def test_basis_forms_are_sixteen_shared_instances():
+    for mask in range(16):
+        assert BasisForm(mask) is BasisForm(mask)
+        assert BasisForm(mask).mask == mask
+    assert len({BasisForm(mask) for mask in range(16)}) == 16
+
+
+@pytest.mark.parametrize("mask", [-1, 16])
+def test_basis_mask_out_of_range_is_rejected(mask):
+    with pytest.raises(ValueError, match="mask out of range"):
+        BasisForm(mask)
+
+
+def test_basis_mask_must_be_an_int():
+    with pytest.raises(TypeError):
+        BasisForm(2.0)
+
+
+def test_basis_forms_are_immutable():
+    basis = BasisForm(0b0011)
+    with pytest.raises(AttributeError):
+        basis.mask = 0b0101
+    with pytest.raises(AttributeError):
+        del basis.mask
+    assert basis.mask == 0b0011
+
+
+def test_copies_of_a_basis_form_are_the_shared_instance():
+    for basis in map(BasisForm, range(16)):
+        assert copy.copy(basis) is basis
+        assert copy.deepcopy(basis) is basis
+        assert pickle.loads(pickle.dumps(basis)) is basis
+    w = one_form(1, Fraction(1, 2), 0, -3)
+    assert copy.deepcopy(w) == w
+    assert pickle.loads(pickle.dumps(w)) == w
+
+
+def test_forms_keyed_by_constructed_bases_equal_operation_results(xyzt):
+    x, y, z, t = xyzt
+    computed = wedge(one_form(1, 0, 0, 0), one_form(0, x, 0, y))  # x dx^dy + y dx^dt
+    for keys in ((BasisForm(0b0011), BasisForm(0b1001)), (0b0011, 0b1001)):
+        built = KForm(2, dict(zip(keys, (x, y))))
+        assert built == computed and hash(built) == hash(computed)
+        assert all(a is b for a, b in zip(built.components, computed.components))
 
 
 # -- wedge --------------------------------------------------------------------
