@@ -146,10 +146,6 @@ class PolyField:
                 other = PolyField.constant(other)
             except TypeError:
                 return NotImplemented
-        if not other.num:
-            return self
-        if not self.num:
-            return other
         den, oden = self.den, other.den
         g = gcd(den, oden)
         scale, oscale = oden // g, den // g
@@ -177,21 +173,14 @@ class PolyField:
                 other = PolyField.constant(other)
             except TypeError:
                 return NotImplemented
-        snum, onum = self.num, other.num
-        den = self.den * other.den
-        if len(snum) == 1 and _ORIGIN in snum:  # a constant factor goes on the right
-            snum, onum = onum, snum
-        if len(onum) == 1 and _ORIGIN in onum:  # and scales each numerator
-            c = onum[_ORIGIN]
-            return _field({e: v * c for e, v in snum.items()}, den)
         num = {}
-        onum = onum.items()
-        for ea, ca in snum.items():
+        onum = other.num.items()
+        for ea, ca in self.num.items():
             a0, a1, a2, a3 = ea
             for (b0, b1, b2, b3), cb in onum:
                 exps = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
                 num[exps] = num.get(exps, 0) + ca * cb
-        return _field(num, den)
+        return _field(num, self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -246,17 +246,7 @@ class ProblemConfig:
         perturbation decay.  Expressions go through ``parse_expression``.
         """
         u, alpha_e, beta_e = (parse_expression(e) for e in (expression, alpha, beta))
-        u_t = derivative(u, "t")
-        flux = substitute("alpha*u_x + beta*u", alpha=alpha_e, beta=beta_e, u=u, u_x=derivative(u, "x"))
-        transport = substitute("u_t - flux_x", u_t=u_t, flux_x=derivative(flux, "x"))
-        eps = parse_expression(epsilon)
-        if target == "spacetime":
-            f = substitute("transport - eps*u_tt", transport=transport, eps=eps, u_tt=derivative(u_t, "t"))
-            q = numpy_function(substitute("eps*u_t", eps=eps, u_t=u_t), "x", "t")
-        elif target == "limit":
-            f, q = transport, None
-        else:
-            raise ValueError(f"unknown target {target!r}")
+        f, q = manufactured_forcing(u, alpha_e, beta_e, epsilon, target)
         exact = numpy_function(u, "x", "t")
         return cls(
             alpha=_coefficient_data(alpha_e),
@@ -265,7 +255,7 @@ class ProblemConfig:
             f=numpy_function(f, "x", "t"),
             g=exact,
             scheme=scheme,
-            q_terminal=q,
+            q_terminal=None if q is None else numpy_function(q, "x", "t"),
             manufactured=exact,
         )
 
@@ -292,6 +282,25 @@ class ProblemConfig:
             g=numpy_function(parse_expression(g), "x", "t"),
             scheme=scheme,
         )
+
+
+def manufactured_forcing(u, alpha, beta, epsilon, target: str) -> tuple:
+    """Trees ``(f, q)`` of the forcing and terminal data that make the tree ``u`` exact.
+
+    ``alpha`` and ``beta`` are trees; ``epsilon`` goes through
+    ``parse_expression``.  ``target`` is as in ``ProblemConfig.from_manufactured``;
+    ``q`` is None for ``'limit'``.
+    """
+    u_t = derivative(u, "t")
+    flux = substitute("alpha*u_x + beta*u", alpha=alpha, beta=beta, u=u, u_x=derivative(u, "x"))
+    transport = substitute("u_t - flux_x", u_t=u_t, flux_x=derivative(flux, "x"))
+    eps = parse_expression(epsilon)
+    if target == "spacetime":
+        f = substitute("transport - eps*u_tt", transport=transport, eps=eps, u_tt=derivative(u_t, "t"))
+        return f, substitute("eps*u_t", eps=eps, u_t=u_t)
+    if target == "limit":
+        return transport, None
+    raise ValueError(f"unknown target {target!r}")
 
 
 def _coefficient_data(tree):

@@ -70,20 +70,24 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def random_fraction(rng: random.Random, zero_ok=True) -> Fraction:
+def _random_ratio(rng: random.Random, zero_ok=True) -> tuple:
+    """Numerator in -4..4 (nonzero unless ``zero_ok``) and denominator in 1..4."""
     num = rng.randint(-4, 4)
     if not zero_ok:
         while num == 0:
             num = rng.randint(-4, 4)
-    return Fraction(num, rng.randint(1, 4))
+    return num, rng.randint(1, 4)
+
+
+def random_fraction(rng: random.Random, zero_ok=True) -> Fraction:
+    return Fraction(*_random_ratio(rng, zero_ok))
 
 
 def random_poly(rng: random.Random, max_degree=3, max_terms=4) -> PolyField:
     """Sum of up to ``max_terms`` monomials with ``random_fraction`` coefficients.
 
-    It makes the same draws as summing ``random_fraction`` values, but keeps
-    each coefficient as an int over 12 = lcm(1..4) and builds the field
-    without re-validating it.
+    Each coefficient is kept as an int over 12, the lcm of the denominators
+    ``_random_ratio`` draws, and the field is built without re-validating it.
     """
     num = {}
     for _ in range(rng.randint(1, max_terms)):
@@ -92,8 +96,8 @@ def random_poly(rng: random.Random, max_degree=3, max_terms=4) -> PolyField:
         for _ in range(budget):
             exps[rng.randrange(4)] += 1
         exps = tuple(exps)
-        numerator = rng.randint(-4, 4)
-        num[exps] = num.get(exps, 0) + numerator * (12 // rng.randint(1, 4))
+        numerator, denominator = _random_ratio(rng)
+        num[exps] = num.get(exps, 0) + numerator * (12 // denominator)
     return _field(num, 12)
 
 

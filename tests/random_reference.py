@@ -3,7 +3,8 @@
 It is kept as a test oracle: each coefficient is drawn as a ``Fraction``,
 the coefficients of one monomial are summed as ``Fraction`` values, and the
 field goes through the validating ``PolyField`` constructor.  The draws from
-``rng`` are the ones ``verification.random_poly`` must make, in the same order.
+``rng`` are the ones ``verification.random_poly`` and ``random_fraction``
+must make, in the same order.
 """
 
 import random

@@ -7,15 +7,8 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hodge4d.expressions import (
-    FUNCTIONS,
-    ExpressionError,
-    derivative,
-    numpy_function,
-    parse_expression,
-    substitute,
-)
-from hodge4d.solver import ProblemConfig
+from hodge4d.expressions import FUNCTIONS, ExpressionError, numpy_function, parse_expression
+from hodge4d.solver import ProblemConfig, manufactured_forcing
 
 XS, TS = np.meshgrid(np.linspace(0.05, 0.95, 9), np.linspace(0.05, 0.95, 7))
 
@@ -117,17 +110,6 @@ def _magnitude(node):
     return value, np.abs(value)
 
 
-def _engine_forcing(u, alpha, beta, eps, target):
-    """The tree of the forcing, built from the engine's parts as ``from_manufactured`` builds it."""
-    u, alpha, beta = (parse_expression(text) for text in (u, alpha, beta))
-    u_t = derivative(u, "t")
-    flux = substitute("alpha*u_x + beta*u", alpha=alpha, beta=beta, u=u, u_x=derivative(u, "x"))
-    forcing = substitute("u_t - flux_x", u_t=u_t, flux_x=derivative(flux, "x"))
-    if target == "spacetime":
-        forcing = substitute("f - eps*u_tt", f=forcing, eps=ast.Constant(eps), u_tt=derivative(u_t, "t"))
-    return forcing
-
-
 def _trees(leaves):
     """Whitelisted expression text over ``leaves``, a few operations deep."""
 
@@ -170,7 +152,8 @@ def test_forcing_matches_the_sympy_oracle(u, alpha, beta, target):
         parts = [_sympy_values(term) for term in terms]
         want = sum(parts)
         got = np.broadcast_to(config.f(XS, TS), XS.shape)
-        engine_size = np.broadcast_to(_magnitude(_engine_forcing(u, alpha, beta, eps, target))[1], XS.shape)
+        forcing, _ = manufactured_forcing(*(parse_expression(e) for e in (u, alpha, beta)), eps, target)
+        engine_size = np.broadcast_to(_magnitude(forcing)[1], XS.shape)
         near_kink = np.zeros(XS.shape, dtype=bool)
         for kink in (a.args[0] for e in (u_e, a_e, b_e) for a in e.atoms(sympy.Abs)):
             near_kink |= ~(np.abs(_sympy_values(kink)) > 1e-9)

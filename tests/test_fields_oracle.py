@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import random_reference
 from fraction_reference import FractionPolyField
 from hodge4d.fields import PolyField
-from hodge4d.verification import random_poly
+from hodge4d.verification import random_fraction, random_poly
 
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 _large = st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**6))
@@ -98,4 +98,7 @@ def test_random_poly_matches_the_fraction_built_oracle(seed, max_degree, max_ter
         ref = random_reference.random_poly(ref_rng, max_degree=max_degree, max_terms=max_terms)
         assert_canonical(field)
         assert (field.num, field.den) == (ref.num, ref.den)
+        assert rng.getstate() == ref_rng.getstate()
+    for zero_ok in (True, False):
+        assert random_fraction(rng, zero_ok) == random_reference.random_fraction(ref_rng, zero_ok)
         assert rng.getstate() == ref_rng.getstate()
