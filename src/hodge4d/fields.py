@@ -12,12 +12,22 @@ fluxes.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import or_
 
 AXES = ("x", "y", "z", "t")
 X, Y, Z, T = range(4)
 _AXIS_BY_NAME = {name: idx for idx, name in enumerate(AXES)}
-_ORIGIN = (0, 0, 0, 0)
+
+# A monomial x^a y^b z^c t^d is one int key with 16 bits per axis: x at bit
+# 0, y at 16, z at 32, t at 48.  Products of monomials add keys.  The top bit
+# of each field is a guard: exponents stop at 2**15 - 1, so a sum of two
+# valid exponents cannot carry into the next field, and any sum past the
+# limit sets a guard bit instead of wrapping.
+MAX_EXPONENT = 2**15 - 1
+_GUARD = 0x8000_8000_8000_8000
+_SHIFT = {0: 0, 1: 16, 2: 32, 3: 48, "x": 0, "y": 16, "z": 32, "t": 48}
 
 
 def axis_index(axis) -> int:
@@ -31,6 +41,36 @@ def axis_index(axis) -> int:
     if not 0 <= axis <= 3:
         raise ValueError(f"axis index out of range: {axis}")
     return axis
+
+
+def _shift(axis) -> int:
+    """Bit offset of one axis's exponent in a monomial key."""
+    try:
+        return _SHIFT[axis]
+    except (KeyError, TypeError):
+        return 16 * axis_index(axis)  # raises the messages of axis_index
+
+
+def _pack(exps) -> int:
+    """Key of one exponent 4-sequence; ``ValueError`` outside 0..MAX_EXPONENT."""
+    e0, e1, e2, e3 = exps
+    if (e0 | e1 | e2 | e3) & ~MAX_EXPONENT:  # also catches negative exponents
+        raise ValueError(f"bad exponent tuple {tuple(exps)!r}: exponents lie in 0..{MAX_EXPONENT}")
+    return e0 | e1 << 16 | e2 << 32 | e3 << 48
+
+
+def _exponents(key: int) -> tuple:
+    return (key & MAX_EXPONENT, key >> 16 & MAX_EXPONENT, key >> 32 & MAX_EXPONENT, key >> 48)
+
+
+def _check_exponents(num: dict, operation: str) -> None:
+    """Raise if any key of a raw result has an exponent past the limit.
+
+    Runs before ``_field`` drops zero numerators, so a term that overflowed
+    cannot vanish silently.
+    """
+    if reduce(or_, num, 0) & _GUARD:
+        raise OverflowError(f"{operation}: exponent above {MAX_EXPONENT}")
 
 
 def _scalar(value) -> Fraction:
@@ -47,15 +87,20 @@ def _scalar(value) -> Fraction:
 def _field(num: dict, den: int) -> "PolyField":
     """Trusted constructor for arithmetic results.
 
-    ``num`` maps valid exponent tuples to ints and ``den`` is a positive int;
+    ``num`` maps valid monomial keys to ints and ``den`` is a positive int;
     only zero numerators are dropped and the gcd is divided out.
     """
     if 0 in num.values():
-        num = {e: c for e, c in num.items() if c}
+        num = {k: c for k, c in num.items() if c}
+    return _lowest(num, den)
+
+
+def _lowest(num: dict, den: int) -> "PolyField":
+    """``_field`` for numerators known to be nonzero: only the gcd is divided out."""
     if den != 1:
         g = gcd(den, *num.values())  # den itself when num is empty
         if g != 1:
-            num = {e: c // g for e, c in num.items()}
+            num = {k: c // g for k, c in num.items()}
             den //= g
     field = object.__new__(PolyField)
     field.num = num
@@ -66,14 +111,17 @@ def _field(num: dict, den: int) -> "PolyField":
 class PolyField:
     """Polynomial in (x, y, z, t) with exact rational coefficients.
 
-    ``num`` maps exponent 4-tuples to nonzero int numerators over the one
+    ``num`` maps monomial keys to nonzero int numerators over the one
     positive denominator ``den``, with ``gcd(den, *num.values()) == 1`` (so
     the zero field has ``den == 1``): equal polynomials have equal
-    ``(num, den)``.  ``terms`` gives the coefficients as exponents ->
-    ``Fraction``.  The constructor validates its input; arithmetic results
-    come from a trusted internal one.  Instances are immutable by
-    convention; every operation returns a fresh object, so values can be
-    shared freely across threads.
+    ``(num, den)``.  A key packs the four exponents of a monomial into one
+    int, 16 bits per axis, and only this module reads it; exponents are at
+    most ``MAX_EXPONENT`` (32767), and an operation whose result would pass
+    it raises instead of wrapping.  ``terms`` gives the coefficients as
+    exponent 4-tuples -> ``Fraction``.  The constructor validates its input;
+    ``from_numerators`` and arithmetic results are trusted.  Instances are
+    immutable by convention; every operation returns a fresh object, so
+    values can be shared freely across threads.
     """
 
     __slots__ = ("num", "den")
@@ -85,34 +133,47 @@ class PolyField:
             if coeff == 0:
                 continue
             exps = tuple(int(e) for e in exps)
-            if len(exps) != 4 or min(exps) < 0:
+            if len(exps) != 4:
                 raise ValueError(f"bad exponent tuple {exps!r}")
-            coeffs[exps] = coeff
+            coeffs[_pack(exps)] = coeff
         # reduced coefficients over their lcm are already in lowest terms
         den = lcm(*(c.denominator for c in coeffs.values()))
-        self.num = {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
+        self.num = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
         self.den = den
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_numerators(cls, terms, den: int) -> "PolyField":
+        """Trusted constructor: ``(exponents, numerator)`` pairs over ``den``.
+
+        ``exponents`` are 4-sequences of ints, numerators are ints (repeated
+        exponents are summed) and ``den`` is a positive int.  Only the
+        exponent range is checked; zero numerators are dropped and the
+        result is brought to lowest terms.
+        """
+        num = {}
+        for exps, c in terms:
+            key = _pack(exps)
+            num[key] = num.get(key, 0) + c
+        return _field(num, den)
+
+    @classmethod
     def zero(cls) -> "PolyField":
-        return _field({}, 1)
+        return _lowest({}, 1)
 
     @classmethod
     def one(cls) -> "PolyField":
-        return _field({_ORIGIN: 1}, 1)
+        return _lowest({0: 1}, 1)
 
     @classmethod
     def constant(cls, value) -> "PolyField":
         value = _scalar(value)
-        return _field({_ORIGIN: value.numerator}, value.denominator)
+        return _field({0: value.numerator}, value.denominator)
 
     @classmethod
     def variable(cls, axis) -> "PolyField":
-        exps = [0, 0, 0, 0]
-        exps[axis_index(axis)] = 1
-        return _field({tuple(exps): 1}, 1)
+        return _lowest({1 << _shift(axis): 1}, 1)
 
     @classmethod
     def coerce(cls, value) -> "PolyField":
@@ -126,15 +187,15 @@ class PolyField:
     def terms(self) -> dict:
         """The coefficients as a fresh dict: exponent tuple -> ``Fraction``."""
         den = self.den
-        return {e: Fraction(c, den) for e, c in self.num.items()}
+        return {_exponents(k): Fraction(c, den) for k, c in self.num.items()}
 
     @property
     def is_zero(self) -> bool:
         return not self.num
 
     def depends_on(self, axis) -> bool:
-        idx = axis_index(axis)
-        return any(e[idx] > 0 for e in self.num)
+        shift = _shift(axis)
+        return any(k >> shift & MAX_EXPONENT for k in self.num)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -149,15 +210,15 @@ class PolyField:
         den, oden = self.den, other.den
         g = gcd(den, oden)
         scale, oscale = oden // g, den // g
-        num = {e: c * scale for e, c in self.num.items()}
-        for exps, c in other.num.items():
-            num[exps] = num.get(exps, 0) + c * oscale
+        num = {k: c * scale for k, c in self.num.items()}
+        for k, c in other.num.items():
+            num[k] = num.get(k, 0) + c * oscale
         return _field(num, den * scale)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _field({e: -c for e, c in self.num.items()}, self.den)
+        return _lowest({k: -c for k, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, (PolyField, ExpPolyField)) else -PolyField.constant(other))
@@ -174,12 +235,13 @@ class PolyField:
             except TypeError:
                 return NotImplemented
         num = {}
+        get = num.get
         onum = other.num.items()
-        for ea, ca in self.num.items():
-            a0, a1, a2, a3 = ea
-            for (b0, b1, b2, b3), cb in onum:
-                exps = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
-                num[exps] = num.get(exps, 0) + ca * cb
+        for ka, ca in self.num.items():
+            for kb, cb in onum:
+                k = ka + kb
+                num[k] = get(k, 0) + ca * cb
+        _check_exponents(num, "product")
         return _field(num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -193,50 +255,52 @@ class PolyField:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:  # no square past the last bit: it could overflow needlessly
+                base = base * base
         return out
 
     # -- calculus ------------------------------------------------------------
 
     def diff(self, axis) -> "PolyField":
-        idx = axis_index(axis)
+        shift = _shift(axis)
+        unit = 1 << shift
         num = {}
-        for exps, c in self.num.items():
-            e = exps[idx]
+        for k, c in self.num.items():
+            e = k >> shift & MAX_EXPONENT
             if e:  # lowering one exponent maps distinct monomials apart
-                num[exps[:idx] + (e - 1,) + exps[idx + 1 :]] = c * e
-        return _field(num, self.den)
+                num[k - unit] = c * e
+        return _lowest(num, self.den)
 
     def integrate(self, axis) -> "PolyField":
         """Antiderivative along one axis with zero integration constant."""
-        idx = axis_index(axis)
-        scale = lcm(*(exps[idx] + 1 for exps in self.num))
-        num = {
-            exps[:idx] + (exps[idx] + 1,) + exps[idx + 1 :]: c * (scale // (exps[idx] + 1))
-            for exps, c in self.num.items()
-        }
-        return _field(num, self.den * scale)
+        shift = _shift(axis)
+        unit = 1 << shift
+        scale = lcm(*((k >> shift & MAX_EXPONENT) + 1 for k in self.num))
+        num = {k + unit: c * (scale // ((k >> shift & MAX_EXPONENT) + 1)) for k, c in self.num.items()}
+        _check_exponents(num, "integral")
+        return _lowest(num, self.den * scale)
 
     def substitute(self, axis, value) -> "PolyField":
         """Partially evaluate one coordinate at an exact rational value."""
-        idx = axis_index(axis)
+        shift = _shift(axis)
+        clear = ~(MAX_EXPONENT << shift)
         value = _scalar(value)
         p, q = value.numerator, value.denominator
-        top = max((exps[idx] for exps in self.num), default=0)
+        top = max((k >> shift & MAX_EXPONENT for k in self.num), default=0)
         num = {}
-        for exps, c in self.num.items():
-            e = exps[idx]
-            new = exps[:idx] + (0,) + exps[idx + 1 :]
+        for k, c in self.num.items():
+            e = k >> shift & MAX_EXPONENT
+            new = k & clear
             num[new] = num.get(new, 0) + c * p**e * q ** (top - e)
         return _field(num, self.den * q**top)
 
     def evaluate(self, x, y, z, t) -> Fraction:
         point = tuple(_scalar(v) for v in (x, y, z, t))
         total = 0
-        for exps, c in self.num.items():
+        for k, c in self.num.items():
             term = c
-            for v, e in zip(point, exps):
+            for v, e in zip(point, _exponents(k)):
                 if e:
                     term *= v**e
             total += term
@@ -253,8 +317,8 @@ class PolyField:
 
     def __hash__(self):
         num = self.num
-        if num.keys() <= {_ORIGIN}:  # a constant hashes like its Fraction
-            return hash(Fraction(num.get(_ORIGIN, 0), self.den))
+        if num.keys() <= {0}:  # a constant hashes like its Fraction
+            return hash(Fraction(num.get(0, 0), self.den))
         return hash((self.den, frozenset(num.items())))
 
     def __bool__(self):
@@ -268,8 +332,7 @@ class PolyField:
         if not num:
             return "0"
         parts = []
-        for exps in sorted(num, key=lambda e: (sum(e), e)):
-            c = num[exps]
+        for _, exps, c in sorted((sum(e), e, c) for e, c in zip(map(_exponents, num), num.values())):
             g = gcd(c, den)
             coeff = str(c // g) if g == den else f"{c // g}/{den // g}"
             factors = []

@@ -23,7 +23,7 @@ from .convdiff import (
     make_potential,
     unified_operator,
 )
-from .fields import PolyField, _field
+from .fields import PolyField
 from .forms import (
     KForm,
     MaterialParams,
@@ -89,16 +89,15 @@ def random_poly(rng: random.Random, max_degree=3, max_terms=4) -> PolyField:
     Each coefficient is kept as an int over 12, the lcm of the denominators
     ``_random_ratio`` draws, and the field is built without re-validating it.
     """
-    num = {}
+    terms = []
     for _ in range(rng.randint(1, max_terms)):
         exps = [0, 0, 0, 0]
         budget = rng.randint(0, max_degree)
         for _ in range(budget):
             exps[rng.randrange(4)] += 1
-        exps = tuple(exps)
         numerator, denominator = _random_ratio(rng)
-        num[exps] = num.get(exps, 0) + numerator * (12 // denominator)
-    return _field(num, 12)
+        terms.append((exps, numerator * (12 // denominator)))
+    return PolyField.from_numerators(terms, 12)
 
 
 def random_kform(rng: random.Random, degree: int, max_degree=3) -> KForm:

@@ -1,10 +1,13 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodge4d.fields import ExpPolyField, PolyField, T, X, axis_index
+import hodge4d
+from hodge4d.fields import MAX_EXPONENT, ExpPolyField, PolyField, T, X, axis_index
 
 
 def test_constructor_drops_zero_terms():
@@ -39,6 +42,98 @@ def test_diff_and_integrate(xyzt):
     assert p.diff(T) == x * x
     assert p.diff(X).integrate(X) == p  # t-part has no pure-x constant
     assert p.diff("y").is_zero
+
+
+def test_diff_reduces_to_lowest_terms():
+    half_x2 = PolyField({(2, 0, 0, 0): Fraction(1, 2)})
+    d = half_x2.diff("x")
+    assert d.terms == {(1, 0, 0, 0): 1}
+    assert d.den == 1
+    assert d == PolyField.variable(X)
+
+
+def test_axis_given_by_name_or_index_agree(xyzt):
+    p = (xyzt[0] + 2) * xyzt[1] ** 2 * xyzt[3] ** 3
+    for name, index in zip("xyzt", range(4)):
+        assert p.diff(name) == p.diff(index)
+        assert p.integrate(name) == p.integrate(index)
+        assert p.substitute(name, 3) == p.substitute(index, 3)
+        assert p.depends_on(name) == p.depends_on(index)
+
+
+@pytest.mark.parametrize(
+    "axis, message",
+    [("w", "unknown axis 'w'"), (4, "axis index out of range: 4"), (-1, "axis index out of range: -1")],
+)
+def test_bad_axis_messages(xyzt, axis, message):
+    for op in (
+        xyzt[0].diff,
+        xyzt[0].integrate,
+        lambda a: xyzt[0].substitute(a, 1),
+        xyzt[0].depends_on,
+        PolyField.variable,
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            op(axis)
+
+
+def test_exponent_limit_in_the_constructor():
+    top = PolyField({(MAX_EXPONENT, 0, 0, MAX_EXPONENT): 3})
+    assert MAX_EXPONENT == 2**15 - 1
+    assert top.terms == {(MAX_EXPONENT, 0, 0, MAX_EXPONENT): 3}
+    assert str(top) == f"3*x^{MAX_EXPONENT}*t^{MAX_EXPONENT}"
+    for exps in [(2**15, 0, 0, 0), (0, 0, 0, 2**15), (0, 2**16, 0, 0), (0, 0, -1, 0)]:
+        with pytest.raises(ValueError):
+            PolyField({exps: 1})
+        with pytest.raises(ValueError):
+            PolyField.from_numerators([(exps, 1)], 1)
+
+
+def test_products_past_the_exponent_limit_raise(xyzt):
+    x, y, _, _ = xyzt
+    for axis, v in enumerate(xyzt):
+        exps = [0, 0, 0, 0]
+        exps[axis] = MAX_EXPONENT
+        top = PolyField({tuple(exps): 1})
+        other = (axis + 1) % 4  # products below the limit still work
+        bumped = list(exps)
+        bumped[other] = 1
+        assert (top * (xyzt[other] + 1)).terms == {tuple(exps): 1, tuple(bumped): 1}
+        with pytest.raises(OverflowError):
+            top * v
+        with pytest.raises(OverflowError):
+            v * (top + 1)
+    # two of the overflowing term pairs cancel; the product still raises
+    a = PolyField({(MAX_EXPONENT, 0, 0, 0): 1, (MAX_EXPONENT, 1, 0, 0): 1})
+    with pytest.raises(OverflowError):
+        a * (x * y - x)
+
+
+def test_power_past_the_exponent_limit_raises(xyzt):
+    x = xyzt[0]
+    assert (x ** 2**14).terms == {(2**14, 0, 0, 0): 1}
+    assert (x**MAX_EXPONENT).terms == {(MAX_EXPONENT, 0, 0, 0): 1}
+    with pytest.raises(OverflowError):
+        x ** 2**15
+    with pytest.raises(OverflowError):
+        (PolyField({(0, 0, 0, 2**14): 1}) + 1) ** 2
+
+
+def test_integral_past_the_exponent_limit_raises():
+    below = PolyField({(0, MAX_EXPONENT - 1, 0, 0): 1})
+    assert below.integrate("y").terms == {(0, MAX_EXPONENT, 0, 0): Fraction(1, MAX_EXPONENT)}
+    top = PolyField({(0, MAX_EXPONENT, 0, 0): 1, (1, 0, 0, 0): 1})
+    assert top.integrate("x").terms == {(1, MAX_EXPONENT, 0, 0): 1, (2, 0, 0, 0): Fraction(1, 2)}
+    with pytest.raises(OverflowError):
+        top.integrate("y")
+
+
+def test_from_numerators_sums_repeats_and_canonicalises():
+    p = PolyField.from_numerators([((1, 0, 0, 0), 3), ([1, 0, 0, 0], 3), ((0, 0, 0, 2), 4), ((0, 1, 0, 0), 0)], 12)
+    assert p == PolyField({(1, 0, 0, 0): Fraction(1, 2), (0, 0, 0, 2): Fraction(1, 3)})
+    assert p.terms == {(1, 0, 0, 0): Fraction(1, 2), (0, 0, 0, 2): Fraction(1, 3)}
+    cancelled = PolyField.from_numerators([((0, 0, 1, 0), 5), ((0, 0, 1, 0), -5)], 7)
+    assert cancelled.is_zero and cancelled == PolyField.zero()
 
 
 def test_substitute_and_evaluate(xyzt):
@@ -173,3 +268,105 @@ def test_equal_values_hash_equal(pair, a, b):
     assert hash(first) == hash(second)
     if a == b:
         assert hash(a) == hash(b)
+
+
+# the monomial encoding (packed int keys, the numerator map) is private to fields.py
+_FIELD_ATTRS = {"num", "den"}
+
+
+def _exponent_key_leaks(tree, name):
+    """Places that build a key of a mapping from exponent tuples or packed ints."""
+    tuple_names = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and _is_tuple(node.value, ())
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    leaks = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) and _is_tuple(node.slice, tuple_names):
+            leaks.append(f"{name}:{node.lineno} stores under a tuple key")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+            and node.args
+            and _is_tuple(node.args[0], tuple_names)
+        ):
+            leaks.append(f"{name}:{node.lineno} looks up a tuple key")
+        elif isinstance(node, (ast.Dict, ast.DictComp)):
+            keys = node.keys if isinstance(node, ast.Dict) else [node.key]
+            if any(k is not None and _is_tuple(k, tuple_names) for k in keys):
+                leaks.append(f"{name}:{node.lineno} builds a tuple-keyed dict")
+        elif (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, (ast.LShift, ast.RShift))
+            and isinstance(node.right, ast.Constant)
+            and node.right.value in (16, 32, 48)
+        ):
+            leaks.append(f"{name}:{node.lineno} shifts by a monomial field width")
+    return leaks
+
+
+def _is_tuple(node, tuple_names):
+    """A 4-tuple display (an exponent tuple), a ``tuple(...)`` call or a name bound to one."""
+    return (
+        (isinstance(node, ast.Tuple) and len(node.elts) == 4)
+        or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "tuple")
+        or (isinstance(node, ast.Name) and node.id in tuple_names)
+    )
+
+
+def _encoding_leaks(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    leaks = _exponent_key_leaks(tree, path.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("fields", "hodge4d.fields"):
+            leaks += [
+                f"{path.name}:{node.lineno} imports {alias.name}" for alias in node.names if alias.name.startswith("_")
+            ]
+        elif isinstance(node, ast.Attribute) and node.attr in _FIELD_ATTRS:
+            leaks.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and getattr(node.value, "id", None) == "fields"
+        ):
+            leaks.append(f"{path.name}:{node.lineno} reads fields.{node.attr}")
+    return leaks
+
+
+def test_only_fields_knows_the_monomial_encoding():
+    leaks = []
+    for path in sorted(Path(hodge4d.__file__).parent.glob("*.py")):
+        if path.name != "fields.py":
+            leaks += _encoding_leaks(path)
+    assert leaks == []
+
+
+def test_the_encoding_guard_catches_each_kind_of_leak(tmp_path):
+    source = tmp_path / "leaky.py"
+    source.write_text(
+        "from .fields import PolyField, _field\n"
+        "from . import fields\n"
+        "num = {}\n"
+        "exps = tuple([0, 0, 0, 1])\n"
+        "num[exps] = num.get(exps, 0) + 1\n"
+        "ones = {(0, 0, 0, 0): 1}\n"
+        "key = 1 << 48\n"
+        "f = fields._lowest(num, 1)\n"
+        "print(f.num, f.den)\n",
+        encoding="utf-8",
+    )
+    leaks = _encoding_leaks(source)
+    assert sorted(leaks, key=lambda leak: int(leak.split(":")[1].split()[0])) == [
+        "leaky.py:1 imports _field",
+        "leaky.py:5 stores under a tuple key",
+        "leaky.py:5 looks up a tuple key",
+        "leaky.py:6 builds a tuple-keyed dict",
+        "leaky.py:7 shifts by a monomial field width",
+        "leaky.py:8 reads fields._lowest",
+        "leaky.py:9 reads .num",
+        "leaky.py:9 reads .den",
+    ]

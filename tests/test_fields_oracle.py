@@ -2,22 +2,25 @@
 
 Every operation is run on both representations of the same random fields;
 the coefficients, the printed text and equality must agree, and every result
-must be in canonical form: nonzero int numerators over a positive int
-denominator with ``gcd(den, *numerators) == 1`` (so the zero field has
-``den == 1``).  The random polynomials of ``verification`` are checked
-against their ``Fraction``-built oracle in the same way.
+must be in canonical form: nonzero int numerators under packed monomial keys
+over a positive int denominator with ``gcd(den, *numerators) == 1`` (so the
+zero field has ``den == 1``).  Near the exponent limit the same operations
+must match the oracle or raise ``OverflowError`` exactly when the oracle's
+result passes the limit.  The random polynomials of ``verification`` are
+checked against their ``Fraction``-built oracle in the same way.
 """
 
 import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import random_reference
 from fraction_reference import FractionPolyField
-from hodge4d.fields import PolyField
+from hodge4d.fields import MAX_EXPONENT, PolyField
 from hodge4d.verification import random_fraction, random_poly
 
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -29,7 +32,13 @@ _scalars = st.one_of(st.integers(-(10**6), 10**6), _coeffs)
 _axes = st.integers(0, 3)
 
 
+# a monomial key holds four 16-bit exponent fields; the top bit of each is a
+# guard that a valid key never sets
+_GUARD_BITS = 0x8000_8000_8000_8000
+
+
 def assert_canonical(field):
+    assert all(type(k) is int and 0 <= k < 1 << 64 and not k & _GUARD_BITS for k in field.num)
     assert all(type(c) is int and c != 0 for c in field.num.values())
     assert type(field.den) is int and field.den > 0
     assert gcd(field.den, *field.num.values()) == 1  # gcd(den) == den: zero field has den 1
@@ -57,7 +66,10 @@ def test_operations_match_fraction_oracle(ta, tb, s, axis, n):
     assert_matches(a**n, ra**n)
     assert_matches(a.diff(axis), ra.diff(axis))
     assert_matches(a.integrate(axis), ra.integrate(axis))
-    assert_matches(a.substitute(axis, s), ra.substitute(axis, s))
+    # a value to the power 32767 has too many digits to print
+    partial = a.substitute(axis, s)
+    assert_canonical(partial)
+    assert partial.terms == ra.substitute(axis, s).terms
     point = (s, 2, Fraction(-3, 7), 0)
     assert a.evaluate(*point) == ra.evaluate(*point)
 
@@ -97,8 +109,48 @@ def test_random_poly_matches_the_fraction_built_oracle(seed, max_degree, max_ter
         field = random_poly(rng, max_degree=max_degree, max_terms=max_terms)
         ref = random_reference.random_poly(ref_rng, max_degree=max_degree, max_terms=max_terms)
         assert_canonical(field)
-        assert (field.num, field.den) == (ref.num, ref.den)
+        assert_canonical(ref)
+        assert field.terms == ref.terms  # canonical, so the same (num, den)
         assert rng.getstate() == ref_rng.getstate()
     for zero_ok in (True, False):
         assert random_fraction(rng, zero_ok) == random_reference.random_fraction(ref_rng, zero_ok)
         assert rng.getstate() == ref_rng.getstate()
+
+
+# exponents on both sides of half the limit and just below the limit, so
+# sums of two land on both sides of it
+_near_limit = st.one_of(
+    st.integers(0, 2),
+    st.integers(MAX_EXPONENT // 2 - 2, MAX_EXPONENT // 2 + 2),
+    st.integers(MAX_EXPONENT - 2, MAX_EXPONENT),
+)
+_high_terms = st.dictionaries(st.tuples(*[_near_limit] * 4), _small.filter(bool), max_size=4)
+_small_values = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+
+
+def _tops(ref):
+    return [max((e[i] for e in ref.terms), default=0) for i in range(4)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_high_terms, _high_terms, _axes, _small_values)
+def test_operations_near_the_exponent_limit_match_fraction_oracle(ta, tb, axis, s):
+    a, b = PolyField(ta), PolyField(tb)
+    ra, rb = FractionPolyField(ta), FractionPolyField(tb)
+    assert_matches(a, ra)
+    # the top exponent along an axis adds under products of nonzero fields
+    if not ra.is_zero and not rb.is_zero and any(p + q > MAX_EXPONENT for p, q in zip(_tops(ra), _tops(rb))):
+        with pytest.raises(OverflowError):
+            a * b
+    else:
+        assert_matches(a * b, ra * rb)
+    if _tops(ra)[axis] == MAX_EXPONENT:
+        with pytest.raises(OverflowError):
+            a.integrate(axis)
+    else:
+        assert_matches(a.integrate(axis), ra.integrate(axis))
+    assert_matches(a.diff(axis), ra.diff(axis))
+    # a value to the power 32767 has too many digits to print
+    partial = a.substitute(axis, s)
+    assert_canonical(partial)
+    assert partial.terms == ra.substitute(axis, s).terms
