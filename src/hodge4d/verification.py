@@ -87,7 +87,8 @@ def random_poly(rng: random.Random, max_degree=3, max_terms=4) -> PolyField:
     """Sum of up to ``max_terms`` monomials with ``random_fraction`` coefficients.
 
     Each coefficient is kept as an int over 12, the lcm of the denominators
-    ``_random_ratio`` draws, and the field is built without re-validating it.
+    ``_random_ratio`` draws, and the field is built through the trusted
+    ``PolyField.from_numerators``, which checks only the exponent range.
     """
     terms = []
     for _ in range(rng.randint(1, max_terms)):

@@ -66,10 +66,7 @@ def test_operations_match_fraction_oracle(ta, tb, s, axis, n):
     assert_matches(a**n, ra**n)
     assert_matches(a.diff(axis), ra.diff(axis))
     assert_matches(a.integrate(axis), ra.integrate(axis))
-    # a value to the power 32767 has too many digits to print
-    partial = a.substitute(axis, s)
-    assert_canonical(partial)
-    assert partial.terms == ra.substitute(axis, s).terms
+    assert_matches(a.substitute(axis, s), ra.substitute(axis, s))
     point = (s, 2, Fraction(-3, 7), 0)
     assert a.evaluate(*point) == ra.evaluate(*point)
 
