@@ -73,8 +73,11 @@ def _check_exponents(num: dict, operation: str) -> None:
         raise OverflowError(f"{operation}: exponent above {MAX_EXPONENT}")
 
 
-def _scalar(value) -> Fraction:
-    # Floats are rejected on purpose: this layer is exact.
+def exact_scalar(value) -> Fraction:
+    """The exact layer's one scalar rule: an int, ``Fraction`` or str as a ``Fraction``.
+
+    Floats are rejected on purpose (``TypeError``): this layer is exact.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
@@ -108,6 +111,45 @@ def _lowest(num: dict, den: int) -> "PolyField":
     return field
 
 
+def _sum(a: "PolyField", b: "PolyField", sign: int) -> "PolyField":
+    """``a + sign * b`` for ``sign`` 1 or -1, in one pass over each operand."""
+    den, oden = a.den, b.den
+    g = gcd(den, oden)
+    scale, oscale = oden // g, sign * (den // g)
+    num = dict(a.num) if scale == 1 else {k: c * scale for k, c in a.num.items()}
+    get = num.get
+    for k, c in b.num.items():
+        num[k] = get(k, 0) + c * oscale
+    return _field(num, den * scale)
+
+
+def _exp(weight: "PolyField", amplitude: "PolyField"):
+    """Trusted constructor for exponential results.
+
+    A zero weight or a zero amplitude gives the plain ``PolyField``
+    amplitude, so an ``ExpPolyField`` result has a nonzero weight and
+    a nonzero amplitude.
+    """
+    if weight.is_zero or amplitude.is_zero:
+        return amplitude
+    field = object.__new__(ExpPolyField)
+    field.weight = weight
+    field.amplitude = amplitude
+    return field
+
+
+def _sum_weight(a: "ExpPolyField", b: "ExpPolyField") -> "PolyField":
+    """The weight of a sum of two exponential fields; a zero field fits any weight."""
+    if a.is_zero:
+        return b.weight
+    if b.is_zero or a.weight == b.weight:
+        return a.weight
+    raise ValueError(
+        "cannot add exponential fields with different weights: "
+        f"exp({a.weight}) vs exp({b.weight})"
+    )
+
+
 class PolyField:
     """Polynomial in (x, y, z, t) with exact rational coefficients.
 
@@ -129,7 +171,7 @@ class PolyField:
     def __init__(self, terms=None):
         coeffs = {}
         for exps, coeff in (terms or {}).items():
-            coeff = _scalar(coeff)
+            coeff = exact_scalar(coeff)
             if coeff == 0:
                 continue
             exps = tuple(int(e) for e in exps)
@@ -168,7 +210,7 @@ class PolyField:
 
     @classmethod
     def constant(cls, value) -> "PolyField":
-        value = _scalar(value)
+        value = exact_scalar(value)
         return _field({0: value.numerator}, value.denominator)
 
     @classmethod
@@ -207,13 +249,7 @@ class PolyField:
                 other = PolyField.constant(other)
             except TypeError:
                 return NotImplemented
-        den, oden = self.den, other.den
-        g = gcd(den, oden)
-        scale, oscale = oden // g, den // g
-        num = {k: c * scale for k, c in self.num.items()}
-        for k, c in other.num.items():
-            num[k] = num.get(k, 0) + c * oscale
-        return _field(num, den * scale)
+        return _sum(self, other, 1)
 
     __radd__ = __add__
 
@@ -221,10 +257,12 @@ class PolyField:
         return _lowest({k: -c for k, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, (PolyField, ExpPolyField)) else -PolyField.constant(other))
+        if isinstance(other, ExpPolyField):  # a weight mismatch names the exponential weight first
+            return _exp(_sum_weight(other, ExpPolyField.coerce(self)), _sum(self, other.amplitude, -1))
+        return _sum(self, PolyField.coerce(other), -1)
 
     def __rsub__(self, other):
-        return PolyField.constant(other) + (-self)
+        return _sum(PolyField.constant(other), self, -1)
 
     def __mul__(self, other):
         if not isinstance(other, PolyField):
@@ -285,7 +323,7 @@ class PolyField:
         """Partially evaluate one coordinate at an exact rational value."""
         shift = _shift(axis)
         clear = ~(MAX_EXPONENT << shift)
-        value = _scalar(value)
+        value = exact_scalar(value)
         p, q = value.numerator, value.denominator
         top = max((k >> shift & MAX_EXPONENT for k in self.num), default=0)
         num = {}
@@ -296,7 +334,7 @@ class PolyField:
         return _field(num, self.den * q**top)
 
     def evaluate(self, x, y, z, t) -> Fraction:
-        point = tuple(_scalar(v) for v in (x, y, z, t))
+        point = tuple(exact_scalar(v) for v in (x, y, z, t))
         total = 0
         for k, c in self.num.items():
             term = c
@@ -360,7 +398,10 @@ class ExpPolyField:
     Differentiation stays inside the class: d(e^p q) = e^p (q dp + dq).
     Addition is defined only between values sharing the same weight, which is
     all the exponential-fitting computations ever need; products add weights.
-    A zero amplitude or zero weight collapses to plain polynomial semantics.
+    An operation whose result has a zero weight or a zero amplitude returns
+    the plain ``PolyField`` amplitude.  A value built directly with a zero
+    weight still equals and hashes like its amplitude, and ``coerce_field``
+    turns it into the amplitude.
     """
 
     __slots__ = ("weight", "amplitude")
@@ -388,52 +429,37 @@ class ExpPolyField:
             raise ValueError(f"nonzero exponential weight: exp({self.weight})")
         return self.amplitude
 
-    def diff(self, axis) -> "ExpPolyField":
-        return ExpPolyField(
-            self.weight,
-            self.amplitude * self.weight.diff(axis) + self.amplitude.diff(axis),
-        )
+    def diff(self, axis):
+        return _exp(self.weight, self.amplitude * self.weight.diff(axis) + self.amplitude.diff(axis))
 
-    def substitute(self, axis, value) -> "ExpPolyField":
-        return ExpPolyField(
-            self.weight.substitute(axis, value),
-            self.amplitude.substitute(axis, value),
-        )
+    def substitute(self, axis, value):
+        return _exp(self.weight.substitute(axis, value), self.amplitude.substitute(axis, value))
 
     def __add__(self, other):
         other = ExpPolyField.coerce(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.weight != other.weight:
-            raise ValueError(
-                "cannot add exponential fields with different weights: "
-                f"exp({self.weight}) vs exp({other.weight})"
-            )
-        return ExpPolyField(self.weight, self.amplitude + other.amplitude)
+        return _exp(_sum_weight(self, other), _sum(self.amplitude, other.amplitude, 1))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExpPolyField(self.weight, -self.amplitude)
+        return _exp(self.weight, -self.amplitude)
 
     def __sub__(self, other):
-        return self + (-ExpPolyField.coerce(other))
+        other = ExpPolyField.coerce(other)
+        return _exp(_sum_weight(self, other), _sum(self.amplitude, other.amplitude, -1))
 
     def __rsub__(self, other):
-        return ExpPolyField.coerce(other) + (-self)
+        other = ExpPolyField.coerce(other)
+        return _exp(_sum_weight(other, self), _sum(other.amplitude, self.amplitude, -1))
 
     def __mul__(self, other):
         other = ExpPolyField.coerce(other)
-        return ExpPolyField(self.weight + other.weight, self.amplitude * other.amplitude)
+        return _exp(self.weight + other.weight, self.amplitude * other.amplitude)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, ExpPolyField):
-            if self.is_zero and other.is_zero:
-                return True
             return self.weight == other.weight and self.amplitude == other.amplitude
         if isinstance(other, (PolyField, int, Fraction)):
             if not self.weight.is_zero:
@@ -456,7 +482,13 @@ class ExpPolyField:
 
 
 def coerce_field(value):
-    """Coerce scalars to PolyField; pass fields through unchanged."""
-    if isinstance(value, (PolyField, ExpPolyField)):
+    """A coefficient field from outside input.
+
+    Scalars become a ``PolyField`` and an ``ExpPolyField`` with zero weight
+    becomes its amplitude; other fields pass through unchanged.
+    """
+    if isinstance(value, PolyField):
         return value
+    if isinstance(value, ExpPolyField):
+        return value.amplitude if value.weight.is_zero else value
     return PolyField.constant(value)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Optional
 
-from .fields import AXES, ExpPolyField, PolyField, T, coerce_field
+from .fields import AXES, PolyField, T, coerce_field, exact_scalar
 
 FULL_MASK = 0b1111
 T_BIT = 1 << T
@@ -141,8 +141,8 @@ def _signed(sign: int, coeff):
 class KForm:
     """A differential form of fixed degree with exact coefficient fields.
 
-    ``components`` maps basis forms of matching degree to nonzero PolyField
-    or ExpPolyField coefficients; a missing component means zero.  Degrees
+    ``components`` maps basis forms of matching degree to nonzero coefficient
+    fields, as ``coerce_field`` gives them; a missing component means zero.  Degrees
     above four are permitted only for the explicit zero result of degree
     overflow (for example a wedge of two forms whose degrees sum past four)
     and those forms never carry components.
@@ -159,8 +159,6 @@ class KForm:
             if not isinstance(basis, BasisForm):
                 basis = BasisForm(int(basis))
             coeff = coerce_field(coeff)
-            if isinstance(coeff, ExpPolyField) and coeff.weight.is_zero:
-                coeff = coeff.amplitude
             if coeff.is_zero:
                 continue
             if basis.degree != degree:
@@ -246,16 +244,15 @@ def _form(degree: int, images) -> KForm:
     """Trusted constructor for operation results.
 
     ``images`` yields (basis, coefficient) pairs with bases of the right
-    degree and field coefficients.  Coefficients on one basis are summed,
-    a zero-weight ExpPolyField becomes its amplitude and zero sums are dropped.
+    degree and coefficients that are field operation results or have passed
+    ``coerce_field``.  Coefficients on one basis are summed and zero sums
+    are dropped.
     """
     comps = {}
     for basis, coeff in images:
         total = comps.get(basis)
         comps[basis] = coeff if total is None else total + coeff
     for basis, coeff in list(comps.items()):
-        if isinstance(coeff, ExpPolyField) and coeff.weight.is_zero:
-            comps[basis] = coeff = coeff.amplitude
         if coeff.is_zero:
             del comps[basis]
     form = object.__new__(KForm)
@@ -273,7 +270,8 @@ def one_form(x, y, z, t) -> KForm:
 class MaterialParams:
     """Diffusion and convection data: alpha, epsilon and the spatial field.
 
-    ``alpha`` and ``epsilon`` are exact positive rationals.  ``alpha_field``
+    ``alpha`` and ``epsilon`` are exact positive rationals (ints, ``Fraction``s
+    or strs such as ``"3/2"``; floats raise ``TypeError``).  ``alpha_field``
     optionally switches on a spatially varying diffusion coefficient; it is
     applied as a polynomial product outside the star operator and is accepted
     only by the operations documented to support it.
@@ -285,8 +283,8 @@ class MaterialParams:
     alpha_field: Optional[PolyField] = None
 
     def __post_init__(self):
-        alpha = Fraction(self.alpha)
-        epsilon = Fraction(self.epsilon)
+        alpha = exact_scalar(self.alpha)
+        epsilon = exact_scalar(self.epsilon)
         if alpha <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
         if epsilon <= 0:

@@ -139,6 +139,13 @@ class Grid1p1:
         """Coordinate arrays (x, t) of every node, each of shape ``shape``."""
         return np.meshgrid(self.xs, self.ts)
 
+    @property
+    def dirichlet(self) -> np.ndarray:
+        """Boolean mask of shape ``shape`` over the Dirichlet nodes: initial time and both spatial ends."""
+        mask = np.zeros(self.shape, dtype=bool)
+        mask[0] = mask[:, [0, -1]] = True
+        return mask
+
 
 @dataclass
 class DiscreteField:
@@ -158,27 +165,33 @@ class LinearSystem:
     """The assembled space-time system ``matrix @ u = rhs``.
 
     The operator is stored once, as the diagonals ``(lower, main, upper)`` of
-    ``x_stencil`` (Ax) and ``t_stencil`` (At) and the Dirichlet mask; ``apply``
-    multiplies by it, and only the sparse LU fallback forms ``matrix``.
+    ``x_stencil`` (Ax) and ``t_stencil`` (At); the Dirichlet rows are the
+    grid's (``Grid1p1.dirichlet``).  ``apply`` multiplies by it, and only the
+    sparse LU fallback forms ``matrix``.
     """
 
     rhs: np.ndarray
     grid: Grid1p1
     epsilon: float
     scheme: Scheme
-    dirichlet: np.ndarray  # boolean mask over flat node indices
     x_stencil: tuple
     t_stencil: tuple
 
     @property
+    def dirichlet(self) -> np.ndarray:
+        """The grid's Dirichlet mask over flat node indices."""
+        return self.grid.dirichlet.ravel()
+
+    @property
     def matrix(self) -> sp.csr_matrix:
         """kron(I_t', Ax) + kron(At, I_x') + D in CSR: I' zero, D one on Dirichlet rows."""
-        interior = (~self.dirichlet.reshape(self.grid.shape)).astype(float)
+        dirichlet = self.grid.dirichlet
+        interior = (~dirichlet).astype(float)
         x_op, t_op = (sp.diags(s, [-1, 0, 1], format="csr") for s in (self.x_stencil, self.t_stencil))
         return (
             sp.kron(sp.diags(interior[:, 1]), x_op, format="csr")
             + sp.kron(t_op, sp.diags(interior[-1]), format="csr")
-            + sp.diags(self.dirichlet.astype(float), format="csr")
+            + sp.diags(dirichlet.ravel().astype(float), format="csr")
         )
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -402,8 +415,7 @@ def assemble(config: ProblemConfig, grid: Grid1p1) -> LinearSystem:
         raise AssemblyError(f"space-time assembly needs epsilon > 0 and finite, got {eps}")
     ht = grid.ht
 
-    dirichlet = np.zeros(grid.shape, dtype=bool)
-    dirichlet[0] = dirichlet[:, [0, -1]] = True
+    dirichlet = grid.dirichlet
     interior = ~dirichlet
     t_stencil, ghost_coupling = _t_stencil(config, grid)
 
@@ -415,9 +427,7 @@ def assemble(config: ProblemConfig, grid: Grid1p1) -> LinearSystem:
         # ghost slab from eps*(u_ghost - u_below)/(2 ht) = q
         q = _evaluate("q_terminal", config.q_terminal, x[-1, 1:-1], t[-1, 1:-1])
         rhs[-1, 1:-1] -= ghost_coupling * (2.0 * ht / eps) * q
-    return LinearSystem(
-        rhs.ravel(), grid, eps, config.scheme, dirichlet.ravel(), _x_stencil(config, grid), t_stencil
-    )
+    return LinearSystem(rhs.ravel(), grid, eps, config.scheme, _x_stencil(config, grid), t_stencil)
 
 
 # Largest accepted max(d)/min(d) of the symmetrising scaling in the fast

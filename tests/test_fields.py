@@ -215,6 +215,46 @@ def test_exp_field_products_add_weights(xyzt):
     assert (x + 1) * a == a * (x + 1)
 
 
+def test_exp_field_results_without_a_weight_are_polynomials(xyzt):
+    x, y, _, t = xyzt
+    e = ExpPolyField(x, y)
+    for result in (
+        e * ExpPolyField(-x, 1),
+        ExpPolyField(-x, 1) * e,
+        e - e,
+        e + ExpPolyField(x, -y),
+        e * 0,
+        -ExpPolyField(0, y),
+        ExpPolyField(x * t, y).substitute("t", 0),
+        ExpPolyField(x * t, x).diff("y"),
+        ExpPolyField(0, x * y).diff("x"),
+    ):
+        assert type(result) is PolyField
+    assert e * ExpPolyField(-x, 1) == y
+    assert type(e * ExpPolyField(-x + t, 1)) is ExpPolyField
+
+
+def test_mixed_weight_and_float_errors(xyzt):
+    x, y, _, _ = xyzt
+    ex, ey = ExpPolyField(x, 1), ExpPolyField(y, 1)
+    cases = [
+        (lambda: ex - ey, ValueError, "exp(x) vs exp(y)"),
+        (lambda: ex + ey, ValueError, "exp(x) vs exp(y)"),
+        (lambda: x - ey, ValueError, "exp(y) vs exp(0)"),
+        (lambda: ey - x, ValueError, "exp(y) vs exp(0)"),
+        (lambda: x + ey, ValueError, "exp(y) vs exp(0)"),
+        (lambda: 3 - ey, ValueError, "exp(0) vs exp(y)"),
+        (lambda: x - 1.5, TypeError, "exact scalar expected (int, Fraction or str), got float"),
+        (lambda: 1.5 - x, TypeError, "exact scalar expected (int, Fraction or str), got float"),
+        (lambda: ex - 1.5, TypeError, "exact scalar expected (int, Fraction or str), got float"),
+        (lambda: x + 1.5, TypeError, "unsupported operand type(s) for +: 'PolyField' and 'float'"),
+    ]
+    for op, error, message in cases:
+        with pytest.raises(error) as raised:
+            op()
+        assert str(raised.value).endswith(message)
+
+
 def test_exp_field_nonzero_weight_refuses_poly_conversion(xyzt):
     x, y, _, _ = xyzt
     with pytest.raises(ValueError):
@@ -244,10 +284,24 @@ def _equal_pairs(draw):
             forms.append(int(c))
     elif kind == "poly":
         p, q = draw(_polys), draw(_polys)
-        forms = [p, (p + q) - q, ExpPolyField(PolyField.zero(), p), ExpPolyField(q - q, p * 1)]
+        forms = [
+            p,
+            (p + q) - q,
+            p - (q - q),
+            1 - (1 - p),
+            ExpPolyField(PolyField.zero(), p),
+            ExpPolyField(q - q, p * 1),
+            ExpPolyField(q, p) * ExpPolyField(-q, 1),
+            ExpPolyField(q, 1) * p - ExpPolyField(q, p) + p,
+        ]
     else:
         w, p, q = draw(_polys), draw(_polys), draw(_polys)
-        forms = [ExpPolyField(w, p), ExpPolyField(w + q - q, (p + q) - q)]
+        forms = [
+            ExpPolyField(w, p),
+            ExpPolyField(w + q - q, (p + q) - q),
+            ExpPolyField(w, p + q) - q * ExpPolyField(w, 1),
+            -(ExpPolyField(w, 0) - ExpPolyField(w, p)),
+        ]
     return draw(st.sampled_from(forms)), draw(st.sampled_from(forms))
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import hodge4d
-from hodge4d.fields import PolyField
+from hodge4d.fields import ExpPolyField, PolyField
 from hodge4d.forms import (
     BasisForm,
     DegreeUnderflowWarning,
@@ -411,12 +411,42 @@ def test_material_params_validation():
     assert m.beta[2] == PolyField.constant(3)
 
 
+def test_material_params_are_exact():
+    for kwargs in ({"alpha": 0.1}, {"epsilon": 0.5}, {"alpha": 2.0, "epsilon": 1.0}):
+        with pytest.raises(TypeError, match="exact scalar expected"):
+            MaterialParams(**kwargs)
+    m = MaterialParams(alpha=2, epsilon="3/2")
+    assert (m.alpha, m.epsilon) == (Fraction(2), Fraction(3, 2))
+    assert type(m.alpha) is Fraction and type(m.epsilon) is Fraction
+    assert MaterialParams(alpha=Fraction(1, 10)).alpha == Fraction(1, 10)
+
+
 def test_one_form_coerces_and_drops_zeros(xyzt):
     x = xyzt[0]
     w = one_form(x, 0, Fraction(1, 2), -1)
     assert w == KForm(1, {BasisForm(0b0001): x, BasisForm(0b0100): Fraction(1, 2), BasisForm(0b1000): -1})
     assert one_form(0, 0, 0, 0) == KForm.zero(1)
     assert spatial_parts(w) == (x, 0, Fraction(1, 2)) and temporal_parts(w) == -1
+
+
+def test_zero_weight_exponential_input_is_stored_as_a_polynomial(xyzt):
+    x, y, _, t = xyzt
+    flat = ExpPolyField(0, x + 1)
+    w = one_form(x, y, 0, t)
+    for form in (
+        one_form(flat, flat, 0, 0),
+        KForm(1, {BasisForm(0b0001): flat}),
+        w.scale(flat),
+        w.map_coefficients(lambda c: ExpPolyField(0, c)),
+        w.scale(ExpPolyField(t, 1)).substitute_t(0),  # the weight vanishes at t = 0
+    ):
+        assert form.components and all(type(c) is PolyField for _, c in form.items())
+    assert w.scale(flat) == w.scale(x + 1)
+    # an exponential factor and its inverse cancel to plain polynomial coefficients
+    lifted = w.scale(ExpPolyField(x * t, 1))
+    assert all(type(c) is ExpPolyField for _, c in lifted.items())
+    unlifted = lifted.scale(ExpPolyField(-x * t, 1))
+    assert unlifted == w and all(type(c) is PolyField for _, c in unlifted.items())
 
 
 # the basis encoding (masks, the dt bit, the parity rule) is private to forms.py
@@ -440,3 +470,26 @@ def test_only_forms_knows_the_basis_encoding():
             elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "BasisForm":
                 leaks.append(f"{path.name}:{node.lineno} builds a BasisForm from a mask")
     assert leaks == []
+
+
+def _names_exp_poly_field(source: str) -> list:
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if getattr(node, "id", None) == "ExpPolyField"
+        or getattr(node, "attr", None) == "ExpPolyField"
+        or (isinstance(node, ast.ImportFrom) and any(a.name == "ExpPolyField" for a in node.names))
+    )
+
+
+def test_forms_does_not_know_the_exponential_field_type():
+    # fields owns the rule that a zero-weight exponential field is a polynomial
+    path = Path(hodge4d.__file__).parent / "forms.py"
+    assert _names_exp_poly_field(path.read_text(encoding="utf-8")) == []
+    leaky = (
+        "from .fields import ExpPolyField as E\n"
+        "from . import fields\n"
+        "isinstance(c, fields.ExpPolyField)\n"
+        "ExpPolyField\n"
+    )
+    assert _names_exp_poly_field(leaky) == [1, 3, 4]
