@@ -70,8 +70,6 @@ def build_convection_form(m: MaterialParams) -> ConvectionForm:
 
 def flux(w: KForm, b: ConvectionForm) -> KForm:
     """Convection-diffusion flux: d(w) + b ^ w, mapping degree k to k + 1."""
-    if w.degree >= 4:
-        return KForm.zero(w.degree + 1)
     return exterior_derivative(w) + wedge(b.form, w)
 
 
@@ -320,8 +318,6 @@ def make_potential(b: ConvectionForm) -> Potential:
 
 def exp_fitted_flux(w: KForm, p: Potential) -> KForm:
     """The flux written as exp(-psi) d(exp(psi) w); the weights cancel exactly."""
-    if w.degree >= 4:
-        return KForm.zero(w.degree + 1)
     lift = ExpPolyField(p.psi0, PolyField.one())
     unlift = ExpPolyField(-p.psi0, PolyField.one())
     return exterior_derivative(w.scale(lift)).scale(unlift)

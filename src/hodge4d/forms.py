@@ -74,10 +74,6 @@ class BasisForm:
         return bool(self.mask & T_BIT)
 
     @property
-    def complement(self) -> "BasisForm":
-        return _BASIS[self.mask ^ FULL_MASK]
-
-    @property
     def label(self) -> str:
         if self.mask == 0:
             return "1"
@@ -141,8 +137,9 @@ def _signed(sign: int, coeff):
 class KForm:
     """A differential form of fixed degree with exact coefficient fields.
 
-    ``components`` maps basis forms of matching degree to nonzero coefficient
-    fields, as ``coerce_field`` gives them; a missing component means zero.  Degrees
+    ``components`` maps ``BasisForm`` keys of matching degree to nonzero
+    coefficient fields, as ``coerce_field`` gives them; a missing component
+    means zero, and any other key type raises ``TypeError``.  Degrees
     above four are permitted only for the explicit zero result of degree
     overflow (for example a wedge of two forms whose degrees sum past four)
     and those forms never carry components.
@@ -157,7 +154,7 @@ class KForm:
         clean = {}
         for basis, coeff in (components or {}).items():
             if not isinstance(basis, BasisForm):
-                basis = BasisForm(int(basis))
+                raise TypeError(f"form components are keyed by BasisForm, got {basis!r}")
             coeff = coerce_field(coeff)
             if coeff.is_zero:
                 continue
@@ -166,8 +163,6 @@ class KForm:
                     f"component {basis.label} has degree {basis.degree}, expected {degree}"
                 )
             clean[basis] = coeff
-        if degree > 4 and clean:
-            raise ValueError("forms of degree above four must be zero")
         self.degree = degree
         self.components = clean
 
@@ -179,7 +174,7 @@ class KForm:
 
     @classmethod
     def from_scalar(cls, value) -> "KForm":
-        return cls(0, {_BASIS[0]: coerce_field(value)})
+        return _form(0, ((_BASIS[0], coerce_field(value)),))
 
     # -- queries ------------------------------------------------------------
 
@@ -310,10 +305,7 @@ class MaterialParams:
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
-    """Graded-anticommutative product; explicit zero above degree four."""
-    degree = a.degree + b.degree
-    if degree > 4:
-        return KForm.zero(degree)
+    """Graded-anticommutative product; the zero form above degree four."""
     b_items = [(bb.mask, cb) for bb, cb in b.items()]
     images = []
     for ba, ca in a.items():
@@ -322,7 +314,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
         for mask_b, cb in b_items:
             if sign := signs[mask_b]:
                 images.append((_BASIS[mask_a | mask_b], _signed(sign, ca * cb)))
-    return _form(degree, images)
+    return _form(a.degree + b.degree, images)
 
 
 def exterior_derivative(w: KForm) -> KForm:
@@ -367,8 +359,8 @@ def scaled_hodge_star(w: KForm, m: MaterialParams) -> KForm:
 def _codifferential_out_of_range(w: KForm) -> Optional[KForm]:
     """The zero result of a codifferential of a 0-form or above degree four, else None.
 
-    A 0-form warns (pointing at the codifferential's caller); a nonzero form
-    above degree four is an error.
+    A 0-form warns (pointing at the codifferential's caller).  Forms above
+    degree four are always zero, so their codifferential is the zero 4-form.
     """
     if w.degree == 0:
         warnings.warn(
@@ -378,8 +370,6 @@ def _codifferential_out_of_range(w: KForm) -> Optional[KForm]:
         )
         return KForm.zero(0)
     if w.degree > 4:
-        if not w.is_zero:
-            raise ValueError("nonzero form above degree four")
         return KForm.zero(4)
     return None
 
@@ -482,7 +472,7 @@ def spatial_form(degree: int, fields) -> KForm:
     if len(block) == 1:
         fields = (fields,)
     pairs = zip(block, fields, strict=True)
-    return KForm(degree, {basis: _signed(sign, coerce_field(f)) for (basis, sign), f in pairs})
+    return _form(degree, ((basis, _signed(sign, coerce_field(f))) for (basis, sign), f in pairs))
 
 
 def spatial_parts(w: KForm):

@@ -58,9 +58,11 @@ def bernoulli(z):
     """B(z) = z / (exp(z) - 1), elementwise, with a series branch near zero.
 
     Accepts a scalar (returns a float) or an array.  The quadratic series
-    keeps full precision for |z| < 1e-4; the large-|z| branches avoid overflow
-    of exp for the strongly convection-dominated edges that appear when eps is
-    tiny.  Each branch is evaluated only on its own arguments.  The two
+    keeps full precision for |z| < 1e-4; the z > 500 branch avoids overflow of
+    exp for the strongly convection-dominated edges that appear when eps is
+    tiny.  Large negative z needs no branch of its own: expm1(z) is exactly
+    -1.0 for z <= -38, so z / expm1(z) is -z there, overflow-free.  Each
+    branch is evaluated only on its own arguments.  The two
     transcendental branches call the C library's exp and expm1 per element,
     because numpy's vectorised versions round differently in the last bit
     for some arguments and the fitted weights would then change; there is
@@ -70,12 +72,10 @@ def bernoulli(z):
     out = np.empty_like(z)
     small = np.abs(z) < 1e-4
     large = z > 500.0
-    negative = z < -500.0
-    middle = ~(small | large | negative)
+    middle = ~(small | large)
     zs = z[small]
     out[small] = 1.0 - zs / 2.0 + zs * zs / 12.0
     out[large] = [v * math.exp(-v) for v in z[large]]
-    out[negative] = -z[negative]
     out[middle] = [v / math.expm1(v) for v in z[middle]]
     return out if out.ndim else float(out)
 
@@ -216,7 +216,8 @@ class ProblemConfig:
     Dirichlet data ``g`` are functions of (x, t).  ``q_terminal`` prescribes
     eps*du/dt on the final-time face (zero when absent) as a function of
     (x, t) evaluated at the grid's final time.  ``manufactured`` optionally
-    carries the exact solution for error measurement.
+    carries the exact solution for error measurement.  ``scheme`` is a
+    ``Scheme`` or its value (``"exp-fitted"``); another name raises ``ValueError``.
 
     Every function is array-in, array-out under numpy broadcasting: it is
     called once per grid with arrays of node coordinates and returns the
@@ -237,6 +238,9 @@ class ProblemConfig:
     scheme: Scheme = Scheme.CENTERED
     q_terminal: Optional[Callable] = None
     manufactured: Optional[Callable] = None
+
+    def __post_init__(self):
+        self.scheme = Scheme(self.scheme)
 
     @classmethod
     def from_manufactured(
@@ -649,7 +653,9 @@ def epsilon_sweep(config: ProblemConfig, grid: Grid1p1, eps_list: Sequence[float
     difference, and the space-time energy integral; fits the log-log decay
     slope.  A preliminary time-refinement probe of the reference estimates
     the discretization floor, and the sweep aborts if the errors stop
-    decreasing while eps does.
+    decreasing while eps does.  Every solve takes homogeneous terminal data
+    (eps*du/dt = 0 at the final time): the config's ``q_terminal`` is dropped,
+    so its ``epsilon`` shapes only the forcing.
     """
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
@@ -659,7 +665,8 @@ def epsilon_sweep(config: ProblemConfig, grid: Grid1p1, eps_list: Sequence[float
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilon list must be strictly decreasing")
 
-    limit_config = dataclasses.replace(config, epsilon=0.0, q_terminal=None)
+    config = dataclasses.replace(config, q_terminal=None)
+    limit_config = dataclasses.replace(config, epsilon=0.0)
     reference = reference_evolution(limit_config, grid)
 
     fine_grid = dataclasses.replace(grid, nt=2 * grid.nt + 1)

@@ -102,6 +102,8 @@ def test_flux_of_top_degree_form_vanishes(rng):
     w = KForm(4, {BasisForm(0b1111): random_poly(rng)})
     out = flux(w, b)
     assert out.is_zero and out.degree == 5
+    fitted = exp_fitted_flux(w, make_potential(b))
+    assert fitted.is_zero and fitted.degree == 5
 
 
 def test_fused_convection_star_matches_explicit(rng):

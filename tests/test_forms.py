@@ -128,10 +128,15 @@ def test_copies_of_a_basis_form_are_the_shared_instance():
 def test_forms_keyed_by_constructed_bases_equal_operation_results(xyzt):
     x, y, z, t = xyzt
     computed = wedge(one_form(1, 0, 0, 0), one_form(0, x, 0, y))  # x dx^dy + y dx^dt
-    for keys in ((BasisForm(0b0011), BasisForm(0b1001)), (0b0011, 0b1001)):
-        built = KForm(2, dict(zip(keys, (x, y))))
-        assert built == computed and hash(built) == hash(computed)
-        assert all(a is b for a, b in zip(built.components, computed.components))
+    built = KForm(2, {BasisForm(0b0011): x, BasisForm(0b1001): y})
+    assert built == computed and hash(built) == hash(computed)
+    assert all(a is b for a, b in zip(built.components, computed.components))
+
+
+@pytest.mark.parametrize("key", [2, 2.5, "1"])
+def test_form_keys_must_be_basis_forms(key):
+    with pytest.raises(TypeError):
+        KForm(1, {key: 1})
 
 
 # -- wedge --------------------------------------------------------------------

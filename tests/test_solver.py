@@ -171,6 +171,17 @@ def test_assembly_matches_hand_built_matrix():
     assert np.allclose(system.rhs, rhs)
 
 
+def test_scheme_names_assemble_like_the_members():
+    g = Grid1p1.with_cells(6, 6)
+    for scheme in Scheme:
+        named = make_config(scheme=scheme.value, beta=0.5)
+        assert named.scheme is scheme
+        want = assemble(make_config(scheme=scheme, beta=0.5), g).matrix
+        assert (assemble(named, g).matrix != want).nnz == 0
+    with pytest.raises(ValueError):
+        make_config(scheme="central")
+
+
 def test_exp_fitted_reduces_to_centered_for_zero_convection():
     g = Grid1p1.with_cells(10, 10)
     fitted = assemble(make_config(scheme=Scheme.EXP_FITTED, beta=0.0, epsilon=1.0), g)
@@ -447,6 +458,18 @@ def test_sweep_layer_dominated_when_reference_linear_in_time():
     for entry in result.entries:
         assert entry.l2_error_mid < 0.01 * entry.l2_error_T
     assert result.slope > 0.4
+
+
+def test_sweep_of_spacetime_target_data_uses_homogeneous_terminal_data():
+    # from_manufactured's spacetime target sets q = 0.1*u_t; kept for every
+    # eps, eps*u_t = q would force a growing u_t and the errors would grow
+    cfg = ProblemConfig.from_manufactured(
+        "sin(pi*x)*(1+t**2)", alpha=1.0, beta=0.5, epsilon=0.1, scheme=Scheme.CENTERED
+    )
+    assert cfg.q_terminal is not None
+    result = epsilon_sweep(cfg, Grid1p1.with_cells(24, 96), [0.1, 0.05, 0.025])
+    errs = [e.l2_error_T for e in result.entries]
+    assert errs[2] < errs[1] < errs[0]
 
 
 def test_sweep_input_validation(sweep_config):

@@ -35,7 +35,7 @@ SWITCH_POINTS = [z for z0 in SWITCHES for z in _around(z0)]
 
 
 def test_bernoulli_equals_scalar_branches_at_the_switches():
-    zs = np.array(SWITCH_POINTS + [0.0, -0.0, 1.0, -1.0, 1e3, -1e3])
+    zs = np.array(SWITCH_POINTS + [0.0, -0.0, 1.0, -1.0, 1e3, -1e3, -1e300, -np.inf])
     expected = [scalar_bernoulli(float(z)) for z in zs]
     assert bernoulli(zs).tolist() == expected
     assert [bernoulli(float(z)) for z in zs] == expected
