@@ -135,10 +135,6 @@ class Grid1p1:
     def index(self, i: int, j: int) -> int:
         return j * (self.nx + 2) + i
 
-    def nodes(self) -> tuple:
-        """Coordinate arrays (x, t) of every node, each of shape ``shape``."""
-        return np.meshgrid(self.xs, self.ts)
-
     @property
     def dirichlet(self) -> np.ndarray:
         """Boolean mask of shape ``shape`` over the Dirichlet nodes: initial time and both spatial ends."""
@@ -220,11 +216,13 @@ class ProblemConfig:
     ``Scheme`` or its value (``"exp-fitted"``); another name raises ``ValueError``.
 
     Every function is array-in, array-out under numpy broadcasting: it is
-    called once per grid with arrays of node coordinates and returns the
-    values at those nodes (``np.sin``, ``np.where`` and friends, not
-    ``math``).  A function may return a scalar for a constant.  Each one is
-    evaluated only where the discretization needs it: ``g`` on the Dirichlet
-    faces (spatial ends and initial time), ``f`` on all other nodes,
+    called with arrays of coordinates and returns the values there
+    (``np.sin``, ``np.where`` and friends, not ``math``).  A function may
+    return a scalar for a constant.  Functions of (x, t) get the grid's axes
+    over a tensor block of nodes, x as a ``(1, n)`` row and t as an ``(m, 1)``
+    column.  Each one is evaluated only where the discretization needs it:
+    ``g`` on the Dirichlet faces (one call for the initial-time row, one for
+    the spatial ends of the later rows), ``f`` on all other nodes,
     ``q_terminal`` on the interior of the final-time face, ``alpha`` and
     ``beta`` at edge midpoints (and at the nodes in ``discrete_bilinear``),
     ``manufactured`` at every node.
@@ -388,7 +386,7 @@ def _x_stencil(config: ProblemConfig, grid: Grid1p1) -> tuple:
     return _stencil(wl, wr, grid.hx)
 
 
-def _t_stencil(config: ProblemConfig, grid: Grid1p1) -> tuple:
+def _t_stencil(eps: float, scheme: Scheme, grid: Grid1p1) -> tuple:
     """Diagonals of At = -(J_up - J_down)/ht on the nodes above t0.
 
     The stencil spans nt + 2 edges, the last of which reaches a ghost slab
@@ -398,12 +396,29 @@ def _t_stencil(config: ProblemConfig, grid: Grid1p1) -> tuple:
     dropped.  Row 0 (the initial-time face) is zero.  Returns the diagonals
     and the ghost coupling, through which q enters the right-hand side.
     """
-    wd, wu = _edge_weights(float(config.epsilon), -1.0, grid.ht, config.scheme)
+    wd, wu = _edge_weights(eps, -1.0, grid.ht, scheme)
     edges = grid.nt + 2
     lower, main, upper = _stencil(np.full(edges, wd), np.full(edges, wu), grid.ht)
     ghost = upper[-1]
     lower[-2] += ghost
     return (lower[:-1], main[:-1], upper[:-1]), ghost
+
+
+def _data(config: ProblemConfig, grid: Grid1p1) -> np.ndarray:
+    """Node values of the data: ``g`` on the Dirichlet faces, ``f`` on every other node.
+
+    Each block is evaluated on the grid's axes (x a row, t a column): ``g`` on
+    the initial-time row, then on the two spatial ends of the later rows,
+    then ``f`` on the interior.  The error for non-finite data therefore
+    names the first bad ``g`` node in row-major order, else the first bad
+    ``f`` node.
+    """
+    x, t = grid.xs[None, :], grid.ts[:, None]
+    values = np.empty(grid.shape)
+    values[0] = _evaluate("g", config.g, x, t[:1])
+    values[1:, [0, -1]] = _evaluate("g", config.g, x[:, [0, -1]], t[1:])
+    values[1:, 1:-1] = _evaluate("f", config.f, x[:, 1:-1], t[1:])
+    return values
 
 
 def assemble(config: ProblemConfig, grid: Grid1p1) -> LinearSystem:
@@ -419,17 +434,11 @@ def assemble(config: ProblemConfig, grid: Grid1p1) -> LinearSystem:
         raise AssemblyError(f"space-time assembly needs epsilon > 0 and finite, got {eps}")
     ht = grid.ht
 
-    dirichlet = grid.dirichlet
-    interior = ~dirichlet
-    t_stencil, ghost_coupling = _t_stencil(config, grid)
-
-    x, t = grid.nodes()
-    rhs = np.empty(grid.shape)
-    rhs[dirichlet] = _evaluate("g", config.g, x[dirichlet], t[dirichlet])
-    rhs[interior] = _evaluate("f", config.f, x[interior], t[interior])
+    t_stencil, ghost_coupling = _t_stencil(eps, config.scheme, grid)
+    rhs = _data(config, grid)
     if config.q_terminal is not None:
         # ghost slab from eps*(u_ghost - u_below)/(2 ht) = q
-        q = _evaluate("q_terminal", config.q_terminal, x[-1, 1:-1], t[-1, 1:-1])
+        q = _evaluate("q_terminal", config.q_terminal, grid.xs[1:-1], grid.ts[-1:])
         rhs[-1, 1:-1] -= ghost_coupling * (2.0 * ht / eps) * q
     return LinearSystem(rhs.ravel(), grid, eps, config.scheme, _x_stencil(config, grid), t_stencil)
 
@@ -511,7 +520,7 @@ def _fast_diagonalisation(system: LinearSystem):
         b = residual.reshape(shape)[1:, 1:-1]
         modes, _ = dgttrs(*factors, ((b / d) @ q).T.reshape(-1, 1))  # one block per mode
         step = np.full(shape, -0.0)
-        step[1:, 1:-1] = (modes.reshape(nx, ntn).T @ q.T) * d
+        np.multiply(modes.reshape(nx, ntn).T @ q.T, d, out=step[1:, 1:-1])
         return step.ravel()
 
     x0 = np.where(system.dirichlet, system.rhs, -0.0)
@@ -557,22 +566,24 @@ def reference_evolution(config: ProblemConfig, grid: Grid1p1) -> DiscreteField:
     """
     if float(config.epsilon) != 0.0:
         raise ValueError("the reference evolution is the epsilon = 0 problem")
+    return _march(_x_stencil(config, grid), _data(config, grid), grid)
+
+
+def _march(x_stencil: tuple, values: np.ndarray, grid: Grid1p1) -> DiscreteField:
+    """Backward Euler from the node data ``values`` (see ``_data``), overwritten row by row.
+
+    Row n holds the end values and f_n; adding u_{n-1}/ht to its interior
+    makes it the right-hand side of step n, which ``SuperLU.solve`` replaces
+    by u_n.
+    """
     ht = grid.ht
     step_diagonal = np.full(grid.nx + 2, 1.0 / ht)
     step_diagonal[[0, -1]] = 1.0  # Dirichlet ends
-    lower, main, upper = _x_stencil(config, grid)
+    lower, main, upper = x_stencil
     lu = spla.splu(sp.diags([lower, step_diagonal + main, upper], [-1, 0, 1], format="csc"))
-
-    x, t = grid.nodes()
-    values = np.empty(grid.shape)
-    values[0] = _evaluate("g", config.g, x[0], t[0])
-    ends = _evaluate("g", config.g, x[1:, [0, -1]], t[1:, [0, -1]])
-    forcing = _evaluate("f", config.f, x[1:, 1:-1], t[1:, 1:-1])
-    rhs = np.empty(grid.nx + 2)
     for n in range(1, grid.nt + 2):
-        rhs[1:-1] = values[n - 1, 1:-1] / ht + forcing[n - 1]
-        rhs[[0, -1]] = ends[n - 1]
-        values[n] = lu.solve(rhs)
+        values[n, 1:-1] += values[n - 1, 1:-1] / ht
+        values[n] = lu.solve(values[n])
     return DiscreteField(grid, values)
 
 
@@ -594,7 +605,7 @@ def _energy_integral(diff: np.ndarray, grid: Grid1p1) -> float:
 
 def l2_error(field: DiscreteField, exact: Callable) -> float:
     grid = field.grid
-    diff = field.values - _evaluate("exact", exact, *grid.nodes())
+    diff = field.values - _evaluate("exact", exact, grid.xs[None, :], grid.ts[:, None])
     per_slab = np.trapezoid(diff**2, dx=grid.hx, axis=1)
     return math.sqrt(float(np.trapezoid(per_slab, dx=grid.ht)))
 
@@ -654,8 +665,8 @@ def epsilon_sweep(config: ProblemConfig, grid: Grid1p1, eps_list: Sequence[float
     slope.  A preliminary time-refinement probe of the reference estimates
     the discretization floor, and the sweep aborts if the errors stop
     decreasing while eps does.  Every solve takes homogeneous terminal data
-    (eps*du/dt = 0 at the final time): the config's ``q_terminal`` is dropped,
-    so its ``epsilon`` shapes only the forcing.
+    (eps*du/dt = 0 at the final time): the config's ``q_terminal`` is not
+    used, so its ``epsilon`` shapes only the forcing.
     """
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
@@ -665,18 +676,21 @@ def epsilon_sweep(config: ProblemConfig, grid: Grid1p1, eps_list: Sequence[float
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilon list must be strictly decreasing")
 
-    config = dataclasses.replace(config, q_terminal=None)
-    limit_config = dataclasses.replace(config, epsilon=0.0)
-    reference = reference_evolution(limit_config, grid)
-
+    # Ax and the data do not depend on eps, so the reference and every solve
+    # share them; Ax goes first because reference_evolution reports bad
+    # alpha or beta before bad data
+    x_stencil = _x_stencil(config, grid)
+    rhs = _data(config, grid)
+    reference = _march(x_stencil, rhs.copy(), grid)
     fine_grid = dataclasses.replace(grid, nt=2 * grid.nt + 1)
-    fine_reference = reference_evolution(limit_config, fine_grid)
-    floor_estimate = _l2_x(fine_reference.values[-1] - reference.values[-1], grid)
+    fine_final = reference_evolution(dataclasses.replace(config, epsilon=0.0), fine_grid).values[-1]
+    floor_estimate = _l2_x(fine_final - reference.values[-1], grid)
 
     mid = (grid.nt + 1) // 2
     entries = []
     for eps in eps_list:
-        perturbed = solve(assemble(dataclasses.replace(config, epsilon=eps), grid))
+        t_stencil, _ = _t_stencil(eps, config.scheme, grid)
+        perturbed = solve(LinearSystem(rhs.ravel(), grid, eps, config.scheme, x_stencil, t_stencil))
         diff = perturbed.values - reference.values
         l2_T = _l2_x(diff[-1], grid)
         entry = SweepEntry(

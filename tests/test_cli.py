@@ -299,6 +299,32 @@ def test_sweep_non_finite_data_is_usage_error(tmp_path, capsys):
     assert err == "error: g is not finite at x=0, t=0\n"
 
 
+def _sweep_with(*lines):
+    """SWEEP_CONFIG without its manufactured solution, each ``key = value`` line set."""
+    keys = {line.split("=")[0].strip() for line in lines} | {"manufactured"}
+    kept = [line for line in SWEEP_CONFIG.splitlines() if line.split("=")[0].strip() not in keys]
+    return "\n".join(kept + list(lines)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "lines, err",
+    [
+        (["alpha = 1e400", "g = sqrt(-1)"], "error: alpha is not finite at x=0.0208333\n"),
+        (["beta = 1e400", "f = 1/0", "g = 0"], "error: beta is not finite at x=0.0208333\n"),
+        (["f = 1/(x-0.5)", "g = 0"], "error: f is not finite at x=0.5, t=0.0104167\n"),
+        (["g = log(1-x)"], "error: g is not finite at x=1, t=0\n"),
+    ],
+    ids=["alpha-before-g", "beta-before-f", "f-interior", "g-spatial-end"],
+)
+def test_sweep_names_the_first_non_finite_data(tmp_path, capsys, lines, err):
+    # the sweep checks alpha and beta before the data, as its reference march does
+    config = tmp_path / "sweep.cfg"
+    config.write_text(_sweep_with(*lines))
+    code, got = run_quietly(capsys, "sweep", "--config", str(config))
+    assert code == 2
+    assert got == err
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -15,7 +15,10 @@ from hodge4d.solver import (
     ProblemConfig,
     Scheme,
     SolveError,
+    SweepEntry,
     SweepFloorError,
+    _energy_integral,
+    _l2_x,
     assemble,
     bernoulli,
     discrete_bilinear,
@@ -470,6 +473,55 @@ def test_sweep_of_spacetime_target_data_uses_homogeneous_terminal_data():
     result = epsilon_sweep(cfg, Grid1p1.with_cells(24, 96), [0.1, 0.05, 0.025])
     errs = [e.l2_error_T for e in result.entries]
     assert errs[2] < errs[1] < errs[0]
+
+
+def _unshared_sweep(config, grid, eps_list):
+    """The sweep composed from public calls, each building its own data and operator."""
+    config = dataclasses.replace(config, q_terminal=None)
+    reference = reference_evolution(dataclasses.replace(config, epsilon=0.0), grid)
+    fine_grid = dataclasses.replace(grid, nt=2 * grid.nt + 1)
+    fine = reference_evolution(dataclasses.replace(config, epsilon=0.0), fine_grid)
+    floor = _l2_x(fine.values[-1] - reference.values[-1], grid)
+    entries = []
+    for eps in eps_list:
+        diff = solve(assemble(dataclasses.replace(config, epsilon=eps), grid)).values - reference.values
+        l2_T = _l2_x(diff[-1], grid)
+        slope = None
+        if entries:
+            prev = entries[-1]
+            slope = math.log(l2_T / prev.l2_error_T) / math.log(eps / prev.epsilon)
+        entries.append(
+            SweepEntry(
+                eps, l2_T, _l2_x(diff[(grid.nt + 1) // 2], grid), _energy_integral(diff, grid),
+                slope, l2_T <= 3.0 * floor,
+            )
+        )
+    logs_e = np.log([e.epsilon for e in entries])
+    logs_err = np.log([e.l2_error_T for e in entries])
+    slope, intercept = np.polyfit(logs_e, logs_err, 1)
+    return entries, float(slope), float(np.max(np.abs(slope * logs_e + intercept - logs_err))), floor
+
+
+@pytest.mark.parametrize(
+    "scheme, alpha, beta, target",
+    [
+        ("centered", "1+x**2/2", "0.5*cos(pi*x)", "limit"),
+        ("upwind", "1+x**2/2", "0.5*cos(pi*x)", "limit"),
+        ("exp-fitted", "0.02+x/10", "1-2*x", "limit"),
+        ("exp-fitted", "1+x**2/2", "0.5*cos(pi*x)", "spacetime"),
+        ("centered", "0.01*(1+x)", "2-x", "limit"),  # every solve falls back to splu
+    ],
+)
+def test_sweep_sharing_changes_no_bit(scheme, alpha, beta, target):
+    cfg = ProblemConfig.from_manufactured(
+        "sin(pi*x)*(1+t**2)", alpha=alpha, beta=beta, epsilon=0.1, scheme=scheme, target=target
+    )
+    grid = Grid1p1.with_cells(24, 96)
+    eps_list = [0.1, 0.05, 0.025]
+    result = epsilon_sweep(cfg, grid, eps_list)
+    entries, slope, residual, floor = _unshared_sweep(cfg, grid, eps_list)
+    assert [dataclasses.astuple(e) for e in result.entries] == [dataclasses.astuple(e) for e in entries]
+    assert (result.slope, result.slope_residual, result.floor_estimate) == (slope, residual, floor)
 
 
 def test_sweep_input_validation(sweep_config):
