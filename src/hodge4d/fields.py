@@ -105,6 +105,11 @@ def _lowest(num: dict, den: int) -> "PolyField":
         if g != 1:
             num = {k: c // g for k, c in num.items()}
             den //= g
+    return _make(num, den)
+
+
+def _make(num: dict, den: int) -> "PolyField":
+    """``_lowest`` for a ``(num, den)`` already in lowest terms: only allocates."""
     field = object.__new__(PolyField)
     field.num = num
     field.den = den
@@ -202,11 +207,11 @@ class PolyField:
 
     @classmethod
     def zero(cls) -> "PolyField":
-        return _lowest({}, 1)
+        return _make({}, 1)
 
     @classmethod
     def one(cls) -> "PolyField":
-        return _lowest({0: 1}, 1)
+        return _make({0: 1}, 1)
 
     @classmethod
     def constant(cls, value) -> "PolyField":
@@ -215,7 +220,7 @@ class PolyField:
 
     @classmethod
     def variable(cls, axis) -> "PolyField":
-        return _lowest({1 << _shift(axis): 1}, 1)
+        return _make({1 << _shift(axis): 1}, 1)
 
     @classmethod
     def coerce(cls, value) -> "PolyField":
@@ -254,7 +259,7 @@ class PolyField:
     __radd__ = __add__
 
     def __neg__(self):
-        return _lowest({k: -c for k, c in self.num.items()}, self.den)
+        return _make({k: -c for k, c in self.num.items()}, self.den)  # negation keeps the gcd 1
 
     def __sub__(self, other):
         if isinstance(other, ExpPolyField):  # a weight mismatch names the exponential weight first

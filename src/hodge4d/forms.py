@@ -109,9 +109,13 @@ def _basis_instance(mask: int) -> BasisForm:
 _BASIS = tuple(_basis_instance(mask) for mask in range(FULL_MASK + 1))
 
 
+# the shared instances of each degree 0..4, in increasing mask order
+_BY_DEGREE = {d: tuple(basis for basis in _BASIS if basis.degree == d) for d in range(5)}
+
+
 def basis_forms(degree: int) -> list:
-    """All basis forms of one degree, in increasing mask order."""
-    return [basis for basis in _BASIS if basis.degree == degree]
+    """All basis forms of one degree, in increasing mask order, as a fresh list."""
+    return list(_BY_DEGREE.get(degree, ()))
 
 
 def merge_sign(mask_a: int, mask_b: int) -> int:

@@ -70,13 +70,28 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform int in ``range(n)`` for ``n >= 1``, drawn by CPython's own rule.
+
+    ``randrange``, ``randint`` and ``choice`` draw ``n.bit_length()`` bits
+    and redraw while the result is ``>= n``; this is that rule without their
+    argument handling, so the values and ``rng.getstate()`` are theirs.  It
+    does not check ``n``: for ``n < 1`` it never returns.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _random_ratio(rng: random.Random, zero_ok=True) -> tuple:
     """Numerator in -4..4 (nonzero unless ``zero_ok``) and denominator in 1..4."""
-    num = rng.randint(-4, 4)
+    num = _below(rng, 9) - 4
     if not zero_ok:
         while num == 0:
-            num = rng.randint(-4, 4)
-    return num, rng.randint(1, 4)
+            num = _below(rng, 9) - 4
+    return num, _below(rng, 4) + 1
 
 
 def random_fraction(rng: random.Random, zero_ok=True) -> Fraction:
@@ -90,12 +105,14 @@ def random_poly(rng: random.Random, max_degree=3, max_terms=4) -> PolyField:
     ``_random_ratio`` draws, and the field is built through the trusted
     ``PolyField.from_numerators``, which checks only the exponent range.
     """
+    if max_terms < 1 or max_degree < 0:
+        raise ValueError(f"empty draw range: max_degree={max_degree}, max_terms={max_terms}")
     terms = []
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(_below(rng, max_terms) + 1):
         exps = [0, 0, 0, 0]
-        budget = rng.randint(0, max_degree)
+        budget = _below(rng, max_degree + 1)
         for _ in range(budget):
-            exps[rng.randrange(4)] += 1
+            exps[_below(rng, 4)] += 1
         numerator, denominator = _random_ratio(rng)
         terms.append((exps, numerator * (12 // denominator)))
     return PolyField.from_numerators(terms, 12)
@@ -188,7 +205,7 @@ def check_interior_product(rng, count) -> list:
             break
 
     def nilpotent():
-        twice = interior_product_dt(interior_product_dt(random_kform(rng, rng.randint(1, 4))))
+        twice = interior_product_dt(interior_product_dt(random_kform(rng, _below(rng, 4) + 1)))
         return twice.is_zero or ""
 
     return [
@@ -217,8 +234,8 @@ def check_potential_negatives(rng, count) -> list:
     """Non-closed convection fields must be rejected by name."""
 
     def trial():
-        i = rng.randrange(3)
-        j = rng.choice([axis for axis in range(3) if axis != i])
+        i = _below(rng, 3)
+        j = [axis for axis in range(3) if axis != i][_below(rng, 2)]
         beta = [PolyField.zero()] * 3
         beta[i] = PolyField.variable(j) * random_fraction(rng, zero_ok=False)
         m = MaterialParams(alpha=1, epsilon=1, beta=tuple(beta))
@@ -250,7 +267,7 @@ def check_emergent_constraints(rng, count) -> list:
 
 def check_linearity(rng, count) -> list:
     def trial():
-        degree = rng.randint(0, 4)
+        degree = _below(rng, 5)
         m = random_material(rng)
         a, b = random_fraction(rng), random_fraction(rng)
         u = random_kform(rng, degree, max_degree=2)

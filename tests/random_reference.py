@@ -4,7 +4,10 @@ It is kept as a test oracle: each coefficient is drawn as a ``Fraction``,
 the coefficients of one monomial are summed as ``Fraction`` values, and the
 field goes through the validating ``PolyField`` constructor.  The draws from
 ``rng`` are the ones ``verification.random_poly`` and ``random_fraction``
-must make, in the same order.
+must make, in the same order.  Its stdlib ``randint`` and ``randrange``
+calls are also the oracle of ``verification._below``, the one integer draw
+rule: each draw through ``_below`` must give the value and the
+``getstate()`` that the stdlib call gives here.
 """
 
 import random

@@ -7,12 +7,15 @@ over a positive int denominator with ``gcd(den, *numerators) == 1`` (so the
 zero field has ``den == 1``).  Near the exponent limit the same operations
 must match the oracle or raise ``OverflowError`` exactly when the oracle's
 result passes the limit.  The random polynomials of ``verification`` are
-checked against their ``Fraction``-built oracle in the same way.
+checked against their ``Fraction``-built oracle in the same way, and their
+one integer draw rule against ``random.Random.randrange``.
 """
 
+import ast
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +24,8 @@ from hypothesis import strategies as st
 import random_reference
 from fraction_reference import FractionPolyField
 from hodge4d.fields import MAX_EXPONENT, PolyField
-from hodge4d.verification import random_fraction, random_poly
+from hodge4d import verification
+from hodge4d.verification import _below, random_fraction, random_poly
 
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 _large = st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**6))
@@ -112,6 +116,56 @@ def test_random_poly_matches_the_fraction_built_oracle(seed, max_degree, max_ter
     for zero_ok in (True, False):
         assert random_fraction(rng, zero_ok) == random_reference.random_fraction(ref_rng, zero_ok)
         assert rng.getstate() == ref_rng.getstate()
+
+
+# small ranges, and ranges on both sides of each power of two up to 2**20:
+# n = 1 still draws a bit, and n = 2**j draws j + 1 bits, so about half the
+# draws are redrawn
+_draw_ranges = sorted({1, 2, 3, 4, 5, 9} | {2**j + d for j in range(1, 21) for d in (-1, 0, 1)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**64), st.permutations(_draw_ranges))
+def test_draw_rule_matches_randrange(seed, ranges):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    for n in ranges * 3:
+        assert _below(rng, n) == ref_rng.randrange(n)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("max_degree, max_terms", [(3, 0), (-1, 4), (-2, 4)])
+def test_random_poly_rejects_an_empty_draw_range(max_degree, max_terms):
+    # the draw rule does not check its range, so an empty one would never return
+    with pytest.raises(ValueError, match="empty draw range"):
+        random_poly(random.Random(0), max_degree=max_degree, max_terms=max_terms)
+
+
+# the stdlib draws that would bypass the one draw rule of verification.py
+_STDLIB_DRAWS = {"randint", "randrange", "choice", "sample", "shuffle"}
+
+
+def _stdlib_draws(source: str) -> list:
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _STDLIB_DRAWS
+    )
+
+
+def test_verification_draws_ints_only_through_the_draw_rule():
+    source = Path(verification.__file__).read_text(encoding="utf-8")
+    assert _stdlib_draws(source) == []
+    leaky = (
+        "rng.randint(1, 4)\n"
+        "_below(rng, 4)\n"
+        "random.Random(0).randrange(3)\n"
+        "rng.choice([0, 2])\n"
+        "rng.sample(range(3), 2)\n"
+        "rng.random()\n"
+    )
+    assert _stdlib_draws(leaky) == [1, 3, 4, 5]
 
 
 # exponents on both sides of half the limit and just below the limit, so

@@ -95,6 +95,28 @@ def test_basis_forms_are_sixteen_shared_instances():
     assert len({BasisForm(mask) for mask in range(16)}) == 16
 
 
+def test_basis_forms_of_each_degree_in_mask_order():
+    for degree, count in enumerate((1, 4, 6, 4, 1)):
+        forms = basis_forms(degree)
+        masks = [basis.mask for basis in forms]
+        assert len(forms) == count
+        assert masks == [mask for mask in range(16) if mask.bit_count() == degree]
+        assert all(basis is BasisForm(basis.mask) for basis in forms)
+
+
+def test_basis_forms_returns_a_fresh_list():
+    first = basis_forms(2)
+    first.clear()
+    first.append(BasisForm(0))
+    assert len(basis_forms(2)) == 6 and basis_forms(2) is not basis_forms(2)
+
+
+@pytest.mark.parametrize("degree", [-1, 5, 16])
+def test_basis_forms_outside_degrees_zero_to_four_are_empty(degree):
+    # -1 is not degree 4 counted from the end
+    assert basis_forms(degree) == []
+
+
 @pytest.mark.parametrize("mask", [-1, 16])
 def test_basis_mask_out_of_range_is_rejected(mask):
     with pytest.raises(ValueError, match="mask out of range"):
