@@ -6,7 +6,10 @@ Configuration files are flat key=value text with one section per command
 keys are rejected; expressions go through ``expressions.parse_expression``.
 Only solve and sweep import the numeric solver (and with it numpy and scipy).
 Exit codes: 0 all checks passed, 1 verification failure or failed solve,
-2 usage or configuration error.
+2 usage or configuration error.  A stdout closed by its reader (as in
+``hodge4d sweep ... | head -1``) ends the command with exit code 1 and no
+traceback; ``sweep --out`` writes its CSV before it prints anything, so the
+file is complete either way.
 """
 
 from __future__ import annotations
@@ -228,10 +231,11 @@ def cmd_sweep(args) -> int:
     except SweepFloorError as exc:
         print(f"sweep aborted: {exc}")
         return CHECK_ERROR
-    print(result.text_table())
-    if args.out:
+    if args.out:  # before any output, so that a closed stdout cannot lose the file
         with open(args.out, "w", newline="") as handle:
             csv.writer(handle, lineterminator="\n").writerows(result.csv_rows())
+    print(result.text_table())
+    if args.out:
         print(f"wrote {args.out}")
     return 0
 
@@ -290,12 +294,19 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return USAGE_ERROR
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except SolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return CHECK_ERROR
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): send what is still buffered to
+        # devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return CHECK_ERROR
 
 

@@ -467,6 +467,22 @@ def _refined(system: LinearSystem, apply: Callable, correction: Callable, x0: np
     return x, ""
 
 
+def _toeplitz_eigenpairs(a: float, s: float, n: int) -> tuple:
+    """Eigenpairs ``(lam, q)`` of the n x n symmetric tridiagonal Toeplitz matrix.
+
+    The matrix has ``a`` on the diagonal and ``s`` on both off-diagonals.
+    Mode k = 1..n has lam_k = a + 2 s cos(k pi/(n+1)) and the orthonormal
+    eigenvector q[j, k] = sqrt(2/(n+1)) sin(j k pi/(n+1)), j = 1..n (Lynch,
+    Rice & Thomas, Numer. Math. 6, 1964).  Every entry of q is read from one
+    table of the sine over a full period, at j*k mod 2(n+1).
+    """
+    period = 2 * (n + 1)
+    k = np.arange(1, n + 1)
+    lam = a + 2.0 * s * np.cos(k * (np.pi / (n + 1)))
+    table = math.sqrt(2.0 / (n + 1)) * np.sin(np.arange(period) * (np.pi / (n + 1)))
+    return lam, table[np.outer(k, k) % period]
+
+
 def _fast_diagonalisation(system: LinearSystem):
     """Solve through the eigenbasis of the spatial stencil (Lynch, Rice & Thomas).
 
@@ -475,17 +491,29 @@ def _fast_diagonalisation(system: LinearSystem):
     Dirichlet values moved over.  X is tridiagonal; when every product of its
     off-diagonals is positive, X = D S D^-1 with D = diag(d) and S symmetric
     tridiagonal, so X = W diag(lam) W^-1 with W = D Q and W^-1 = Q^T D^-1.
-    In that basis each eigenmode k is one shifted tridiagonal solve
-    (T + lam_k I) u_k = b_k in time.  The nx shifted systems are stacked into
-    one block-diagonal tridiagonal system and factored once by LAPACK's
-    partially pivoting dgttrf; the zero couplings between blocks keep every
-    pivot inside its own block.  Like the sparse LU path, the solve takes one
-    refinement step, which removes most of the rounding that an
-    ill-conditioned W adds.
+    When S is Toeplitz (every diagonal entry equal and every off-diagonal
+    entry equal, as for constant alpha and beta), its eigenpairs are known in
+    closed form (``_toeplitz_eigenpairs``); for any other S they come from
+    LAPACK's ``eigh_tridiagonal``.  In that basis each eigenmode k is one
+    shifted tridiagonal solve (T + lam_k I) u_k = b_k in time.  The nx
+    shifted systems are stacked into one block-diagonal tridiagonal system
+    and factored once by LAPACK's partially pivoting dgttrf; the zero
+    couplings between blocks keep every pivot inside its own block.  Like the
+    sparse LU path, the solve takes one refinement step, which removes most
+    of the rounding that an ill-conditioned W adds.
 
     Returns ``(values, "")``, or ``(None, reason)`` when the guard rejects the
     system: complex eigenvalues, a scaling D too ill-conditioned to trust, a
     singular shifted system, or a result that fails the residual gate.
+
+    The scaling guard decides which convection-dominated problems fall back.
+    For the fitted scheme D equals exp(-psi/2) up to a constant, where psi =
+    beta x/alpha - t/eps is the potential that symmetrizes the operator.  With
+    constant coefficients max(d)/min(d) is therefore
+    exp(|beta| (lx - 2 hx)/(2 alpha)).  The guard thus rejects every fitted
+    problem with |beta| (lx - 2 hx)/alpha above 2 ln(1e6) = 27.6, that is
+    with |beta| lx/alpha above about 28 on all but the coarsest grids: at
+    alpha = 1e-3, beta = 1 on 32 cells the ratio is exp(468.75) = 3.8e203.
     """
     lower, main, upper = (diagonal[1:-1] for diagonal in system.x_stencil)
     t_lower, t_main, t_upper = system.t_stencil
@@ -498,10 +526,14 @@ def _fast_diagonalisation(system: LinearSystem):
         ratio = d.max() / d.min()
     if not ratio <= _MAX_SCALING_RATIO:
         return None, f"scaling ratio {ratio:.3g} above {_MAX_SCALING_RATIO:g}"
-    try:
-        lam, q = eigh_tridiagonal(main, np.sign(lower) * np.sqrt(coupling))
-    except LinAlgError as exc:
-        return None, f"spatial eigendecomposition failed ({exc})"
+    off = np.sign(lower) * np.sqrt(coupling)
+    if np.all(main == main[0]) and np.all(off == off[0]):
+        lam, q = _toeplitz_eigenpairs(main[0], off[0], len(main))
+    else:
+        try:
+            lam, q = eigh_tridiagonal(main, off)
+        except LinAlgError as exc:
+            return None, f"spatial eigendecomposition failed ({exc})"
 
     nx, ntn = len(lam), len(t_main) - 1
     block_lower = np.append(t_lower[1:], 0.0)  # zero coupling to the next block

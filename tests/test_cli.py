@@ -65,11 +65,17 @@ def test_identities_seed_from_environment(capsys, monkeypatch):
     assert code == 0
 
 
+def _checkout_env():
+    """The environment of a fresh interpreter that imports hodge4d from this checkout."""
+    src = str(Path(hodge4d.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _run_python(script, *args):
     """Run ``script`` in a fresh interpreter that imports hodge4d from this checkout."""
-    src = str(Path(hodge4d.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True)
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], env=_checkout_env(), capture_output=True, text=True
+    )
 
 
 def test_symbolic_commands_do_not_load_the_solver():
@@ -179,6 +185,38 @@ def test_sweep_writes_bit_identical_csv(tmp_path, capsys):
     assert lines[0] == "epsilon,l2_error_T,energy_integral,slope_estimate"
     assert lines[-1].startswith("fit,")
     assert len(lines) == 4  # header + two entries + summary
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["sweep", "expand"])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, capsys, command, unbuffered):
+    # the pipe's reader is gone before the child writes; with buffered stdout
+    # the write fails at the flush, unbuffered at the first print
+    config = tmp_path / "sweep.cfg"
+    config.write_text(SWEEP_CONFIG)
+    argv = {
+        "sweep": ["sweep", "--config", str(config), "--out", str(tmp_path / "piped.csv")],
+        "expand": ["expand", "--k", "2"],
+    }[command]
+    env = _checkout_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "hodge4d.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert done.stderr == ""  # no traceback, no "Exception ignored" note
+    assert done.returncode == 1
+    if command == "sweep":
+        expected = tmp_path / "expected.csv"
+        assert run(capsys, "sweep", "--config", str(config), "--out", str(expected))[0] == 0
+        assert (tmp_path / "piped.csv").read_text() == expected.read_text()
 
 
 def test_sweep_empty_eps_list_is_usage_error(tmp_path, capsys):

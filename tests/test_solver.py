@@ -270,23 +270,44 @@ def test_solve_identity_system():
     assert np.allclose(out.values.ravel(), system.rhs)
 
 
-def test_wrong_spatial_eigenvalues_fail_the_residual_gate(caplog, monkeypatch):
-    # a fault in the fast path: every spatial eigenvalue 1% too large
-    from hodge4d import solver
+def _one_percent_off(eigenpairs):
+    """``eigenpairs`` with every eigenvalue 1% too large: a fault in the fast path."""
 
-    def eigh_one_percent_off(*args, **kwargs):
-        lam, q = scipy.linalg.eigh_tridiagonal(*args, **kwargs)
+    def faulty(*args, **kwargs):
+        lam, q = eigenpairs(*args, **kwargs)
         return lam * 1.01, q
 
-    g = Grid1p1.with_cells(6, 6)
-    system = assemble(make_config(f=lambda x, t: 1.0 + x * t, g=lambda x, t: np.sin(x + t)), g)
-    monkeypatch.setattr(solver, "eigh_tridiagonal", eigh_one_percent_off)
+    return faulty
+
+
+def _assert_falls_back_to_splu(caplog, system):
     out, message = solve_logged(caplog, system)
     assert message.startswith("solve path: splu, fallback because relative residual")
     lu = scipy.sparse.linalg.splu(system.matrix.tocsc())
     expected = lu.solve(system.rhs)
     expected += lu.solve(system.rhs - system.matrix @ expected)
     assert out.values.ravel().tolist() == expected.tolist()
+
+
+def test_wrong_spatial_eigenvalues_fail_the_residual_gate(caplog, monkeypatch):
+    # alpha varies with x, so the spatial stencil is not Toeplitz and its
+    # eigenpairs come from eigh_tridiagonal
+    from hodge4d import solver
+
+    g = Grid1p1.with_cells(6, 6)
+    cfg = make_config(alpha=lambda x: 1.0 + x, f=lambda x, t: 1.0 + x * t, g=lambda x, t: np.sin(x + t))
+    monkeypatch.setattr(solver, "eigh_tridiagonal", _one_percent_off(scipy.linalg.eigh_tridiagonal))
+    _assert_falls_back_to_splu(caplog, assemble(cfg, g))
+
+
+def test_wrong_closed_form_eigenvalues_fail_the_residual_gate(caplog, monkeypatch):
+    # constant alpha: the stencil is Toeplitz and its eigenpairs are the closed form
+    from hodge4d import solver
+
+    g = Grid1p1.with_cells(6, 6)
+    cfg = make_config(f=lambda x, t: 1.0 + x * t, g=lambda x, t: np.sin(x + t))
+    monkeypatch.setattr(solver, "_toeplitz_eigenpairs", _one_percent_off(solver._toeplitz_eigenpairs))
+    _assert_falls_back_to_splu(caplog, assemble(cfg, g))
 
 
 def test_fast_path_solve_never_forms_the_matrix(caplog, monkeypatch):

@@ -5,20 +5,28 @@ M-matrix: non-positive off-diagonals, a positive diagonal and weak diagonal
 dominance on the interior rows (Xu & Zikatanov, Math. Comp. 68, 1999).  These
 must hold for every positive alpha and eps and every beta, hx and ht, not
 only for the examples in test_solver.py.  The fast-diagonalisation solve is
-checked against a sparse LU of the whole matrix over the same parameters.
+checked against a sparse LU of the whole matrix over the same parameters,
+with both spatial eigenbases: the closed form for constant alpha and beta,
+``eigh_tridiagonal`` for alpha varying with x.
 """
 
+from unittest import mock
+
 import numpy as np
+import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from loop_reference import scalar_bernoulli
+from scipy.linalg import eigh_tridiagonal
 
+from hodge4d import solver
 from hodge4d.solver import (
     Grid1p1,
     ProblemConfig,
     Scheme,
     _fast_diagonalisation,
+    _toeplitz_eigenpairs,
     assemble,
     bernoulli,
     solve,
@@ -102,6 +110,7 @@ def _splu_refined(system):
 @given(
     scheme=st.sampled_from(list(Scheme)),
     alpha=st.floats(1e-3, 10.0),
+    alpha_slope=st.sampled_from([0.0, 1.0]),
     beta=st.floats(-50.0, 50.0),
     eps=st.floats(1e-6, 10.0),
     lx=st.floats(0.1, 10.0),
@@ -110,11 +119,15 @@ def _splu_refined(system):
     cells_t=st.integers(3, 12),
 )
 def test_fast_diagonalisation_agrees_with_splu(
-    scheme, alpha, beta, eps, lx, duration, cells_x, cells_t
+    scheme, alpha, alpha_slope, beta, eps, lx, duration, cells_x, cells_t
 ):
     grid = Grid1p1.with_cells(cells_x, cells_t, lx=lx, t_final=duration)
+
+    def alpha_of_x(x):
+        return alpha * (1.0 + alpha_slope * x / lx)
+
     cfg = ProblemConfig(
-        alpha=alpha,
+        alpha=alpha_of_x,
         beta=beta,
         epsilon=eps,
         f=lambda x, t: 1.0 + x * t,
@@ -124,17 +137,34 @@ def test_fast_diagonalisation_agrees_with_splu(
     )
     system = assemble(cfg, grid)
     oracle = _splu_refined(system)
-    fast, reason = _fast_diagonalisation(system)
-    event(" ".join(reason.split()[:2]) or "fast-diagonalisation")
+    with mock.patch.object(solver, "_toeplitz_eigenpairs", wraps=solver._toeplitz_eigenpairs) as closed_form:
+        fast, reason = _fast_diagonalisation(system)
     if fast is None:
         # rejected by the guard: the solve is the sparse LU, bit for bit
+        event(" ".join(reason.split()[:2]))
         assert reason
         assert solve(system).values.ravel().tolist() == oracle.tolist()
     else:
+        # constant alpha and beta make the spatial stencil Toeplitz
+        assert closed_form.called == (alpha_slope == 0.0)
+        event("closed-form basis" if closed_form.called else "eigh_tridiagonal basis")
         assert reason == ""
         error = np.linalg.norm(fast.ravel() - oracle) / np.linalg.norm(oracle)
         assert error <= 1e-10
         assert solve(system).values.ravel().tolist() == fast.ravel().tolist()
+
+
+@pytest.mark.parametrize("n", [2, 3, 63, 383])
+@pytest.mark.parametrize("s", [-2.1, 2.1])
+def test_toeplitz_eigenpairs_diagonalise_the_stencil(n, s):
+    a = 7.3
+    lam, q = _toeplitz_eigenpairs(a, s, n)
+    stencil = np.diag(np.full(n, a)) + np.diag(np.full(n - 1, s), 1) + np.diag(np.full(n - 1, s), -1)
+    norm = np.linalg.norm(stencil, 2)
+    assert np.linalg.norm(stencil @ q - q * lam, 2) <= 1e-13 * norm
+    assert np.linalg.norm(q.T @ q - np.eye(n), 2) <= 1e-13
+    expected = eigh_tridiagonal(np.full(n, a), np.full(n - 1, s), eigvals_only=True)
+    assert np.abs(np.sort(lam) - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 @settings(max_examples=100, deadline=None)
