@@ -11,11 +11,11 @@ general (not only axis-aligned) faces are representable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
+from ._record import FrozenRecord, Record
 from .fields import T
 from .forms import (
     KForm,
@@ -36,8 +36,7 @@ class BoundaryKind(Enum):
     FINAL = "final-time"
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(FrozenRecord):
     """Normal 1-form of one boundary piece.
 
     The initial-time form is exactly -dt and the final-time form exactly
@@ -45,9 +44,12 @@ class NormalForm:
     normals remember the value of t on their face for the trace substitution.
     """
 
-    kind: BoundaryKind
-    form: KForm
-    at_time: Optional[Fraction] = None
+    __slots__ = ("kind", "form", "at_time")
+
+    def __init__(self, kind: BoundaryKind, form: KForm, at_time: Optional[Fraction] = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "at_time", at_time)
 
     @classmethod
     def spatial(cls, n1, n2, n3) -> "NormalForm":
@@ -97,20 +99,36 @@ _SPATIAL_DESCRIPTIONS = {
 }
 
 
-@dataclass
-class ConditionSummary:
-    description: str
-    applicable: bool
-    value: Optional[KForm] = None
-    satisfied: Optional[bool] = None
+class ConditionSummary(Record):
+    __slots__ = ("description", "applicable", "value", "satisfied")
+
+    def __init__(
+        self,
+        description: str,
+        applicable: bool,
+        value: Optional[KForm] = None,
+        satisfied: Optional[bool] = None,
+    ):
+        self.description = description
+        self.applicable = applicable
+        self.value = value
+        self.satisfied = satisfied
 
 
-@dataclass
-class BoundaryReport:
-    degree: int
-    spatial: ConditionSummary
-    initial: ConditionSummary
-    terminal: ConditionSummary
+class BoundaryReport(Record):
+    __slots__ = ("degree", "spatial", "initial", "terminal")
+
+    def __init__(
+        self,
+        degree: int,
+        spatial: ConditionSummary,
+        initial: ConditionSummary,
+        terminal: ConditionSummary,
+    ):
+        self.degree = degree
+        self.spatial = spatial
+        self.initial = initial
+        self.terminal = terminal
 
     def lines(self) -> list:
         out = [f"degree {self.degree}:"]

@@ -4,19 +4,20 @@ Commands: verify-tables, identities, expand, boundary, solve, sweep.
 Configuration files are flat key=value text with one section per command
 (configparser syntax); command-line flags override file values and unknown
 keys are rejected; expressions go through ``expressions.parse_expression``.
-Only solve and sweep import the numeric solver (and with it numpy and scipy).
+Only solve and sweep import the numeric solver (and with it numpy, scipy and
+dataclasses), configparser and csv.
 Exit codes: 0 all checks passed, 1 verification failure or failed solve,
 2 usage or configuration error.  A stdout closed by its reader (as in
-``hodge4d sweep ... | head -1``) ends the command with exit code 1 and no
-traceback; ``sweep --out`` writes its CSV before it prints anything, so the
-file is complete either way.
+``hodge4d sweep ... | head -1`` or ``hodge4d --help`` into a closed pipe)
+ends the command with exit code 1 and no traceback; ``sweep --out`` writes
+its CSV before it prints anything, so the file is complete either way.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
-import csv
+import contextlib
+import io
 import os
 import sys
 from fractions import Fraction
@@ -133,6 +134,8 @@ _SWEEP_KEYS = _SOLVE_KEYS | {"eps_list"}
 
 
 def _read_section(path: str, section: str, allowed: set) -> dict:
+    import configparser
+
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path, encoding="utf-8")
@@ -213,6 +216,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import csv
+
     from .solver import SweepFloorError, epsilon_sweep
 
     values = _read_section(args.config, "sweep", _SWEEP_KEYS)
@@ -281,11 +286,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        code = _run(argv)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): send what is still buffered to
+        # devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CHECK_ERROR
+
+
+def _run(argv) -> int:
+    parser = build_parser()
+    # argparse prints --help inside parse_args and drops a failed write, so
+    # its output is printed here, where a closed stdout raises
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already
+        sys.stdout.write(printed.getvalue())
         return int(exc.code or 0)
     if getattr(args, "seed", None) is None and hasattr(args, "seed"):
         try:
@@ -294,19 +316,12 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return USAGE_ERROR
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
-        return code
+        return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except SolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return CHECK_ERROR
-    except BrokenPipeError:
-        # the reader closed stdout (``| head``): send what is still buffered to
-        # devnull so that the flush at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return CHECK_ERROR
 
 

@@ -9,10 +9,10 @@ and the exponentially fitted form of the flux.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import vectorcalc as vc
+from ._record import FrozenRecord, Record
 from .fields import ExpPolyField, PolyField, T
 from .forms import (
     KForm,
@@ -41,24 +41,26 @@ class NoPotentialError(ValueError):
         super().__init__(f"convection form is not closed; nonzero derivative components: {labels}")
 
 
-@dataclass(frozen=True)
-class ConvectionForm:
+class ConvectionForm(FrozenRecord):
     """The convection 1-form beta/alpha on the spatial slots, -1/epsilon on dt."""
 
-    form: KForm
-    material: MaterialParams
+    __slots__ = ("form", "material")
 
-    def __post_init__(self):
-        if self.form.degree != 1 or temporal_parts(self.form) != -1 / self.material.epsilon:
+    def __init__(self, form: KForm, material: MaterialParams):
+        if form.degree != 1 or temporal_parts(form) != -1 / material.epsilon:
             raise ValueError("dt component must be exactly -1/epsilon")
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "material", material)
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(FrozenRecord):
     """Scalar potential whose exterior derivative is the convection form."""
 
-    psi0: PolyField
-    convection: ConvectionForm
+    __slots__ = ("psi0", "convection")
+
+    def __init__(self, psi0: PolyField, convection: ConvectionForm):
+        object.__setattr__(self, "psi0", psi0)
+        object.__setattr__(self, "convection", convection)
 
 
 def build_convection_form(m: MaterialParams) -> ConvectionForm:
@@ -136,12 +138,14 @@ def hodge_laplacian(w: KForm, m: MaterialParams) -> KForm:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExpansionRow:
-    label: str
-    input_coefficient: PolyField
-    actual: dict
-    expected: dict
+class ExpansionRow(Record):
+    __slots__ = ("label", "input_coefficient", "actual", "expected")
+
+    def __init__(self, label: str, input_coefficient: PolyField, actual: dict, expected: dict):
+        self.label = label
+        self.input_coefficient = input_coefficient
+        self.actual = actual
+        self.expected = expected
 
     def residuals(self) -> dict:
         out = {}
@@ -152,10 +156,12 @@ class ExpansionRow:
         return out
 
 
-@dataclass
-class ExpansionReport:
-    degree: int
-    rows: list
+class ExpansionReport(Record):
+    __slots__ = ("degree", "rows")
+
+    def __init__(self, degree: int, rows: list):
+        self.degree = degree
+        self.rows = rows
 
     @property
     def matches(self) -> bool:

@@ -22,11 +22,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Optional
 
+from ._record import FrozenRecord
 from .fields import AXES, PolyField, T, coerce_field, exact_scalar
 
 FULL_MASK = 0b1111
@@ -265,8 +265,7 @@ def one_form(x, y, z, t) -> KForm:
     return _form(1, ((_BASIS[1 << i], coerce_field(c)) for i, c in enumerate((x, y, z, t))))
 
 
-@dataclass(frozen=True)
-class MaterialParams:
+class MaterialParams(FrozenRecord):
     """Diffusion and convection data: alpha, epsilon and the spatial field.
 
     ``alpha`` and ``epsilon`` are exact positive rationals (ints, ``Fraction``s
@@ -276,26 +275,30 @@ class MaterialParams:
     only by the operations documented to support it.
     """
 
-    alpha: Fraction = Fraction(1)
-    epsilon: Fraction = Fraction(1)
-    beta: tuple = (PolyField.zero(), PolyField.zero(), PolyField.zero())
-    alpha_field: Optional[PolyField] = None
+    __slots__ = ("alpha", "epsilon", "beta", "alpha_field")
 
-    def __post_init__(self):
-        alpha = exact_scalar(self.alpha)
-        epsilon = exact_scalar(self.epsilon)
+    def __init__(
+        self,
+        alpha: Fraction = Fraction(1),
+        epsilon: Fraction = Fraction(1),
+        beta: tuple = (PolyField.zero(), PolyField.zero(), PolyField.zero()),
+        alpha_field: Optional[PolyField] = None,
+    ):
+        alpha = exact_scalar(alpha)
+        epsilon = exact_scalar(epsilon)
         if alpha <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
         if epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
-        beta = tuple(PolyField.coerce(b) for b in self.beta)
+        beta = tuple(PolyField.coerce(b) for b in beta)
         if len(beta) != 3:
             raise ValueError("beta must have three components")
+        if alpha_field is not None and not isinstance(alpha_field, PolyField):
+            alpha_field = PolyField.coerce(alpha_field)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "beta", beta)
-        if self.alpha_field is not None and not isinstance(self.alpha_field, PolyField):
-            object.__setattr__(self, "alpha_field", PolyField.coerce(self.alpha_field))
+        object.__setattr__(self, "alpha_field", alpha_field)
 
     @property
     def spatial_diffusion(self):

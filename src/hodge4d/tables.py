@@ -7,9 +7,9 @@ basis, so a sign slip in either direction cannot cancel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .forms import (
     KForm,
     MaterialParams,
@@ -40,12 +40,14 @@ STAR_TABLE = (
 )
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-    note: bool = False  # informational entries never fail a run
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "detail", "note")
+
+    def __init__(self, name: str, passed: bool, detail: str = "", note: bool = False):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+        self.note = note  # informational entries never fail a run
 
 
 def _equality_check(name: str, actual, expected) -> CheckResult:

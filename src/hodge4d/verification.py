@@ -9,10 +9,10 @@ that mismatched.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import vectorcalc as vc
+from ._record import Record
 from .convdiff import (
     NoPotentialError,
     build_convection_form,
@@ -36,9 +36,11 @@ from .forms import (
 from .tables import CheckResult, double_star_checks, star_table_checks
 
 
-@dataclass
-class Report:
-    checks: list = field(default_factory=list)
+class Report(Record):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks=None):
+        self.checks = [] if checks is None else checks
 
     def add(self, name, passed, detail="", note=False):
         self.checks.append(CheckResult(name, bool(passed), detail, note))

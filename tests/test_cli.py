@@ -78,13 +78,20 @@ def _run_python(script, *args):
     )
 
 
+# modules that only solve and sweep need: the solver's numpy and scipy, the
+# dataclasses it is built from (with inspect), and the config and CSV readers
+SOLVER_ONLY_MODULES = ("numpy", "scipy", "dataclasses", "inspect", "configparser", "csv")
+
+
 def test_symbolic_commands_do_not_load_the_solver():
     script = (
         "import sys\n"
         "from hodge4d.cli import main\n"
         "assert main(['verify-tables']) == 0\n"
         "assert main(['identities', '--count', '2']) == 0\n"
-        "loaded = sorted({'numpy', 'scipy'} & set(sys.modules))\n"
+        "assert main(['expand', '--k', '2']) == 0\n"
+        "assert main(['boundary', '--k', '1']) == 0\n"
+        f"loaded = sorted(set({SOLVER_ONLY_MODULES!r}) & set(sys.modules))\n"
         "assert not loaded, f'symbolic commands loaded {loaded}'\n"
         "from hodge4d import solve\n"
         "assert callable(solve) and 'scipy' in sys.modules\n"
@@ -188,15 +195,18 @@ def test_sweep_writes_bit_identical_csv(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("command", ["sweep", "expand"])
+@pytest.mark.parametrize("command", ["sweep", "expand", "help", "sweep-help"])
 def test_closed_stdout_exits_1_without_traceback(tmp_path, capsys, command, unbuffered):
     # the pipe's reader is gone before the child writes; with buffered stdout
-    # the write fails at the flush, unbuffered at the first print
+    # the write fails at the flush, unbuffered at the first print; argparse
+    # prints --help itself, inside parse_args
     config = tmp_path / "sweep.cfg"
     config.write_text(SWEEP_CONFIG)
     argv = {
         "sweep": ["sweep", "--config", str(config), "--out", str(tmp_path / "piped.csv")],
         "expand": ["expand", "--k", "2"],
+        "help": ["--help"],
+        "sweep-help": ["sweep", "--help"],
     }[command]
     env = _checkout_env()
     env.pop("PYTHONUNBUFFERED", None)
@@ -217,6 +227,14 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path, capsys, command, unbu
         expected = tmp_path / "expected.csv"
         assert run(capsys, "sweep", "--config", str(config), "--out", str(expected))[0] == 0
         assert (tmp_path / "piped.csv").read_text() == expected.read_text()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith(f"usage: hodge4d {' '.join(argv[:-1])}".rstrip())
+    assert "--help" in out
 
 
 def test_sweep_empty_eps_list_is_usage_error(tmp_path, capsys):
