@@ -22,6 +22,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -195,12 +196,14 @@ class LinearSystem:
         (lower_x, main_x, upper_x), (lower_t, main_t, upper_t) = self.x_stencil, self.t_stencil
         v = u.reshape(self.grid.shape)
         out = 0.0 + v
-        row = 0.0 + lower_t[:, None] * v[:-1, 1:-1]
-        row += lower_x[:-1] * v[1:, :-2]
-        row += (main_t[1:, None] + main_x[1:-1]) * v[1:, 1:-1]
-        row += upper_x[1:] * v[1:, 2:]
-        row[:-1] += upper_t[1:, None] * v[2:, 1:-1]
-        out[1:, 1:-1] = row
+        row = out[1:, 1:-1]
+        term = np.empty_like(row)
+        np.multiply(lower_t[:, None], v[:-1, 1:-1], out=row)
+        row += 0.0  # the sum starts from 0.0, so a -0.0 product becomes 0.0
+        row += np.multiply(lower_x[:-1], v[1:, :-2], out=term)
+        row += np.multiply(np.add(main_t[1:, None], main_x[1:-1], out=term), v[1:, 1:-1], out=term)
+        row += np.multiply(upper_x[1:], v[1:, 2:], out=term)
+        row[:-1] += np.multiply(upper_t[1:, None], v[2:, 1:-1], out=term[:-1])
         return out.ravel()
 
 
@@ -468,19 +471,59 @@ def _refined(system: LinearSystem, apply: Callable, correction: Callable, x0: np
 
 
 def _toeplitz_eigenpairs(a: float, s: float, n: int) -> tuple:
-    """Eigenpairs ``(lam, q)`` of the n x n symmetric tridiagonal Toeplitz matrix.
+    """Eigenpairs ``(lam, (antisymmetric, symmetric))`` of the n x n symmetric tridiagonal Toeplitz matrix.
 
     The matrix has ``a`` on the diagonal and ``s`` on both off-diagonals.
     Mode k = 1..n has lam_k = a + 2 s cos(k pi/(n+1)) and the orthonormal
     eigenvector q[j, k] = sqrt(2/(n+1)) sin(j k pi/(n+1)), j = 1..n (Lynch,
     Rice & Thomas, Numer. Math. 6, 1964).  Every entry of q is read from one
     table of the sine over a full period, at j*k mod 2(n+1).
+
+    The reflection j -> n+1-j multiplies q[j, k] by (-1)**(k+1), so q is
+    returned as its two independent blocks: the first n//2 rows of the
+    antisymmetric modes k = 2, 4, ... and the first (n+1)//2 rows of the
+    symmetric modes k = 1, 3, ...  ``lam`` lists the modes in that order;
+    ``_sine_forward`` and ``_sine_backward`` transform through the blocks.
     """
     period = 2 * (n + 1)
-    k = np.arange(1, n + 1)
+    k = np.concatenate((np.arange(2, n + 1, 2), np.arange(1, n + 1, 2)))
     lam = a + 2.0 * s * np.cos(k * (np.pi / (n + 1)))
     table = math.sqrt(2.0 / (n + 1)) * np.sin(np.arange(period) * (np.pi / (n + 1)))
-    return lam, table[np.outer(k, k) % period]
+    half, rows = n // 2, np.arange(1, (n + 1) // 2 + 1)
+    blocks = table[np.outer(rows, k) % period]
+    return lam, (blocks[:half, :half], blocks[:, half:])
+
+
+def _sine_forward(halves: tuple, y: np.ndarray) -> np.ndarray:
+    """The mode coefficients ``(y @ q).T`` of the rows of ``y``, C-ordered, through the halves.
+
+    ``halves`` is the ``(antisymmetric, symmetric)`` pair of
+    ``_toeplitz_eigenpairs``, and the modes come in its order.  An
+    antisymmetric mode sees only the differences y[:, j] - y[:, n-1-j], a
+    symmetric one only the sums (and the middle column when n is odd), so
+    each half is one product of about half the size: half the flops of
+    ``y @ q``.
+    """
+    antisymmetric, symmetric = halves
+    half = len(antisymmetric)
+    reflected = y[:, ::-1]
+    modes = np.empty((half + len(symmetric), len(y)))
+    np.matmul(antisymmetric.T, (y[:, :half] - reflected[:, :half]).T, out=modes[:half])
+    folded = y[:, : len(symmetric)].copy()  # the middle column, if any, is its own reflection
+    folded[:, :half] += reflected[:, :half]
+    np.matmul(symmetric.T, folded.T, out=modes[half:])
+    return modes
+
+
+def _sine_backward(halves: tuple, modes: np.ndarray, out: np.ndarray) -> None:
+    """Write ``modes.T @ q.T`` into ``out`` through the halves (see ``_sine_forward``)."""
+    antisymmetric, symmetric = halves
+    half = len(antisymmetric)
+    antisymmetric_part = modes[:half].T @ antisymmetric.T
+    symmetric_part = modes[half:].T @ symmetric.T
+    np.add(symmetric_part[:, :half], antisymmetric_part, out=out[:, :half])
+    np.subtract(symmetric_part[:, :half], antisymmetric_part, out=out[:, ::-1][:, :half])
+    out[:, half : len(symmetric)] = symmetric_part[:, half:]
 
 
 def _fast_diagonalisation(system: LinearSystem):
@@ -494,10 +537,17 @@ def _fast_diagonalisation(system: LinearSystem):
     When S is Toeplitz (every diagonal entry equal and every off-diagonal
     entry equal, as for constant alpha and beta), its eigenpairs are known in
     closed form (``_toeplitz_eigenpairs``); for any other S they come from
-    LAPACK's ``eigh_tridiagonal``.  In that basis each eigenmode k is one
-    shifted tridiagonal solve (T + lam_k I) u_k = b_k in time.  The nx
-    shifted systems are stacked into one block-diagonal tridiagonal system
-    and factored once by LAPACK's partially pivoting dgttrf; the zero
+    LAPACK's ``eigh_tridiagonal``.  The closed-form basis is the discrete
+    sine transform, whose reflection symmetry splits each transform into two
+    products of about half the size (``_sine_forward``, ``_sine_backward``;
+    the split step of Cooley, Lewis & Welch, J. Sound Vib. 12, 1970), half
+    the flops of the one full product per transform that the
+    ``eigh_tridiagonal`` basis takes.  Its modes come antisymmetric first
+    (k = 2, 4, ...), then symmetric (k = 1, 3, ...), so each half is
+    contiguous.  In that basis each eigenmode k is one shifted tridiagonal
+    solve (T + lam_k I) u_k = b_k in time.  The nx shifted systems are
+    stacked, in the order of the modes, into one block-diagonal tridiagonal
+    system and factored once by LAPACK's partially pivoting dgttrf; the zero
     couplings between blocks keep every pivot inside its own block.  Like the
     sparse LU path, the solve takes one refinement step, which removes most
     of the rounding that an ill-conditioned W adds.
@@ -528,20 +578,33 @@ def _fast_diagonalisation(system: LinearSystem):
         return None, f"scaling ratio {ratio:.3g} above {_MAX_SCALING_RATIO:g}"
     off = np.sign(lower) * np.sqrt(coupling)
     if np.all(main == main[0]) and np.all(off == off[0]):
-        lam, q = _toeplitz_eigenpairs(main[0], off[0], len(main))
+        lam, halves = _toeplitz_eigenpairs(main[0], off[0], len(main))
+        forward, backward = partial(_sine_forward, halves), partial(_sine_backward, halves)
     else:
         try:
             lam, q = eigh_tridiagonal(main, off)
         except LinAlgError as exc:
             return None, f"spatial eigendecomposition failed ({exc})"
 
+        def forward(y):
+            # not q.T @ y.T: BLAS rounds that product differently
+            return (y @ q).T
+
+        def backward(modes, out):
+            np.matmul(modes.T, q.T, out=out)
+
     nx, ntn = len(lam), len(t_main) - 1
-    block_lower = np.append(t_lower[1:], 0.0)  # zero coupling to the next block
-    block_upper = np.append(t_upper[1:], 0.0)
+    # one block per mode; the last entry of each off-diagonal block stays
+    # zero, the coupling to the next block
+    block_lower, block_upper = np.zeros((2, nx, ntn))
+    block_lower[:, :-1], block_upper[:, :-1] = t_lower[1:], t_upper[1:]
     *factors, info = dgttrf(
-        np.tile(block_lower, nx)[:-1],
+        block_lower.ravel()[:-1],
         (t_main[1:] + lam[:, None]).ravel(),
-        np.tile(block_upper, nx)[:-1],
+        block_upper.ravel()[:-1],
+        overwrite_dl=True,
+        overwrite_d=True,
+        overwrite_du=True,
     )
     if info != 0:
         return None, f"shifted tridiagonal factorization failed (dgttrf info {info})"
@@ -549,10 +612,12 @@ def _fast_diagonalisation(system: LinearSystem):
     shape = system.grid.shape
 
     def interior_solve(residual):
-        b = residual.reshape(shape)[1:, 1:-1]
-        modes, _ = dgttrs(*factors, ((b / d) @ q).T.reshape(-1, 1))  # one block per mode
+        modes = forward(residual.reshape(shape)[1:, 1:-1] / d).reshape(-1, 1)
+        modes, _ = dgttrs(*factors, modes, overwrite_b=True)  # one block per mode
         step = np.full(shape, -0.0)
-        np.multiply(modes.reshape(nx, ntn).T @ q.T, d, out=step[1:, 1:-1])
+        interior = step[1:, 1:-1]
+        backward(modes.reshape(nx, ntn), interior)
+        interior *= d
         return step.ravel()
 
     x0 = np.where(system.dirichlet, system.rhs, -0.0)
@@ -568,7 +633,17 @@ def solve(system: LinearSystem) -> DiscreteField:
     one refinement step solves it instead.  One debug record on the
     ``hodge4d.solver`` logger names the path taken and the reason for any
     fallback.
+
+    A right-hand side whose largest entry is subnormal carries too few
+    significant bits for either path to keep the solution inside the data's
+    range, so it is scaled into the normal range by a power of two, which is
+    exact, and the solution is scaled back.
     """
+    peak = np.abs(system.rhs).max()
+    if 0.0 < peak < np.finfo(float).tiny:
+        exponent = int(np.frexp(peak)[1])
+        scaled = solve(dataclasses.replace(system, rhs=np.ldexp(system.rhs, -exponent)))
+        return DiscreteField(system.grid, np.ldexp(scaled.values, exponent))
     context = (
         f"eps={system.epsilon}, scheme={system.scheme.value}, "
         f"grid={system.grid.nx}x{system.grid.nt}"
@@ -709,13 +784,14 @@ def epsilon_sweep(config: ProblemConfig, grid: Grid1p1, eps_list: Sequence[float
         raise ValueError("epsilon list must be strictly decreasing")
 
     # Ax and the data do not depend on eps, so the reference and every solve
-    # share them; Ax goes first because reference_evolution reports bad
-    # alpha or beta before bad data
+    # share them, and Ax not on the time grid, so the floor probe on the
+    # finer grid shares it too; Ax goes first because reference_evolution
+    # reports bad alpha or beta before bad data
     x_stencil = _x_stencil(config, grid)
     rhs = _data(config, grid)
     reference = _march(x_stencil, rhs.copy(), grid)
     fine_grid = dataclasses.replace(grid, nt=2 * grid.nt + 1)
-    fine_final = reference_evolution(dataclasses.replace(config, epsilon=0.0), fine_grid).values[-1]
+    fine_final = _march(x_stencil, _data(config, fine_grid), fine_grid).values[-1]
     floor_estimate = _l2_x(fine_final - reference.values[-1], grid)
 
     mid = (grid.nt + 1) // 2

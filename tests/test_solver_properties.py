@@ -31,6 +31,8 @@ from hodge4d.solver import (
     ProblemConfig,
     Scheme,
     _fast_diagonalisation,
+    _sine_backward,
+    _sine_forward,
     _toeplitz_eigenpairs,
     assemble,
     bernoulli,
@@ -108,10 +110,9 @@ def _first_node_outside_the_data(system, values, rel=1e-12, floor=np.finfo(float
 
     The data is the right-hand side on the Dirichlet nodes; a node may leave
     the range by ``rel`` of its width plus ``floor``.  The default floor is
-    the smallest normal float: below it a float has no relative precision,
-    and subnormal data does break the principle (see
-    ``test_subnormal_data_keeps_the_maximum_principle``).  A NaN node is
-    outside.
+    the smallest normal float: below it a float has no relative precision
+    (``test_subnormal_data_keeps_the_maximum_principle`` checks subnormal
+    data with no floor).  A NaN node is outside.
     """
     data = system.rhs[system.dirichlet]
     low, high = data.min(), data.max()
@@ -165,11 +166,11 @@ def test_centered_scheme_breaks_the_maximum_principle():
             assert node is None
 
 
-@pytest.mark.xfail(strict=True, reason="both solve paths lose the relative precision of subnormal data")
 @pytest.mark.parametrize("scheme", [Scheme.UPWIND, Scheme.EXP_FITTED])
 def test_subnormal_data_keeps_the_maximum_principle(scheme):
-    # g of size 1e-322, a subnormal float: the upwind solution (fast path)
-    # reaches 6e4 times the data and the fitted one (sparse LU) 5.5 times
+    # g of size 1e-322, a subnormal float: unless solve scales it into the
+    # normal range, the upwind solution (fast path) reaches 6e4 times the
+    # data and the fitted one (sparse LU) 5.5 times
     def g(x, t):
         return 1.14e-322 * np.cos(3.0 * t) + 0.0 * x
 
@@ -294,17 +295,41 @@ def test_fast_diagonalisation_agrees_with_splu(
         assert solve(system).values.ravel().tolist() == fast.ravel().tolist()
 
 
-@pytest.mark.parametrize("n", [2, 3, 63, 383])
+def _full_sine_basis(n):
+    """The closed-form eigenvectors q[j, k] = sqrt(2/(n+1)) sin(j k pi/(n+1)), j, k = 1..n.
+
+    The columns are in the solver's mode order: k = 2, 4, ... then 1, 3, ...
+    The sine's argument is reduced to one period first, exactly, in integers.
+    """
+    j = np.arange(1, n + 1)
+    q = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) % (2 * (n + 1)) * np.pi / (n + 1))
+    return np.concatenate((q[:, 1::2], q[:, 0::2]), axis=1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 63, 64, 383])
 @pytest.mark.parametrize("s", [-2.1, 2.1])
 def test_toeplitz_eigenpairs_diagonalise_the_stencil(n, s):
+    # the eigenpairs come as lam and the two halves of q; the split
+    # transforms must equal the full products with q, for both parities of n
+    # (an odd n has a middle column that is its own reflection)
     a = 7.3
-    lam, q = _toeplitz_eigenpairs(a, s, n)
+    lam, halves = _toeplitz_eigenpairs(a, s, n)
+    q = _full_sine_basis(n)
     stencil = np.diag(np.full(n, a)) + np.diag(np.full(n - 1, s), 1) + np.diag(np.full(n - 1, s), -1)
     norm = np.linalg.norm(stencil, 2)
     assert np.linalg.norm(stencil @ q - q * lam, 2) <= 1e-13 * norm
     assert np.linalg.norm(q.T @ q - np.eye(n), 2) <= 1e-13
     expected = eigh_tridiagonal(np.full(n, a), np.full(n - 1, s), eigvals_only=True)
     assert np.abs(np.sort(lam) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    y = np.random.default_rng(n).standard_normal((7, n))
+    modes = _sine_forward(halves, y)
+    assert modes.flags.c_contiguous
+    assert np.linalg.norm(modes - (y @ q).T) <= 1e-14 * np.linalg.norm(y)
+    out = np.full((9, n + 2), np.nan)  # a strided view, as in the solver
+    _sine_backward(halves, modes, out[1:-1, 1:-1])
+    assert np.linalg.norm(out[1:-1, 1:-1] - modes.T @ q.T) <= 1e-14 * np.linalg.norm(modes)
+    assert np.isnan(out[[0, -1]]).all() and np.isnan(out[:, [0, -1]]).all()
 
 
 @settings(max_examples=100, deadline=None)
