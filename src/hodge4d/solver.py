@@ -9,10 +9,12 @@ upwind, and the exponentially fitted Bernoulli-weight scheme.  The operator
 is a tensor product: a 1D spatial stencil Ax and a 1D temporal stencil At,
 each built once, give At (x) I + I (x) Ax on the interior nodes, which
 ``solve`` splits into one tridiagonal solve in t per eigenmode of Ax (fast
-diagonalisation) with a sparse LU of the whole matrix as guarded fallback.  A
-classical backward Euler marcher, I/ht + Ax, provides the independent
-zero-perturbation reference, and ``epsilon_sweep`` measures the decay of the
-difference as eps shrinks.
+diagonalisation) with a sparse LU of the whole matrix as guarded fallback.
+The zero-perturbation reference is backward Euler, I/ht + Ax, which is the
+eps = 0 member of the same family under the upwind time flux; it is solved
+the same way, each mode's time solve then being one forward substitution,
+with one SuperLU step per time step as the guarded fallback.
+``epsilon_sweep`` measures the decay of the difference as eps shrinks.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import SolveError
@@ -548,13 +551,19 @@ def _fast_diagonalisation(system: LinearSystem):
     solve (T + lam_k I) u_k = b_k in time.  The nx shifted systems are
     stacked, in the order of the modes, into one block-diagonal tridiagonal
     system and factored once by LAPACK's partially pivoting dgttrf; the zero
-    couplings between blocks keep every pivot inside its own block.  Like the
-    sparse LU path, the solve takes one refinement step, which removes most
-    of the rounding that an ill-conditioned W adds.
+    couplings between blocks keep every pivot inside its own block.  When T
+    has no upper diagonal (the eps = 0 limit that ``_march`` solves), every
+    shifted system is lower bidiagonal, one scalar recurrence per mode:
+    dividing each row by its diagonal leaves a unit lower bidiagonal matrix,
+    and one BLAS dtbsv forward substitution solves all modes at once, with
+    no factorization.  Like the sparse LU path, the solve takes one
+    refinement step, which removes most of the rounding that an
+    ill-conditioned W adds.
 
     Returns ``(values, "")``, or ``(None, reason)`` when the guard rejects the
     system: complex eigenvalues, a scaling D too ill-conditioned to trust, a
-    singular shifted system, or a result that fails the residual gate.
+    singular shifted system (a failed dgttrf, or a zero diagonal of a
+    bidiagonal one), or a result that fails the residual gate.
 
     The scaling guard decides which convection-dominated problems fall back.
     For the fitted scheme D equals exp(-psi/2) up to a constant, where psi =
@@ -594,26 +603,46 @@ def _fast_diagonalisation(system: LinearSystem):
             np.matmul(modes.T, q.T, out=out)
 
     nx, ntn = len(lam), len(t_main) - 1
-    # one block per mode; the last entry of each off-diagonal block stays
-    # zero, the coupling to the next block
-    block_lower, block_upper = np.zeros((2, nx, ntn))
-    block_lower[:, :-1], block_upper[:, :-1] = t_lower[1:], t_upper[1:]
-    *factors, info = dgttrf(
-        block_lower.ravel()[:-1],
-        (t_main[1:] + lam[:, None]).ravel(),
-        block_upper.ravel()[:-1],
-        overwrite_dl=True,
-        overwrite_d=True,
-        overwrite_du=True,
-    )
-    if info != 0:
-        return None, f"shifted tridiagonal factorization failed (dgttrf info {info})"
+    shifted = t_main[1:] + lam[:, None]
+    if not t_upper[1:].any():
+        # lower bidiagonal blocks: each row divided by its diagonal leaves a
+        # unit diagonal, and one forward substitution solves every mode
+        if not shifted.all():
+            mode = int(np.argmin(shifted.all(axis=1)))
+            return None, f"singular shifted time system (zero diagonal in mode {mode})"
+        diagonal = shifted.ravel()
+        band = np.zeros((2, nx * ntn), order="F")  # row 1 holds the sub-diagonal
+        # the last entry of each block stays zero, the coupling to the next
+        band[1].reshape(nx, ntn)[:, :-1] = t_lower[1:] / shifted[:, 1:]
+
+        def time_solve(modes):
+            modes = modes.reshape(-1)
+            modes /= diagonal
+            return dtbsv(1, band, modes, lower=1, diag=1, overwrite_x=1)
+
+    else:
+        # one block per mode; the last entry of each off-diagonal block stays
+        # zero, the coupling to the next block
+        block_lower, block_upper = np.zeros((2, nx, ntn))
+        block_lower[:, :-1], block_upper[:, :-1] = t_lower[1:], t_upper[1:]
+        *factors, info = dgttrf(
+            block_lower.ravel()[:-1],
+            shifted.ravel(),
+            block_upper.ravel()[:-1],
+            overwrite_dl=True,
+            overwrite_d=True,
+            overwrite_du=True,
+        )
+        if info != 0:
+            return None, f"shifted tridiagonal factorization failed (dgttrf info {info})"
+
+        def time_solve(modes):
+            return dgttrs(*factors, modes.reshape(-1, 1), overwrite_b=True)[0]
 
     shape = system.grid.shape
 
     def interior_solve(residual):
-        modes = forward(residual.reshape(shape)[1:, 1:-1] / d).reshape(-1, 1)
-        modes, _ = dgttrs(*factors, modes, overwrite_b=True)  # one block per mode
+        modes = time_solve(forward(residual.reshape(shape)[1:, 1:-1] / d))  # one block per mode
         step = np.full(shape, -0.0)
         interior = step[1:, 1:-1]
         backward(modes.reshape(nx, ntn), interior)
@@ -669,7 +698,8 @@ def reference_evolution(config: ProblemConfig, grid: Grid1p1) -> DiscreteField:
 
     Each step solves (I/ht + Ax) u_n = u_{n-1}/ht + f_n with the spatial
     stencil Ax of the space-time assembly and the grid's own time step;
-    unconditionally stable.
+    unconditionally stable.  This is the eps = 0 member of the space-time
+    family under the upwind time flux, and ``_march`` solves it as such.
     """
     if float(config.epsilon) != 0.0:
         raise ValueError("the reference evolution is the epsilon = 0 problem")
@@ -677,12 +707,28 @@ def reference_evolution(config: ProblemConfig, grid: Grid1p1) -> DiscreteField:
 
 
 def _march(x_stencil: tuple, values: np.ndarray, grid: Grid1p1) -> DiscreteField:
-    """Backward Euler from the node data ``values`` (see ``_data``), overwritten row by row.
+    """Backward Euler from the node data ``values`` (see ``_data``), left unchanged.
 
-    Row n holds the end values and f_n; adding u_{n-1}/ht to its interior
-    makes it the right-hand side of step n, which ``SuperLU.solve`` replaces
-    by u_n.
+    The march is the eps = 0 member of the space-time family.  At eps = 0 the
+    upwind time stencil is -1/ht below the diagonal, 1/ht on it and zero
+    above it, with no ghost coupling, so the interior row at time n reads
+    (u_n - u_{n-1})/ht + Ax u_n = f_n: backward Euler, row for row.
+    ``_fast_diagonalisation`` solves that system in the spatial eigenbasis,
+    where each mode is one scalar recurrence in time.  When its guard rejects
+    the system, the march steps through time instead: row n of a copy of
+    ``values`` holds the end values and f_n; adding u_{n-1}/ht to its
+    interior makes it the right-hand side of step n, which ``SuperLU.solve``
+    of I/ht + Ax replaces by u_n.  One debug record on the ``hodge4d.solver``
+    logger names the path taken and the reason for a fallback.
     """
+    t_stencil, _ = _t_stencil(0.0, Scheme.UPWIND, grid)
+    system = LinearSystem(values.ravel(), grid, 0.0, Scheme.UPWIND, x_stencil, t_stencil)
+    modal, reason = _fast_diagonalisation(system)
+    if modal is not None:
+        logger.debug("march path: modal (grid=%dx%d)", grid.nx, grid.nt)
+        return DiscreteField(grid, modal)
+    logger.debug("march path: per-step splu, fallback because %s (grid=%dx%d)", reason, grid.nx, grid.nt)
+    values = values.copy()
     ht = grid.ht
     step_diagonal = np.full(grid.nx + 2, 1.0 / ht)
     step_diagonal[[0, -1]] = 1.0  # Dirichlet ends
@@ -789,7 +835,7 @@ def epsilon_sweep(config: ProblemConfig, grid: Grid1p1, eps_list: Sequence[float
     # reports bad alpha or beta before bad data
     x_stencil = _x_stencil(config, grid)
     rhs = _data(config, grid)
-    reference = _march(x_stencil, rhs.copy(), grid)
+    reference = _march(x_stencil, rhs, grid)
     fine_grid = dataclasses.replace(grid, nt=2 * grid.nt + 1)
     fine_final = _march(x_stencil, _data(config, fine_grid), fine_grid).values[-1]
     floor_estimate = _l2_x(fine_final - reference.values[-1], grid)

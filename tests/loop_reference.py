@@ -2,16 +2,18 @@
 
 They are kept as test oracles: ``loop_assemble`` builds the space-time system
 one node at a time with ``add()``, ``loop_reference`` marches backward Euler
-with the data functions called one point at a time, and ``scalar_bernoulli``
+with the data functions called one point at a time and every step solved
+in 40-digit decimal arithmetic, and ``scalar_bernoulli``
 is the branch-by-branch scalar Bernoulli weight.  They use nothing from
 ``hodge4d.solver`` except the ``Scheme`` names and the grid.
 """
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from hodge4d.solver import Scheme
 
@@ -108,27 +110,47 @@ def loop_assemble(config, grid):
     return matrix, rhs, dirichlet
 
 
+def _decimal_tridiagonal_solve(lower, main, upper, rhs):
+    """Elimination without pivoting of a tridiagonal system, in the current decimal context."""
+    main, rhs = list(main), list(rhs)
+    for i in range(1, len(main)):
+        factor = lower[i - 1] / main[i - 1]
+        main[i] -= factor * upper[i - 1]
+        rhs[i] -= factor * rhs[i - 1]
+    out = [rhs[-1] / main[-1]]
+    for i in range(len(main) - 2, -1, -1):
+        out.append((rhs[i] - upper[i] * out[-1]) / main[i])
+    return out[::-1]
+
+
 def loop_reference(config, grid):
+    """The backward Euler march, each step solved in 40-digit decimal arithmetic.
+
+    The step matrix and the data are the float64 values of the node-by-node
+    build; they convert to decimal exactly, and the march keeps its
+    intermediate values in decimal, so the result is the solution of the
+    float64 discrete problem to about 40 digits, rounded once to float64.
+    """
     wl, wr = _loop_x_weights(config, grid)
     nxn = grid.nx + 2
     hx, ht = grid.hx, grid.ht
     xs, ts = grid.xs, grid.ts
 
-    rows, cols, data = [], [], []
-    for i in range(nxn):
-        if i == 0 or i == nxn - 1:
-            rows.append(i), cols.append(i), data.append(1.0)
-            continue
-        rows.append(i), cols.append(i - 1), data.append(wl[i - 1] / hx)
-        rows.append(i), cols.append(i), data.append(1.0 / ht + (wr[i - 1] - wl[i]) / hx)
-        rows.append(i), cols.append(i + 1), data.append(-wr[i] / hx)
-    lu = spla.splu(sp.csc_matrix(sp.coo_matrix((data, (rows, cols)), shape=(nxn, nxn))))
+    lower, main, upper = [0.0] * (nxn - 1), [1.0] * nxn, [0.0] * (nxn - 1)
+    for i in range(1, nxn - 1):
+        lower[i - 1] = wl[i - 1] / hx
+        main[i] = 1.0 / ht + (wr[i - 1] - wl[i]) / hx
+        upper[i] = -wr[i] / hx
 
-    values = np.zeros(grid.shape)
-    values[0] = [config.g(x, ts[0]) for x in xs]
-    for n in range(1, grid.nt + 2):
-        rhs = values[n - 1] / ht + np.array([config.f(x, ts[n]) for x in xs])
-        rhs[0] = config.g(xs[0], ts[n])
-        rhs[-1] = config.g(xs[-1], ts[n])
-        values[n] = lu.solve(rhs)
-    return values
+    with decimal.localcontext(decimal.Context(prec=40)):
+        lower, main, upper = ([Decimal(float(v)) for v in diagonal] for diagonal in (lower, main, upper))
+        step = Decimal(ht)
+        previous = [Decimal(float(config.g(x, ts[0]))) for x in xs]
+        rows = [previous]
+        for n in range(1, grid.nt + 2):
+            rhs = [u / step + Decimal(float(config.f(x, ts[n]))) for u, x in zip(previous, xs)]
+            rhs[0] = Decimal(float(config.g(xs[0], ts[n])))
+            rhs[-1] = Decimal(float(config.g(xs[-1], ts[n])))
+            previous = _decimal_tridiagonal_solve(lower, main, upper, rhs)
+            rows.append(previous)
+    return np.array([[float(u) for u in row] for row in rows])

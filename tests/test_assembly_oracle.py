@@ -1,9 +1,14 @@
 """Independent oracle for the Kronecker assembly and the reference marcher.
 
-The tensor-product code must reproduce the node-by-node builders in
+The tensor-product assembly must reproduce the node-by-node builder in
 ``loop_reference`` exactly: the arithmetic of every matrix entry and
 right-hand side value is unchanged, so the comparison is literal equality.
+The reference march must come within 1e-14 of the exact solution of the
+same float64 backward Euler steps, which ``loop_reference`` computes in
+40-digit decimal arithmetic.
 """
+
+import logging
 
 import numpy as np
 import pytest
@@ -46,10 +51,7 @@ def test_kronecker_assembly_equals_loop_assembly(scheme, target, coefficients):
     assert np.array_equal(system.dirichlet, dirichlet)
 
 
-@pytest.mark.parametrize("scheme", list(Scheme))
-@pytest.mark.parametrize("coefficients", sorted(COEFFICIENTS))
-def test_reference_evolution_equals_loop_marcher(scheme, coefficients):
-    alpha, beta = COEFFICIENTS[coefficients]
+def assert_march_equals_loop_marcher(scheme, alpha, beta):
     cfg = ProblemConfig.from_manufactured(
         "sin(pi*x)*(1+t**2)", alpha=alpha, beta=beta, epsilon=0.0,
         scheme=scheme, target="limit",
@@ -58,3 +60,25 @@ def test_reference_evolution_equals_loop_marcher(scheme, coefficients):
     values = reference_evolution(cfg, grid).values
     expected = loop_reference(cfg, grid)
     assert np.abs(values - expected).max() <= 1e-14 * max(np.abs(expected).max(), 1.0)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("coefficients", sorted(COEFFICIENTS))
+def test_reference_evolution_equals_loop_marcher(scheme, coefficients):
+    assert_march_equals_loop_marcher(scheme, *COEFFICIENTS[coefficients])
+
+
+@pytest.mark.parametrize(
+    "scheme, alpha, beta, reason",
+    [
+        (Scheme.CENTERED, "0.01*(1+x)", "2-x", "complex spatial eigenvalues"),
+        (Scheme.EXP_FITTED, "0.001", "1", "scaling ratio"),
+    ],
+)
+def test_guard_rejected_march_equals_loop_marcher(caplog, scheme, alpha, beta, reason):
+    # the guard rejects these spatial stencils, so the march steps through
+    # time with SuperLU; it must meet the same oracle
+    with caplog.at_level(logging.DEBUG, logger="hodge4d.solver"):
+        assert_march_equals_loop_marcher(scheme, alpha, beta)
+    messages = [r.getMessage() for r in caplog.records if r.name == "hodge4d.solver"]
+    assert len(messages) == 1 and messages[0].startswith("march path: per-step splu, fallback because " + reason)

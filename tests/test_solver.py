@@ -571,6 +571,33 @@ def test_sweep_csv_rows_shape(sweep_config):
     assert rows[-1][0] == "fit"
 
 
+@pytest.mark.parametrize(
+    "cells, alpha, beta, target, eps_list, path",
+    [
+        # the README sweep
+        ((64, 1024), "1.0", "0.5", "limit", [0.1, 0.05, 0.025, 0.0125], "modal"),
+        # centered at cell Peclet |beta|*hx/alpha up to 8.3: complex spatial
+        # eigenvalues
+        ((24, 96), "0.01*(1+x)", "2-x", "spacetime", [0.1, 0.05],
+         "per-step splu, fallback because complex spatial eigenvalues"),
+    ],
+)
+def test_sweep_logs_the_path_of_each_march(caplog, cells, alpha, beta, target, eps_list, path):
+    cfg = ProblemConfig.from_manufactured(
+        "sin(pi*x)*(1+t**2)", alpha=alpha, beta=beta, epsilon=0.1, scheme=Scheme.CENTERED, target=target,
+    )
+    grid = Grid1p1.with_cells(*cells)
+    with caplog.at_level(logging.DEBUG, logger="hodge4d.solver"):
+        epsilon_sweep(cfg, grid, eps_list)
+    messages = [r.getMessage() for r in caplog.records if r.name == "hodge4d.solver"]
+    marches = [m for m in messages if m.startswith("march path: ")]
+    # the reference, then the floor probe's march on twice as many time steps
+    assert len(marches) == 2 and len(messages) == 2 + len(eps_list)
+    for message, nt in zip(marches, [grid.nt, 2 * grid.nt + 1]):
+        assert message.startswith("march path: " + path)
+        assert message.endswith(f"(grid={grid.nx}x{nt})")
+
+
 # -- bilinear form ------------------------------------------------------------------
 
 

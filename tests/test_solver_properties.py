@@ -12,13 +12,17 @@ and beta its rows annihilate c1 + c2*exp(-beta*x/alpha) (Il'in, Math. Notes
 failure names it.  The fast-diagonalisation solve is
 checked against a sparse LU of the whole matrix over the same parameters,
 with both spatial eigenbases: the closed form for constant alpha and beta,
-``eigh_tridiagonal`` for alpha varying with x.
+``eigh_tridiagonal`` for alpha varying with x.  At eps = 0, the backward
+Euler reference, the time solve of each mode is one forward substitution;
+it is checked against the same sparse LU, and the march's per-step SuperLU
+fallback against a copy of that loop, bit for bit.
 """
 
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -28,6 +32,7 @@ from scipy.linalg import eigh_tridiagonal
 from hodge4d import solver
 from hodge4d.solver import (
     Grid1p1,
+    LinearSystem,
     ProblemConfig,
     Scheme,
     _fast_diagonalisation,
@@ -293,6 +298,100 @@ def test_fast_diagonalisation_agrees_with_splu(
         error = np.linalg.norm(fast.ravel() - oracle) / np.linalg.norm(oracle)
         assert error <= 1e-10
         assert solve(system).values.ravel().tolist() == fast.ravel().tolist()
+
+
+def _limit_system(config, grid):
+    """The eps = 0 space-time system that ``_march`` solves: the upwind time stencil at eps = 0."""
+    t_stencil, _ = solver._t_stencil(0.0, Scheme.UPWIND, grid)
+    x_stencil = solver._x_stencil(config, grid)
+    return LinearSystem(solver._data(config, grid).ravel(), grid, 0.0, Scheme.UPWIND, x_stencil, t_stencil)
+
+
+def _step_loop_march(x_stencil, values, grid):
+    """Backward Euler with one ``SuperLU.solve`` per time step: the march's fallback, as an oracle."""
+    ht = grid.ht
+    step_diagonal = np.full(grid.nx + 2, 1.0 / ht)
+    step_diagonal[[0, -1]] = 1.0
+    lower, main, upper = x_stencil
+    lu = spla.splu(sp.diags([lower, step_diagonal + main, upper], [-1, 0, 1], format="csc"))
+    values = values.copy()
+    for n in range(1, grid.nt + 2):
+        values[n, 1:-1] += values[n - 1, 1:-1] / ht
+        values[n] = lu.solve(values[n])
+    return values
+
+
+def _limit_config(scheme, alpha_of_x, beta):
+    return ProblemConfig(
+        alpha=alpha_of_x,
+        beta=beta,
+        epsilon=0.0,
+        f=lambda x, t: 1.0 + x * t,
+        g=lambda x, t: np.cos(x + t),
+        scheme=scheme,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scheme=st.sampled_from(list(Scheme)),
+    alpha=st.floats(1e-3, 10.0),
+    alpha_slope=st.sampled_from([0.0, 1.0]),
+    beta=st.floats(-50.0, 50.0),
+    lx=st.floats(0.1, 10.0),
+    duration=st.floats(0.1, 10.0),
+    cells_x=st.integers(3, 12),
+    cells_t=st.integers(3, 12),
+)
+def test_triangular_time_solve_agrees_with_splu(scheme, alpha, alpha_slope, beta, lx, duration, cells_x, cells_t):
+    # at eps = 0 the time stencil has no upper diagonal, so every shifted
+    # system is lower bidiagonal and dgttrf is never called
+    grid = Grid1p1.with_cells(cells_x, cells_t, lx=lx, t_final=duration)
+
+    def alpha_of_x(x):
+        return alpha * (1.0 + alpha_slope * x / lx)
+
+    cfg = _limit_config(scheme, alpha_of_x, beta)
+    system = _limit_system(cfg, grid)
+    with mock.patch.object(solver, "dgttrf", wraps=solver.dgttrf) as tridiagonal:
+        fast, reason = _fast_diagonalisation(system)
+    assert not tridiagonal.called
+    values = system.rhs.reshape(grid.shape)
+    march = solver._march(system.x_stencil, values, grid).values
+    if fast is None:
+        # rejected by the guard: the march steps with SuperLU, bit for bit
+        event(" ".join(reason.split()[:2]))
+        assert reason
+        assert march.tolist() == _step_loop_march(system.x_stencil, values, grid).tolist()
+    else:
+        event("closed-form basis" if alpha_slope == 0.0 else "eigh_tridiagonal basis")
+        assert reason == ""
+        oracle = _splu_refined(system)
+        error = np.linalg.norm(fast.ravel() - oracle) / np.linalg.norm(oracle)
+        assert error <= 1e-10
+        assert march.tolist() == fast.tolist()
+
+
+def test_zero_shifted_diagonal_falls_back_to_the_step_loop():
+    # one closed-form eigenvalue set to -1/ht makes the shifted system of
+    # mode 2 zero on its whole diagonal
+    grid = Grid1p1.with_cells(8, 6)
+    cfg = _limit_config(Scheme.CENTERED, 1.0, 0.5)
+    system = _limit_system(cfg, grid)
+    step_main = system.t_stencil[1][1]
+
+    def singular(a, s, n):
+        lam, halves = _toeplitz_eigenpairs(a, s, n)
+        lam[2] = -step_main
+        return lam, halves
+
+    values = system.rhs.reshape(grid.shape)
+    with mock.patch.object(solver, "_toeplitz_eigenpairs", singular):
+        fast, reason = _fast_diagonalisation(system)
+        march = solver._march(system.x_stencil, values, grid).values
+    assert fast is None
+    assert reason == "singular shifted time system (zero diagonal in mode 2)"
+    assert march.tolist() == _step_loop_march(system.x_stencil, values, grid).tolist()
 
 
 def _full_sine_basis(n):
