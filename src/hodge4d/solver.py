@@ -17,10 +17,10 @@ with one SuperLU step per time step as the guarded fallback.
 ``epsilon_sweep`` measures the decay of the difference as eps shrinks.
 
 The fast path writes its intermediates into one workspace per thread, kept
-for the grid shape last solved and replaced when another shape arrives, so
-repeated solves in a process reuse memory that is already mapped.  The
-arithmetic is the same, so every result is bit for bit what fresh arrays
-give, and no result shares memory with the workspace.
+for the grid shape last solved (up to 32 MiB) and replaced when another
+shape arrives, so repeated solves of one grid in a process reuse memory that
+is already mapped.  The arithmetic is the same, so every result is bit for
+bit what fresh arrays give, and no result shares memory with the workspace.
 """
 
 from __future__ import annotations
@@ -210,10 +210,7 @@ class LinearSystem:
 def _apply(system: LinearSystem, u: np.ndarray, out: np.ndarray, term: np.ndarray) -> np.ndarray:
     """Write ``system.matrix @ u`` into the grid-shaped ``out``, with ``term`` (the interior's shape) as scratch.
 
-    Each row is summed in column order from 0.0.  The last term, the upper
-    time diagonal, is skipped when that diagonal is zero (the eps = 0
-    limit): on finite input it adds only a signed zero to a row sum that is
-    never -0.0, which leaves the sum as it is.  Returns ``out``.
+    Each row is summed in column order from 0.0.  Returns ``out``.
     """
     (lower_x, main_x, upper_x), (lower_t, main_t, upper_t) = system.x_stencil, system.t_stencil
     v = u.reshape(system.grid.shape)
@@ -224,8 +221,7 @@ def _apply(system: LinearSystem, u: np.ndarray, out: np.ndarray, term: np.ndarra
     row += np.multiply(lower_x[:-1], v[1:, :-2], out=term)
     row += np.multiply(np.add(main_t[1:, None], main_x[1:-1], out=term), v[1:, 1:-1], out=term)
     row += np.multiply(upper_x[1:], v[1:, 2:], out=term)
-    if upper_t[1:].any():
-        row[:-1] += np.multiply(upper_t[1:, None], v[2:, 1:-1], out=term[:-1])
+    row[:-1] += np.multiply(upper_t[1:, None], v[2:, 1:-1], out=term[:-1])
     return out
 
 
@@ -593,16 +589,31 @@ class _Workspace:
         self.scratch = np.empty(nx * ntn)  # the two half blocks of the sine transforms
         self.bands = np.empty(3 * nx * ntn)  # dgttrf's diagonals, or the dtbsv band and diagonal
 
+    @property
+    def nbytes(self) -> int:
+        return self.grid.nbytes + self.interior.nbytes + self.modes.nbytes + self.scratch.nbytes + self.bands.nbytes
+
 
 _local = threading.local()
 
+# A workspace above this many bytes (a grid of about 600,000 nodes) serves its
+# one solve and is freed when the solve returns, instead of being kept.
+_KEPT_WORKSPACE_BYTES = 32 * 2**20
+
 
 def _workspace(shape: tuple) -> _Workspace:
-    """The current thread's workspace for ``shape``; one of another shape is replaced."""
+    """The current thread's workspace for ``shape``; one of another shape is replaced.
+
+    A new workspace is kept for the next solve only if it is at most
+    ``_KEPT_WORKSPACE_BYTES``, so a thread holds at most one workspace, of
+    at most that size.
+    """
     work = getattr(_local, "work", None)
     if work is None or work.shape != shape:
         _local.work = None  # free the old buffers before taking the new ones
-        work = _local.work = _Workspace(shape)
+        work = _Workspace(shape)
+        if work.nbytes <= _KEPT_WORKSPACE_BYTES:
+            _local.work = work
     return work
 
 
@@ -641,9 +652,11 @@ def _fast_diagonalisation(system: LinearSystem):
     (``_workspace``): one grid-shaped array (the product, then the residual,
     then the step) and six of the interior's size (the scaled residual and
     the product's scratch term, the modes, the two half blocks of the sine
-    transforms, and the three diagonals of the time systems), about 8.2 MB
+    transforms, and the three diagonals of the time systems), about 8.3 MB
     at 384 x 384 cells.  One workspace is kept per thread, for the last grid
-    shape; the start vector and the returned values are always fresh.
+    shape, if it is at most 32 MiB (``_KEPT_WORKSPACE_BYTES``); a larger one
+    is freed when its solve returns.  The start vector and the returned
+    values are always fresh.
 
     Returns ``(values, "")``, or ``(None, reason)`` when the guard rejects the
     system: complex eigenvalues, a scaling D too ill-conditioned to trust, a
@@ -736,10 +749,12 @@ def _fast_diagonalisation(system: LinearSystem):
         return _apply(system, u, work.grid, work.interior).ravel()
 
     def interior_solve(residual):
-        step = residual.reshape(shape)  # the residual is work.grid, which the step overwrites
+        # the step overwrites the residual (work.grid) inside; on the
+        # Dirichlet border the residual, rhs - x there, is already a zero
+        # that leaves x as it is
+        step = residual.reshape(shape)
         y = np.divide(step[1:, 1:-1], d, out=work.interior)
         modes = time_solve(forward(y, work.modes))  # one block per mode
-        step[0] = step[:, 0] = step[:, -1] = -0.0
         interior = step[1:, 1:-1]
         backward(modes.reshape(nx, ntn), interior)
         interior *= d
