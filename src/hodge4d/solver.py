@@ -16,7 +16,10 @@ the same way, each mode's time solve then being one forward substitution,
 with one SuperLU step per time step as the guarded fallback.
 ``epsilon_sweep`` measures the decay of the difference as eps shrinks.
 
-The fast path writes its intermediates into one workspace per thread, kept
+The fast path multiplies by the operator without forming the matrix
+(``LinearSystem.apply``), in passes over whole contiguous grid rows whose
+Dirichlet columns act as the matrix's identity rows, bit for bit the sparse
+product.  It writes its intermediates into one workspace per thread, kept
 for the grid shape last solved (up to 32 MiB) and replaced when another
 shape arrives, so repeated solves of one grid in a process reuse memory that
 is already mapped.  The arithmetic is the same, so every result is bit for
@@ -202,26 +205,49 @@ class LinearSystem:
         )
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """``matrix @ u`` without the matrix: each row summed in column order from 0.0."""
+        """``matrix @ u`` without the matrix, bit for bit (see ``_apply``)."""
         out = np.empty(self.grid.shape)
-        return _apply(self, u, out, np.empty_like(out[1:, 1:-1])).ravel()
+        return _apply(self, u, out, np.empty_like(out[1:])).ravel()
 
 
 def _apply(system: LinearSystem, u: np.ndarray, out: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """Write ``system.matrix @ u`` into the grid-shaped ``out``, with ``term`` (the interior's shape) as scratch.
+    """Write ``system.matrix @ u`` into the grid-shaped ``out``, with ``term`` (shaped like ``out[1:]``) as scratch.
 
-    Each row is summed in column order from 0.0.  Returns ``out``.
+    Every pass but the last covers whole contiguous rows of ``out[1:]``, the
+    block above the initial time, its two Dirichlet columns included.  Each
+    neighbour term multiplies a copy of the neighbours whose Dirichlet
+    columns are zeroed, and the centre coefficient there is 1.0, so those
+    columns sum zeros and 1.0 * u: the identity rows of the matrix, 0.0 + u
+    bit for bit, and no floating-point exception whatever ``u`` holds (for a
+    finite time stencil).  Each interior row is summed in column order from
+    0.0, as the sparse product sums it.  The last pass writes the
+    initial-time row, 0.0 + u.  Returns ``out``.
     """
     (lower_x, main_x, upper_x), (lower_t, main_t, upper_t) = system.x_stencil, system.t_stencil
     v = u.reshape(system.grid.shape)
-    np.add(0.0, v, out=out)
-    row = out[1:, 1:-1]
-    np.multiply(lower_t[:, None], v[:-1, 1:-1], out=row)
-    row += 0.0  # the sum starts from 0.0, so a -0.0 product becomes 0.0
-    row += np.multiply(lower_x[:-1], v[1:, :-2], out=term)
-    row += np.multiply(np.add(main_t[1:, None], main_x[1:-1], out=term), v[1:, 1:-1], out=term)
-    row += np.multiply(upper_x[1:], v[1:, 2:], out=term)
-    row[:-1] += np.multiply(upper_t[1:, None], v[2:, 1:-1], out=term[:-1])
+    flat, width = v.reshape(-1), v.shape[1]
+    ends = (slice(None), slice(None, None, width - 1))  # the two Dirichlet columns
+    left, right = np.zeros((2, width))
+    left[1:-1], right[1:-1] = lower_x[:-1], upper_x[1:]
+    rows = out[1:]
+    np.copyto(rows, v[:-1])  # the neighbours below
+    rows[ends] = 0.0
+    np.multiply(lower_t[:, None], rows, out=rows)
+    rows += 0.0  # the sum starts from 0.0, so a -0.0 product becomes 0.0
+    np.copyto(term, flat[width - 1 : -1].reshape(term.shape))  # to the left
+    term[ends] = 0.0
+    rows += np.multiply(left, term, out=term)
+    np.add(main_t[1:, None], main_x, out=term)
+    term[ends] = 1.0
+    rows += np.multiply(term, v[1:], out=term)
+    np.copyto(term.reshape(-1)[:-1], flat[width + 1 :])  # to the right; the last one lies past the grid
+    term[ends] = 0.0
+    rows += np.multiply(right, term, out=term)
+    above = term[:-1]
+    np.copyto(above, v[2:])
+    above[ends] = 0.0
+    rows[:-1] += np.multiply(upper_t[1:, None], above, out=above)
+    np.add(0.0, v[0], out=out[0])
     return out
 
 
@@ -578,20 +604,20 @@ def _sine_backward(
 class _Workspace:
     """The fast path's buffers for one grid shape, reused by every solve of that shape in one thread."""
 
-    __slots__ = ("shape", "grid", "interior", "modes", "scratch", "bands")
+    __slots__ = ("shape", "grid", "rows", "modes", "scratch", "bands")
 
     def __init__(self, shape: tuple):
         ntn, nx = shape[0] - 1, shape[1] - 2
         self.shape = shape
         self.grid = np.empty(shape)  # apply's product, then the residual, then the step
-        self.interior = np.empty((ntn, nx))  # apply's term, then the residual over d
+        self.rows = np.empty((ntn, nx + 2))  # apply's term, then (its first ntn*nx entries) the residual over d
         self.modes = np.empty((nx, ntn))
         self.scratch = np.empty(nx * ntn)  # the two half blocks of the sine transforms
         self.bands = np.empty(3 * nx * ntn)  # dgttrf's diagonals, or the dtbsv band and diagonal
 
     @property
     def nbytes(self) -> int:
-        return self.grid.nbytes + self.interior.nbytes + self.modes.nbytes + self.scratch.nbytes + self.bands.nbytes
+        return self.grid.nbytes + self.rows.nbytes + self.modes.nbytes + self.scratch.nbytes + self.bands.nbytes
 
 
 _local = threading.local()
@@ -650,8 +676,9 @@ def _fast_diagonalisation(system: LinearSystem):
 
     Every grid-sized intermediate lives in the current thread's workspace
     (``_workspace``): one grid-shaped array (the product, then the residual,
-    then the step) and six of the interior's size (the scaled residual and
-    the product's scratch term, the modes, the two half blocks of the sine
+    then the step), one of whole rows above the initial time (the product's
+    scratch term, then, in its first entries, the scaled residual) and five
+    of the interior's size (the modes, the two half blocks of the sine
     transforms, and the three diagonals of the time systems), about 8.3 MB
     at 384 x 384 cells.  One workspace is kept per thread, for the last grid
     shape, if it is at most 32 MiB (``_KEPT_WORKSPACE_BYTES``); a larger one
@@ -696,9 +723,7 @@ def _fast_diagonalisation(system: LinearSystem):
             return None, f"spatial eigendecomposition failed ({exc})"
 
         def forward(y, modes):
-            # not q.T @ y.T: BLAS rounds that product differently
-            np.copyto(modes, (y @ q).T)
-            return modes
+            return np.matmul(q.T, y.T, out=modes)
 
         def backward(modes, out):
             np.matmul(modes.T, q.T, out=out)
@@ -744,23 +769,25 @@ def _fast_diagonalisation(system: LinearSystem):
             return dgttrs(*factors, modes.reshape(-1, 1), overwrite_b=True)[0]
 
     shape = system.grid.shape
+    scaled = work.rows.reshape(-1)[: ntn * nx].reshape(ntn, nx)  # the residual over d
 
     def apply(u):
-        return _apply(system, u, work.grid, work.interior).ravel()
+        return _apply(system, u, work.grid, work.rows).ravel()
 
     def interior_solve(residual):
         # the step overwrites the residual (work.grid) inside; on the
         # Dirichlet border the residual, rhs - x there, is already a zero
         # that leaves x as it is
         step = residual.reshape(shape)
-        y = np.divide(step[1:, 1:-1], d, out=work.interior)
+        y = np.divide(step[1:, 1:-1], d, out=scaled)
         modes = time_solve(forward(y, work.modes))  # one block per mode
         interior = step[1:, 1:-1]
         backward(modes.reshape(nx, ntn), interior)
         interior *= d
         return residual
 
-    x0 = np.where(system.dirichlet, system.rhs, -0.0)
+    x0 = system.rhs.copy()
+    x0.reshape(shape)[1:, 1:-1] = -0.0
     values, reason = _refined(system, apply, interior_solve, x0)
     return (None if values is None else values.reshape(shape)), reason
 

@@ -3,9 +3,11 @@
 They are kept as test oracles: ``loop_assemble`` builds the space-time system
 one node at a time with ``add()``, ``loop_reference`` marches backward Euler
 with the data functions called one point at a time and every step solved
-in 40-digit decimal arithmetic, and ``scalar_bernoulli``
-is the branch-by-branch scalar Bernoulli weight.  They use nothing from
-``hodge4d.solver`` except the ``Scheme`` names and the grid.
+in 40-digit decimal arithmetic, ``scalar_bernoulli``
+is the branch-by-branch scalar Bernoulli weight, and ``strided_apply`` is the
+matrix-free product on strided interior views that the whole-row kernel
+replaced.  They use nothing from ``hodge4d.solver`` except the ``Scheme``
+names, the grid and a system's stencils.
 """
 
 import decimal
@@ -154,3 +156,23 @@ def loop_reference(config, grid):
             previous = _decimal_tridiagonal_solve(lower, main, upper, rhs)
             rows.append(previous)
     return np.array([[float(u) for u in row] for row in rows])
+
+
+def strided_apply(system, u):
+    """``system.matrix @ u`` as a grid-shaped array, one pass per term over the strided interior view.
+
+    Each interior row is summed in column order from 0.0; each Dirichlet row
+    is 0.0 + u.  No product touches a Dirichlet column of the interior rows.
+    """
+    (lower_x, main_x, upper_x), (lower_t, main_t, upper_t) = system.x_stencil, system.t_stencil
+    v = u.reshape(system.grid.shape)
+    out = np.add(0.0, v)
+    term = np.empty_like(out[1:, 1:-1])
+    row = out[1:, 1:-1]
+    np.multiply(lower_t[:, None], v[:-1, 1:-1], out=row)
+    row += 0.0
+    row += np.multiply(lower_x[:-1], v[1:, :-2], out=term)
+    row += np.multiply(np.add(main_t[1:, None], main_x[1:-1], out=term), v[1:, 1:-1], out=term)
+    row += np.multiply(upper_x[1:], v[1:, 2:], out=term)
+    row[:-1] += np.multiply(upper_t[1:, None], v[2:, 1:-1], out=term[:-1])
+    return out

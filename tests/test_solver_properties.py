@@ -15,7 +15,9 @@ with both spatial eigenbases: the closed form for constant alpha and beta,
 ``eigh_tridiagonal`` for alpha varying with x.  At eps = 0, the backward
 Euler reference, the time solve of each mode is one forward substitution;
 it is checked against the same sparse LU, and the march's per-step SuperLU
-fallback against a copy of that loop, bit for bit.
+fallback against a copy of that loop, bit for bit.  The whole-row
+matrix-free product is checked against the strided kernel it replaced, byte
+for byte and floating-point exception for exception.
 """
 
 from unittest import mock
@@ -26,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
-from loop_reference import scalar_bernoulli
+from loop_reference import scalar_bernoulli, strided_apply
 from scipy.linalg import eigh_tridiagonal
 
 from hodge4d import solver
@@ -459,3 +461,120 @@ def test_apply_is_the_matrix_product(
     # a compiled sparse product may fuse multiply and add on other platforms
     bound = 5 * 2.0**-53 * (abs(matrix) @ np.abs(u)) + 5 * np.finfo(float).smallest_subnormal
     assert (np.abs(system.apply(u) - matrix @ u) <= bound).all()
+
+
+def _raised(product):
+    """The message of the ``FloatingPointError`` that ``product()`` raises under ``errstate(all="raise")``, or None."""
+    with np.errstate(all="raise"):
+        try:
+            product()
+        except FloatingPointError as exc:
+            return str(exc)
+    return None
+
+
+# signed zeros, subnormals, the smallest normal, values near 1e300 and
+# non-finite values, where products underflow, lose their sign, overflow or
+# are invalid
+_EDGE_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, np.finfo(float).tiny, 1e300, -1e300, 1.7e308]
+_EDGE_ENTRIES += [np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scheme=st.sampled_from(list(Scheme)),
+    alpha=st.floats(1e-3, 10.0),
+    alpha_slope=st.sampled_from([0.0, 1.0]),
+    beta=st.floats(-50.0, 50.0),
+    eps=st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
+    cells_x=st.integers(3, 12),
+    cells_t=st.integers(3, 12),
+    data=st.data(),
+)
+def test_apply_equals_the_strided_kernel_byte_for_byte(
+    scheme, alpha, alpha_slope, beta, eps, cells_x, cells_t, data
+):
+    # cells_x from 3 gives nx from 2, odd and even; eps = 0 is the march's
+    # stencil, whose upper time diagonal is zero
+    grid = Grid1p1.with_cells(cells_x, cells_t)
+
+    def alpha_of_x(x):
+        return alpha * (1.0 + alpha_slope * x)
+
+    cfg = ProblemConfig(alpha=alpha_of_x, beta=beta, epsilon=eps, f=_zero, g=_zero, scheme=scheme)
+    if eps == 0.0:
+        system = _limit_system(cfg, grid)
+    else:
+        system = assemble(cfg, grid)
+    # a few special values per example, so that some products raise nothing
+    special = st.one_of(
+        st.sampled_from(_EDGE_ENTRIES),
+        st.floats(-1e-300, 1e-300),
+        st.floats(1e299, 1e301),
+        st.floats(-1e301, -1e299),
+    )
+    entries = st.floats(-1e6, 1e6)
+    specials = data.draw(st.lists(special, max_size=3))
+    if specials:
+        entries |= st.sampled_from(specials)
+    u = np.array(data.draw(st.lists(entries, min_size=grid.n_nodes, max_size=grid.n_nodes)))
+    with np.errstate(all="ignore"):
+        expected = strided_apply(system, u)
+        out = np.full(grid.shape, np.nan)  # nothing left over may survive
+        solver._apply(system, u, out, np.full_like(out[1:], np.nan))
+        assert out.tobytes() == expected.tobytes()
+        assert system.apply(u).tobytes() == expected.tobytes()
+    # the Dirichlet columns add no floating-point exception of their own
+    out = np.empty(grid.shape)
+    raised = _raised(lambda: strided_apply(system, u))
+    event(f"raises {raised}")
+    assert _raised(lambda: solver._apply(system, u, out, np.empty_like(out[1:]))) == raised
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_huge_dirichlet_ends_raise_no_floating_point_error(scheme):
+    # whole rows would couple the Dirichlet columns in time: 1e307 times the
+    # time stencil's centre (2 eps/ht**2 = 128 for centered) overflows, where
+    # the sparse product takes only the small x couplings alpha/hx**2 = 0.64
+    grid = Grid1p1.with_cells(8, 8)
+
+    def g(x, t):
+        return np.where((x == 0.0) | (x == 1.0), 1e307, 0.0) + 0.0 * t
+
+    system = assemble(ProblemConfig(alpha=1e-2, beta=0.0, epsilon=1.0, f=_zero, g=g, scheme=scheme), grid)
+    assert (system.rhs.reshape(grid.shape)[:, [0, -1]] == 1e307).all()
+    assert _raised(lambda: strided_apply(system, system.rhs)) is None
+    with np.errstate(all="raise"):
+        product = system.apply(system.rhs)
+    assert product.tobytes() == strided_apply(system, system.rhs).tobytes()
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_one_non_finite_node_raises_what_the_strided_kernel_raises(scheme, value):
+    # at each node in turn, including the Dirichlet columns and the nodes
+    # next to them, whose values the whole rows also meet
+    grid = Grid1p1.with_cells(5, 4)
+    system = assemble(ProblemConfig(alpha=1.0, beta=0.5, epsilon=0.5, f=_zero, g=_zero, scheme=scheme), grid)
+    for node in range(grid.n_nodes):
+        u = np.linspace(-1.0, 1.0, grid.n_nodes)
+        u[node] = value
+        raised = _raised(lambda: strided_apply(system, u))
+        assert _raised(lambda: system.apply(u)) == raised, node
+        with np.errstate(all="ignore"):
+            assert system.apply(u).tobytes() == strided_apply(system, u).tobytes(), node
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_each_row_is_summed_from_zero(scheme):
+    # -0.0 on the nodes of even i + j and 0.0 on the others: every product of
+    # an even row is -0.0 (a positive centre times -0.0, negative couplings
+    # times 0.0), and only the sum's start from 0.0 makes the row 0.0
+    grid = Grid1p1.with_cells(6, 5)
+    system = assemble(ProblemConfig(alpha=1.0, beta=0.0, epsilon=1.0, f=_zero, g=_zero, scheme=scheme), grid)
+    j, i = np.indices(grid.shape)
+    u = np.where((i + j) % 2 == 0, -0.0, 0.0).ravel()
+    product = system.apply(u)
+    assert product.tobytes() == strided_apply(system, u).tobytes()
+    assert not np.signbit(product).any()
+    assert not np.signbit(system.matrix @ u).any()

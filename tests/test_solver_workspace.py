@@ -87,7 +87,7 @@ def test_garbage_in_the_workspace_changes_no_bit(path):
     system = build(0.0, GRID)
     fresh = _in_fresh_thread(_fast, system)
     work = solver._workspace(GRID.shape)
-    for name in ("grid", "interior", "modes", "scratch", "bands"):
+    for name in ("grid", "rows", "modes", "scratch", "bands"):
         getattr(work, name).fill(np.nan)
     assert _fast(system).tobytes() == fresh.tobytes()
     assert solver._workspace(GRID.shape) is work  # the same shape reused it
@@ -114,7 +114,7 @@ def test_a_result_does_not_change_with_a_later_solve(path):
     assert first.tobytes() == kept.tobytes()
     assert not np.shares_memory(first, second)
     work = solver._workspace(GRID.shape)
-    for name in ("grid", "interior", "modes", "scratch", "bands"):
+    for name in ("grid", "rows", "modes", "scratch", "bands"):
         assert not np.shares_memory(first, getattr(work, name))
 
 
@@ -124,7 +124,7 @@ def test_solve_and_march_results_do_not_alias_the_workspace():
     solved = solver.solve(_spacetime(1.0, 0.0, GRID)).values
     work = solver._workspace(GRID.shape)
     for values in (march, solved):
-        for name in ("grid", "interior", "modes", "scratch", "bands"):
+        for name in ("grid", "rows", "modes", "scratch", "bands"):
             assert not np.shares_memory(values, getattr(work, name))
 
 
