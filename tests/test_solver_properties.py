@@ -476,8 +476,10 @@ def _raised(product):
 # signed zeros, subnormals, the smallest normal, values near 1e300 and
 # non-finite values, where products underflow, lose their sign, overflow or
 # are invalid
-_EDGE_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, np.finfo(float).tiny, 1e300, -1e300, 1.7e308]
-_EDGE_ENTRIES += [np.inf, -np.inf, np.nan]
+_EDGE_ENTRIES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, np.finfo(float).tiny,
+    1e300, -1e300, 1.7e308, np.inf, -np.inf, np.nan,
+]
 
 
 @settings(max_examples=200, deadline=None)
