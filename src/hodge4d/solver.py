@@ -11,10 +11,11 @@ each built once, give At (x) I + I (x) Ax on the interior nodes, which
 ``solve`` splits into one tridiagonal solve in t per eigenmode of Ax (fast
 diagonalisation) with a sparse LU of the whole matrix as guarded fallback.
 The zero-perturbation reference is backward Euler, I/ht + Ax, which is the
-eps = 0 member of the same family under the upwind time flux; it is solved
-the same way, each mode's time solve then being one forward substitution,
-with one SuperLU step per time step as the guarded fallback.
-``epsilon_sweep`` measures the decay of the difference as eps shrinks.
+eps = 0 member of the same family under the upwind time flux (``_system``);
+``solve`` solves it the same way, each mode's time solve then being one
+forward substitution, with one SuperLU step per time step as the guarded
+fallback.  ``epsilon_sweep`` measures the decay of the difference as eps
+shrinks.
 
 The fast path multiplies by the operator without forming the matrix
 (``LinearSystem.apply``), in passes over whole contiguous grid rows whose
@@ -545,20 +546,13 @@ def _toeplitz_eigenpairs(a: float, s: float, n: int) -> tuple:
     return lam, (blocks[:half, :half], blocks[:, half:])
 
 
-def _sine_blocks(halves: tuple, rows: int, scratch: Optional[np.ndarray]) -> tuple:
-    """Two C-contiguous blocks of ``rows`` rows, one column per mode of each half, split from the flat ``scratch``.
-
-    A fresh ``scratch`` is taken when it is None.
-    """
+def _sine_blocks(halves: tuple, rows: int, scratch: np.ndarray) -> tuple:
+    """Two C-contiguous blocks of ``rows`` rows, one column per mode of each half, split from the flat ``scratch``."""
     half, n = len(halves[0]), len(halves[0]) + len(halves[1])
-    if scratch is None:
-        scratch = np.empty(rows * n)
     return scratch[: rows * half].reshape(rows, half), scratch[rows * half : rows * n].reshape(rows, n - half)
 
 
-def _sine_forward(
-    halves: tuple, y: np.ndarray, modes: Optional[np.ndarray] = None, scratch: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _sine_forward(halves: tuple, y: np.ndarray, modes: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """The mode coefficients ``(y @ q).T`` of the rows of ``y``, C-ordered, through the halves.
 
     ``halves`` is the ``(antisymmetric, symmetric)`` pair of
@@ -567,14 +561,11 @@ def _sine_forward(
     symmetric one only the sums (and the middle column when n is odd), so
     each half is one product of about half the size: half the flops of
     ``y @ q``.  The result is written into ``modes`` and the folded columns
-    into the flat ``scratch`` (of ``y.size`` entries), each taken fresh
-    when None.
+    into the flat ``scratch`` (of ``y.size`` entries).
     """
     antisymmetric, symmetric = halves
     half = len(antisymmetric)
     reflected = y[:, ::-1]
-    if modes is None:
-        modes = np.empty((half + len(symmetric), len(y)))
     differences, folded = _sine_blocks(halves, len(y), scratch)
     np.subtract(y[:, :half], reflected[:, :half], out=differences)
     np.matmul(antisymmetric.T, differences.T, out=modes[:half])
@@ -584,12 +575,10 @@ def _sine_forward(
     return modes
 
 
-def _sine_backward(
-    halves: tuple, modes: np.ndarray, out: np.ndarray, scratch: Optional[np.ndarray] = None
-) -> None:
+def _sine_backward(halves: tuple, modes: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     """Write ``modes.T @ q.T`` into ``out`` through the halves (see ``_sine_forward``).
 
-    The two half products go to the flat ``scratch``, taken fresh when None.
+    The two half products go to the flat ``scratch``.
     """
     antisymmetric, symmetric = halves
     half = len(antisymmetric)
@@ -666,7 +655,7 @@ def _fast_diagonalisation(system: LinearSystem):
     stacked, in the order of the modes, into one block-diagonal tridiagonal
     system and factored once by LAPACK's partially pivoting dgttrf; the zero
     couplings between blocks keep every pivot inside its own block.  When T
-    has no upper diagonal (the eps = 0 limit that ``_march`` solves), every
+    has no upper diagonal (the eps = 0 reference, backward Euler), every
     shifted system is lower bidiagonal, one scalar recurrence per mode:
     dividing each row by its diagonal leaves a unit lower bidiagonal matrix,
     and one BLAS dtbsv forward substitution solves all modes at once, with
@@ -797,12 +786,13 @@ def solve(system: LinearSystem) -> DiscreteField:
 
     The fast-diagonalisation path (``_fast_diagonalisation``) runs first.  If
     its guard rejects the system, a direct sparse LU of the whole matrix with
-    one refinement step solves it instead.  One debug record on the
-    ``hodge4d.solver`` logger names the path taken and the reason for any
-    fallback.
+    one refinement step solves it instead, or, for the eps = 0 reference
+    (backward Euler, see ``_system``), ``_time_steps`` marches it one time
+    step at a time.  One debug record on the ``hodge4d.solver`` logger names
+    the path taken and the reason for any fallback.
 
     A right-hand side whose largest entry is subnormal carries too few
-    significant bits for either path to keep the solution inside the data's
+    significant bits for any path to keep the solution inside the data's
     range, so it is scaled into the normal range by a power of two, which is
     exact, and the solution is scaled back.
     """
@@ -819,6 +809,12 @@ def solve(system: LinearSystem) -> DiscreteField:
     if values is not None:
         logger.debug("solve path: fast-diagonalisation (%s)", context)
         return DiscreteField(system.grid, values)
+    if system.epsilon == 0.0:
+        logger.debug("solve path: time steps, fallback because %s (%s)", reason, context)
+        values = _time_steps(system)
+        if not np.all(np.isfinite(values)):
+            raise SolveError(f"the time steps reached a value that is not finite ({context})")
+        return DiscreteField(system.grid, values)
     logger.debug("solve path: splu, fallback because %s (%s)", reason, context)
     matrix = system.matrix
     try:
@@ -831,51 +827,52 @@ def solve(system: LinearSystem) -> DiscreteField:
     return DiscreteField(system.grid, x.reshape(system.grid.shape))
 
 
+def _time_steps(system: LinearSystem) -> np.ndarray:
+    """Backward Euler through the eps = 0 system (see ``_system``), one time step at a time.
+
+    Row n of a copy of the right-hand side holds the end values and f_n;
+    adding u_{n-1}/ht to its interior makes it the right-hand side of step
+    n, which ``SuperLU.solve`` of I/ht + Ax replaces by u_n.  The residual
+    gate of ``_refined`` is not applied: a stiff march that is correct can
+    fail it.
+    """
+    grid, ht = system.grid, system.grid.ht
+    step_diagonal = np.full(grid.nx + 2, 1.0 / ht)
+    step_diagonal[[0, -1]] = 1.0  # Dirichlet ends
+    lower, main, upper = system.x_stencil
+    lu = spla.splu(sp.diags([lower, step_diagonal + main, upper], [-1, 0, 1], format="csc"))
+    values = system.rhs.reshape(grid.shape).copy()
+    for n in range(1, grid.nt + 2):
+        values[n, 1:-1] += values[n - 1, 1:-1] / ht
+        values[n] = lu.solve(values[n])
+    return values
+
+
+def _system(rhs: np.ndarray, grid: Grid1p1, eps: float, scheme: Scheme, x_stencil: tuple) -> LinearSystem:
+    """The space-time system over the node data ``rhs`` (see ``_data``) with homogeneous terminal data.
+
+    At eps = 0 the time flux is upwind whatever ``scheme``: the time stencil
+    is then -1/ht below the diagonal, 1/ht on it and zero above it, with no
+    ghost coupling, so the interior row at time n reads (u_n - u_{n-1})/ht +
+    Ax u_n = f_n, backward Euler row for row.
+    """
+    t_stencil, _ = _t_stencil(eps, Scheme.UPWIND if eps == 0.0 else scheme, grid)
+    return LinearSystem(rhs.ravel(), grid, eps, scheme, x_stencil, t_stencil)
+
+
 def reference_evolution(config: ProblemConfig, grid: Grid1p1) -> DiscreteField:
     """Backward Euler marching of the eps = 0 evolution problem.
 
     Each step solves (I/ht + Ax) u_n = u_{n-1}/ht + f_n with the spatial
     stencil Ax of the space-time assembly and the grid's own time step;
     unconditionally stable.  This is the eps = 0 member of the space-time
-    family under the upwind time flux, and ``_march`` solves it as such.
+    family under the upwind time flux (``_system``), and ``solve`` solves it
+    as such.
     """
     if float(config.epsilon) != 0.0:
         raise ValueError("the reference evolution is the epsilon = 0 problem")
-    return _march(_x_stencil(config, grid), _data(config, grid), grid)
-
-
-def _march(x_stencil: tuple, values: np.ndarray, grid: Grid1p1) -> DiscreteField:
-    """Backward Euler from the node data ``values`` (see ``_data``), left unchanged.
-
-    The march is the eps = 0 member of the space-time family.  At eps = 0 the
-    upwind time stencil is -1/ht below the diagonal, 1/ht on it and zero
-    above it, with no ghost coupling, so the interior row at time n reads
-    (u_n - u_{n-1})/ht + Ax u_n = f_n: backward Euler, row for row.
-    ``_fast_diagonalisation`` solves that system in the spatial eigenbasis,
-    where each mode is one scalar recurrence in time.  When its guard rejects
-    the system, the march steps through time instead: row n of a copy of
-    ``values`` holds the end values and f_n; adding u_{n-1}/ht to its
-    interior makes it the right-hand side of step n, which ``SuperLU.solve``
-    of I/ht + Ax replaces by u_n.  One debug record on the ``hodge4d.solver``
-    logger names the path taken and the reason for a fallback.
-    """
-    t_stencil, _ = _t_stencil(0.0, Scheme.UPWIND, grid)
-    system = LinearSystem(values.ravel(), grid, 0.0, Scheme.UPWIND, x_stencil, t_stencil)
-    modal, reason = _fast_diagonalisation(system)
-    if modal is not None:
-        logger.debug("march path: modal (grid=%dx%d)", grid.nx, grid.nt)
-        return DiscreteField(grid, modal)
-    logger.debug("march path: per-step splu, fallback because %s (grid=%dx%d)", reason, grid.nx, grid.nt)
-    values = values.copy()
-    ht = grid.ht
-    step_diagonal = np.full(grid.nx + 2, 1.0 / ht)
-    step_diagonal[[0, -1]] = 1.0  # Dirichlet ends
-    lower, main, upper = x_stencil
-    lu = spla.splu(sp.diags([lower, step_diagonal + main, upper], [-1, 0, 1], format="csc"))
-    for n in range(1, grid.nt + 2):
-        values[n, 1:-1] += values[n - 1, 1:-1] / ht
-        values[n] = lu.solve(values[n])
-    return DiscreteField(grid, values)
+    x_stencil = _x_stencil(config, grid)  # bad alpha or beta is reported before bad data
+    return solve(_system(_data(config, grid), grid, 0.0, config.scheme, x_stencil))
 
 
 # ---------------------------------------------------------------------------
@@ -973,16 +970,15 @@ def epsilon_sweep(config: ProblemConfig, grid: Grid1p1, eps_list: Sequence[float
     # reports bad alpha or beta before bad data
     x_stencil = _x_stencil(config, grid)
     rhs = _data(config, grid)
-    reference = _march(x_stencil, rhs, grid)
+    reference = solve(_system(rhs, grid, 0.0, config.scheme, x_stencil))
     fine_grid = dataclasses.replace(grid, nt=2 * grid.nt + 1)
-    fine_final = _march(x_stencil, _data(config, fine_grid), fine_grid).values[-1]
+    fine_final = solve(_system(_data(config, fine_grid), fine_grid, 0.0, config.scheme, x_stencil)).values[-1]
     floor_estimate = _l2_x(fine_final - reference.values[-1], grid)
 
     mid = (grid.nt + 1) // 2
     entries = []
     for eps in eps_list:
-        t_stencil, _ = _t_stencil(eps, config.scheme, grid)
-        perturbed = solve(LinearSystem(rhs.ravel(), grid, eps, config.scheme, x_stencil, t_stencil))
+        perturbed = solve(_system(rhs, grid, eps, config.scheme, x_stencil))
         diff = perturbed.values - reference.values
         l2_T = _l2_x(diff[-1], grid)
         entry = SweepEntry(

@@ -76,9 +76,10 @@ def test_reference_evolution_equals_loop_marcher(scheme, coefficients):
     ],
 )
 def test_guard_rejected_march_equals_loop_marcher(caplog, scheme, alpha, beta, reason):
-    # the guard rejects these spatial stencils, so the march steps through
-    # time with SuperLU; it must meet the same oracle
+    # the guard rejects these spatial stencils, so solve steps through time
+    # with SuperLU; it must meet the same oracle
     with caplog.at_level(logging.DEBUG, logger="hodge4d.solver"):
         assert_march_equals_loop_marcher(scheme, alpha, beta)
     messages = [r.getMessage() for r in caplog.records if r.name == "hodge4d.solver"]
-    assert len(messages) == 1 and messages[0].startswith("march path: per-step splu, fallback because " + reason)
+    assert len(messages) == 1 and messages[0].startswith("solve path: time steps, fallback because " + reason)
+    assert messages[0].endswith(f"(eps=0.0, scheme={scheme.value}, grid=12x39)")

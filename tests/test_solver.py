@@ -373,6 +373,17 @@ def test_reference_zero_data():
     assert np.abs(out.values).max() == 0.0
 
 
+def test_reference_that_overflows_raises_with_context(caplog):
+    # data near the float maximum: the fast path's result is not finite, and
+    # in the time steps u/ht overflows
+    cfg = make_config(alpha=1.0, beta=0.5, epsilon=0.0, g=lambda x, t: 1e307 * (1.0 + x) + 0.0 * t)
+    with np.errstate(all="ignore"), caplog.at_level(logging.DEBUG, logger="hodge4d.solver"):
+        with pytest.raises(SolveError, match=r"not finite \(eps=0.0, scheme=centered, grid=23x95\)$"):
+            reference_evolution(cfg, Grid1p1.with_cells(24, 96))
+    messages = [r.getMessage() for r in caplog.records if r.name == "hodge4d.solver"]
+    assert len(messages) == 1 and messages[0].startswith("solve path: time steps, fallback because")
+
+
 def test_reference_heat_decay_against_kernel():
     # u0 = sin(pi x) decays as exp(-pi^2 t); backward Euler is O(ht) accurate
     def g_data(x, t):
@@ -572,17 +583,23 @@ def test_sweep_csv_rows_shape(sweep_config):
 
 
 @pytest.mark.parametrize(
-    "cells, alpha, beta, target, eps_list, path",
+    "cells, alpha, beta, target, eps_list, paths",
     [
-        # the README sweep
-        ((64, 1024), "1.0", "0.5", "limit", [0.1, 0.05, 0.025, 0.0125], "modal"),
+        pytest.param(
+            (64, 1024), "1.0", "0.5", "limit", [0.1, 0.05, 0.025, 0.0125], ("fast-diagonalisation",) * 2,
+            id="readme-sweep",
+        ),
         # centered at cell Peclet |beta|*hx/alpha up to 8.3: complex spatial
         # eigenvalues
-        ((24, 96), "0.01*(1+x)", "2-x", "spacetime", [0.1, 0.05],
-         "per-step splu, fallback because complex spatial eigenvalues"),
+        pytest.param(
+            (24, 96), "0.01*(1+x)", "2-x", "spacetime", [0.1, 0.05],
+            ("time steps, fallback because complex spatial eigenvalues",
+             "splu, fallback because complex spatial eigenvalues"),
+            id="complex-eigenvalues",
+        ),
     ],
 )
-def test_sweep_logs_the_path_of_each_march(caplog, cells, alpha, beta, target, eps_list, path):
+def test_sweep_logs_the_path_of_each_solve(caplog, cells, alpha, beta, target, eps_list, paths):
     cfg = ProblemConfig.from_manufactured(
         "sin(pi*x)*(1+t**2)", alpha=alpha, beta=beta, epsilon=0.1, scheme=Scheme.CENTERED, target=target,
     )
@@ -590,12 +607,14 @@ def test_sweep_logs_the_path_of_each_march(caplog, cells, alpha, beta, target, e
     with caplog.at_level(logging.DEBUG, logger="hodge4d.solver"):
         epsilon_sweep(cfg, grid, eps_list)
     messages = [r.getMessage() for r in caplog.records if r.name == "hodge4d.solver"]
-    marches = [m for m in messages if m.startswith("march path: ")]
-    # the reference, then the floor probe's march on twice as many time steps
-    assert len(marches) == 2 and len(messages) == 2 + len(eps_list)
-    for message, nt in zip(marches, [grid.nt, 2 * grid.nt + 1]):
-        assert message.startswith("march path: " + path)
-        assert message.endswith(f"(grid={grid.nx}x{nt})")
+    assert len(messages) == 2 + len(eps_list)
+    # the reference, then the floor probe's march on twice as many time
+    # steps, then each eps
+    expected = [(0.0, grid.nt, paths[0]), (0.0, 2 * grid.nt + 1, paths[0])]
+    expected += [(eps, grid.nt, paths[1]) for eps in eps_list]
+    for message, (eps, nt, path) in zip(messages, expected):
+        assert message.startswith("solve path: " + path)
+        assert message.endswith(f"(eps={eps}, scheme=centered, grid={grid.nx}x{nt})")
 
 
 # -- bilinear form ------------------------------------------------------------------

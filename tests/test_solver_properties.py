@@ -14,10 +14,11 @@ checked against a sparse LU of the whole matrix over the same parameters,
 with both spatial eigenbases: the closed form for constant alpha and beta,
 ``eigh_tridiagonal`` for alpha varying with x.  At eps = 0, the backward
 Euler reference, the time solve of each mode is one forward substitution;
-it is checked against the same sparse LU, and the march's per-step SuperLU
-fallback against a copy of that loop, bit for bit.  The whole-row
-matrix-free product is checked against the strided kernel it replaced, byte
-for byte and floating-point exception for exception.
+it is checked against the same sparse LU, and ``solve``'s per-step SuperLU
+fallback for a rejected eps = 0 system against a copy of that loop, bit for
+bit.  The whole-row matrix-free product is checked against the strided
+kernel it replaced, byte for byte and floating-point exception for
+exception.
 """
 
 from unittest import mock
@@ -34,7 +35,6 @@ from scipy.linalg import eigh_tridiagonal
 from hodge4d import solver
 from hodge4d.solver import (
     Grid1p1,
-    LinearSystem,
     ProblemConfig,
     Scheme,
     _fast_diagonalisation,
@@ -177,13 +177,17 @@ def test_centered_scheme_breaks_the_maximum_principle():
 def test_subnormal_data_keeps_the_maximum_principle(scheme):
     # g of size 1e-322, a subnormal float: unless solve scales it into the
     # normal range, the upwind solution (fast path) reaches 6e4 times the
-    # data and the fitted one (sparse LU) 5.5 times
+    # data and the fitted one (sparse LU) 5.5 times, and the upwind
+    # backward Euler reference spans [-3.4e-318, 6.9e-318]
     def g(x, t):
         return 1.14e-322 * np.cos(3.0 * t) + 0.0 * x
 
     grid = Grid1p1.with_cells(9, 24)
     system = assemble(_no_forcing_problem(scheme, 0.0036, -1.48, 0.15, g), grid)
     assert _first_node_outside_the_data(system, solve(system).values, floor=0.0) is None
+    # the reference has the same Dirichlet data, so the same bounds
+    reference = solver.reference_evolution(_no_forcing_problem(scheme, 0.0036, -1.48, 0.0, g), grid)
+    assert _first_node_outside_the_data(system, reference.values, floor=0.0) is None
 
 
 def test_maximum_principle_verdict_names_the_first_node():
@@ -303,14 +307,13 @@ def test_fast_diagonalisation_agrees_with_splu(
 
 
 def _limit_system(config, grid):
-    """The eps = 0 space-time system that ``_march`` solves: the upwind time stencil at eps = 0."""
-    t_stencil, _ = solver._t_stencil(0.0, Scheme.UPWIND, grid)
+    """The eps = 0 space-time system of the backward Euler reference: the upwind time stencil at eps = 0."""
     x_stencil = solver._x_stencil(config, grid)
-    return LinearSystem(solver._data(config, grid).ravel(), grid, 0.0, Scheme.UPWIND, x_stencil, t_stencil)
+    return solver._system(solver._data(config, grid), grid, 0.0, config.scheme, x_stencil)
 
 
 def _step_loop_march(x_stencil, values, grid):
-    """Backward Euler with one ``SuperLU.solve`` per time step: the march's fallback, as an oracle."""
+    """Backward Euler with one ``SuperLU.solve`` per time step: ``solve``'s eps = 0 fallback, as an oracle."""
     ht = grid.ht
     step_diagonal = np.full(grid.nx + 2, 1.0 / ht)
     step_diagonal[[0, -1]] = 1.0
@@ -359,9 +362,9 @@ def test_triangular_time_solve_agrees_with_splu(scheme, alpha, alpha_slope, beta
         fast, reason = _fast_diagonalisation(system)
     assert not tridiagonal.called
     values = system.rhs.reshape(grid.shape)
-    march = solver._march(system.x_stencil, values, grid).values
+    march = solve(system).values
     if fast is None:
-        # rejected by the guard: the march steps with SuperLU, bit for bit
+        # rejected by the guard: solve steps with SuperLU, bit for bit
         event(" ".join(reason.split()[:2]))
         assert reason
         assert march.tolist() == _step_loop_march(system.x_stencil, values, grid).tolist()
@@ -390,7 +393,7 @@ def test_zero_shifted_diagonal_falls_back_to_the_step_loop():
     values = system.rhs.reshape(grid.shape)
     with mock.patch.object(solver, "_toeplitz_eigenpairs", singular):
         fast, reason = _fast_diagonalisation(system)
-        march = solver._march(system.x_stencil, values, grid).values
+        march = solve(system).values
     assert fast is None
     assert reason == "singular shifted time system (zero diagonal in mode 2)"
     assert march.tolist() == _step_loop_march(system.x_stencil, values, grid).tolist()
@@ -424,11 +427,11 @@ def test_toeplitz_eigenpairs_diagonalise_the_stencil(n, s):
     assert np.abs(np.sort(lam) - expected).max() <= 1e-12 * np.abs(expected).max()
 
     y = np.random.default_rng(n).standard_normal((7, n))
-    modes = _sine_forward(halves, y)
-    assert modes.flags.c_contiguous
+    modes, scratch = np.empty((n, 7)), np.empty(7 * n)
+    assert _sine_forward(halves, y, modes, scratch) is modes
     assert np.linalg.norm(modes - (y @ q).T) <= 1e-14 * np.linalg.norm(y)
     out = np.full((9, n + 2), np.nan)  # a strided view, as in the solver
-    _sine_backward(halves, modes, out[1:-1, 1:-1])
+    _sine_backward(halves, modes, out[1:-1, 1:-1], scratch)
     assert np.linalg.norm(out[1:-1, 1:-1] - modes.T @ q.T) <= 1e-14 * np.linalg.norm(modes)
     assert np.isnan(out[[0, -1]]).all() and np.isnan(out[:, [0, -1]]).all()
 

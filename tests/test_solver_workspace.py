@@ -4,7 +4,7 @@
 workspace per thread (``solver._workspace``) and reuses it across solves of
 the same grid shape.  These tests pin that the reuse is invisible on each of
 its three paths (the closed-form sine basis with the dgttrf time solve, the
-dtbsv forward substitution of the eps = 0 march, and the
+dtbsv forward substitution of the eps = 0 backward Euler reference, and the
 ``eigh_tridiagonal`` basis): a solve after garbage in the workspace, or after
 another system of the same shape, equals a solve in a fresh thread bit for
 bit; a returned result never aliases the workspace; the Dirichlet border
@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from hodge4d import solver
-from hodge4d.solver import Grid1p1, LinearSystem, ProblemConfig, Scheme, _fast_diagonalisation, assemble
+from hodge4d.solver import Grid1p1, ProblemConfig, _fast_diagonalisation, assemble
 
 EXPRESSION = "sin(pi*x)*(1+t**2)"
 
@@ -38,13 +38,11 @@ def _spacetime(alpha, phase, grid):
 
 
 def _limit(alpha, phase, grid):
-    """The eps = 0 system that ``_march`` solves (upwind time stencil at eps = 0)."""
+    """The eps = 0 system of the backward Euler reference (upwind time stencil at eps = 0)."""
     cfg = ProblemConfig.from_manufactured(
         f"sin(pi*x + {phase})*(1+t**2)", alpha=alpha, beta=0.5, epsilon=0.0, scheme="centered", target="limit"
     )
-    t_stencil, _ = solver._t_stencil(0.0, Scheme.UPWIND, grid)
-    x_stencil = solver._x_stencil(cfg, grid)
-    return LinearSystem(solver._data(cfg, grid).ravel(), grid, 0.0, Scheme.UPWIND, x_stencil, t_stencil)
+    return solver._system(solver._data(cfg, grid), grid, 0.0, cfg.scheme, solver._x_stencil(cfg, grid))
 
 
 # (build(phase, grid), the solver functions that path must call)
