@@ -25,13 +25,26 @@ for the grid shape last solved (up to 32 MiB) and replaced when another
 shape arrives, so repeated solves of one grid in a process reuse memory that
 is already mapped.  The arithmetic is the same, so every result is bit for
 bit what fresh arrays give, and no result shares memory with the workspace.
+The modes never couple, so the fast path splits them into two lanes and
+hands one lane to a helper thread while the caller runs the other.  The
+helper is started at the first solve of at least 10,000 interior nodes in a
+process that may run on two CPUs and whose BLAS runs on one thread; a BLAS
+on several threads already uses the cores, so then, and for smaller
+solves, the caller runs both lanes.  Each lane writes its own part of the
+caller's workspace, and the results are bit for bit those of both lanes run
+in the caller.
 """
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
 import dataclasses
 import logging
 import math
+import os
+import queue
+import sys
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -552,42 +565,48 @@ def _sine_blocks(halves: tuple, rows: int, scratch: np.ndarray) -> tuple:
     return scratch[: rows * half].reshape(rows, half), scratch[rows * half : rows * n].reshape(rows, n - half)
 
 
-def _sine_forward(halves: tuple, y: np.ndarray, modes: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """The mode coefficients ``(y @ q).T`` of the rows of ``y``, C-ordered, through the halves.
+def _sine_forward(halves: tuple, y: np.ndarray, modes: np.ndarray, scratch: np.ndarray, lane: int) -> None:
+    """Write one half's rows of the mode coefficients ``(y @ q).T`` of the rows of ``y`` into ``modes``.
 
     ``halves`` is the ``(antisymmetric, symmetric)`` pair of
-    ``_toeplitz_eigenpairs``, and the modes come in its order.  An
-    antisymmetric mode sees only the differences y[:, j] - y[:, n-1-j], a
-    symmetric one only the sums (and the middle column when n is odd), so
-    each half is one product of about half the size: half the flops of
-    ``y @ q``.  The result is written into ``modes`` and the folded columns
-    into the flat ``scratch`` (of ``y.size`` entries).
+    ``_toeplitz_eigenpairs``, and the modes come in its order; lane 0 writes
+    the antisymmetric half, lane 1 the symmetric one.  An antisymmetric mode
+    sees only the differences y[:, j] - y[:, n-1-j], a symmetric one only the
+    sums (and the middle column when n is odd), so each half is one product
+    of about half the size: half the flops of ``y @ q``.  The folded columns
+    go to the lane's block of the flat ``scratch`` (of ``y.size`` entries,
+    ``_sine_blocks``), so the two lanes touch disjoint memory.
     """
     antisymmetric, symmetric = halves
     half = len(antisymmetric)
     reflected = y[:, ::-1]
-    differences, folded = _sine_blocks(halves, len(y), scratch)
-    np.subtract(y[:, :half], reflected[:, :half], out=differences)
-    np.matmul(antisymmetric.T, differences.T, out=modes[:half])
-    np.copyto(folded, y[:, : len(symmetric)])  # the middle column, if any, is its own reflection
-    folded[:, :half] += reflected[:, :half]
-    np.matmul(symmetric.T, folded.T, out=modes[half:])
-    return modes
+    folded = _sine_blocks(halves, len(y), scratch)[lane]
+    if lane == 0:
+        np.subtract(y[:, :half], reflected[:, :half], out=folded)
+        np.matmul(antisymmetric.T, folded.T, out=modes[:half])
+    else:
+        np.copyto(folded, y[:, : len(symmetric)])  # the middle column, if any, is its own reflection
+        folded[:, :half] += reflected[:, :half]
+        np.matmul(symmetric.T, folded.T, out=modes[half:])
 
 
-def _sine_backward(halves: tuple, modes: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Write ``modes.T @ q.T`` into ``out`` through the halves (see ``_sine_forward``).
+def _sine_backward(halves: tuple, modes: np.ndarray, scratch: np.ndarray, lane: int) -> None:
+    """Write one half's product ``modes[half's rows].T @ q_half.T`` into the lane's block of ``scratch``.
 
-    The two half products go to the flat ``scratch``.
+    ``_sine_combine`` then adds the two halves' products into ``modes.T @ q.T``.
     """
-    antisymmetric, symmetric = halves
-    half = len(antisymmetric)
+    half = len(halves[0])
+    rows = modes[:half] if lane == 0 else modes[half:]
+    np.matmul(rows.T, halves[lane].T, out=_sine_blocks(halves, modes.shape[1], scratch)[lane])
+
+
+def _sine_combine(halves: tuple, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write ``modes.T @ q.T`` into ``out`` from the two half products that ``_sine_backward`` left in ``scratch``."""
+    half = len(halves[0])
     antisymmetric_part, symmetric_part = _sine_blocks(halves, len(out), scratch)
-    np.matmul(modes[:half].T, antisymmetric.T, out=antisymmetric_part)
-    np.matmul(modes[half:].T, symmetric.T, out=symmetric_part)
     np.add(symmetric_part[:, :half], antisymmetric_part, out=out[:, :half])
     np.subtract(symmetric_part[:, :half], antisymmetric_part, out=out[:, ::-1][:, :half])
-    out[:, half : len(symmetric)] = symmetric_part[:, half:]
+    out[:, half : len(halves[1])] = symmetric_part[:, half:]
 
 
 class _Workspace:
@@ -632,6 +651,148 @@ def _workspace(shape: tuple) -> _Workspace:
     return work
 
 
+class _Helper:
+    """A daemon thread that runs lane 1 of one solve at a time (see ``_in_lanes``)."""
+
+    __slots__ = ("idle", "tasks")
+
+    def __init__(self):
+        self.idle = threading.Lock()  # taken by a caller, released by the helper when its lane is done
+        self.tasks = queue.SimpleQueue()
+        threading.Thread(target=self._serve, name="hodge4d-solver-lane", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self._run(*self.tasks.get())
+
+    def _run(self, context: contextvars.Context, lane: Callable, done: queue.SimpleQueue):
+        # locals end with the call, so the helper keeps no workspace alive
+        try:
+            result = context.run(lane), None
+        except BaseException as exc:  # re-raised by the caller
+            result = None, exc
+        self.idle.release()
+        done.put(result)
+
+
+# A solve with fewer interior nodes runs both lanes itself: each of its three
+# hand-offs to the helper costs tens of microseconds, more than a lane of a
+# small grid saves.  With BLAS on one thread on two cores, an eps > 0 solve
+# of 95 x 95 interior nodes took 3-7% longer with the helper, one of
+# 111 x 111 1-5% less and one of 127 x 127 5-10% less (two runs).
+_LANE_HELPER_NODES = 10_000
+
+_UNSTARTED = object()
+_helper = _UNSTARTED
+_helper_lock = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_OPENBLAS_THREAD_COUNTERS = (
+    "openblas_get_num_threads",
+    "openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "scipy_openblas_get_num_threads64_",
+)
+_blas_thread_counters = None
+
+
+def _find_blas_thread_counters() -> list:
+    """OpenBLAS's thread-count function behind each extension the fast path calls, or None where it has none.
+
+    The extensions are numpy's (matmul) and SciPy's LAPACK (dgttrf, dgttrs)
+    and BLAS (dtbsv) wrappers; numpy and SciPy wheels each load their own
+    OpenBLAS.  Looked up through an extension's own handle, a symbol is found
+    in the libraries it links.
+    """
+    counters = []
+    for name in ("numpy._core._multiarray_umath", "scipy.linalg._flapack", "scipy.linalg._fblas"):
+        try:
+            library = ctypes.CDLL(sys.modules[name].__file__)
+        except (KeyError, AttributeError, OSError):  # not loaded, built in, or not a shared object
+            counters.append(None)
+            continue
+        found = [getattr(library, symbol) for symbol in _OPENBLAS_THREAD_COUNTERS if hasattr(library, symbol)]
+        counters.append(found[0] if found else None)
+    return counters
+
+
+def _blas_on_one_thread() -> bool:
+    """Whether every BLAS the fast path calls is known to run on one thread right now.
+
+    A BLAS on several threads already spreads its products over the cores,
+    and a product that another thread calls at the same time stalls in it
+    (on two cores with OpenBLAS's own threads, a first product took 8-28 ms
+    instead of 0.1 ms), so the fast path then runs both lanes in the caller,
+    as it does for a BLAS that is not OpenBLAS.  The counts are read at
+    every solve, so a limit set at run time holds.
+    """
+    global _blas_thread_counters
+    if _blas_thread_counters is None:
+        _blas_thread_counters = _find_blas_thread_counters()
+    return all(count is not None and count() == 1 for count in _blas_thread_counters)
+
+
+def _lane_helper() -> Optional[_Helper]:
+    """The process's helper, started at the first call that may use it.
+
+    None when BLAS may run on more than one thread (``_blas_on_one_thread``),
+    when the process may run on one CPU only, or when it cannot start a
+    thread.
+    """
+    global _helper
+    if not _blas_on_one_thread():
+        return None
+    with _helper_lock:
+        if _helper is _UNSTARTED:
+            try:
+                _helper = _Helper() if _usable_cpus() >= 2 else None
+            except RuntimeError:  # no thread could be started: the caller runs both lanes
+                _helper = None
+        return _helper
+
+
+def _forget_helper():
+    """In a forked child, where the helper thread does not exist, start a new one at the next solve."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = _UNSTARTED, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _in_lanes(helper: Optional[_Helper], lane: Callable) -> tuple:
+    """``(lane(0), lane(1))``, with lane 1 run by ``helper`` while the caller runs lane 0.
+
+    The two lanes must write disjoint memory.  Lane 1 runs in a copy of the
+    caller's ``contextvars`` context, so numpy's ``errstate`` holds in it too,
+    and an exception in either lane reaches the caller once both are done.
+    Without a helper, or when another solve is using it, the caller runs both
+    lanes itself, in order; the arithmetic is the same either way.
+    """
+    if helper is None or not helper.idle.acquire(blocking=False):
+        return lane(0), lane(1)
+    done = queue.SimpleQueue()
+    helper.tasks.put((contextvars.copy_context(), partial(lane, 1), done))
+    try:
+        first = lane(0)
+    finally:
+        try:
+            second, error = done.get()
+        except BaseException:
+            _local.work = None  # interrupted: the helper may still write into this thread's workspace
+            raise
+    if error is not None:
+        raise error
+    return first, second
+
+
 def _fast_diagonalisation(system: LinearSystem):
     """Solve through the eigenbasis of the spatial stencil (Lynch, Rice & Thomas).
 
@@ -651,17 +812,35 @@ def _fast_diagonalisation(system: LinearSystem):
     ``eigh_tridiagonal`` basis takes.  Its modes come antisymmetric first
     (k = 2, 4, ...), then symmetric (k = 1, 3, ...), so each half is
     contiguous.  In that basis each eigenmode k is one shifted tridiagonal
-    solve (T + lam_k I) u_k = b_k in time.  The nx shifted systems are
-    stacked, in the order of the modes, into one block-diagonal tridiagonal
-    system and factored once by LAPACK's partially pivoting dgttrf; the zero
-    couplings between blocks keep every pivot inside its own block.  When T
-    has no upper diagonal (the eps = 0 reference, backward Euler), every
-    shifted system is lower bidiagonal, one scalar recurrence per mode:
-    dividing each row by its diagonal leaves a unit lower bidiagonal matrix,
-    and one BLAS dtbsv forward substitution solves all modes at once, with
-    no factorization.  Like the sparse LU path, the solve takes one
-    refinement step, which removes most of the rounding that an
-    ill-conditioned W adds.
+    solve (T + lam_k I) u_k = b_k in time, and the modes never couple.  The
+    nx shifted systems are stacked, in the order of the modes, into one
+    block-diagonal tridiagonal system, split into two lanes of contiguous
+    modes: the two halves of the sine basis, or the lower and upper half of
+    the ``eigh_tridiagonal`` modes.  Each lane factors its blocks by LAPACK's
+    partially pivoting dgttrf; the zero couplings between blocks keep every
+    pivot inside its own block, so the two calls do the arithmetic of one
+    call over all modes.  When T has no upper diagonal (the eps = 0
+    reference, backward Euler), every shifted system is lower bidiagonal,
+    one scalar recurrence per mode: dividing each row by its diagonal leaves
+    a unit lower bidiagonal matrix, and one BLAS dtbsv forward substitution
+    per lane solves its modes, with no factorization.  Like the sparse LU
+    path, the solve takes one refinement step, which removes most of the
+    rounding that an ill-conditioned W adds.
+
+    The caller runs one lane while a helper thread runs the other
+    (``_in_lanes``): the factorization, then in each refinement step the
+    lane's time solves and, in the sine basis, its half products of both
+    transforms; the caller then adds the two halves of the backward
+    transform.  The ``eigh_tridiagonal`` basis keeps its full products in the
+    caller.  The multiplication by the operator, the residual norms and the
+    gate stay in the caller too.  The helper starts at the first solve that
+    may use it, and only in a process that may run on at least two CPUs; a
+    solve of fewer than 10,000 interior nodes (``_LANE_HELPER_NODES``), one
+    in a process whose BLAS may run on several threads
+    (``_blas_on_one_thread``), or one that finds the helper busy with
+    another thread's solve runs both lanes in the caller.  Each lane writes
+    only its own part of the workspace, so the results are bit for bit the
+    same wherever the lanes run.
 
     Every grid-sized intermediate lives in the current thread's workspace
     (``_workspace``): one grid-shaped array (the product, then the residual,
@@ -671,13 +850,17 @@ def _fast_diagonalisation(system: LinearSystem):
     transforms, and the three diagonals of the time systems), about 8.3 MB
     at 384 x 384 cells.  One workspace is kept per thread, for the last grid
     shape, if it is at most 32 MiB (``_KEPT_WORKSPACE_BYTES``); a larger one
-    is freed when its solve returns.  The start vector and the returned
-    values are always fresh.
+    is freed when its solve returns.  The helper has none: its lane writes
+    into the caller's.  The start vector and the returned values are always
+    fresh.
 
     Returns ``(values, "")``, or ``(None, reason)`` when the guard rejects the
     system: complex eigenvalues, a scaling D too ill-conditioned to trust, a
     singular shifted system (a failed dgttrf, or a zero diagonal of a
-    bidiagonal one), or a result that fails the residual gate.
+    bidiagonal one), or a result that fails the residual gate.  A failed
+    lane numbers its row or mode over all modes, and lane 0's failure, the
+    lower modes, comes first, so the reason reads as one call over all
+    modes would give it.
 
     The scaling guard decides which convection-dominated problems fall back.
     For the fitted scheme D equals exp(-psi/2) up to a constant, where psi =
@@ -700,63 +883,94 @@ def _fast_diagonalisation(system: LinearSystem):
     if not ratio <= _MAX_SCALING_RATIO:
         return None, f"scaling ratio {ratio:.3g} above {_MAX_SCALING_RATIO:g}"
     work = _workspace(system.grid.shape)
+    nx, ntn = len(main), len(t_main) - 1
+    helper = _lane_helper() if nx * ntn >= _LANE_HELPER_NODES else None
     off = np.sign(lower) * np.sqrt(coupling)
     if np.all(main == main[0]) and np.all(off == off[0]):
         lam, halves = _toeplitz_eigenpairs(main[0], off[0], len(main))
-        forward = partial(_sine_forward, halves, scratch=work.scratch)
-        backward = partial(_sine_backward, halves, scratch=work.scratch)
+        split = len(halves[0])
+
+        def transform(y, time_solve, out):
+            def lane(index):
+                _sine_forward(halves, y, work.modes, work.scratch, index)
+                time_solve(index)
+                _sine_backward(halves, work.modes, work.scratch, index)
+
+            _in_lanes(helper, lane)
+            _sine_combine(halves, out, work.scratch)
+
     else:
         try:
             lam, q = eigh_tridiagonal(main, off)
         except LinAlgError as exc:
             return None, f"spatial eigendecomposition failed ({exc})"
+        split = nx // 2
 
-        def forward(y, modes):
-            return np.matmul(q.T, y.T, out=modes)
+        def transform(y, time_solve, out):
+            # splitting a product by rows of its output need not keep its bits
+            np.matmul(q.T, y.T, out=work.modes)
+            _in_lanes(helper, time_solve)
+            np.matmul(work.modes.T, q.T, out=out)
 
-        def backward(modes, out):
-            np.matmul(modes.T, q.T, out=out)
-
-    nx, ntn = len(lam), len(t_main) - 1
+    lanes = ((0, split), (split, nx))  # the modes of each lane
     lower_band, upper_band, shifted = work.bands.reshape(3, nx, ntn)
-    np.add(t_main[1:], lam[:, None], out=shifted)
     if not t_upper[1:].any():
         # lower bidiagonal blocks: each row divided by its diagonal leaves a
-        # unit diagonal, and one forward substitution solves every mode
-        if not shifted.all():
-            mode = int(np.argmin(shifted.all(axis=1)))
-            return None, f"singular shifted time system (zero diagonal in mode {mode})"
-        diagonal = shifted.ravel()
-        # row 1 holds the sub-diagonal; the last entry of each block stays
-        # zero, the coupling to the next
+        # unit diagonal, and one forward substitution per lane solves its modes;
+        # row 1 of the band holds the sub-diagonal, and the last entry of each
+        # block stays zero, the coupling to the next
         band = work.bands[: 2 * nx * ntn].reshape((2, nx * ntn), order="F")
-        band[:] = 0.0
-        np.divide(t_lower[1:], shifted[:, 1:], out=band[1].reshape(nx, ntn)[:, :-1])
 
-        def time_solve(modes):
-            modes = modes.reshape(-1)
-            modes /= diagonal
-            return dtbsv(1, band, modes, lower=1, diag=1, overwrite_x=1)
+        def factor(lane):
+            lo, hi = lanes[lane]
+            diagonal = np.add(t_main[1:], lam[lo:hi, None], out=shifted[lo:hi])
+            if not diagonal.all():
+                mode = lo + int(np.argmin(diagonal.all(axis=1)))
+                return f"singular shifted time system (zero diagonal in mode {mode})"
+            columns = band[:, lo * ntn : hi * ntn]
+            columns[:] = 0.0
+            np.divide(t_lower[1:], diagonal[:, 1:], out=columns[1].reshape(hi - lo, ntn)[:, :-1])
+            return ""
+
+        def time_solve(lane):
+            lo, hi = lanes[lane]
+            modes = work.modes[lo:hi].reshape(-1)
+            modes /= shifted[lo:hi].reshape(-1)
+            # the contiguous block is solved in place
+            dtbsv(1, band[:, lo * ntn : hi * ntn], modes, lower=1, diag=1, overwrite_x=1)
 
     else:
-        # one block per mode; the last entry of each off-diagonal block stays
-        # zero, the coupling to the next block
-        for block, values in ((lower_band, t_lower[1:]), (upper_band, t_upper[1:])):
-            block[:, :-1], block[:, -1] = values, 0.0
-        *factors, info = dgttrf(
-            lower_band.ravel()[:-1],
-            shifted.ravel(),
-            upper_band.ravel()[:-1],
-            overwrite_dl=True,
-            overwrite_d=True,
-            overwrite_du=True,
-        )
-        if info != 0:
-            return None, f"shifted tridiagonal factorization failed (dgttrf info {info})"
+        factors = [None, None]
 
-        def time_solve(modes):
-            return dgttrs(*factors, modes.reshape(-1, 1), overwrite_b=True)[0]
+        def factor(lane):
+            # one block per mode; the last entry of each off-diagonal block
+            # stays zero, the coupling to the next block, so no pivot leaves
+            # its block and one dgttrf per lane does the arithmetic of one
+            # over all modes
+            lo, hi = lanes[lane]
+            np.add(t_main[1:], lam[lo:hi, None], out=shifted[lo:hi])
+            for block, values in ((lower_band[lo:hi], t_lower[1:]), (upper_band[lo:hi], t_upper[1:])):
+                block[:, :-1], block[:, -1] = values, 0.0
+            *lane_factors, info = dgttrf(
+                lower_band[lo:hi].ravel()[:-1],
+                shifted[lo:hi].ravel(),
+                upper_band[lo:hi].ravel()[:-1],
+                overwrite_dl=True,
+                overwrite_d=True,
+                overwrite_du=True,
+            )
+            factors[lane] = lane_factors
+            if info > 0:  # the row of the first zero pivot, counted over all modes
+                info += lo * ntn
+            return f"shifted tridiagonal factorization failed (dgttrf info {info})" if info else ""
 
+        def time_solve(lane):
+            lo, hi = lanes[lane]
+            dgttrs(*factors[lane], work.modes[lo:hi].reshape(-1, 1), overwrite_b=True)  # in place, as dtbsv
+
+    reason = next(filter(None, _in_lanes(helper, factor)), "")  # lane 0 holds the lower modes
+    if reason:
+        return None, reason
     shape = system.grid.shape
     scaled = work.rows.reshape(-1)[: ntn * nx].reshape(ntn, nx)  # the residual over d
 
@@ -769,9 +983,8 @@ def _fast_diagonalisation(system: LinearSystem):
         # that leaves x as it is
         step = residual.reshape(shape)
         y = np.divide(step[1:, 1:-1], d, out=scaled)
-        modes = time_solve(forward(y, work.modes))  # one block per mode
         interior = step[1:, 1:-1]
-        backward(modes.reshape(nx, ntn), interior)
+        transform(y, time_solve, interior)  # one block of modes per lane
         interior *= d
         return residual
 
@@ -795,6 +1008,10 @@ def solve(system: LinearSystem) -> DiscreteField:
     significant bits for any path to keep the solution inside the data's
     range, so it is scaled into the normal range by a power of two, which is
     exact, and the solution is scaled back.
+
+    Data near the float maximum can overflow on every path; no floating-point
+    warning is raised for it, and a result that is not finite ends in
+    ``SolveError``.
     """
     peak = max(system.rhs.max(), -system.rhs.min())
     if 0.0 < peak < np.finfo(float).tiny:
@@ -805,26 +1022,27 @@ def solve(system: LinearSystem) -> DiscreteField:
         f"eps={system.epsilon}, scheme={system.scheme.value}, "
         f"grid={system.grid.nx}x{system.grid.nt}"
     )
-    values, reason = _fast_diagonalisation(system)
-    if values is not None:
-        logger.debug("solve path: fast-diagonalisation (%s)", context)
-        return DiscreteField(system.grid, values)
-    if system.epsilon == 0.0:
-        logger.debug("solve path: time steps, fallback because %s (%s)", reason, context)
-        values = _time_steps(system)
-        if not np.all(np.isfinite(values)):
-            raise SolveError(f"the time steps reached a value that is not finite ({context})")
-        return DiscreteField(system.grid, values)
-    logger.debug("solve path: splu, fallback because %s (%s)", reason, context)
-    matrix = system.matrix
-    try:
-        lu = spla.splu(matrix.tocsc())
-    except RuntimeError as exc:
-        raise SolveError(f"factorization failed ({context}): {exc}") from exc
-    x, reason = _refined(system, matrix.dot, lu.solve, np.full(system.rhs.shape, -0.0))
-    if x is None:
-        raise SolveError(f"{reason} ({context})")
-    return DiscreteField(system.grid, x.reshape(system.grid.shape))
+    with np.errstate(all="ignore"):
+        values, reason = _fast_diagonalisation(system)
+        if values is not None:
+            logger.debug("solve path: fast-diagonalisation (%s)", context)
+            return DiscreteField(system.grid, values)
+        if system.epsilon == 0.0:
+            logger.debug("solve path: time steps, fallback because %s (%s)", reason, context)
+            values = _time_steps(system)
+            if not np.all(np.isfinite(values)):
+                raise SolveError(f"the time steps reached a value that is not finite ({context})")
+            return DiscreteField(system.grid, values)
+        logger.debug("solve path: splu, fallback because %s (%s)", reason, context)
+        matrix = system.matrix
+        try:
+            lu = spla.splu(matrix.tocsc())
+        except RuntimeError as exc:
+            raise SolveError(f"factorization failed ({context}): {exc}") from exc
+        x, reason = _refined(system, matrix.dot, lu.solve, np.full(system.rhs.shape, -0.0))
+        if x is None:
+            raise SolveError(f"{reason} ({context})")
+        return DiscreteField(system.grid, x.reshape(system.grid.shape))
 
 
 def _time_steps(system: LinearSystem) -> np.ndarray:

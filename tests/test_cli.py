@@ -355,6 +355,26 @@ def test_sweep_non_finite_data_is_usage_error(tmp_path, capsys):
     assert err == "error: g is not finite at x=0, t=0\n"
 
 
+@pytest.mark.parametrize("nt", [96, 1024])
+def test_sweep_on_data_near_the_float_maximum_prints_one_error_line(tmp_path, nt):
+    # the reference overflows on the fast path and in the time steps: no
+    # floating-point warning may reach stderr, and under -W error::RuntimeWarning
+    # none may end the run in a traceback; with BLAS on one thread, at 1024
+    # cells the fast path's lanes are large enough for its helper thread
+    config = tmp_path / "sweep.cfg"
+    config.write_text(
+        f"[sweep]\nnx = 24\nnt = {nt}\nalpha = 1\nbeta = 0.5\nf = 0\ng = 1e307*(1+x)\neps_list = 0.1,0.05\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "hodge4d.cli", "sweep", "--config", str(config)],
+        env=dict(_checkout_env(), OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
+    )
+    assert done.returncode == 1
+    assert done.stderr == (
+        f"error: the time steps reached a value that is not finite (eps=0.0, scheme=centered, grid=23x{nt - 1})\n"
+    )
+
+
 def _sweep_with(*lines):
     """SWEEP_CONFIG without its manufactured solution, each ``key = value`` line set."""
     keys = {line.split("=")[0].strip() for line in lines} | {"manufactured"}
