@@ -25,14 +25,16 @@ for the grid shape last solved (up to 32 MiB) and replaced when another
 shape arrives, so repeated solves of one grid in a process reuse memory that
 is already mapped.  The arithmetic is the same, so every result is bit for
 bit what fresh arrays give, and no result shares memory with the workspace.
-The modes never couple, so the fast path splits them into two lanes and
-hands one lane to a helper thread while the caller runs the other.  The
-helper is started at the first solve of at least 10,000 interior nodes in a
-process that may run on two CPUs and whose BLAS runs on one thread; a BLAS
-on several threads already uses the cores, so then, and for smaller
-solves, the caller runs both lanes.  Each lane writes its own part of the
-caller's workspace, and the results are bit for bit those of both lanes run
-in the caller.
+The modes never couple, so the fast path splits them into two lanes, and
+the grid rows of each product by the operator likewise, and hands one lane
+to a helper thread while the caller runs the other.  Its first residual
+comes from the Dirichlet lift without a product.  The helper is started at
+the first solve of at least 10,000 interior nodes (25,000 for the eps = 0
+reference) in a process that may run on two CPUs and whose BLAS runs on one
+thread; a BLAS on several threads already uses the cores, so then, and for
+smaller solves, the caller runs both lanes.  Each lane writes its own part
+of the caller's workspace, and the results are bit for bit those of both
+lanes run in the caller.
 """
 
 from __future__ import annotations
@@ -221,47 +223,88 @@ class LinearSystem:
     def apply(self, u: np.ndarray) -> np.ndarray:
         """``matrix @ u`` without the matrix, bit for bit (see ``_apply``)."""
         out = np.empty(self.grid.shape)
-        return _apply(self, u, out, np.empty_like(out[1:])).ravel()
+        return _apply(self, u, out, np.empty_like(out[1:]), 0, len(out)).ravel()
 
 
-def _apply(system: LinearSystem, u: np.ndarray, out: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """Write ``system.matrix @ u`` into the grid-shaped ``out``, with ``term`` (shaped like ``out[1:]``) as scratch.
+def _apply(
+    system: LinearSystem, u: np.ndarray, out: np.ndarray, term: np.ndarray, start: int, stop: int
+) -> np.ndarray:
+    """Write grid rows ``start`` to ``stop - 1`` of ``system.matrix @ u`` into those rows of the grid-shaped ``out``.
 
-    Every pass but the last covers whole contiguous rows of ``out[1:]``, the
-    block above the initial time, its two Dirichlet columns included.  Each
-    neighbour term multiplies a copy of the neighbours whose Dirichlet
-    columns are zeroed, and the centre coefficient there is 1.0, so those
-    columns sum zeros and 1.0 * u: the identity rows of the matrix, 0.0 + u
-    bit for bit, and no floating-point exception whatever ``u`` holds (for a
-    finite time stencil).  Each interior row is summed in column order from
-    0.0, as the sparse product sums it.  The last pass writes the
-    initial-time row, 0.0 + u.  Returns ``out``.
+    ``term``, shaped like ``out[1:]`` (the rows above the initial time), is
+    scratch, and only its rows of the range are written, so calls over
+    disjoint ranges may run at once on one ``out`` and ``term``; each row's
+    arithmetic is the same whatever the range.  Every pass but the last
+    covers the range's whole contiguous rows above the initial time, their
+    two Dirichlet columns included.  Each neighbour term multiplies a copy of
+    the neighbours whose Dirichlet columns are zeroed, and the centre
+    coefficient there is 1.0, so those columns sum zeros and 1.0 * u: the
+    identity rows of the matrix, 0.0 + u bit for bit, and no floating-point
+    exception whatever ``u`` holds (for a finite time stencil).  Each
+    interior row is summed in column order from 0.0, as the sparse product
+    sums it.  The last pass writes the initial-time row, 0.0 + u, when the
+    range starts at 0.  Returns ``out``.
     """
     (lower_x, main_x, upper_x), (lower_t, main_t, upper_t) = system.x_stencil, system.t_stencil
     v = u.reshape(system.grid.shape)
-    flat, width = v.reshape(-1), v.shape[1]
-    ends = (slice(None), slice(None, None, width - 1))  # the two Dirichlet columns
-    left, right = np.zeros((2, width))
-    left[1:-1], right[1:-1] = lower_x[:-1], upper_x[1:]
-    rows = out[1:]
-    np.copyto(rows, v[:-1])  # the neighbours below
-    rows[ends] = 0.0
-    np.multiply(lower_t[:, None], rows, out=rows)
-    rows += 0.0  # the sum starts from 0.0, so a -0.0 product becomes 0.0
-    np.copyto(term, flat[width - 1 : -1].reshape(term.shape))  # to the left
-    term[ends] = 0.0
-    rows += np.multiply(left, term, out=term)
-    np.add(main_t[1:, None], main_x, out=term)
-    term[ends] = 1.0
-    rows += np.multiply(term, v[1:], out=term)
-    np.copyto(term.reshape(-1)[:-1], flat[width + 1 :])  # to the right; the last one lies past the grid
-    term[ends] = 0.0
-    rows += np.multiply(right, term, out=term)
-    above = term[:-1]
-    np.copyto(above, v[2:])
-    above[ends] = 0.0
-    rows[:-1] += np.multiply(upper_t[1:, None], above, out=above)
-    np.add(0.0, v[0], out=out[0])
+    first = max(start, 1)  # the range's first row above the initial time
+    if first < stop:
+        flat, width = v.reshape(-1), v.shape[1]
+        ends = (slice(None), slice(None, None, width - 1))  # the two Dirichlet columns
+        left, right = np.zeros((2, width))
+        left[1:-1], right[1:-1] = lower_x[:-1], upper_x[1:]
+        rows, term = out[first:stop], term[first - 1 : stop - 1]
+        np.copyto(rows, v[first - 1 : stop - 1])  # the neighbours below
+        rows[ends] = 0.0
+        np.multiply(lower_t[first - 1 : stop - 1, None], rows, out=rows)
+        rows += 0.0  # the sum starts from 0.0, so a -0.0 product becomes 0.0
+        np.copyto(term, flat[first * width - 1 : stop * width - 1].reshape(term.shape))  # to the left
+        term[ends] = 0.0
+        rows += np.multiply(left, term, out=term)
+        np.add(main_t[first:stop, None], main_x, out=term)
+        term[ends] = 1.0
+        rows += np.multiply(term, v[first:stop], out=term)
+        right_of = flat[first * width + 1 : stop * width + 1]  # the final row's last one lies past the grid
+        np.copyto(term.reshape(-1)[: right_of.size], right_of)
+        term[ends] = 0.0
+        rows += np.multiply(right, term, out=term)
+        below_final = min(stop, len(v) - 1) - first  # the rows with a row above them
+        above = term[:below_final]
+        np.copyto(above, v[first + 1 : first + 1 + below_final])
+        above[ends] = 0.0
+        rows[:below_final] += np.multiply(upper_t[first : first + below_final, None], above, out=above)
+    if start == 0:
+        np.add(0.0, v[0], out=out[0])
+    return out
+
+
+def _lift_residual(system: LinearSystem, out: np.ndarray) -> np.ndarray:
+    """Write ``rhs - apply(x0)`` into the grid-shaped ``out`` without the product, x0 being the Dirichlet lift.
+
+    The lift x0 is rhs with -0.0 on the interior.  With every stencil
+    coefficient and centre sum finite (the fast path's guard), a coefficient
+    times -0.0 is +-0.0 and ``_apply`` sums every row from 0.0, so on an
+    interior node with no Dirichlet neighbour the product is +0.0 and the
+    residual rhs - 0.0 is rhs, bit for bit (-0.0 included).  On a Dirichlet
+    node the product is 0.0 + rhs.  On interior row 1 and the first and last
+    interior columns it sums the Dirichlet couplings alone, from 0.0 and in
+    ``_apply``'s order: below, left, right.  So only O(nx + nt) nodes differ
+    from a copy of rhs, and each one is bit for bit what the product gives.
+    Returns ``out``.
+    """
+    (lower_x, _, upper_x), (lower_t, _, _) = system.x_stencil, system.t_stencil
+    rhs = system.rhs.reshape(system.grid.shape)
+    np.copyto(out, rhs)
+    below = np.add(0.0, lower_t[0] * rhs[0, 1:-1])  # row 1
+    left, right = np.zeros((2, len(rhs) - 1))  # the first and the last interior column, rows 1 on
+    left[0], right[0] = below[0], below[-1]
+    left += lower_x[0] * rhs[1:, 0]
+    right += upper_x[-1] * rhs[1:, -1]
+    np.subtract(rhs[1, 1:-1], below, out=out[1, 1:-1])
+    np.subtract(rhs[1:, 1], left, out=out[1:, 1])
+    np.subtract(rhs[1:, -2], right, out=out[1:, -2])
+    for border in (np.s_[0], np.s_[1:, 0], np.s_[1:, -1]):  # the Dirichlet nodes
+        np.subtract(rhs[border], np.add(0.0, rhs[border]), out=out[border])
     return out
 
 
@@ -436,15 +479,23 @@ def _stencil(wl: np.ndarray, wr: np.ndarray, h: float) -> tuple:
 
 
 def _x_stencil(config: ProblemConfig, grid: Grid1p1) -> tuple:
-    """Diagonals of Ax = -(J_right - J_left)/hx; the Dirichlet end rows are zero."""
+    """Diagonals of Ax = -(J_right - J_left)/hx; the Dirichlet end rows are zero.
+
+    A coefficient that is not finite (alpha or beta too large for the grid)
+    raises AssemblyError naming it.
+    """
     xs = grid.xs
     mids = 0.5 * (xs[:-1] + xs[1:])
     a = _evaluate("alpha", config.alpha, mids)
     b = _evaluate("beta", config.beta, mids)
     if np.any(a <= 0):
         raise AssemblyError("nonpositive diffusion coefficient on an edge")
-    wl, wr = _edge_weights(a, b, grid.hx, config.scheme)
-    return _stencil(wl, wr, grid.hx)
+    with np.errstate(all="ignore"):
+        stencil = _stencil(*_edge_weights(a, b, grid.hx, config.scheme), grid.hx)
+    reason = _first_not_finite(stencil, "x")
+    if reason:
+        raise AssemblyError(f"{reason} (alpha or beta too large for hx={grid.hx:g})")
+    return stencil
 
 
 def _t_stencil(eps: float, scheme: Scheme, grid: Grid1p1) -> tuple:
@@ -455,14 +506,46 @@ def _t_stencil(eps: float, scheme: Scheme, grid: Grid1p1) -> tuple:
     the centered terminal condition eps*(u_ghost - u_below)/(2 ht) = q, which
     folds the ghost coupling into the sub-diagonal; the ghost row is then
     dropped.  Row 0 (the initial-time face) is zero.  Returns the diagonals
-    and the ghost coupling, through which q enters the right-hand side.
+    and the ghost coupling, through which q enters the right-hand side.  A
+    coefficient that is not finite (eps too large for the grid), the ghost
+    coupling included, raises AssemblyError naming it.
     """
-    wd, wu = _edge_weights(eps, -1.0, grid.ht, scheme)
-    edges = grid.nt + 2
-    lower, main, upper = _stencil(np.full(edges, wd), np.full(edges, wu), grid.ht)
-    ghost = upper[-1]
-    lower[-2] += ghost
-    return (lower[:-1], main[:-1], upper[:-1]), ghost
+    with np.errstate(all="ignore"):
+        wd, wu = _edge_weights(eps, -1.0, grid.ht, scheme)
+        edges = grid.nt + 2
+        lower, main, upper = _stencil(np.full(edges, wd), np.full(edges, wu), grid.ht)
+        ghost = upper[-1]
+        lower[-2] += ghost
+    stencil = lower[:-1], main[:-1], upper[:-1]  # an infinite ghost coupling makes lower[-1] infinite
+    reason = _first_not_finite(stencil, "t")
+    if reason:
+        raise AssemblyError(f"{reason} (eps={eps:g} too large for ht={grid.ht:g})")
+    return stencil, ghost
+
+
+def _first_not_finite(stencil: tuple, axis: str) -> str:
+    """The first coefficient of ``stencil`` that is not finite, named with its ``axis``, or ""."""
+    for name, diagonal in zip(("lower", "main", "upper"), stencil):
+        bad = ~np.isfinite(diagonal)
+        if bad.any():
+            row = int(np.argmax(bad)) + (name == "lower")  # the lower diagonal starts at row 1
+            return f"the {axis} stencil's {name} coefficient of row {row} is not finite"
+    return ""
+
+
+def _first_centre_not_finite(x_stencil: tuple, t_stencil: tuple) -> str:
+    """The first centre coefficient main_t + main_x of the product (``_apply``) that is not finite, or "".
+
+    The sums run over every row above the initial time and every column.
+    Rounding is monotone, so they are all finite when the sum of the two
+    largest and the sum of the two smallest are.
+    """
+    main_t, main_x = t_stencil[1][1:], x_stencil[1]
+    for pick in (np.argmax, np.argmin):
+        row, column = int(pick(main_t)), int(pick(main_x))
+        if not math.isfinite(float(main_t[row]) + float(main_x[column])):
+            return f"the centre coefficient main_t + main_x of t row {row + 1} and x row {column} is not finite"
+    return ""
 
 
 def _data(config: ProblemConfig, grid: Grid1p1) -> np.ndarray:
@@ -501,7 +584,17 @@ def assemble(config: ProblemConfig, grid: Grid1p1) -> LinearSystem:
         # ghost slab from eps*(u_ghost - u_below)/(2 ht) = q
         q = _evaluate("q_terminal", config.q_terminal, grid.xs[1:-1], grid.ts[-1:])
         rhs[-1, 1:-1] -= ghost_coupling * (2.0 * ht / eps) * q
-    return LinearSystem(rhs.ravel(), grid, eps, config.scheme, _x_stencil(config, grid), t_stencil)
+    return _linear_system(rhs, grid, eps, config.scheme, _x_stencil(config, grid), t_stencil)
+
+
+def _linear_system(
+    rhs: np.ndarray, grid: Grid1p1, eps: float, scheme: Scheme, x_stencil: tuple, t_stencil: tuple
+) -> LinearSystem:
+    """The ``LinearSystem`` of the stencils; a centre sum of its product that is not finite raises AssemblyError."""
+    reason = _first_centre_not_finite(x_stencil, t_stencil)
+    if reason:
+        raise AssemblyError(f"{reason} (eps={eps:g})")
+    return LinearSystem(rhs.ravel(), grid, eps, scheme, x_stencil, t_stencil)
 
 
 # Largest accepted max(d)/min(d) of the symmetrising scaling in the fast
@@ -510,28 +603,22 @@ _MAX_SCALING_RATIO = 1e6
 _RESIDUAL_TOLERANCE = 1e-10
 
 
-def _refined(system: LinearSystem, apply: Callable, correction: Callable, x0: np.ndarray):
-    """Two steps of x += correction(rhs - apply(x)) from x0, then the gate.
+def _refined(system: LinearSystem, residual: Callable, correction: Callable, x: np.ndarray, start: np.ndarray):
+    """Two steps of x += correction(rhs - A x) from the start vector ``x``, then the gate.
 
-    ``apply`` is the matrix product; the residual overwrites the array it
-    returns, which ``correction`` may then reuse for its result.  Where x0
-    holds no data it is -0.0, the exact additive identity of IEEE
-    arithmetic, so the first step returns the first correction bit for bit.
-    Returns ``(x, "")``, or ``(None, reason)`` when x is not finite or its
-    relative residual is above the gate.
+    ``start`` is the start vector's residual rhs - A x, and ``residual(x)``
+    computes the later ones; ``correction`` may reuse a residual's array for
+    its result.  Where the start vector holds no data it is -0.0, the exact
+    additive identity of IEEE arithmetic, so the first step returns the
+    first correction bit for bit.  Returns ``(x, "")``, or ``(None, reason)``
+    when x is not finite or its relative residual is above the gate.
     """
-
-    def rhs_minus_apply():
-        product = apply(x)
-        return np.subtract(system.rhs, product, out=product)
-
-    x = x0
-    for _ in range(2):
-        x += correction(rhs_minus_apply())
-    residual = np.linalg.norm(rhs_minus_apply())
-    residual /= max(np.linalg.norm(system.rhs), 1e-300)
-    if not (np.all(np.isfinite(x)) and residual <= _RESIDUAL_TOLERANCE):
-        return None, f"relative residual {residual:.3e} above {_RESIDUAL_TOLERANCE:g}"
+    x += correction(start)
+    x += correction(residual(x))
+    relative = np.linalg.norm(residual(x))
+    relative /= max(np.linalg.norm(system.rhs), 1e-300)
+    if not (np.all(np.isfinite(x)) and relative <= _RESIDUAL_TOLERANCE):
+        return None, f"relative residual {relative:.3e} above {_RESIDUAL_TOLERANCE:g}"
     return x, ""
 
 
@@ -675,12 +762,16 @@ class _Helper:
         done.put(result)
 
 
-# A solve with fewer interior nodes runs both lanes itself: each of its three
+# A solve with fewer interior nodes runs both lanes itself: each of its five
 # hand-offs to the helper costs tens of microseconds, more than a lane of a
-# small grid saves.  With BLAS on one thread on two cores, an eps > 0 solve
-# of 95 x 95 interior nodes took 3-7% longer with the helper, one of
-# 111 x 111 1-5% less and one of 127 x 127 5-10% less (two runs).
-_LANE_HELPER_NODES = 10_000
+# small grid saves.  The first count is for a solve with eps > 0, the second
+# for the eps = 0 march, whose lanes hold less work.  With BLAS on one thread
+# on two cores (80 alternating solves per grid, medians, two runs), an
+# eps > 0 solve of 95 x 95 interior nodes took 1% longer to 3% less with the
+# helper, one of 111 x 111 0-8% less and one of 143 x 143 6-16% less; an
+# eps = 0 solve of 127 x 127 took 8-12% longer, one of 143 x 143 3-4% longer
+# and one of 159 x 159 4% less.
+_LANE_HELPER_NODES = (10_000, 25_000)
 
 _UNSTARTED = object()
 _helper = _UNSTARTED
@@ -827,32 +918,39 @@ def _fast_diagonalisation(system: LinearSystem):
     path, the solve takes one refinement step, which removes most of the
     rounding that an ill-conditioned W adds.
 
-    The caller runs one lane while a helper thread runs the other
-    (``_in_lanes``): the factorization, then in each refinement step the
-    lane's time solves and, in the sine basis, its half products of both
-    transforms; the caller then adds the two halves of the backward
-    transform.  The ``eigh_tridiagonal`` basis keeps its full products in the
-    caller.  The multiplication by the operator, the residual norms and the
-    gate stay in the caller too.  The helper starts at the first solve that
-    may use it, and only in a process that may run on at least two CPUs; a
-    solve of fewer than 10,000 interior nodes (``_LANE_HELPER_NODES``), one
-    in a process whose BLAS may run on several threads
-    (``_blas_on_one_thread``), or one that finds the helper busy with
-    another thread's solve runs both lanes in the caller.  Each lane writes
-    only its own part of the workspace, so the results are bit for bit the
-    same wherever the lanes run.
+    The refinement starts from the Dirichlet lift x0 (rhs with -0.0 on the
+    interior), whose residual needs no product (``_lift_residual``); the
+    guard therefore rejects, with its own reason, a system whose stencil
+    coefficients or centre sums are not all finite, which only a directly
+    built ``LinearSystem`` can have.  The caller runs one lane while a helper
+    thread runs the other (``_in_lanes``), five times per solve: the
+    factorization; in each of the two refinement steps the lane's time
+    solves and, in the sine basis, its half products of both transforms,
+    after which the caller adds the two halves of the backward transform;
+    and each of the two products by the operator with its subtraction from
+    rhs, which the lanes split by grid rows (``_apply``; lane 0 has the
+    initial time and the lower half of the rows above it).  The
+    ``eigh_tridiagonal`` basis keeps its full products in the caller, as do
+    the residual norms and the gate.  The helper starts at the first solve
+    that may use it, and only in a process that may run on at least two
+    CPUs; a solve of fewer interior nodes than ``_LANE_HELPER_NODES``
+    (10,000 with eps > 0, 25,000 for the eps = 0 march), one in a process
+    whose BLAS may run on several threads (``_blas_on_one_thread``), or one
+    that finds the helper busy with another thread's solve runs both lanes
+    in the caller.  Each lane writes only its own part of the workspace, so
+    the results are bit for bit the same wherever the lanes run.
 
     Every grid-sized intermediate lives in the current thread's workspace
-    (``_workspace``): one grid-shaped array (the product, then the residual,
-    then the step), one of whole rows above the initial time (the product's
-    scratch term, then, in its first entries, the scaled residual) and five
-    of the interior's size (the modes, the two half blocks of the sine
-    transforms, and the three diagonals of the time systems), about 8.3 MB
-    at 384 x 384 cells.  One workspace is kept per thread, for the last grid
-    shape, if it is at most 32 MiB (``_KEPT_WORKSPACE_BYTES``); a larger one
-    is freed when its solve returns.  The helper has none: its lane writes
-    into the caller's.  The start vector and the returned values are always
-    fresh.
+    (``_workspace``): one grid-shaped array (the lift's residual or the
+    product, then the residual, then the step), one of whole rows above the
+    initial time (the product's scratch term, then, in its first entries, the
+    scaled residual) and five of the interior's size (the modes, the two half
+    blocks of the sine transforms, and the three diagonals of the time
+    systems), about 8.3 MB at 384 x 384 cells.  One workspace is kept per
+    thread, for the last grid shape, if it is at most 32 MiB
+    (``_KEPT_WORKSPACE_BYTES``); a larger one is freed when its solve
+    returns.  The helper has none: its lane writes into the caller's.  The
+    start vector and the returned values are always fresh.
 
     Returns ``(values, "")``, or ``(None, reason)`` when the guard rejects the
     system: complex eigenvalues, a scaling D too ill-conditioned to trust, a
@@ -871,6 +969,13 @@ def _fast_diagonalisation(system: LinearSystem):
     with |beta| lx/alpha above about 28 on all but the coarsest grids: at
     alpha = 1e-3, beta = 1 on 32 cells the ratio is exp(468.75) = 3.8e203.
     """
+    reason = (
+        _first_not_finite(system.x_stencil, "x")
+        or _first_not_finite(system.t_stencil, "t")
+        or _first_centre_not_finite(system.x_stencil, system.t_stencil)
+    )
+    if reason:  # only a directly built system: assembly raises AssemblyError instead
+        return None, reason
     lower, main, upper = (diagonal[1:-1] for diagonal in system.x_stencil)
     t_lower, t_main, t_upper = system.t_stencil
     coupling = lower * upper
@@ -884,7 +989,8 @@ def _fast_diagonalisation(system: LinearSystem):
         return None, f"scaling ratio {ratio:.3g} above {_MAX_SCALING_RATIO:g}"
     work = _workspace(system.grid.shape)
     nx, ntn = len(main), len(t_main) - 1
-    helper = _lane_helper() if nx * ntn >= _LANE_HELPER_NODES else None
+    march = not t_upper[1:].any()  # lower bidiagonal time systems: the eps = 0 reference
+    helper = _lane_helper() if nx * ntn >= _LANE_HELPER_NODES[march] else None
     off = np.sign(lower) * np.sqrt(coupling)
     if np.all(main == main[0]) and np.all(off == off[0]):
         lam, halves = _toeplitz_eigenpairs(main[0], off[0], len(main))
@@ -914,7 +1020,7 @@ def _fast_diagonalisation(system: LinearSystem):
 
     lanes = ((0, split), (split, nx))  # the modes of each lane
     lower_band, upper_band, shifted = work.bands.reshape(3, nx, ntn)
-    if not t_upper[1:].any():
+    if march:
         # lower bidiagonal blocks: each row divided by its diagonal leaves a
         # unit diagonal, and one forward substitution per lane solves its modes;
         # row 1 of the band holds the sub-diagonal, and the last entry of each
@@ -973,9 +1079,17 @@ def _fast_diagonalisation(system: LinearSystem):
         return None, reason
     shape = system.grid.shape
     scaled = work.rows.reshape(-1)[: ntn * nx].reshape(ntn, nx)  # the residual over d
+    rhs = system.rhs.reshape(shape)
+    row_lanes = ((0, (shape[0] + 1) // 2), ((shape[0] + 1) // 2, shape[0]))  # lane 0 has the initial time too
 
-    def apply(u):
-        return _apply(system, u, work.grid, work.rows).ravel()
+    def residual(u):
+        def lane(index):
+            start, stop = row_lanes[index]
+            product = _apply(system, u, work.grid, work.rows, start, stop)[start:stop]
+            np.subtract(rhs[start:stop], product, out=product)
+
+        _in_lanes(helper, lane)
+        return work.grid.reshape(-1)
 
     def interior_solve(residual):
         # the step overwrites the residual (work.grid) inside; on the
@@ -990,7 +1104,7 @@ def _fast_diagonalisation(system: LinearSystem):
 
     x0 = system.rhs.copy()
     x0.reshape(shape)[1:, 1:-1] = -0.0
-    values, reason = _refined(system, apply, interior_solve, x0)
+    values, reason = _refined(system, residual, interior_solve, x0, _lift_residual(system, work.grid).reshape(-1))
     return (None if values is None else values.reshape(shape)), reason
 
 
@@ -1029,36 +1143,47 @@ def solve(system: LinearSystem) -> DiscreteField:
             return DiscreteField(system.grid, values)
         if system.epsilon == 0.0:
             logger.debug("solve path: time steps, fallback because %s (%s)", reason, context)
-            values = _time_steps(system)
+            values = _time_steps(system, context)
             if not np.all(np.isfinite(values)):
                 raise SolveError(f"the time steps reached a value that is not finite ({context})")
             return DiscreteField(system.grid, values)
         logger.debug("solve path: splu, fallback because %s (%s)", reason, context)
         matrix = system.matrix
-        try:
-            lu = spla.splu(matrix.tocsc())
-        except RuntimeError as exc:
-            raise SolveError(f"factorization failed ({context}): {exc}") from exc
-        x, reason = _refined(system, matrix.dot, lu.solve, np.full(system.rhs.shape, -0.0))
+        lu = _splu(matrix, context)
+
+        def residual(x):
+            product = matrix.dot(x)
+            return np.subtract(system.rhs, product, out=product)
+
+        x0 = np.full(system.rhs.shape, -0.0)
+        x, reason = _refined(system, residual, lu.solve, x0, residual(x0))
         if x is None:
             raise SolveError(f"{reason} ({context})")
         return DiscreteField(system.grid, x.reshape(system.grid.shape))
 
 
-def _time_steps(system: LinearSystem) -> np.ndarray:
+def _splu(matrix: sp.spmatrix, context: str):
+    """SuperLU of ``matrix``; a failed factorization raises SolveError naming the system's ``context``."""
+    try:
+        return spla.splu(matrix.tocsc())
+    except RuntimeError as exc:
+        raise SolveError(f"factorization failed ({context}): {exc}") from exc
+
+
+def _time_steps(system: LinearSystem, context: str) -> np.ndarray:
     """Backward Euler through the eps = 0 system (see ``_system``), one time step at a time.
 
     Row n of a copy of the right-hand side holds the end values and f_n;
     adding u_{n-1}/ht to its interior makes it the right-hand side of step
     n, which ``SuperLU.solve`` of I/ht + Ax replaces by u_n.  The residual
     gate of ``_refined`` is not applied: a stiff march that is correct can
-    fail it.
+    fail it.  A failed factorization raises SolveError naming ``context``.
     """
     grid, ht = system.grid, system.grid.ht
     step_diagonal = np.full(grid.nx + 2, 1.0 / ht)
     step_diagonal[[0, -1]] = 1.0  # Dirichlet ends
     lower, main, upper = system.x_stencil
-    lu = spla.splu(sp.diags([lower, step_diagonal + main, upper], [-1, 0, 1], format="csc"))
+    lu = _splu(sp.diags([lower, step_diagonal + main, upper], [-1, 0, 1], format="csc"), context)
     values = system.rhs.reshape(grid.shape).copy()
     for n in range(1, grid.nt + 2):
         values[n, 1:-1] += values[n - 1, 1:-1] / ht
@@ -1075,7 +1200,7 @@ def _system(rhs: np.ndarray, grid: Grid1p1, eps: float, scheme: Scheme, x_stenci
     Ax u_n = f_n, backward Euler row for row.
     """
     t_stencil, _ = _t_stencil(eps, Scheme.UPWIND if eps == 0.0 else scheme, grid)
-    return LinearSystem(rhs.ravel(), grid, eps, scheme, x_stencil, t_stencil)
+    return _linear_system(rhs, grid, eps, scheme, x_stencil, t_stencil)
 
 
 def reference_evolution(config: ProblemConfig, grid: Grid1p1) -> DiscreteField:

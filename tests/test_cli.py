@@ -375,6 +375,42 @@ def test_sweep_on_data_near_the_float_maximum_prints_one_error_line(tmp_path, nt
     )
 
 
+@pytest.mark.parametrize(
+    "command, lines, err",
+    [
+        (
+            "solve",
+            "epsilon = 1e305\nscheme = exp-fitted\nmanufactured = sin(pi*x)*(1+t)",
+            "error: the t stencil's lower coefficient of row 1 is not finite (eps=1e+305 too large for ht=0.0078125)\n",
+        ),
+        (
+            "solve",
+            "alpha = 1e306\nmanufactured = sin(pi*x)*(1+t)",
+            "error: the x stencil's lower coefficient of row 1 is not finite "
+            "(alpha or beta too large for hx=0.0078125)\n",
+        ),
+        (
+            "sweep",
+            "alpha = 1e306\nbeta = 0.5\nmanufactured = sin(pi*x)*(1+t**2)\neps_list = 0.1,0.05",
+            "error: the x stencil's lower coefficient of row 1 is not finite "
+            "(alpha or beta too large for hx=0.0078125)\n",
+        ),
+    ],
+    ids=["solve-eps", "solve-alpha", "sweep-alpha"],
+)
+def test_coefficients_too_large_for_the_grid_exit_2_with_one_error_line(tmp_path, command, lines, err):
+    # huge but finite coefficients overflow the stencils on 128 x 128 cells:
+    # assembly names the coefficient, and no floating-point warning may end
+    # the run in a traceback
+    config = tmp_path / "huge.cfg"
+    config.write_text(f"[{command}]\nnx = 128\nnt = 128\n{lines}\n")
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "hodge4d.cli", command, "--config", str(config)],
+        env=_checkout_env(), capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", err)
+
+
 def _sweep_with(*lines):
     """SWEEP_CONFIG without its manufactured solution, each ``key = value`` line set."""
     keys = {line.split("=")[0].strip() for line in lines} | {"manufactured"}

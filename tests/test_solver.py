@@ -358,6 +358,84 @@ def test_singular_system_reports_context():
         solve(system)
 
 
+@pytest.mark.parametrize(
+    "kwargs, cells, reason",
+    [
+        (dict(epsilon=1e305), 128, r"^the t stencil's lower coefficient of row 1 is not finite \(eps=1e\+305 "),
+        (dict(alpha=1e306), 128, r"^the x stencil's lower coefficient of row 1 is not finite \(alpha or beta "),
+        (dict(beta=1e308), 8, r"^the x stencil's lower coefficient of row 1 is not finite \(alpha or beta "),
+        # each stencil is finite, but their centre coefficients, 1.28e308
+        # each, overflow their sum
+        (dict(alpha=1e306, epsilon=1e306), 8, r"^the centre coefficient main_t \+ main_x of t row 1 and x row 1 "),
+    ],
+    ids=["eps", "alpha", "beta", "centre"],
+)
+def test_coefficients_too_large_for_the_grid_raise_assembly_error(kwargs, cells, reason):
+    # huge but finite coefficients overflow the stencils; a floating-point
+    # warning would fail the test
+    with pytest.raises(AssemblyError, match=reason):
+        assemble(make_config(**kwargs), Grid1p1.with_cells(cells, cells))
+
+
+def test_a_sweep_with_an_eps_too_large_for_the_grid_raises_assembly_error():
+    cfg = ProblemConfig.from_manufactured("sin(pi*x)*(1+t)", epsilon=0.1, target="limit")
+    with pytest.raises(AssemblyError, match=r"^the t stencil's lower coefficient of row 1 is not finite"):
+        epsilon_sweep(cfg, Grid1p1.with_cells(128, 128), [1e305, 0.1])
+
+
+@pytest.mark.parametrize(
+    "axis, diagonal, reason",
+    [
+        (0, 0, "the x stencil's lower coefficient of row 3 is not finite"),
+        (0, 1, "the x stencil's main coefficient of row 2 is not finite"),
+        (0, 2, "the x stencil's upper coefficient of row 2 is not finite"),
+        (1, 0, "the t stencil's lower coefficient of row 3 is not finite"),
+        (1, 1, "the t stencil's main coefficient of row 2 is not finite"),
+        (1, 2, "the t stencil's upper coefficient of row 2 is not finite"),
+    ],
+)
+def test_the_fast_path_rejects_a_stencil_that_is_not_finite(axis, diagonal, reason):
+    # a directly built system: the lift's residual needs every coefficient finite
+    from hodge4d import solver
+
+    system = assemble(make_config(beta=0.5, g=lambda x, t: 1.0 + x), Grid1p1.with_cells(6, 6))
+    stencils = [list(system.x_stencil), list(system.t_stencil)]
+    stencils[axis][diagonal] = stencils[axis][diagonal].copy()
+    stencils[axis][diagonal][2] = np.inf
+    broken = dataclasses.replace(system, x_stencil=tuple(stencils[0]), t_stencil=tuple(stencils[1]))
+    assert solver._fast_diagonalisation(broken) == (None, reason)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_the_fast_path_rejects_a_centre_sum_that_is_not_finite(sign):
+    # the largest or the smallest centre coefficients overflow their sum
+    from hodge4d import solver
+
+    system = assemble(make_config(beta=0.5, g=lambda x, t: 1.0 + x), Grid1p1.with_cells(6, 6))
+    (lower, main, upper), (t_lower, t_main, t_upper) = system.x_stencil, system.t_stencil
+    main, t_main = main.copy(), t_main.copy()
+    main[3], t_main[4] = sign * 1e308, sign * 1e308
+    broken = dataclasses.replace(system, x_stencil=(lower, main, upper), t_stencil=(t_lower, t_main, t_upper))
+    assert solver._fast_diagonalisation(broken) == (
+        None, "the centre coefficient main_t + main_x of t row 4 and x row 3 is not finite"
+    )
+
+
+def test_a_failed_time_step_factorization_raises_solve_error(monkeypatch):
+    # the eps = 0 fallback's SuperLU fails as the splu path's does: SolveError
+    # naming the system, not the RuntimeError of splu
+    from hodge4d import solver
+
+    def singular(matrix):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(solver, "_fast_diagonalisation", lambda system: (None, "rejected"))
+    monkeypatch.setattr(solver.spla, "splu", singular)
+    message = r"^factorization failed \(eps=0.0, scheme=upwind, grid=7x5\): Factor is exactly singular$"
+    with pytest.raises(SolveError, match=message):
+        reference_evolution(make_config(epsilon=0.0, scheme=Scheme.UPWIND), Grid1p1.with_cells(8, 6))
+
+
 # -- reference evolution -----------------------------------------------------------
 
 

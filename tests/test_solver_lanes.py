@@ -2,15 +2,17 @@
 
 ``_fast_diagonalisation`` splits its modes into two lanes, and a helper
 thread runs lane 1 while the caller runs lane 0 (``solver._in_lanes``).
-These tests run each of the three fast paths (the closed-form sine basis
-with the dgttrf time solve, the dtbsv forward substitution of the eps = 0
-backward Euler reference, and the ``eigh_tridiagonal`` basis) once with
-lane 1 on a helper and once with both lanes in the caller, and pin that the
-results, the reasons for a rejection and an exception in a lane are the
-same.  They also pin the helper's lifecycle: it starts only while every
-BLAS of the process runs on one thread, solves that find it busy run both
-lanes themselves, four threads solving at once get their serial results,
-and a child forked after a solve gets its own helper.
+The matrix-free products of the refinement steps split the grid's rows
+into two lanes the same way.  These tests run each of the three fast paths
+(the closed-form sine basis with the dgttrf time solve, the dtbsv forward
+substitution of the eps = 0 backward Euler reference, and the
+``eigh_tridiagonal`` basis) once with lane 1 on a helper and once with both
+lanes in the caller, and pin that the results, the reasons for a rejection
+and an exception in a lane are the same, and that a solve hands five lanes
+to the helper.  They also pin the helper's lifecycle: it starts only while
+every BLAS of the process runs on one thread, solves that find it busy run
+both lanes themselves, four threads solving at once get their serial
+results, and a child forked after a solve gets its own helper.
 """
 
 import multiprocessing
@@ -52,7 +54,7 @@ def shared_helper():
 @pytest.fixture
 def helper(shared_helper):
     """A helper that takes lane 1 of every solve in the test, small grids and one CPU included."""
-    with mock.patch.object(solver, "_LANE_HELPER_NODES", 0):
+    with mock.patch.object(solver, "_LANE_HELPER_NODES", (0, 0)):
         with mock.patch.object(solver, "_lane_helper", return_value=shared_helper):
             yield shared_helper
 
@@ -75,7 +77,19 @@ def test_the_helper_changes_no_bit(path, cells, helper):
     inline = _inline(_fast, system)
     runs = helper.runs
     assert _fast(system).tobytes() == inline.tobytes()
-    assert helper.runs - runs == 3  # the factorization and the two refinement steps
+    assert helper.runs - runs == 5  # the factorization, two refinement steps and two products
+
+
+@pytest.mark.parametrize("path, runs", [("closed-form dgttrf", 5), ("dtbsv march", 0)])
+def test_the_march_needs_a_larger_grid_for_the_helper(path, runs, shared_helper):
+    # 127 x 127 interior nodes: above the eps > 0 threshold, below the march's
+    grid = Grid1p1(127, 127)
+    assert solver._LANE_HELPER_NODES[0] <= grid.nx * grid.nt < solver._LANE_HELPER_NODES[1]
+    system = PATHS[path][0](0.0, grid)
+    before = shared_helper.runs
+    with mock.patch.object(solver, "_lane_helper", return_value=shared_helper):
+        _fast(system)
+    assert shared_helper.runs - before == runs
 
 
 def _with_zero_diagonals(system, modes):
@@ -139,7 +153,7 @@ def test_an_exception_in_a_lane_reaches_the_caller(where, helper):
     assert not helper.idle.locked()
     runs = helper.runs
     assert _fast(system).tobytes() == expected.tobytes()
-    assert helper.runs - runs == 3
+    assert helper.runs - runs == 5
 
 
 def test_the_helper_lane_runs_under_the_callers_errstate(helper):
@@ -163,7 +177,7 @@ def test_data_near_the_float_maximum_raises_no_warning_in_either_lane(caller, he
     with np.errstate(all=caller):
         with pytest.raises(SolveError, match=r"not finite \(eps=0.0, scheme=centered, grid=23x95\)$"):
             reference_evolution(cfg, Grid1p1.with_cells(24, 96))
-    assert helper.runs - runs == 3
+    assert helper.runs - runs == 5
 
 
 def test_a_solve_that_finds_the_helper_busy_runs_both_lanes_itself(helper):
@@ -211,7 +225,7 @@ def test_four_threads_solving_at_once_get_their_serial_results(path, helper):
 @pytest.fixture
 def unstarted(monkeypatch):
     """A process with no helper yet, on two CPUs, with BLAS on one thread, whose every solve may use the helper."""
-    monkeypatch.setattr(solver, "_LANE_HELPER_NODES", 0)
+    monkeypatch.setattr(solver, "_LANE_HELPER_NODES", (0, 0))
     monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(solver, "_blas_thread_counters", [lambda: 1])
     monkeypatch.setattr(solver, "_helper", solver._UNSTARTED)

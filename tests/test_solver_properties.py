@@ -18,9 +18,12 @@ it is checked against the same sparse LU, and ``solve``'s per-step SuperLU
 fallback for a rejected eps = 0 system against a copy of that loop, bit for
 bit.  The whole-row matrix-free product is checked against the strided
 kernel it replaced, byte for byte and floating-point exception for
-exception.
+exception, and against itself run in two row ranges; the residual of the
+Dirichlet lift, which the fast path takes without a product, against rhs
+minus the product, byte for byte.
 """
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -489,23 +492,28 @@ _EDGE_ENTRIES = [
 ]
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    scheme=st.sampled_from(list(Scheme)),
-    alpha=st.floats(1e-3, 10.0),
-    alpha_slope=st.sampled_from([0.0, 1.0]),
-    beta=st.floats(-50.0, 50.0),
-    eps=st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
-    cells_x=st.integers(3, 12),
-    cells_t=st.integers(3, 12),
-    data=st.data(),
-)
-def test_apply_equals_the_strided_kernel_byte_for_byte(
-    scheme, alpha, alpha_slope, beta, eps, cells_x, cells_t, data
-):
-    # cells_x from 3 gives nx from 2, odd and even; eps = 0 is the march's
-    # stencil, whose upper time diagonal is zero
-    grid = Grid1p1.with_cells(cells_x, cells_t)
+def _flags(product):
+    """The names of the floating-point exceptions that ``product()`` signals, in any ufunc call."""
+    signalled = set()
+    with np.errstate(all="call", call=lambda kind, flag: signalled.add(kind)):
+        product()
+    return signalled
+
+
+@st.composite
+def _products(draw, edge_entries=tuple(_EDGE_ENTRIES)):
+    """A system and a vector u over its nodes: a product's draw.
+
+    cells_x from 3 gives nx from 2, odd and even; eps = 0 is the march's
+    stencil, whose upper time diagonal is zero.  u holds a few special values
+    from ``edge_entries`` and near them, so that some products raise nothing.
+    """
+    scheme = draw(st.sampled_from(list(Scheme)))
+    alpha = draw(st.floats(1e-3, 10.0))
+    alpha_slope = draw(st.sampled_from([0.0, 1.0]))
+    beta = draw(st.floats(-50.0, 50.0))
+    eps = draw(st.one_of(st.just(0.0), st.floats(1e-6, 10.0)))
+    grid = Grid1p1.with_cells(draw(st.integers(3, 12)), draw(st.integers(3, 12)))
 
     def alpha_of_x(x):
         return alpha * (1.0 + alpha_slope * x)
@@ -515,29 +523,105 @@ def test_apply_equals_the_strided_kernel_byte_for_byte(
         system = _limit_system(cfg, grid)
     else:
         system = assemble(cfg, grid)
-    # a few special values per example, so that some products raise nothing
     special = st.one_of(
-        st.sampled_from(_EDGE_ENTRIES),
+        st.sampled_from(edge_entries),
         st.floats(-1e-300, 1e-300),
         st.floats(1e299, 1e301),
         st.floats(-1e301, -1e299),
     )
     entries = st.floats(-1e6, 1e6)
-    specials = data.draw(st.lists(special, max_size=3))
+    specials = draw(st.lists(special, max_size=3))
     if specials:
         entries |= st.sampled_from(specials)
-    u = np.array(data.draw(st.lists(entries, min_size=grid.n_nodes, max_size=grid.n_nodes)))
+    return system, np.array(draw(st.lists(entries, min_size=grid.n_nodes, max_size=grid.n_nodes)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_products())
+def test_apply_equals_the_strided_kernel_byte_for_byte(case):
+    system, u = case
+    grid = system.grid
     with np.errstate(all="ignore"):
         expected = strided_apply(system, u)
         out = np.full(grid.shape, np.nan)  # nothing left over may survive
-        solver._apply(system, u, out, np.full_like(out[1:], np.nan))
+        solver._apply(system, u, out, np.full_like(out[1:], np.nan), 0, len(out))
         assert out.tobytes() == expected.tobytes()
         assert system.apply(u).tobytes() == expected.tobytes()
     # the Dirichlet columns add no floating-point exception of their own
     out = np.empty(grid.shape)
     raised = _raised(lambda: strided_apply(system, u))
     event(f"raises {raised}")
-    assert _raised(lambda: solver._apply(system, u, out, np.empty_like(out[1:]))) == raised
+    assert _raised(lambda: solver._apply(system, u, out, np.empty_like(out[1:]), 0, len(out))) == raised
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_products())
+def test_two_row_ranges_give_the_whole_products_bytes_and_exceptions(case):
+    # the fast path's two lanes each write one range of rows: lane 0 the
+    # initial time and the rows below the split, lane 1 the rest, each into
+    # its own rows of one output and one scratch; at every split point the
+    # bytes are the whole product's, and so is every floating-point
+    # exception signalled.  The first one raised is the whole product's when
+    # one range holds every row above the initial time; between, the ranges
+    # run the passes in another order, so it may be another one
+    system, u = case
+    rows = system.grid.shape[0]
+    out, term = np.empty(system.grid.shape), np.empty((rows - 1, system.grid.shape[1]))
+
+    def whole():
+        return solver._apply(system, u, out, term, 0, rows)
+
+    with np.errstate(all="ignore"):
+        expected = whole().tobytes()
+    signalled = _flags(whole)
+    for split in range(1, rows + 1):  # lane 0 from the initial time alone to every row
+
+        def in_two():
+            solver._apply(system, u, out, term, 0, split)
+            return solver._apply(system, u, out, term, split, rows)
+
+        out.fill(np.nan)
+        term.fill(np.nan)
+        with np.errstate(all="ignore"):
+            assert in_two().tobytes() == expected, split
+        assert _flags(in_two) == signalled, split
+        if split in (1, rows):
+            assert _raised(in_two) == _raised(whole), split
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_products(edge_entries=tuple(v for v in _EDGE_ENTRIES if np.isfinite(v))))
+def test_the_lift_residual_is_rhs_minus_the_product_byte_for_byte(case):
+    # the fast path starts from the Dirichlet lift x0, rhs with -0.0 on the
+    # interior, and takes its residual without the product; the rhs here
+    # holds finite special values on every node, the Dirichlet nodes included
+    system, rhs = case
+    system = dataclasses.replace(system, rhs=rhs)
+    x0 = rhs.copy()
+    x0.reshape(system.grid.shape)[1:, 1:-1] = -0.0
+    out = np.full(system.grid.shape, np.nan)
+    with np.errstate(all="ignore"):
+        expected = rhs - system.apply(x0)
+        assert solver._lift_residual(system, out) is out
+    assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.5])
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("border, inside", [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])
+def test_the_lift_residual_keeps_the_sign_of_every_zero(border, inside, scheme, eps):
+    # zero data of either sign: each Dirichlet coupling of rows 1 and the
+    # first and last interior columns is a signed zero, and only the sums'
+    # start from 0.0 gives the product's sign to rhs - product
+    grid = Grid1p1.with_cells(5, 4)
+    cfg = ProblemConfig(alpha=1.0, beta=0.5, epsilon=eps, f=_zero, g=_zero, scheme=scheme)
+    system = _limit_system(cfg, grid) if eps == 0.0 else assemble(cfg, grid)
+    rhs = np.where(grid.dirichlet, border, inside).ravel()
+    system = dataclasses.replace(system, rhs=rhs)
+    x0 = rhs.copy()
+    x0.reshape(grid.shape)[1:, 1:-1] = -0.0
+    residual = solver._lift_residual(system, np.full(grid.shape, np.nan))
+    assert residual.tobytes() == (rhs - system.apply(x0)).tobytes()
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))

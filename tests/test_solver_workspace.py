@@ -51,7 +51,7 @@ PATHS = {
     "dtbsv march": (lambda phase, grid: _limit(1.0, phase, grid), ("_toeplitz_eigenpairs", "dtbsv")),
     "eigh_tridiagonal": (lambda phase, grid: _spacetime("1+x", phase, grid), ("eigh_tridiagonal", "dgttrf")),
 }
-GRID = Grid1p1.with_cells(13, 10)  # an odd interior count: the sine halves have a middle column
+GRID = Grid1p1.with_cells(14, 10)  # 13 interior nodes, an odd count: the sine halves have a middle column
 
 
 def _fast(system):
