@@ -13,9 +13,10 @@ diagonalisation) with a sparse LU of the whole matrix as guarded fallback.
 The zero-perturbation reference is backward Euler, I/ht + Ax, which is the
 eps = 0 member of the same family under the upwind time flux (``_system``);
 ``solve`` solves it the same way, each mode's time solve then being one
-forward substitution, with one SuperLU step per time step as the guarded
-fallback.  ``epsilon_sweep`` measures the decay of the difference as eps
-shrinks.
+forward substitution, with one LAPACK tridiagonal solve per time step as the
+guarded fallback.  Only the fallback for other systems forms a sparse
+matrix, so scipy.sparse is imported there and in ``LinearSystem.matrix``.
+``epsilon_sweep`` measures the decay of the difference as eps shrinks.
 
 The fast path multiplies by the operator without forming the matrix
 (``LinearSystem.apply``), in passes over whole contiguous grid rows whose
@@ -54,8 +55,6 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, eigh_tridiagonal
 from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgttrf, dgttrs
@@ -194,6 +193,11 @@ class LinearSystem:
     ``x_stencil`` (Ax) and ``t_stencil`` (At); the Dirichlet rows are the
     grid's (``Grid1p1.dirichlet``).  ``apply`` multiplies by it, and only the
     sparse LU fallback forms ``matrix``.
+
+    A system is built only with every stencil coefficient and every centre
+    coefficient main_t + main_x of the product finite, which ``_apply`` and
+    ``_lift_residual`` rely on: the first one that is not (a huge but finite
+    eps, alpha or beta can overflow them) raises AssemblyError naming it.
     """
 
     rhs: np.ndarray
@@ -203,14 +207,45 @@ class LinearSystem:
     x_stencil: tuple
     t_stencil: tuple
 
+    def __post_init__(self):
+        grid = self.grid
+        for axis, stencil, cause in (
+            ("x", self.x_stencil, f"alpha or beta too large for hx={grid.hx:g}"),
+            ("t", self.t_stencil, f"eps={self.epsilon:g} too large for ht={grid.ht:g}"),
+        ):
+            for name, diagonal in zip(("lower", "main", "upper"), stencil):
+                bad = ~np.isfinite(diagonal)
+                if bad.any():
+                    row = int(np.argmax(bad)) + (name == "lower")  # the lower diagonal starts at row 1
+                    raise AssemblyError(
+                        f"the {axis} stencil's {name} coefficient of row {row} is not finite ({cause})"
+                    )
+        # the centre sums run over every row above the initial time and every
+        # column; rounding is monotone, so they are all finite when the sum of
+        # the two largest and the sum of the two smallest are
+        main_t, main_x = self.t_stencil[1][1:], self.x_stencil[1]
+        for pick in (np.argmax, np.argmin):
+            row, column = int(pick(main_t)), int(pick(main_x))
+            if not math.isfinite(float(main_t[row]) + float(main_x[column])):
+                raise AssemblyError(
+                    f"the centre coefficient main_t + main_x of t row {row + 1} and x row {column} "
+                    f"is not finite (eps={self.epsilon:g})"
+                )
+
     @property
     def dirichlet(self) -> np.ndarray:
         """The grid's Dirichlet mask over flat node indices."""
         return self.grid.dirichlet.ravel()
 
     @property
-    def matrix(self) -> sp.csr_matrix:
-        """kron(I_t', Ax) + kron(At, I_x') + D in CSR: I' zero, D one on Dirichlet rows."""
+    def matrix(self):
+        """kron(I_t', Ax) + kron(At, I_x') + D in CSR: I' zero, D one on Dirichlet rows.
+
+        scipy.sparse is imported here, so a process that never reads the
+        matrix never loads it.
+        """
+        import scipy.sparse as sp
+
         dirichlet = self.grid.dirichlet
         interior = (~dirichlet).astype(float)
         x_op, t_op = (sp.diags(s, [-1, 0, 1], format="csr") for s in (self.x_stencil, self.t_stencil))
@@ -282,8 +317,8 @@ def _lift_residual(system: LinearSystem, out: np.ndarray) -> np.ndarray:
     """Write ``rhs - apply(x0)`` into the grid-shaped ``out`` without the product, x0 being the Dirichlet lift.
 
     The lift x0 is rhs with -0.0 on the interior.  With every stencil
-    coefficient and centre sum finite (the fast path's guard), a coefficient
-    times -0.0 is +-0.0 and ``_apply`` sums every row from 0.0, so on an
+    coefficient and centre sum finite, as ``LinearSystem`` has them, a
+    coefficient times -0.0 is +-0.0 and ``_apply`` sums every row from 0.0, so on an
     interior node with no Dirichlet neighbour the product is +0.0 and the
     residual rhs - 0.0 is rhs, bit for bit (-0.0 included).  On a Dirichlet
     node the product is 0.0 + rhs.  On interior row 1 and the first and last
@@ -481,8 +516,8 @@ def _stencil(wl: np.ndarray, wr: np.ndarray, h: float) -> tuple:
 def _x_stencil(config: ProblemConfig, grid: Grid1p1) -> tuple:
     """Diagonals of Ax = -(J_right - J_left)/hx; the Dirichlet end rows are zero.
 
-    A coefficient that is not finite (alpha or beta too large for the grid)
-    raises AssemblyError naming it.
+    A coefficient may overflow (alpha or beta too large for the grid);
+    ``LinearSystem`` rejects the stencil then.
     """
     xs = grid.xs
     mids = 0.5 * (xs[:-1] + xs[1:])
@@ -491,11 +526,7 @@ def _x_stencil(config: ProblemConfig, grid: Grid1p1) -> tuple:
     if np.any(a <= 0):
         raise AssemblyError("nonpositive diffusion coefficient on an edge")
     with np.errstate(all="ignore"):
-        stencil = _stencil(*_edge_weights(a, b, grid.hx, config.scheme), grid.hx)
-    reason = _first_not_finite(stencil, "x")
-    if reason:
-        raise AssemblyError(f"{reason} (alpha or beta too large for hx={grid.hx:g})")
-    return stencil
+        return _stencil(*_edge_weights(a, b, grid.hx, config.scheme), grid.hx)
 
 
 def _t_stencil(eps: float, scheme: Scheme, grid: Grid1p1) -> tuple:
@@ -507,8 +538,9 @@ def _t_stencil(eps: float, scheme: Scheme, grid: Grid1p1) -> tuple:
     folds the ghost coupling into the sub-diagonal; the ghost row is then
     dropped.  Row 0 (the initial-time face) is zero.  Returns the diagonals
     and the ghost coupling, through which q enters the right-hand side.  A
-    coefficient that is not finite (eps too large for the grid), the ghost
-    coupling included, raises AssemblyError naming it.
+    coefficient may overflow (eps too large for the grid); an infinite ghost
+    coupling makes the last lower coefficient infinite, so ``LinearSystem``
+    rejects the stencil then.
     """
     with np.errstate(all="ignore"):
         wd, wu = _edge_weights(eps, -1.0, grid.ht, scheme)
@@ -516,36 +548,7 @@ def _t_stencil(eps: float, scheme: Scheme, grid: Grid1p1) -> tuple:
         lower, main, upper = _stencil(np.full(edges, wd), np.full(edges, wu), grid.ht)
         ghost = upper[-1]
         lower[-2] += ghost
-    stencil = lower[:-1], main[:-1], upper[:-1]  # an infinite ghost coupling makes lower[-1] infinite
-    reason = _first_not_finite(stencil, "t")
-    if reason:
-        raise AssemblyError(f"{reason} (eps={eps:g} too large for ht={grid.ht:g})")
-    return stencil, ghost
-
-
-def _first_not_finite(stencil: tuple, axis: str) -> str:
-    """The first coefficient of ``stencil`` that is not finite, named with its ``axis``, or ""."""
-    for name, diagonal in zip(("lower", "main", "upper"), stencil):
-        bad = ~np.isfinite(diagonal)
-        if bad.any():
-            row = int(np.argmax(bad)) + (name == "lower")  # the lower diagonal starts at row 1
-            return f"the {axis} stencil's {name} coefficient of row {row} is not finite"
-    return ""
-
-
-def _first_centre_not_finite(x_stencil: tuple, t_stencil: tuple) -> str:
-    """The first centre coefficient main_t + main_x of the product (``_apply``) that is not finite, or "".
-
-    The sums run over every row above the initial time and every column.
-    Rounding is monotone, so they are all finite when the sum of the two
-    largest and the sum of the two smallest are.
-    """
-    main_t, main_x = t_stencil[1][1:], x_stencil[1]
-    for pick in (np.argmax, np.argmin):
-        row, column = int(pick(main_t)), int(pick(main_x))
-        if not math.isfinite(float(main_t[row]) + float(main_x[column])):
-            return f"the centre coefficient main_t + main_x of t row {row + 1} and x row {column} is not finite"
-    return ""
+    return (lower[:-1], main[:-1], upper[:-1]), ghost
 
 
 def _data(config: ProblemConfig, grid: Grid1p1) -> np.ndarray:
@@ -580,21 +583,21 @@ def assemble(config: ProblemConfig, grid: Grid1p1) -> LinearSystem:
 
     t_stencil, ghost_coupling = _t_stencil(eps, config.scheme, grid)
     rhs = _data(config, grid)
+    system = LinearSystem(rhs.ravel(), grid, eps, config.scheme, _x_stencil(config, grid), t_stencil)
     if config.q_terminal is not None:
-        # ghost slab from eps*(u_ghost - u_below)/(2 ht) = q
+        # ghost slab from eps*(u_ghost - u_below)/(2 ht) = q; added once the
+        # stencils have passed, so an overflowing ghost coupling is named first
         q = _evaluate("q_terminal", config.q_terminal, grid.xs[1:-1], grid.ts[-1:])
-        rhs[-1, 1:-1] -= ghost_coupling * (2.0 * ht / eps) * q
-    return _linear_system(rhs, grid, eps, config.scheme, _x_stencil(config, grid), t_stencil)
-
-
-def _linear_system(
-    rhs: np.ndarray, grid: Grid1p1, eps: float, scheme: Scheme, x_stencil: tuple, t_stencil: tuple
-) -> LinearSystem:
-    """The ``LinearSystem`` of the stencils; a centre sum of its product that is not finite raises AssemblyError."""
-    reason = _first_centre_not_finite(x_stencil, t_stencil)
-    if reason:
-        raise AssemblyError(f"{reason} (eps={eps:g})")
-    return LinearSystem(rhs.ravel(), grid, eps, scheme, x_stencil, t_stencil)
+        final = rhs[-1, 1:-1]
+        with np.errstate(all="ignore"):
+            final -= ghost_coupling * (2.0 * ht / eps) * q
+        bad = ~np.isfinite(final)
+        if bad.any():
+            x = grid.xs[1 + int(np.argmax(bad))]
+            raise AssemblyError(
+                f"the q_terminal term of the right-hand side is not finite at x={x:.6g}, t={grid.ts[-1]:.6g}"
+            )
+    return system
 
 
 # Largest accepted max(d)/min(d) of the symmetrising scaling in the fast
@@ -919,11 +922,11 @@ def _fast_diagonalisation(system: LinearSystem):
     rounding that an ill-conditioned W adds.
 
     The refinement starts from the Dirichlet lift x0 (rhs with -0.0 on the
-    interior), whose residual needs no product (``_lift_residual``); the
-    guard therefore rejects, with its own reason, a system whose stencil
-    coefficients or centre sums are not all finite, which only a directly
-    built ``LinearSystem`` can have.  The caller runs one lane while a helper
-    thread runs the other (``_in_lanes``), five times per solve: the
+    interior), whose residual needs no product (``_lift_residual``): every
+    ``LinearSystem`` has finite stencil coefficients and centre sums, and the
+    residual gate rejects any result that is not finite, as from a system
+    whose stencils were changed in place.  The caller runs one lane while a
+    helper thread runs the other (``_in_lanes``), five times per solve: the
     factorization; in each of the two refinement steps the lane's time
     solves and, in the sine basis, its half products of both transforms,
     after which the caller adds the two halves of the backward transform;
@@ -969,13 +972,6 @@ def _fast_diagonalisation(system: LinearSystem):
     with |beta| lx/alpha above about 28 on all but the coarsest grids: at
     alpha = 1e-3, beta = 1 on 32 cells the ratio is exp(468.75) = 3.8e203.
     """
-    reason = (
-        _first_not_finite(system.x_stencil, "x")
-        or _first_not_finite(system.t_stencil, "t")
-        or _first_centre_not_finite(system.x_stencil, system.t_stencil)
-    )
-    if reason:  # only a directly built system: assembly raises AssemblyError instead
-        return None, reason
     lower, main, upper = (diagonal[1:-1] for diagonal in system.x_stencil)
     t_lower, t_main, t_upper = system.t_stencil
     coupling = lower * upper
@@ -1115,8 +1111,8 @@ def solve(system: LinearSystem) -> DiscreteField:
     its guard rejects the system, a direct sparse LU of the whole matrix with
     one refinement step solves it instead, or, for the eps = 0 reference
     (backward Euler, see ``_system``), ``_time_steps`` marches it one time
-    step at a time.  One debug record on the ``hodge4d.solver`` logger names
-    the path taken and the reason for any fallback.
+    step at a time with LAPACK.  One debug record on the ``hodge4d.solver``
+    logger names the path taken and the reason for any fallback.
 
     A right-hand side whose largest entry is subnormal carries too few
     significant bits for any path to keep the solution inside the data's
@@ -1148,8 +1144,13 @@ def solve(system: LinearSystem) -> DiscreteField:
                 raise SolveError(f"the time steps reached a value that is not finite ({context})")
             return DiscreteField(system.grid, values)
         logger.debug("solve path: splu, fallback because %s (%s)", reason, context)
+        from scipy.sparse.linalg import splu
+
         matrix = system.matrix
-        lu = _splu(matrix, context)
+        try:
+            lu = splu(matrix.tocsc())
+        except RuntimeError as exc:
+            raise SolveError(f"factorization failed ({context}): {exc}") from exc
 
         def residual(x):
             product = matrix.dot(x)
@@ -1162,32 +1163,28 @@ def solve(system: LinearSystem) -> DiscreteField:
         return DiscreteField(system.grid, x.reshape(system.grid.shape))
 
 
-def _splu(matrix: sp.spmatrix, context: str):
-    """SuperLU of ``matrix``; a failed factorization raises SolveError naming the system's ``context``."""
-    try:
-        return spla.splu(matrix.tocsc())
-    except RuntimeError as exc:
-        raise SolveError(f"factorization failed ({context}): {exc}") from exc
-
-
 def _time_steps(system: LinearSystem, context: str) -> np.ndarray:
     """Backward Euler through the eps = 0 system (see ``_system``), one time step at a time.
 
-    Row n of a copy of the right-hand side holds the end values and f_n;
-    adding u_{n-1}/ht to its interior makes it the right-hand side of step
-    n, which ``SuperLU.solve`` of I/ht + Ax replaces by u_n.  The residual
-    gate of ``_refined`` is not applied: a stiff march that is correct can
-    fail it.  A failed factorization raises SolveError naming ``context``.
+    The tridiagonal step matrix I/ht + Ax (identity rows at the Dirichlet
+    ends) is factored once by LAPACK's partially pivoting dgttrf.  Row n of
+    a copy of the right-hand side holds the end values and f_n; adding
+    u_{n-1}/ht to its interior makes it the right-hand side of step n, which
+    one dgttrs replaces by u_n in place.  The residual gate of ``_refined``
+    is not applied: a stiff march that is correct can fail it.  A zero pivot
+    raises SolveError naming ``context``.
     """
     grid, ht = system.grid, system.grid.ht
     step_diagonal = np.full(grid.nx + 2, 1.0 / ht)
     step_diagonal[[0, -1]] = 1.0  # Dirichlet ends
     lower, main, upper = system.x_stencil
-    lu = _splu(sp.diags([lower, step_diagonal + main, upper], [-1, 0, 1], format="csc"), context)
+    *factors, info = dgttrf(lower, step_diagonal + main, upper, overwrite_d=True)
+    if info > 0:
+        raise SolveError(f"factorization failed ({context}): I/ht + Ax is singular (dgttrf info {info})")
     values = system.rhs.reshape(grid.shape).copy()
     for n in range(1, grid.nt + 2):
         values[n, 1:-1] += values[n - 1, 1:-1] / ht
-        values[n] = lu.solve(values[n])
+        dgttrs(*factors, values[n], overwrite_b=True)
     return values
 
 
@@ -1200,7 +1197,7 @@ def _system(rhs: np.ndarray, grid: Grid1p1, eps: float, scheme: Scheme, x_stenci
     Ax u_n = f_n, backward Euler row for row.
     """
     t_stencil, _ = _t_stencil(eps, Scheme.UPWIND if eps == 0.0 else scheme, grid)
-    return _linear_system(rhs, grid, eps, scheme, x_stencil, t_stencil)
+    return LinearSystem(rhs.ravel(), grid, eps, scheme, x_stencil, t_stencil)
 
 
 def reference_evolution(config: ProblemConfig, grid: Grid1p1) -> DiscreteField:
@@ -1347,9 +1344,10 @@ def epsilon_sweep(config: ProblemConfig, grid: Grid1p1, eps_list: Sequence[float
             )
         entries.append(entry)
 
-    logs_e = np.log([e.epsilon for e in entries])
-    logs_err = np.log([e.l2_error_T for e in entries])
     if len(entries) >= 2:
+        # every difference is positive here: a zero one fails the floor check
+        logs_e = np.log([e.epsilon for e in entries])
+        logs_err = np.log([e.l2_error_T for e in entries])
         slope, intercept = np.polyfit(logs_e, logs_err, 1)
         fit_residual = float(np.max(np.abs(slope * logs_e + intercept - logs_err)))
     else:

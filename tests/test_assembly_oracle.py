@@ -77,7 +77,7 @@ def test_reference_evolution_equals_loop_marcher(scheme, coefficients):
 )
 def test_guard_rejected_march_equals_loop_marcher(caplog, scheme, alpha, beta, reason):
     # the guard rejects these spatial stencils, so solve steps through time
-    # with SuperLU; it must meet the same oracle
+    # with LAPACK's dgttrs; it must meet the same oracle
     with caplog.at_level(logging.DEBUG, logger="hodge4d.solver"):
         assert_march_equals_loop_marcher(scheme, alpha, beta)
     messages = [r.getMessage() for r in caplog.records if r.name == "hodge4d.solver"]

@@ -100,6 +100,24 @@ def test_symbolic_commands_do_not_load_the_solver():
     assert done.returncode == 0, done.stderr
 
 
+def test_the_solver_loads_scipy_sparse_only_for_a_matrix():
+    # a fast-path solve and a sweep form no sparse matrix; reading
+    # LinearSystem.matrix does, and only then is scipy.sparse imported
+    script = (
+        "import sys\n"
+        "from hodge4d.solver import Grid1p1, ProblemConfig, assemble, epsilon_sweep, solve\n"
+        "system = assemble(ProblemConfig.from_manufactured('sin(pi*x)*(1+t)', beta=0.5, epsilon=0.1),"
+        " Grid1p1.with_cells(8, 8))\n"
+        "solve(system)\n"
+        "config = ProblemConfig.from_manufactured('sin(pi*x)*(1+t**2)', beta=0.5, epsilon=0.1, target='limit')\n"
+        "epsilon_sweep(config, Grid1p1.with_cells(24, 96), [0.1, 0.05])\n"
+        "assert 'scipy.sparse' not in sys.modules\n"
+        "assert system.matrix.nnz > 0 and 'scipy.sparse' in sys.modules\n"
+    )
+    done = _run_python(script)
+    assert done.returncode == 0, done.stderr
+
+
 README_SWEEP_CONFIG = """
 [sweep]
 nx = 64
@@ -409,6 +427,33 @@ def test_coefficients_too_large_for_the_grid_exit_2_with_one_error_line(tmp_path
         env=_checkout_env(), capture_output=True, text=True,
     )
     assert (done.returncode, done.stdout, done.stderr) == (2, "", err)
+
+
+def _run_cli_warnings_as_errors(tmp_path, text, *argv):
+    """Run ``hodge4d`` on the config ``text`` in a fresh interpreter where a floating-point warning is an error."""
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "hodge4d.cli", *argv, "--config", str(config)],
+        env=_checkout_env(), capture_output=True, text=True,
+    )
+
+
+def test_huge_terminal_data_exits_2_with_one_error_line(tmp_path):
+    # finite terminal data q = eps*u_t = 1e307*(1+x) times the ghost coupling
+    # overflows the final-time row of the right-hand side
+    done = _run_cli_warnings_as_errors(
+        tmp_path, "[solve]\nnx = 128\nnt = 128\nepsilon = 1\nmanufactured = 1e307*t*(1+x)\n", "solve"
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: the q_terminal term of the right-hand side is not finite at x=0.0078125, t=1\n"
+
+
+def test_a_one_eps_sweep_of_zero_data_fits_no_slope_quietly(tmp_path):
+    # every difference is zero: one entry needs no fit, and none takes a log of zero
+    done = _run_cli_warnings_as_errors(tmp_path, "[sweep]\nnx = 8\nnt = 8\nf = 0\ng = 0\neps_list = 0.1\n", "sweep")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "fitted slope: nan" in done.stdout
 
 
 def _sweep_with(*lines):

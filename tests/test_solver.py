@@ -395,45 +395,46 @@ def test_a_sweep_with_an_eps_too_large_for_the_grid_raises_assembly_error():
     ],
 )
 def test_the_fast_path_rejects_a_stencil_that_is_not_finite(axis, diagonal, reason):
-    # a directly built system: the lift's residual needs every coefficient finite
-    from hodge4d import solver
-
+    # a directly built system is rejected when it is built, as assembly's
+    # is: the fast path's lift residual needs every coefficient finite
     system = assemble(make_config(beta=0.5, g=lambda x, t: 1.0 + x), Grid1p1.with_cells(6, 6))
     stencils = [list(system.x_stencil), list(system.t_stencil)]
     stencils[axis][diagonal] = stencils[axis][diagonal].copy()
     stencils[axis][diagonal][2] = np.inf
-    broken = dataclasses.replace(system, x_stencil=tuple(stencils[0]), t_stencil=tuple(stencils[1]))
-    assert solver._fast_diagonalisation(broken) == (None, reason)
+    cause = ["alpha or beta too large for hx=0.166667", "eps=0.1 too large for ht=0.166667"][axis]
+    with pytest.raises(AssemblyError) as raised:
+        dataclasses.replace(system, x_stencil=tuple(stencils[0]), t_stencil=tuple(stencils[1]))
+    assert str(raised.value) == f"{reason} ({cause})"
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_the_fast_path_rejects_a_centre_sum_that_is_not_finite(sign):
-    # the largest or the smallest centre coefficients overflow their sum
-    from hodge4d import solver
-
+    # the largest or the smallest centre coefficients overflow their sum; a
+    # directly built system is rejected when it is built
     system = assemble(make_config(beta=0.5, g=lambda x, t: 1.0 + x), Grid1p1.with_cells(6, 6))
     (lower, main, upper), (t_lower, t_main, t_upper) = system.x_stencil, system.t_stencil
     main, t_main = main.copy(), t_main.copy()
     main[3], t_main[4] = sign * 1e308, sign * 1e308
-    broken = dataclasses.replace(system, x_stencil=(lower, main, upper), t_stencil=(t_lower, t_main, t_upper))
-    assert solver._fast_diagonalisation(broken) == (
-        None, "the centre coefficient main_t + main_x of t row 4 and x row 3 is not finite"
-    )
+    with pytest.raises(AssemblyError) as raised:
+        dataclasses.replace(system, x_stencil=(lower, main, upper), t_stencil=(t_lower, t_main, t_upper))
+    assert str(raised.value) == "the centre coefficient main_t + main_x of t row 4 and x row 3 is not finite (eps=0.1)"
 
 
 def test_a_failed_time_step_factorization_raises_solve_error(monkeypatch):
-    # the eps = 0 fallback's SuperLU fails as the splu path's does: SolveError
-    # naming the system, not the RuntimeError of splu
+    # a finite eps = 0 system whose step matrix I/ht + Ax is zero on every
+    # interior row: the fallback's dgttrf meets a zero pivot in row 2, and
+    # the error names the system as the splu path's does
     from hodge4d import solver
 
-    def singular(matrix):
-        raise RuntimeError("Factor is exactly singular")
-
+    grid = Grid1p1.with_cells(8, 6)
+    main = np.full(grid.nx + 2, -1.0 / grid.ht)
+    main[[0, -1]] = 0.0
+    off = np.zeros(grid.nx + 1)
+    system = solver._system(np.ones(grid.shape), grid, 0.0, Scheme.UPWIND, (off, main, off))
     monkeypatch.setattr(solver, "_fast_diagonalisation", lambda system: (None, "rejected"))
-    monkeypatch.setattr(solver.spla, "splu", singular)
-    message = r"^factorization failed \(eps=0.0, scheme=upwind, grid=7x5\): Factor is exactly singular$"
+    message = r"^factorization failed \(eps=0.0, scheme=upwind, grid=7x5\): I/ht \+ Ax is singular \(dgttrf info 2\)$"
     with pytest.raises(SolveError, match=message):
-        reference_evolution(make_config(epsilon=0.0, scheme=Scheme.UPWIND), Grid1p1.with_cells(8, 6))
+        solve(system)
 
 
 # -- reference evolution -----------------------------------------------------------

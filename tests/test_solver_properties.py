@@ -14,13 +14,14 @@ checked against a sparse LU of the whole matrix over the same parameters,
 with both spatial eigenbases: the closed form for constant alpha and beta,
 ``eigh_tridiagonal`` for alpha varying with x.  At eps = 0, the backward
 Euler reference, the time solve of each mode is one forward substitution;
-it is checked against the same sparse LU, and ``solve``'s per-step SuperLU
+it is checked against the same sparse LU, and ``solve``'s per-step LAPACK
 fallback for a rejected eps = 0 system against a copy of that loop, bit for
 bit.  The whole-row matrix-free product is checked against the strided
 kernel it replaced, byte for byte and floating-point exception for
 exception, and against itself run in two row ranges; the residual of the
 Dirichlet lift, which the fast path takes without a product, against rhs
-minus the product, byte for byte.
+minus the product, byte for byte; and a system is never built with a
+stencil coefficient that is not finite, which that residual needs.
 """
 
 import dataclasses
@@ -28,15 +29,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from loop_reference import scalar_bernoulli, strided_apply
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from hodge4d import solver
 from hodge4d.solver import (
+    AssemblyError,
     Grid1p1,
     ProblemConfig,
     Scheme,
@@ -317,16 +319,18 @@ def _limit_system(config, grid):
 
 
 def _step_loop_march(x_stencil, values, grid):
-    """Backward Euler with one ``SuperLU.solve`` per time step: ``solve``'s eps = 0 fallback, as an oracle."""
+    """Backward Euler with one LAPACK ``dgttrs`` per time step: ``solve``'s eps = 0 fallback, as an oracle."""
     ht = grid.ht
     step_diagonal = np.full(grid.nx + 2, 1.0 / ht)
     step_diagonal[[0, -1]] = 1.0
     lower, main, upper = x_stencil
-    lu = spla.splu(sp.diags([lower, step_diagonal + main, upper], [-1, 0, 1], format="csc"))
+    *factors, info = dgttrf(lower, step_diagonal + main, upper)
+    assert info == 0
     values = values.copy()
     for n in range(1, grid.nt + 2):
         values[n, 1:-1] += values[n - 1, 1:-1] / ht
-        values[n] = lu.solve(values[n])
+        values[n], info = dgttrs(*factors, values[n])
+        assert info == 0
     return values
 
 
@@ -368,7 +372,7 @@ def test_triangular_time_solve_agrees_with_splu(scheme, alpha, alpha_slope, beta
     values = system.rhs.reshape(grid.shape)
     march = solve(system).values
     if fast is None:
-        # rejected by the guard: solve steps with SuperLU, bit for bit
+        # rejected by the guard: solve steps with dgttrs, bit for bit
         event(" ".join(reason.split()[:2]))
         assert reason
         assert march.tolist() == _step_loop_march(system.x_stencil, values, grid).tolist()
@@ -604,6 +608,37 @@ def test_the_lift_residual_is_rhs_minus_the_product_byte_for_byte(case):
         expected = rhs - system.apply(x0)
         assert solver._lift_residual(system, out) is out
     assert out.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=_products(),
+    axis=st.sampled_from(["x", "t"]),
+    diagonal=st.sampled_from(["lower", "main", "upper"]),
+    value=st.sampled_from([np.inf, -np.inf, np.nan]),
+    data=st.data(),
+)
+def test_a_stencil_coefficient_that_is_not_finite_is_named_when_the_system_is_built(
+    case, axis, diagonal, value, data
+):
+    # the lift's residual needs every coefficient finite, so a system that
+    # breaks it is never built: one coefficient set through replace is named
+    system, _ = case
+    stencils = {"x": list(system.x_stencil), "t": list(system.t_stencil)}
+    k = ("lower", "main", "upper").index(diagonal)
+    broken = stencils[axis][k].copy()
+    index = data.draw(st.integers(0, len(broken) - 1))
+    broken[index] = value
+    stencils[axis][k] = broken
+    with pytest.raises(AssemblyError) as raised:
+        dataclasses.replace(system, x_stencil=tuple(stencils["x"]), t_stencil=tuple(stencils["t"]))
+    grid = system.grid
+    if axis == "x":
+        cause = f"alpha or beta too large for hx={grid.hx:g}"
+    else:
+        cause = f"eps={system.epsilon:g} too large for ht={grid.ht:g}"
+    row = index + (diagonal == "lower")  # the lower diagonal starts at row 1
+    assert str(raised.value) == f"the {axis} stencil's {diagonal} coefficient of row {row} is not finite ({cause})"
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.5])
