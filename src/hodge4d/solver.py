@@ -261,6 +261,20 @@ class LinearSystem:
         return _apply(self, u, out, np.empty_like(out[1:]), 0, len(out)).ravel()
 
 
+def _add(total: np.ndarray, product: np.ndarray, nan_in_u: bool) -> None:
+    """``total += product``, where a ``total`` that is NaN keeps its own NaN when ``nan_in_u``.
+
+    Of two NaNs, numpy's sum keeps the first in the body of its SIMD loop and
+    the second in the loop's tail, so without the guard a node's NaN would
+    hang on its place in the range.  A NaN that an operation makes from
+    numbers is always the one default NaN, so two NaNs can differ only when
+    ``u`` holds one.  ``product`` is scratch: the guard zeroes it under a NaN.
+    """
+    if nan_in_u:
+        np.copyto(product, 0.0, where=np.isnan(total))
+    total += product
+
+
 def _apply(
     system: LinearSystem, u: np.ndarray, out: np.ndarray, term: np.ndarray, start: int, stop: int
 ) -> np.ndarray:
@@ -277,8 +291,9 @@ def _apply(
     identity rows of the matrix, 0.0 + u bit for bit, and no floating-point
     exception whatever ``u`` holds (for a finite time stencil).  Each
     interior row is summed in column order from 0.0, as the sparse product
-    sums it.  The last pass writes the initial-time row, 0.0 + u, when the
-    range starts at 0.  Returns ``out``.
+    sums it, and a sum that is NaN keeps its first NaN (``_add``).  The last
+    pass writes the initial-time row, 0.0 + u, when the range starts at 0.
+    Returns ``out``.
     """
     (lower_x, main_x, upper_x), (lower_t, main_t, upper_t) = system.x_stencil, system.t_stencil
     v = u.reshape(system.grid.shape)
@@ -289,25 +304,26 @@ def _apply(
         left, right = np.zeros((2, width))
         left[1:-1], right[1:-1] = lower_x[:-1], upper_x[1:]
         rows, term = out[first:stop], term[first - 1 : stop - 1]
+        nan_in_u = bool(np.isnan(v[first - 1 : stop + 1]).any())  # the rows the range reads
         np.copyto(rows, v[first - 1 : stop - 1])  # the neighbours below
         rows[ends] = 0.0
         np.multiply(lower_t[first - 1 : stop - 1, None], rows, out=rows)
         rows += 0.0  # the sum starts from 0.0, so a -0.0 product becomes 0.0
         np.copyto(term, flat[first * width - 1 : stop * width - 1].reshape(term.shape))  # to the left
         term[ends] = 0.0
-        rows += np.multiply(left, term, out=term)
+        _add(rows, np.multiply(left, term, out=term), nan_in_u)
         np.add(main_t[first:stop, None], main_x, out=term)
         term[ends] = 1.0
-        rows += np.multiply(term, v[first:stop], out=term)
+        _add(rows, np.multiply(term, v[first:stop], out=term), nan_in_u)
         right_of = flat[first * width + 1 : stop * width + 1]  # the final row's last one lies past the grid
         np.copyto(term.reshape(-1)[: right_of.size], right_of)
         term[ends] = 0.0
-        rows += np.multiply(right, term, out=term)
+        _add(rows, np.multiply(right, term, out=term), nan_in_u)
         below_final = min(stop, len(v) - 1) - first  # the rows with a row above them
         above = term[:below_final]
         np.copyto(above, v[first + 1 : first + 1 + below_final])
         above[ends] = 0.0
-        rows[:below_final] += np.multiply(upper_t[first : first + below_final, None], above, out=above)
+        _add(rows[:below_final], np.multiply(upper_t[first : first + below_final, None], above, out=above), nan_in_u)
     if start == 0:
         np.add(0.0, v[0], out=out[0])
     return out

@@ -593,6 +593,28 @@ def test_two_row_ranges_give_the_whole_products_bytes_and_exceptions(case):
             assert _raised(in_two) == _raised(whole), split
 
 
+def test_a_nan_in_u_meeting_a_made_nan_has_the_same_bytes_in_any_row_ranges():
+    # u's NaN (sign bit clear) meets, at node (10, 10), the default NaN that
+    # -0.0 * inf makes in the upper time term at eps = 0; numpy's sum of the
+    # two keeps one or the other by the node's place in its SIMD loop, so
+    # the product must keep the first NaN itself
+    cfg = ProblemConfig(alpha=1.0, beta=0.0, epsilon=0.0, f=_zero, g=_zero, scheme=Scheme.CENTERED)
+    system = _limit_system(cfg, Grid1p1.with_cells(11, 11))
+    rows = system.grid.shape[0]
+    u = np.zeros(system.grid.n_nodes)
+    u.reshape(system.grid.shape)[10, 11] = np.nan
+    u.reshape(system.grid.shape)[11, 10] = np.inf
+    out, term = np.empty(system.grid.shape), np.empty((rows - 1, system.grid.shape[1]))
+    with np.errstate(all="ignore"):
+        expected = strided_apply(system, u).tobytes()
+        assert system.apply(u).tobytes() == expected
+        for split in range(1, rows + 1):
+            out.fill(np.nan)
+            term.fill(np.nan)
+            solver._apply(system, u, out, term, 0, split)
+            assert solver._apply(system, u, out, term, split, rows).tobytes() == expected, split
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=_products(edge_entries=tuple(v for v in _EDGE_ENTRIES if np.isfinite(v))))
 def test_the_lift_residual_is_rhs_minus_the_product_byte_for_byte(case):
