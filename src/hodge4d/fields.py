@@ -101,7 +101,9 @@ def _field(num: dict, den: int) -> "PolyField":
 def _lowest(num: dict, den: int) -> "PolyField":
     """``_field`` for numerators known to be nonzero: only the gcd is divided out."""
     if den != 1:
-        g = gcd(den, *num.values())  # den itself when num is empty
+        if not num:
+            return _make(num, 1)
+        g = gcd(den, *num.values())
         if g != 1:
             num = {k: c // g for k, c in num.items()}
             den //= g
@@ -126,6 +128,14 @@ def _sum(a: "PolyField", b: "PolyField", sign: int) -> "PolyField":
     for k, c in b.num.items():
         num[k] = get(k, 0) + c * oscale
     return _field(num, den * scale)
+
+
+def _scaled(field: "PolyField", constant: "PolyField") -> "PolyField":
+    """``field * constant`` for a nonzero constant: the keys do not change."""
+    c, d = constant.num[0], constant.den
+    if c == d:  # the unit: both are 1 in lowest terms
+        return field
+    return _lowest({k: a * c for k, a in field.num.items()}, field.den * d)
 
 
 def _exp(weight: "PolyField", amplitude: "PolyField"):
@@ -167,8 +177,10 @@ class PolyField:
     it raises instead of wrapping.  ``terms`` gives the coefficients as
     exponent 4-tuples -> ``Fraction``.  The constructor validates its input;
     ``from_numerators`` and arithmetic results are trusted.  Instances are
-    immutable by convention; every operation returns a fresh object, so
-    values can be shared freely across threads.
+    immutable by convention: no operation mutates a value, so a result may
+    be one of its operands (``p * 1``, or ``p.substitute(axis, 0)`` on a
+    ``p`` free of that axis) and values can be shared freely, across
+    threads too.
     """
 
     __slots__ = ("num", "den")
@@ -215,8 +227,8 @@ class PolyField:
 
     @classmethod
     def constant(cls, value) -> "PolyField":
-        value = exact_scalar(value)
-        return _field({0: value.numerator}, value.denominator)
+        value = exact_scalar(value)  # a Fraction is in lowest terms over a positive denominator
+        return _make({0: value.numerator} if value else {}, value.denominator)
 
     @classmethod
     def variable(cls, axis) -> "PolyField":
@@ -277,10 +289,15 @@ class PolyField:
                 other = PolyField.constant(other)
             except TypeError:
                 return NotImplemented
+        snum, onum = self.num, other.num
+        if len(onum) == 1 and 0 in onum:
+            return _scaled(self, other)
+        if len(snum) == 1 and 0 in snum:
+            return _scaled(other, self)
         num = {}
         get = num.get
-        onum = other.num.items()
-        for ka, ca in self.num.items():
+        onum = onum.items()
+        for ka, ca in snum.items():
             for kb, cb in onum:
                 k = ka + kb
                 num[k] = get(k, 0) + ca * cb
@@ -327,6 +344,10 @@ class PolyField:
     def substitute(self, axis, value) -> "PolyField":
         """Partially evaluate one coordinate at an exact rational value."""
         shift = _shift(axis)
+        if type(value) is int and not value:  # keep the terms free of the axis
+            mask = MAX_EXPONENT << shift
+            num = {k: c for k, c in self.num.items() if not k & mask}
+            return self if len(num) == len(self.num) else _lowest(num, self.den)
         clear = ~(MAX_EXPONENT << shift)
         value = exact_scalar(value)
         p, q = value.numerator, value.denominator

@@ -106,17 +106,28 @@ def random_poly(rng: random.Random, max_degree=3, max_terms=4) -> PolyField:
     Each coefficient is kept as an int over 12, the lcm of the denominators
     ``_random_ratio`` draws, and the field is built through the trusted
     ``PolyField.from_numerators``, which checks only the exponent range.
+    The axis, numerator and denominator draws are ``_below(rng, 4)``,
+    ``_below(rng, 9)`` and ``_below(rng, 4)`` written out: the same bits
+    and redraws, without a call per draw.
     """
     if max_terms < 1 or max_degree < 0:
         raise ValueError(f"empty draw range: max_degree={max_degree}, max_terms={max_terms}")
+    bits = rng.getrandbits
     terms = []
     for _ in range(_below(rng, max_terms) + 1):
         exps = [0, 0, 0, 0]
-        budget = _below(rng, max_degree + 1)
-        for _ in range(budget):
-            exps[_below(rng, 4)] += 1
-        numerator, denominator = _random_ratio(rng)
-        terms.append((exps, numerator * (12 // denominator)))
+        for _ in range(_below(rng, max_degree + 1)):
+            axis = bits(3)
+            while axis >= 4:
+                axis = bits(3)
+            exps[axis] += 1
+        numerator = bits(4)
+        while numerator >= 9:
+            numerator = bits(4)
+        denominator = bits(3)
+        while denominator >= 4:
+            denominator = bits(3)
+        terms.append((exps, (numerator - 4) * (12 // (denominator + 1))))
     return PolyField.from_numerators(terms, 12)
 
 

@@ -3,9 +3,13 @@
 The tensor-product assembly must reproduce the node-by-node builder in
 ``loop_reference`` exactly: the arithmetic of every matrix entry and
 right-hand side value is unchanged, so the comparison is literal equality.
-The reference march must come within 1e-14 of the exact solution of the
-same float64 backward Euler steps, which ``loop_reference`` computes in
-40-digit decimal arithmetic.
+The reference march is compared with the exact solution of the same
+float64 backward Euler steps, which ``loop_reference`` computes in 40-digit
+decimal arithmetic.  The 1e-14 bound (relative to the largest value) is a
+property of the configs tested here, among them the two stencils that the
+guard rejects, not of the march in general: it depends on the data and the
+stiffness, and random guard-rejected stencils on other data have reached
+errors of about 1e-13 with either step solver.
 """
 
 import logging

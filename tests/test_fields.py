@@ -70,6 +70,7 @@ def test_bad_axis_messages(xyzt, axis, message):
         xyzt[0].diff,
         xyzt[0].integrate,
         lambda a: xyzt[0].substitute(a, 1),
+        lambda a: xyzt[0].substitute(a, 0),
         xyzt[0].depends_on,
         PolyField.variable,
     ):

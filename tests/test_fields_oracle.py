@@ -6,13 +6,17 @@ must be in canonical form: nonzero int numerators under packed monomial keys
 over a positive int denominator with ``gcd(den, *numerators) == 1`` (so the
 zero field has ``den == 1``).  Near the exponent limit the same operations
 must match the oracle or raise ``OverflowError`` exactly when the oracle's
-result passes the limit.  The random polynomials of ``verification`` are
+result passes the limit.  Constant and zero operands, the exponential
+weight of a product with a polynomial and substitution of zero get
+properties of their own.  The random polynomials of ``verification`` are
 checked against their ``Fraction``-built oracle in the same way, and their
 one integer draw rule against ``random.Random.randrange``.
 """
 
 import ast
+import operator
 import random
+import re
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -23,7 +27,7 @@ from hypothesis import strategies as st
 
 import random_reference
 from fraction_reference import FractionPolyField
-from hodge4d.fields import MAX_EXPONENT, PolyField
+from hodge4d.fields import MAX_EXPONENT, ExpPolyField, PolyField
 from hodge4d import verification
 from hodge4d.verification import _below, random_fraction, random_poly
 
@@ -88,18 +92,90 @@ def test_equality_matches_fraction_oracle(ta, tb, s):
     assert (a * s) + (a * (1 - s)) == a
 
 
+# constant operands, which a product scales by without its term loop: zero,
+# the unit, ints of either sign and Fractions
+_trivial = st.one_of(
+    st.sampled_from([0, 1, -1, Fraction(1), Fraction(-1), Fraction(1, 2)]),
+    st.integers(-(10**6), 10**6),
+    _coeffs,
+)
+
+
 @settings(max_examples=200, deadline=None)
-@given(_terms, _coeffs)
+@given(_terms, _trivial)
 def test_constant_and_zero_operands_match_fraction_oracle(ta, c):
     a, ra = PolyField(ta), FractionPolyField(ta)
-    for value in (c, Fraction(0)):
+    for value in (c, 0, 1, Fraction(0)):
         k, rk = PolyField.constant(value), FractionPolyField.constant(value)
-        assert_matches(a * k, ra * rk)
-        assert_matches(k * a, rk * ra)
-        assert_matches(a + k, ra + rk)
-        assert_matches(k + a, rk + ra)
-        assert_matches(k * k, rk * rk)
-        assert_matches(k + k, rk + rk)
+        pairs = ((a, k, ra, rk), (k, a, rk, ra), (a, value, ra, rk), (value, a, rk, ra), (k, k, rk, rk))
+        for op in (operator.mul, operator.add, operator.sub):
+            for left, right, rleft, rright in pairs:
+                assert_matches(op(left, right), op(rleft, rright))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_terms, _terms, _terms, _trivial)
+def test_exponential_times_polynomial_keeps_its_weight(tw, ta, tb, c):
+    weight, amplitude, b = PolyField(tw), PolyField(ta), PolyField(tb)
+    ramplitude, rb, rc = FractionPolyField(ta), FractionPolyField(tb), FractionPolyField.constant(c)
+    lift = ExpPolyField(weight, amplitude)
+    for product, rfactor in (
+        (lift * b, rb),
+        (b * lift, rb),
+        (lift * c, rc),
+        (c * lift, rc),
+        (lift * PolyField.constant(c), rc),
+    ):
+        ref = ramplitude * rfactor
+        if weight.is_zero or ref.is_zero:
+            assert type(product) is PolyField
+            assert_matches(product, ref)
+        else:
+            assert type(product) is ExpPolyField
+            assert product.weight == weight
+            assert_canonical(product.weight)
+            assert_matches(product.amplitude, ref)
+    # the weights of a lift and an unlift cancel to a plain PolyField
+    unlift = ExpPolyField(-weight, 1)
+    for cancelled in ((lift * b) * unlift, unlift * (b * lift), unlift * lift):
+        assert type(cancelled) is PolyField
+    assert_matches((lift * b) * unlift, ramplitude * rb)
+    assert_matches(unlift * lift, ramplitude)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_terms, _axes)
+def test_substitute_zero_matches_fraction_oracle(ta, axis):
+    a, ra = PolyField(ta), FractionPolyField(ta)
+    expected = ra.substitute(axis, 0)
+    for zero in (0, Fraction(0), "0", False):
+        assert_matches(a.substitute(axis, zero), expected)
+        assert_matches(a.substitute("xyzt"[axis], zero), expected)
+    assert_matches(a.substitute(axis, True), ra.substitute(axis, 1))
+
+
+@pytest.mark.parametrize(
+    "axis, value, error, message",
+    [
+        (4, 0.0, ValueError, "axis index out of range: 4"),  # the axis is checked first
+        (0, 0.0, TypeError, "exact scalar expected (int, Fraction or str), got float"),
+        (0, None, TypeError, "exact scalar expected (int, Fraction or str), got NoneType"),
+    ],
+)
+def test_substitute_of_a_zero_that_is_not_exact_raises(axis, value, error, message):
+    a = PolyField({(1, 0, 0, 1): 2, (0, 0, 0, 0): 1})
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        a.substitute(axis, value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(), st.booleans()))
+def test_int_constant_equals_its_fraction_constant(n):
+    k, kf = PolyField.constant(n), PolyField.constant(Fraction(n))
+    assert_canonical(k)
+    assert (k.num, k.den) == (kf.num, kf.den)
+    assert k == kf and hash(k) == hash(kf) == hash(Fraction(n))
+    assert_matches(k, FractionPolyField.constant(n))
 
 
 @settings(max_examples=200, deadline=None)
