@@ -4,13 +4,17 @@ Commands: verify-tables, identities, expand, boundary, solve, sweep.
 Configuration files are flat key=value text with one section per command
 (configparser syntax); command-line flags override file values and unknown
 keys are rejected; expressions go through ``expressions.parse_expression``.
-Only solve and sweep import the numeric solver (and with it numpy, scipy and
-dataclasses), configparser and csv.
+The two halves of the package load apart: only solve and sweep import the
+numeric solver (and with it numpy, scipy and dataclasses), configparser and
+csv, and only the symbolic commands load the exact layer, which each reaches
+through the package (``from . import verification``) so that it loads as
+one unit (see ``hodge4d``).
 Exit codes: 0 all checks passed, 1 verification failure or failed solve,
 2 usage or configuration error.  A stdout closed by its reader (as in
 ``hodge4d sweep ... | head -1`` or ``hodge4d --help`` into a closed pipe)
 ends the command with exit code 1 and no traceback; ``sweep --out`` writes
-its CSV before it prints anything, so the file is complete either way.
+its CSV before it prints anything, so the file is complete either way, and
+a path it cannot write is a usage error.
 """
 
 from __future__ import annotations
@@ -20,14 +24,8 @@ import contextlib
 import io
 import os
 import sys
-from fractions import Fraction
 
-from .boundary import boundary_report
-from .convdiff import expand_componentwise
 from .errors import SolveError
-from .fields import PolyField
-from .forms import MaterialParams, spatial_form, spatial_parts
-from .verification import run_identities, run_table_verification
 
 USAGE_ERROR = 2
 CHECK_ERROR = 1
@@ -45,7 +43,9 @@ def _default_seed() -> int:
         raise UsageError(f"HODGE4D_SEED must be an integer, got {raw!r}")
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str):
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -53,7 +53,9 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _sample_fields(degree: int):
-    x, y, z, t = (PolyField.variable(i) for i in range(4))
+    from . import fields
+
+    x, y, z, t = (fields.PolyField.variable(i) for i in range(4))
     if degree == 0:
         return x * x * t + y * z
     if degree in (1, 2):
@@ -64,7 +66,9 @@ def _sample_fields(degree: int):
 
 
 def cmd_verify_tables(args) -> int:
-    report = run_table_verification(seed=args.seed)
+    from . import verification
+
+    report = verification.run_table_verification(seed=args.seed)
     for line in report.lines():
         print(line)
     star_checks = [c for c in report.checks if c.name.startswith(("star[", "scaled-star["))]
@@ -73,15 +77,21 @@ def cmd_verify_tables(args) -> int:
 
 
 def cmd_identities(args) -> int:
+    from . import verification
+
     if args.count < 1:
         raise UsageError(f"count must be at least 1, got {args.count}")
-    report = run_identities(args.seed, args.count)
+    report = verification.run_identities(args.seed, args.count)
     for line in report.lines():
         print(line)
     return 0 if report.passed else CHECK_ERROR
 
 
 def cmd_expand(args) -> int:
+    from fractions import Fraction
+
+    from . import convdiff, forms
+
     if args.k not in (0, 1, 2, 3, 4):
         raise UsageError(f"degree must be 0..4, got {args.k}")
     beta = (Fraction(0), Fraction(0), Fraction(0))
@@ -91,10 +101,10 @@ def cmd_expand(args) -> int:
             raise UsageError("beta needs three comma-separated components")
         beta = tuple(_parse_fraction(p) for p in parts)
     try:
-        m = MaterialParams(alpha=_parse_fraction(args.alpha), epsilon=_parse_fraction(args.eps), beta=beta)
+        m = forms.MaterialParams(alpha=_parse_fraction(args.alpha), epsilon=_parse_fraction(args.eps), beta=beta)
     except ValueError as exc:
         raise UsageError(str(exc))
-    report = expand_componentwise(args.k, _sample_fields(args.k), m)
+    report = convdiff.expand_componentwise(args.k, _sample_fields(args.k), m)
     print(f"component-wise expansion, degree {args.k}, alpha={m.alpha}, eps={m.epsilon}")
     for row in report.rows:
         print(f"[{row.label}]  input coefficient: {row.input_coefficient}")
@@ -110,12 +120,16 @@ def cmd_expand(args) -> int:
 
 
 def cmd_boundary(args) -> int:
+    from fractions import Fraction
+
+    from . import boundary, forms
+
     if args.k not in (0, 1, 2, 3):
         raise UsageError(f"degree must be 0..3, got {args.k}")
     fields = _sample_fields(args.k)
-    m = MaterialParams(alpha=Fraction(1), epsilon=Fraction(1, 2))
-    initial = spatial_parts(spatial_form(args.k, fields).substitute_t(0))
-    report = boundary_report(args.k, fields, initial, m)
+    m = forms.MaterialParams(alpha=Fraction(1), epsilon=Fraction(1, 2))
+    initial = forms.spatial_parts(forms.spatial_form(args.k, fields).substitute_t(0))
+    report = boundary.boundary_report(args.k, fields, initial, m)
     for line in report.lines():
         print(line)
     print(f"  terminal expression at t=1: {report.terminal.value!r}")
@@ -237,8 +251,11 @@ def cmd_sweep(args) -> int:
         print(f"sweep aborted: {exc}")
         return CHECK_ERROR
     if args.out:  # before any output, so that a closed stdout cannot lose the file
-        with open(args.out, "w", newline="") as handle:
-            csv.writer(handle, lineterminator="\n").writerows(result.csv_rows())
+        try:
+            with open(args.out, "w", newline="") as handle:
+                csv.writer(handle, lineterminator="\n").writerows(result.csv_rows())
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out!r}: {exc.strerror or exc}")
     print(result.text_table())
     if args.out:
         print(f"wrote {args.out}")

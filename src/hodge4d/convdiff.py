@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import vectorcalc as vc
+import hodge4d.vectorcalc as vc  # not "from . import", which asks the package (see hodge4d)
 from ._record import FrozenRecord, Record
 from .fields import ExpPolyField, PolyField, T
 from .forms import (

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from . import vectorcalc as vc
+import hodge4d.vectorcalc as vc  # not "from . import", which asks the package (see hodge4d)
 from ._record import Record
 from .convdiff import (
     NoPotentialError,

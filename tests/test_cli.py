@@ -119,6 +119,55 @@ def test_symbolic_commands_do_not_load_the_solver():
     assert done.returncode == 0, done.stderr
 
 
+# the exact layer, which hodge4d loads as one unit, and what each symbolic
+# command loads of hodge4d: that unit, cli, errors and the package
+EXACT_LAYER_MODULES = tuple(
+    f"hodge4d.{name}"
+    for name in ("_record", "fields", "forms", "vectorcalc", "convdiff", "boundary", "tables", "verification")
+)
+SYMBOLIC_COMMAND_MODULES = sorted(EXACT_LAYER_MODULES + ("hodge4d", "hodge4d.cli", "hodge4d.errors"))
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify-tables"], ["identities", "--count", "2"], ["expand", "--k", "2"], ["boundary", "--k", "1"]]
+)
+def test_each_symbolic_command_loads_the_whole_exact_layer_and_no_solver(argv):
+    script = (
+        "import contextlib, io, sys\n"
+        "from hodge4d.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'hodge4d' or m.startswith('hodge4d.')))\n"
+        f"print(sorted(set({SOLVER_ONLY_MODULES!r}) & set(sys.modules)))\n"
+    )
+    done = _run_python(script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [repr(SYMBOLIC_COMMAND_MODULES), "[]"]
+
+
+def test_solve_and_sweep_do_not_load_the_exact_layer(tmp_path):
+    solve_config, sweep_config = tmp_path / "solve.cfg", tmp_path / "sweep.cfg"
+    solve_config.write_text(SOLVE_CONFIG)
+    sweep_config.write_text(SWEEP_CONFIG)
+    script = (
+        "import contextlib, io, sys\n"
+        f"exact = {EXACT_LAYER_MODULES!r}\n"
+        "import hodge4d\n"
+        "assert [m for m in sys.modules if m.startswith('hodge4d.')] == [], 'import hodge4d loaded a submodule'\n"
+        "from hodge4d.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['solve', '--config', sys.argv[1]]) == 0\n"
+        "    assert main(['sweep', '--config', sys.argv[2]]) == 0\n"
+        "loaded = sorted(set(exact) & set(sys.modules))\n"
+        "assert not loaded, f'solve and sweep loaded {loaded}'\n"
+        "hodge4d.PolyField\n"
+        "missing = sorted(set(exact) - set(sys.modules))\n"
+        "assert not missing, f'the first PolyField did not load {missing}'\n"
+    )
+    done = _run_python(script, str(solve_config), str(sweep_config))
+    assert done.returncode == 0, done.stderr
+
+
 def test_the_solver_loads_scipy_sparse_only_for_a_matrix():
     # a fast-path solve and a sweep form no sparse matrix; reading
     # LinearSystem.matrix does, and only then is scipy.sparse imported
@@ -304,6 +353,18 @@ def run_failing(capsys, *argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     return code, err
+
+
+@pytest.mark.parametrize(
+    "target, reason", [("missing/sweep.csv", "No such file or directory"), (".", "Is a directory")]
+)
+def test_sweep_out_that_cannot_be_written_is_usage_error(tmp_path, capsys, target, reason):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(SWEEP_CONFIG)
+    out = str(tmp_path / target)
+    code, err = run_failing(capsys, "sweep", "--config", str(config), "--out", out)
+    assert code == 2
+    assert err == f"error: cannot write {out!r}: {reason}\n"
 
 
 def test_solve_too_few_cells_is_usage_error(tmp_path, capsys):
