@@ -19,23 +19,11 @@ matrix, so scipy.sparse is imported there and in ``LinearSystem.matrix``.
 ``epsilon_sweep`` measures the decay of the difference as eps shrinks.
 
 The fast path multiplies by the operator without forming the matrix
-(``LinearSystem.apply``), in passes over whole contiguous grid rows whose
-Dirichlet columns act as the matrix's identity rows, bit for bit the sparse
-product.  It writes its intermediates into one workspace per thread, kept
-for the grid shape last solved (up to 32 MiB) and replaced when another
-shape arrives, so repeated solves of one grid in a process reuse memory that
-is already mapped.  The arithmetic is the same, so every result is bit for
-bit what fresh arrays give, and no result shares memory with the workspace.
-The modes never couple, so the fast path splits them into two lanes, and
-the grid rows of each product by the operator likewise, and hands one lane
-to a helper thread while the caller runs the other.  Its first residual
-comes from the Dirichlet lift without a product.  The helper is started at
-the first solve of at least 10,000 interior nodes (25,000 for the eps = 0
-reference) in a process that may run on two CPUs and whose BLAS runs on one
-thread; a BLAS on several threads already uses the cores, so then, and for
-smaller solves, the caller runs both lanes.  Each lane writes its own part
-of the caller's workspace, and the results are bit for bit those of both
-lanes run in the caller.
+(``_apply``), takes its first residual from the Dirichlet lift without a
+product (``_lift_residual``), writes its intermediates into a per-thread
+workspace kept between solves of one grid (``_workspace``), and splits its
+modes and product rows into two lanes that a helper thread may share
+(``_in_lanes``).
 """
 
 from __future__ import annotations
@@ -256,23 +244,14 @@ class LinearSystem:
         )
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """``matrix @ u`` without the matrix, bit for bit (see ``_apply``)."""
+        """``matrix @ u`` without the matrix (see ``_apply``).
+
+        Bit for bit the sparse product at every node where that is a number,
+        and NaN at exactly the nodes where it is NaN, whose payload is left
+        open.
+        """
         out = np.empty(self.grid.shape)
         return _apply(self, u, out, np.empty_like(out[1:]), 0, len(out)).ravel()
-
-
-def _add(total: np.ndarray, product: np.ndarray, nan_in_u: bool) -> None:
-    """``total += product``, where a ``total`` that is NaN keeps its own NaN when ``nan_in_u``.
-
-    Of two NaNs, numpy's sum keeps the first in the body of its SIMD loop and
-    the second in the loop's tail, so without the guard a node's NaN would
-    hang on its place in the range.  A NaN that an operation makes from
-    numbers is always the one default NaN, so two NaNs can differ only when
-    ``u`` holds one.  ``product`` is scratch: the guard zeroes it under a NaN.
-    """
-    if nan_in_u:
-        np.copyto(product, 0.0, where=np.isnan(total))
-    total += product
 
 
 def _apply(
@@ -291,7 +270,10 @@ def _apply(
     identity rows of the matrix, 0.0 + u bit for bit, and no floating-point
     exception whatever ``u`` holds (for a finite time stencil).  Each
     interior row is summed in column order from 0.0, as the sparse product
-    sums it, and a sum that is NaN keeps its first NaN (``_add``).  The last
+    sums it, so each node where the product is a number holds its bits, and
+    each node where it is NaN holds a NaN.  Which of two NaNs a sum keeps
+    (IEEE 754 leaves it open) may hang on the node's place in the range;
+    ``solve`` never returns a NaN, so no result depends on it.  The last
     pass writes the initial-time row, 0.0 + u, when the range starts at 0.
     Returns ``out``.
     """
@@ -304,26 +286,25 @@ def _apply(
         left, right = np.zeros((2, width))
         left[1:-1], right[1:-1] = lower_x[:-1], upper_x[1:]
         rows, term = out[first:stop], term[first - 1 : stop - 1]
-        nan_in_u = bool(np.isnan(v[first - 1 : stop + 1]).any())  # the rows the range reads
         np.copyto(rows, v[first - 1 : stop - 1])  # the neighbours below
         rows[ends] = 0.0
         np.multiply(lower_t[first - 1 : stop - 1, None], rows, out=rows)
         rows += 0.0  # the sum starts from 0.0, so a -0.0 product becomes 0.0
         np.copyto(term, flat[first * width - 1 : stop * width - 1].reshape(term.shape))  # to the left
         term[ends] = 0.0
-        _add(rows, np.multiply(left, term, out=term), nan_in_u)
+        rows += np.multiply(left, term, out=term)
         np.add(main_t[first:stop, None], main_x, out=term)
         term[ends] = 1.0
-        _add(rows, np.multiply(term, v[first:stop], out=term), nan_in_u)
+        rows += np.multiply(term, v[first:stop], out=term)
         right_of = flat[first * width + 1 : stop * width + 1]  # the final row's last one lies past the grid
         np.copyto(term.reshape(-1)[: right_of.size], right_of)
         term[ends] = 0.0
-        _add(rows, np.multiply(right, term, out=term), nan_in_u)
+        rows += np.multiply(right, term, out=term)
         below_final = min(stop, len(v) - 1) - first  # the rows with a row above them
         above = term[:below_final]
         np.copyto(above, v[first + 1 : first + 1 + below_final])
         above[ends] = 0.0
-        _add(rows[:below_final], np.multiply(upper_t[first : first + below_final, None], above, out=above), nan_in_u)
+        rows[:below_final] += np.multiply(upper_t[first : first + below_final, None], above, out=above)
     if start == 0:
         np.add(0.0, v[0], out=out[0])
     return out

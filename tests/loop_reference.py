@@ -158,18 +158,11 @@ def loop_reference(config, grid):
     return np.array([[float(u) for u in row] for row in rows])
 
 
-def _summed(row, product):
-    """``row += product``, a row entry that is already NaN keeping that NaN."""
-    row += np.where(np.isnan(row), 0.0, product)
-
-
 def strided_apply(system, u):
     """``system.matrix @ u`` as a grid-shaped array, one pass per term over the strided interior view.
 
-    Each interior row is summed in column order from 0.0, and a sum that is
-    NaN keeps its first NaN, wherever numpy's SIMD loop puts the node; each
-    Dirichlet row is 0.0 + u.  No product touches a Dirichlet column of the
-    interior rows.
+    Each interior row is summed in column order from 0.0; each Dirichlet row
+    is 0.0 + u.  No product touches a Dirichlet column of the interior rows.
     """
     (lower_x, main_x, upper_x), (lower_t, main_t, upper_t) = system.x_stencil, system.t_stencil
     v = u.reshape(system.grid.shape)
@@ -178,8 +171,8 @@ def strided_apply(system, u):
     row = out[1:, 1:-1]
     np.multiply(lower_t[:, None], v[:-1, 1:-1], out=row)
     row += 0.0
-    _summed(row, np.multiply(lower_x[:-1], v[1:, :-2], out=term))
-    _summed(row, np.multiply(np.add(main_t[1:, None], main_x[1:-1], out=term), v[1:, 1:-1], out=term))
-    _summed(row, np.multiply(upper_x[1:], v[1:, 2:], out=term))
-    _summed(row[:-1], np.multiply(upper_t[1:, None], v[2:, 1:-1], out=term[:-1]))
+    row += np.multiply(lower_x[:-1], v[1:, :-2], out=term)
+    row += np.multiply(np.add(main_t[1:, None], main_x[1:-1], out=term), v[1:, 1:-1], out=term)
+    row += np.multiply(upper_x[1:], v[1:, 2:], out=term)
+    row[:-1] += np.multiply(upper_t[1:, None], v[2:, 1:-1], out=term[:-1])
     return out

@@ -370,9 +370,13 @@ def test_sweep_out_that_cannot_be_written_is_usage_error(tmp_path, capsys, targe
 def test_solve_too_few_cells_is_usage_error(tmp_path, capsys):
     config = tmp_path / "solve.cfg"
     config.write_text(SOLVE_CONFIG)
-    code, err = run_failing(capsys, "solve", "--config", str(config), "--nx", "1")
+    code, err = run_failing(capsys, "solve", "--config", str(config), "--nx", "2")
     assert code == 2
-    assert "interior nodes" in err
+    assert err == "error: nx and nt need at least 3 cells, got nx=2\n"
+    # the CLI's nx and nt count cells, so the message counts cells too
+    code, err = run_failing(capsys, "solve", "--config", str(config), "--nx", "1", "--nt", "0")
+    assert code == 2
+    assert err == "error: nx and nt need at least 3 cells, got nx=1, nt=0\n"
 
 
 def test_solve_zero_epsilon_is_usage_error(tmp_path, capsys):

@@ -17,14 +17,15 @@ Euler reference, the time solve of each mode is one forward substitution;
 it is checked against the same sparse LU, and ``solve``'s per-step LAPACK
 fallback for a rejected eps = 0 system against a copy of that loop, bit for
 bit.  The whole-row matrix-free product is checked against the strided
-kernel it replaced, byte for byte and floating-point exception for
-exception, and against itself run in two row ranges; the residual of the
-Dirichlet lift, which the fast path takes without a product, against rhs
-minus the product, byte for byte; and a system is never built with a
-stencil coefficient that is not finite, which that residual needs.
+kernel it replaced, byte for byte but for NaN payloads and floating-point
+exception for exception, and against itself run in two row ranges; the
+residual of the Dirichlet lift, which the fast path takes without a product,
+against rhs minus the product, byte for byte; and a system is never built
+with a stencil coefficient that is not finite, which that residual needs.
 """
 
 import dataclasses
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -42,6 +43,7 @@ from hodge4d.solver import (
     Grid1p1,
     ProblemConfig,
     Scheme,
+    SolveError,
     _fast_diagonalisation,
     _sine_backward,
     _sine_combine,
@@ -407,6 +409,38 @@ def test_zero_shifted_diagonal_falls_back_to_the_step_loop():
     assert march.tolist() == _step_loop_march(system.x_stencil, values, grid).tolist()
 
 
+@pytest.mark.parametrize(
+    "scheme, alpha, beta, eps, admitted",
+    [
+        (Scheme.CENTERED, 1.0, 0.5, 0.1, True),
+        (Scheme.CENTERED, lambda x: 1.0 + x, 0.5, 0.1, True),
+        (Scheme.EXP_FITTED, 1e-3, 1.0, 0.1, False),
+        (Scheme.CENTERED, 1.0, 0.5, 0.0, True),
+        (Scheme.CENTERED, lambda x: 0.01 * (1.0 + x), lambda x: 2.0 - x, 0.0, False),
+    ],
+    ids=["toeplitz", "eigh-tridiagonal", "splu", "limit-fast", "limit-time-steps"],
+)
+def test_data_that_is_not_finite_at_any_node_ends_in_solve_error(scheme, alpha, beta, eps, admitted):
+    # no solve returns a NaN or an infinity, which is why the matrix-free
+    # product may leave NaN payloads open: every path's result is rejected,
+    # the fast path's and splu's by the residual gate, the time steps' by
+    # their finiteness check, with no floating-point warning on the way
+    grid = Grid1p1.with_cells(12, 10)
+    cfg = dataclasses.replace(_limit_config(scheme, alpha, beta), epsilon=eps)
+    system = _limit_system(cfg, grid) if eps == 0.0 else assemble(cfg, grid)
+    assert (_fast_diagonalisation(system)[0] is not None) == admitted
+    context = f"(eps={system.epsilon}, scheme={system.scheme.value}, grid={grid.nx}x{grid.nt})"
+    for value in (np.nan, np.inf, -np.inf):
+        for node in range(grid.n_nodes):
+            rhs = system.rhs.copy()
+            rhs[node] = value
+            with warnings.catch_warnings(record=True) as caught, pytest.raises(SolveError) as raised:
+                warnings.simplefilter("always")
+                solve(dataclasses.replace(system, rhs=rhs))
+            assert str(raised.value).endswith(context), (value, node)
+            assert caught == [], (value, node)
+
+
 def _full_sine_basis(n):
     """The closed-form eigenvectors q[j, k] = sqrt(2/(n+1)) sin(j k pi/(n+1)), j, k = 1..n.
 
@@ -496,6 +530,18 @@ _EDGE_ENTRIES = [
 ]
 
 
+def _same_up_to_nan_payloads(actual, expected):
+    """Whether ``actual`` has ``expected``'s bytes at every node where that is not NaN, and NaN at exactly its NaNs.
+
+    Which of two NaNs a sum passes on is left open (IEEE 754-2019, 6.2.3), and
+    numpy's SIMD loops pick by a node's place in the loop, so payloads are not
+    compared.
+    """
+    actual, expected = actual.ravel(), expected.ravel()
+    nan = np.isnan(expected)
+    return (np.isnan(actual) == nan).all() and actual[~nan].tobytes() == expected[~nan].tobytes()
+
+
 def _flags(product):
     """The names of the floating-point exceptions that ``product()`` signals, in any ufunc call."""
     signalled = set()
@@ -549,8 +595,8 @@ def test_apply_equals_the_strided_kernel_byte_for_byte(case):
         expected = strided_apply(system, u)
         out = np.full(grid.shape, np.nan)  # nothing left over may survive
         solver._apply(system, u, out, np.full_like(out[1:], np.nan), 0, len(out))
-        assert out.tobytes() == expected.tobytes()
-        assert system.apply(u).tobytes() == expected.tobytes()
+        assert _same_up_to_nan_payloads(out, expected)
+        assert _same_up_to_nan_payloads(system.apply(u), expected)
     # the Dirichlet columns add no floating-point exception of their own
     out = np.empty(grid.shape)
     raised = _raised(lambda: strided_apply(system, u))
@@ -564,10 +610,11 @@ def test_two_row_ranges_give_the_whole_products_bytes_and_exceptions(case):
     # the fast path's two lanes each write one range of rows: lane 0 the
     # initial time and the rows below the split, lane 1 the rest, each into
     # its own rows of one output and one scratch; at every split point the
-    # bytes are the whole product's, and so is every floating-point
-    # exception signalled.  The first one raised is the whole product's when
-    # one range holds every row above the initial time; between, the ranges
-    # run the passes in another order, so it may be another one
+    # bytes are the whole product's, NaN payloads aside, and so is every
+    # floating-point exception signalled.  The first one raised is the whole
+    # product's when one range holds every row above the initial time;
+    # between, the ranges run the passes in another order, so it may be
+    # another one
     system, u = case
     rows = system.grid.shape[0]
     out, term = np.empty(system.grid.shape), np.empty((rows - 1, system.grid.shape[1]))
@@ -576,7 +623,7 @@ def test_two_row_ranges_give_the_whole_products_bytes_and_exceptions(case):
         return solver._apply(system, u, out, term, 0, rows)
 
     with np.errstate(all="ignore"):
-        expected = whole().tobytes()
+        expected = whole().copy()
     signalled = _flags(whole)
     for split in range(1, rows + 1):  # lane 0 from the initial time alone to every row
 
@@ -587,32 +634,10 @@ def test_two_row_ranges_give_the_whole_products_bytes_and_exceptions(case):
         out.fill(np.nan)
         term.fill(np.nan)
         with np.errstate(all="ignore"):
-            assert in_two().tobytes() == expected, split
+            assert _same_up_to_nan_payloads(in_two(), expected), split
         assert _flags(in_two) == signalled, split
         if split in (1, rows):
             assert _raised(in_two) == _raised(whole), split
-
-
-def test_a_nan_in_u_meeting_a_made_nan_has_the_same_bytes_in_any_row_ranges():
-    # u's NaN (sign bit clear) meets, at node (10, 10), the default NaN that
-    # -0.0 * inf makes in the upper time term at eps = 0; numpy's sum of the
-    # two keeps one or the other by the node's place in its SIMD loop, so
-    # the product must keep the first NaN itself
-    cfg = ProblemConfig(alpha=1.0, beta=0.0, epsilon=0.0, f=_zero, g=_zero, scheme=Scheme.CENTERED)
-    system = _limit_system(cfg, Grid1p1.with_cells(11, 11))
-    rows = system.grid.shape[0]
-    u = np.zeros(system.grid.n_nodes)
-    u.reshape(system.grid.shape)[10, 11] = np.nan
-    u.reshape(system.grid.shape)[11, 10] = np.inf
-    out, term = np.empty(system.grid.shape), np.empty((rows - 1, system.grid.shape[1]))
-    with np.errstate(all="ignore"):
-        expected = strided_apply(system, u).tobytes()
-        assert system.apply(u).tobytes() == expected
-        for split in range(1, rows + 1):
-            out.fill(np.nan)
-            term.fill(np.nan)
-            solver._apply(system, u, out, term, 0, split)
-            assert solver._apply(system, u, out, term, split, rows).tobytes() == expected, split
 
 
 @settings(max_examples=200, deadline=None)
