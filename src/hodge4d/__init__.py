@@ -5,8 +5,8 @@ reductions) plus a 1+1D finite-difference solver that confirms the
 vanishing-perturbation limit numerically.
 
 Both halves load on first access (PEP 562), so ``import hodge4d`` loads no
-submodule.  The solver's names import ``solver`` (and with it numpy and
-scipy); the exact layer never does.  Any other exported name, or any module
+submodule.  The solver's names import ``solver`` (and with it numpy; scipy
+only for the solves that need it); the exact layer never does.  Any other exported name, or any module
 of the exact layer taken from the package, loads the whole layer as one
 unit: ``_record``, ``fields``, ``forms``, ``vectorcalc``, ``convdiff``,
 ``boundary``, ``tables`` and ``verification`` (plus ``errors`` for

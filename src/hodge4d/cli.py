@@ -5,8 +5,8 @@ Configuration files are flat key=value text with one section per command
 (configparser syntax); command-line flags override file values and unknown
 keys are rejected; expressions go through ``expressions.parse_expression``.
 The two halves of the package load apart: only solve and sweep import the
-numeric solver (and with it numpy, scipy and dataclasses), configparser and
-csv, and only the symbolic commands load the exact layer, which each reaches
+numeric solver (and with it numpy and dataclasses, and scipy for the solves
+that need it), configparser and csv, and only the symbolic commands load the exact layer, which each reaches
 through the package (``from . import verification``) so that it loads as
 one unit (see ``hodge4d``).
 Exit codes: 0 all checks passed, 1 verification failure or failed solve,

@@ -9,13 +9,18 @@ upwind, and the exponentially fitted Bernoulli-weight scheme.  The operator
 is a tensor product: a 1D spatial stencil Ax and a 1D temporal stencil At,
 each built once, give At (x) I + I (x) Ax on the interior nodes, which
 ``solve`` splits into one tridiagonal solve in t per eigenmode of Ax (fast
-diagonalisation) with a sparse LU of the whole matrix as guarded fallback.
-The zero-perturbation reference is backward Euler, I/ht + Ax, which is the
-eps = 0 member of the same family under the upwind time flux (``_system``);
-``solve`` solves it the same way, each mode's time solve then being one
-forward substitution, with one LAPACK tridiagonal solve per time step as the
-guarded fallback.  Only the fallback for other systems forms a sparse
-matrix, so scipy.sparse is imported there and in ``LinearSystem.matrix``.
+diagonalisation, its time solves by cyclic reduction) with a sparse LU of
+the whole matrix as guarded fallback.  The zero-perturbation reference is
+backward Euler, I/ht + Ax, which is the eps = 0 member of the same family
+under the upwind time flux (``_system``); ``solve`` solves it the same way,
+each mode's time system then being lower bidiagonal, with one LAPACK
+tridiagonal solve per time step as the guarded fallback.
+
+The fast path needs numpy alone for a constant-coefficient spatial stencil,
+so a process whose solves take it never imports scipy.  scipy is imported
+where it is needed: ``scipy.linalg`` for the eigenbasis of a variable
+stencil (``eigh_tridiagonal``) and for the eps = 0 fallback, and
+``scipy.sparse`` for the sparse LU fallback and ``LinearSystem.matrix``.
 ``epsilon_sweep`` measures the decay of the difference as eps shrinks.
 
 The fast path multiplies by the operator without forming the matrix
@@ -43,9 +48,6 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
-from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import SolveError
 from .expressions import derivative, numpy_function, parse_expression, substitute, variables
@@ -677,7 +679,7 @@ def _sine_blocks(halves: tuple, rows: int, scratch: np.ndarray) -> tuple:
 
 
 def _sine_forward(halves: tuple, y: np.ndarray, modes: np.ndarray, scratch: np.ndarray, lane: int) -> None:
-    """Write one half's rows of the mode coefficients ``(y @ q).T`` of the rows of ``y`` into ``modes``.
+    """Write one half's columns of the mode coefficients ``y @ q`` of the rows of ``y`` into that half's block of ``modes``.
 
     ``halves`` is the ``(antisymmetric, symmetric)`` pair of
     ``_toeplitz_eigenpairs``, and the modes come in its order; lane 0 writes
@@ -685,34 +687,37 @@ def _sine_forward(halves: tuple, y: np.ndarray, modes: np.ndarray, scratch: np.n
     sees only the differences y[:, j] - y[:, n-1-j], a symmetric one only the
     sums (and the middle column when n is odd), so each half is one product
     of about half the size: half the flops of ``y @ q``.  The folded columns
-    go to the lane's block of the flat ``scratch`` (of ``y.size`` entries,
+    go to the lane's block of the flat ``scratch`` and the coefficients to
+    its block of the flat ``modes`` (each of ``y.size`` entries,
     ``_sine_blocks``), so the two lanes touch disjoint memory.
     """
     antisymmetric, symmetric = halves
     half = len(antisymmetric)
     reflected = y[:, ::-1]
     folded = _sine_blocks(halves, len(y), scratch)[lane]
+    out = _sine_blocks(halves, len(y), modes)[lane]
     if lane == 0:
         np.subtract(y[:, :half], reflected[:, :half], out=folded)
-        np.matmul(antisymmetric.T, folded.T, out=modes[:half])
+        np.matmul(folded, antisymmetric, out=out)
     else:
         np.copyto(folded, y[:, : len(symmetric)])  # the middle column, if any, is its own reflection
         folded[:, :half] += reflected[:, :half]
-        np.matmul(symmetric.T, folded.T, out=modes[half:])
+        np.matmul(folded, symmetric, out=out)
 
 
 def _sine_backward(halves: tuple, modes: np.ndarray, scratch: np.ndarray, lane: int) -> None:
-    """Write one half's product ``modes[half's rows].T @ q_half.T`` into the lane's block of ``scratch``.
+    """Write one half's product ``modes_half @ q_half.T`` into the lane's block of ``scratch``.
 
-    ``_sine_combine`` then adds the two halves' products into ``modes.T @ q.T``.
+    ``modes`` is flat, as ``_sine_forward`` fills it.  ``_sine_combine``
+    then adds the two halves' products into ``modes @ q.T``.
     """
-    half = len(halves[0])
-    rows = modes[:half] if lane == 0 else modes[half:]
-    np.matmul(rows.T, halves[lane].T, out=_sine_blocks(halves, modes.shape[1], scratch)[lane])
+    rows = modes.size // (len(halves[0]) + len(halves[1]))
+    block = _sine_blocks(halves, rows, modes)[lane]
+    np.matmul(block, halves[lane].T, out=_sine_blocks(halves, rows, scratch)[lane])
 
 
 def _sine_combine(halves: tuple, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Write ``modes.T @ q.T`` into ``out`` from the two half products that ``_sine_backward`` left in ``scratch``."""
+    """Write ``modes @ q.T`` into ``out`` from the two half products that ``_sine_backward`` left in ``scratch``."""
     half = len(halves[0])
     antisymmetric_part, symmetric_part = _sine_blocks(halves, len(out), scratch)
     np.add(symmetric_part[:, :half], antisymmetric_part, out=out[:, :half])
@@ -720,23 +725,125 @@ def _sine_combine(halves: tuple, out: np.ndarray, scratch: np.ndarray) -> None:
     out[:, half : len(halves[1])] = symmetric_part[:, half:]
 
 
+def _cyclic_factor(lower: np.ndarray, main: np.ndarray, upper, store: np.ndarray, scratch: np.ndarray) -> tuple:
+    """Factor the tridiagonal systems in the columns of ``main`` by cyclic reduction; returns ``(levels, zero)``.
+
+    Column k is the system main[i, k] u[i] - lower[i] u[i-1] - upper[i] u[i+1]
+    = b[i], i = 0..n-1.  ``lower`` and ``upper`` are ``(n, 1)`` columns of
+    couplings that every system shares; lower[0] and upper[-1], which couple
+    to no row, enter no result.  ``upper`` is None for lower bidiagonal
+    systems.  Odd-even reduction (Hockney, J. ACM 12, 1965; Heller, SIAM J.
+    Numer. Anal. 13, 1976) eliminates the even rows from the odd ones, which
+    leaves the odd rows as one more such system of n//2 rows, down to one
+    row; it does not pivot, so it is stable for diagonally dominant systems,
+    and the caller judges the solution by its residual.  Every level is a
+    few elementwise passes over row slices, the same arithmetic for a column
+    whatever other columns share its block.
+
+    ``main`` is overwritten (its odd rows become the next level's diagonal).
+    Each level keeps the reciprocals of its even rows' pivots and, below the
+    first, its own ``(rows, columns)`` couplings, at most 3n - 2 rows per
+    column in all, in the flat ``store``; ``scratch`` holds n rows of
+    temporaries.  ``levels`` is what ``_cyclic_solve`` needs; ``zero`` is
+    the first column that meets an exactly zero pivot at any level, else
+    None.  Its reduction then holds infinities and NaNs, and so does its
+    solution, but no other column is touched.
+    """
+    width = main.shape[1]
+    levels, used, zero = [], 0, None
+
+    def take(rows):
+        nonlocal used
+        used += rows * width
+        return store[used - rows * width : used].reshape(rows, width)
+
+    def block(start, rows):
+        return scratch[start * width : (start + rows) * width].reshape(rows, width)
+
+    while True:
+        n = len(main)
+        evens, odds, inner = (n + 1) // 2, n // 2, (n - 1) // 2  # inner: the odd rows with an even row above
+        pivots = main[0::2]
+        if not pivots.all():
+            column = int(np.argmin(pivots.all(axis=0)))
+            zero = column if zero is None else min(zero, column)
+        reciprocal = np.divide(1.0, pivots, out=take(evens))
+        levels.append((reciprocal, lower, upper))
+        if n == 1:
+            return levels, zero
+        # odd row i meets u[i-1] = reciprocal (b + lower u[i-2] + upper u[i]) of
+        # the even row below it and u[i+1] likewise from the one above
+        below = np.multiply(lower[1::2], reciprocal[:odds], out=take(odds))
+        main = main[1::2]
+        if upper is not None:
+            term = np.multiply(below, upper[0::2][:odds], out=block(0, odds))
+            next_upper = take(odds)
+            above = np.multiply(upper[1::2][:inner], reciprocal[1 : inner + 1], out=next_upper[:inner])
+            term[:inner] += np.multiply(above, lower[2::2][:inner], out=block(odds, inner))
+            main -= term
+            above *= upper[2::2][:inner]
+            upper = next_upper  # its top row, when n is even, couples to no row
+        lower = np.multiply(below, lower[0::2][:odds], out=below)
+
+
+def _cyclic_solve(levels: list, x: np.ndarray, scratch: np.ndarray) -> None:
+    """Overwrite each column of ``x`` (rows contiguous) with the solution of its system factored by ``_cyclic_factor``.
+
+    Going down, each level scales its even rows by their pivots' reciprocals
+    and adds them, through the couplings, into its odd rows, the next
+    level's right-hand sides; going up, each even row adds the solved odd
+    rows beside it.  The two coupling terms of a row are summed in
+    ``scratch`` (n rows), so each level reads and writes the strided rows of
+    ``x`` as few times as it can.
+    """
+    width = x.shape[1]
+
+    def block(start, rows):
+        return scratch[start * width : (start + rows) * width].reshape(rows, width)
+
+    views = [x]
+    for reciprocal, lower, upper in levels[:-1]:
+        v = views[-1]
+        odds, inner = len(v) // 2, (len(v) - 1) // 2
+        even, odd = v[0::2], v[1::2]
+        even *= reciprocal
+        term = np.multiply(lower[1::2], even[:odds], out=block(0, odds))
+        if upper is not None:
+            term[:inner] += np.multiply(upper[1::2][:inner], even[1 : inner + 1], out=block(odds, inner))
+        odd += term
+        views.append(odd)
+    views[-1] *= levels[-1][0]
+    for (reciprocal, lower, upper), v in zip(levels[-2::-1], views[-2::-1]):
+        evens, odds = (len(v) + 1) // 2, len(v) // 2
+        even, odd = v[0::2], v[1::2]
+        if upper is None:
+            term = np.multiply(lower[0::2][1:], odd[: evens - 1], out=block(0, evens - 1))
+            even[1:] += np.multiply(term, reciprocal[1:], out=term)
+        else:
+            term = block(0, evens)
+            np.multiply(upper[0::2][:odds], odd, out=term[:odds])
+            term[odds:] = 0.0  # the top even row, when n is odd, has no odd row above it
+            term[1:] += np.multiply(lower[0::2][1:], odd[: evens - 1], out=block(evens, evens - 1))
+            even += np.multiply(term, reciprocal, out=term)
+
+
 class _Workspace:
     """The fast path's buffers for one grid shape, reused by every solve of that shape in one thread."""
 
-    __slots__ = ("shape", "grid", "rows", "modes", "scratch", "bands")
+    __slots__ = ("shape", "grid", "rows", "modes", "scratch", "levels")
 
     def __init__(self, shape: tuple):
         ntn, nx = shape[0] - 1, shape[1] - 2
         self.shape = shape
         self.grid = np.empty(shape)  # apply's product, then the residual, then the step
         self.rows = np.empty((ntn, nx + 2))  # apply's term, then (its first ntn*nx entries) the residual over d
-        self.modes = np.empty((nx, ntn))
-        self.scratch = np.empty(nx * ntn)  # the two half blocks of the sine transforms
-        self.bands = np.empty(3 * nx * ntn)  # dgttrf's diagonals, or the dtbsv band and diagonal
+        self.modes = np.empty(nx * ntn)  # time-major: a block per sine half, or one ntn x nx array
+        self.scratch = np.empty(nx * ntn)  # per lane: the sine transforms' halves and the time solves' temporaries
+        self.levels = np.empty(3 * nx * ntn)  # per lane: the cyclic reduction of its time systems
 
     @property
     def nbytes(self) -> int:
-        return self.grid.nbytes + self.rows.nbytes + self.modes.nbytes + self.scratch.nbytes + self.bands.nbytes
+        return self.grid.nbytes + self.rows.nbytes + self.modes.nbytes + self.scratch.nbytes + self.levels.nbytes
 
 
 _local = threading.local()
@@ -814,43 +921,38 @@ _OPENBLAS_THREAD_COUNTERS = (
     "scipy_openblas_get_num_threads",
     "scipy_openblas_get_num_threads64_",
 )
-_blas_thread_counters = None
+_blas_thread_counter = _UNSTARTED
 
 
-def _find_blas_thread_counters() -> list:
-    """OpenBLAS's thread-count function behind each extension the fast path calls, or None where it has none.
+def _find_blas_thread_counter():
+    """OpenBLAS's thread-count function behind numpy's matmul, the only BLAS the fast path calls, or None.
 
-    The extensions are numpy's (matmul) and SciPy's LAPACK (dgttrf, dgttrs)
-    and BLAS (dtbsv) wrappers; numpy and SciPy wheels each load their own
-    OpenBLAS.  Looked up through an extension's own handle, a symbol is found
-    in the libraries it links.
+    Looked up through the handle of numpy's extension, a symbol is found in
+    the libraries it links.  None when that BLAS is not OpenBLAS or the
+    extension is not a shared object.
     """
-    counters = []
-    for name in ("numpy._core._multiarray_umath", "scipy.linalg._flapack", "scipy.linalg._fblas"):
-        try:
-            library = ctypes.CDLL(sys.modules[name].__file__)
-        except (KeyError, AttributeError, OSError):  # not loaded, built in, or not a shared object
-            counters.append(None)
-            continue
-        found = [getattr(library, symbol) for symbol in _OPENBLAS_THREAD_COUNTERS if hasattr(library, symbol)]
-        counters.append(found[0] if found else None)
-    return counters
+    try:
+        library = ctypes.CDLL(sys.modules["numpy._core._multiarray_umath"].__file__)
+    except (KeyError, AttributeError, OSError):  # not loaded, built in, or not a shared object
+        return None
+    found = [getattr(library, symbol) for symbol in _OPENBLAS_THREAD_COUNTERS if hasattr(library, symbol)]
+    return found[0] if found else None
 
 
 def _blas_on_one_thread() -> bool:
-    """Whether every BLAS the fast path calls is known to run on one thread right now.
+    """Whether the BLAS the fast path calls is known to run on one thread right now.
 
     A BLAS on several threads already spreads its products over the cores,
     and a product that another thread calls at the same time stalls in it
     (on two cores with OpenBLAS's own threads, a first product took 8-28 ms
     instead of 0.1 ms), so the fast path then runs both lanes in the caller,
-    as it does for a BLAS that is not OpenBLAS.  The counts are read at
+    as it does for a BLAS that is not OpenBLAS.  The count is read at
     every solve, so a limit set at run time holds.
     """
-    global _blas_thread_counters
-    if _blas_thread_counters is None:
-        _blas_thread_counters = _find_blas_thread_counters()
-    return all(count is not None and count() == 1 for count in _blas_thread_counters)
+    global _blas_thread_counter
+    if _blas_thread_counter is _UNSTARTED:
+        _blas_thread_counter = _find_blas_thread_counter()
+    return _blas_thread_counter is not None and _blas_thread_counter() == 1
 
 
 def _lane_helper() -> Optional[_Helper]:
@@ -919,7 +1021,8 @@ def _fast_diagonalisation(system: LinearSystem):
     When S is Toeplitz (every diagonal entry equal and every off-diagonal
     entry equal, as for constant alpha and beta), its eigenpairs are known in
     closed form (``_toeplitz_eigenpairs``); for any other S they come from
-    LAPACK's ``eigh_tridiagonal``.  The closed-form basis is the discrete
+    LAPACK's ``eigh_tridiagonal``, imported from scipy when first needed.
+    The closed-form basis is the discrete
     sine transform, whose reflection symmetry splits each transform into two
     products of about half the size (``_sine_forward``, ``_sine_backward``;
     the split step of Cooley, Lewis & Welch, J. Sound Vib. 12, 1970), half
@@ -927,20 +1030,22 @@ def _fast_diagonalisation(system: LinearSystem):
     ``eigh_tridiagonal`` basis takes.  Its modes come antisymmetric first
     (k = 2, 4, ...), then symmetric (k = 1, 3, ...), so each half is
     contiguous.  In that basis each eigenmode k is one shifted tridiagonal
-    solve (T + lam_k I) u_k = b_k in time, and the modes never couple.  The
-    nx shifted systems are stacked, in the order of the modes, into one
-    block-diagonal tridiagonal system, split into two lanes of contiguous
-    modes: the two halves of the sine basis, or the lower and upper half of
-    the ``eigh_tridiagonal`` modes.  Each lane factors its blocks by LAPACK's
-    partially pivoting dgttrf; the zero couplings between blocks keep every
-    pivot inside its own block, so the two calls do the arithmetic of one
-    call over all modes.  When T has no upper diagonal (the eps = 0
-    reference, backward Euler), every shifted system is lower bidiagonal,
-    one scalar recurrence per mode: dividing each row by its diagonal leaves
-    a unit lower bidiagonal matrix, and one BLAS dtbsv forward substitution
-    per lane solves its modes, with no factorization.  Like the sparse LU
-    path, the solve takes one refinement step, which removes most of the
-    rounding that an ill-conditioned W adds.
+    solve (T + lam_k I) u_k = b_k in time, and the modes never couple: the
+    Fourier analysis and cyclic reduction scheme of Hockney (J. ACM 12,
+    1965).  The modes are held time-major, one column per mode, and split
+    into two lanes of contiguous modes: the two halves of the sine basis, or
+    the lower and upper half of the ``eigh_tridiagonal`` modes.  Each lane
+    factors its columns' time systems by cyclic reduction
+    (``_cyclic_factor``), which works on all of them at once in row slices,
+    and solves them in place in each refinement step (``_cyclic_solve``);
+    a column's arithmetic is the same whatever lane holds it.  When T has no
+    upper diagonal (the eps = 0 reference, backward Euler), every shifted
+    system is lower bidiagonal, and the reduction skips the upper couplings.
+    The reduction does not pivot; it is stable for diagonally dominant time
+    systems (Heller, SIAM J. Numer. Anal. 13, 1976), and the residual gate
+    judges every other.  Like the sparse LU path, the solve takes one
+    refinement step, which removes most of the rounding that an
+    ill-conditioned W adds.
 
     The refinement starts from the Dirichlet lift x0 (rhs with -0.0 on the
     interior), whose residual needs no product (``_lift_residual``): every
@@ -968,9 +1073,10 @@ def _fast_diagonalisation(system: LinearSystem):
     (``_workspace``): one grid-shaped array (the lift's residual or the
     product, then the residual, then the step), one of whole rows above the
     initial time (the product's scratch term, then, in its first entries, the
-    scaled residual) and five of the interior's size (the modes, the two half
-    blocks of the sine transforms, and the three diagonals of the time
-    systems), about 8.3 MB at 384 x 384 cells.  One workspace is kept per
+    scaled residual) and five of the interior's size (the modes, the lanes'
+    blocks of scratch for the sine transforms and the time solves, and the
+    cyclic reduction's levels, at most three rows per row of a time system),
+    about 8.3 MB at 384 x 384 cells.  One workspace is kept per
     thread, for the last grid shape, if it is at most 32 MiB
     (``_KEPT_WORKSPACE_BYTES``); a larger one is freed when its solve
     returns.  The helper has none: its lane writes into the caller's.  The
@@ -978,11 +1084,12 @@ def _fast_diagonalisation(system: LinearSystem):
 
     Returns ``(values, "")``, or ``(None, reason)`` when the guard rejects the
     system: complex eigenvalues, a scaling D too ill-conditioned to trust, a
-    singular shifted system (a failed dgttrf, or a zero diagonal of a
-    bidiagonal one), or a result that fails the residual gate.  A failed
-    lane numbers its row or mode over all modes, and lane 0's failure, the
-    lower modes, comes first, so the reason reads as one call over all
-    modes would give it.
+    zero pivot in the reduction of a time system, or a result that fails the
+    residual gate.  A zero pivot is named by the first mode that meets one,
+    numbered over all modes: lane 0's failure, the lower modes, comes first,
+    so the reason reads as one reduction over all modes would give it.  No
+    floating-point warning leaves the fast path: a time solve that overflows
+    is the gate's to reject.
 
     The scaling guard decides which convection-dominated problems fall back.
     For the fitted scheme D equals exp(-psi/2) up to a constant, where psi =
@@ -1012,6 +1119,7 @@ def _fast_diagonalisation(system: LinearSystem):
     if np.all(main == main[0]) and np.all(off == off[0]):
         lam, halves = _toeplitz_eigenpairs(main[0], off[0], len(main))
         split = len(halves[0])
+        modes = _sine_blocks(halves, ntn, work.modes)
 
         def transform(y, time_solve, out):
             def lane(index):
@@ -1023,75 +1131,50 @@ def _fast_diagonalisation(system: LinearSystem):
             _sine_combine(halves, out, work.scratch)
 
     else:
+        from scipy.linalg import LinAlgError, eigh_tridiagonal
+
         try:
             lam, q = eigh_tridiagonal(main, off)
         except LinAlgError as exc:
             return None, f"spatial eigendecomposition failed ({exc})"
         split = nx // 2
+        full = work.modes.reshape(ntn, nx)
+        modes = (full[:, :split], full[:, split:])
 
         def transform(y, time_solve, out):
             # splitting a product by rows of its output need not keep its bits
-            np.matmul(q.T, y.T, out=work.modes)
+            np.matmul(y, q, out=full)
             _in_lanes(helper, time_solve)
-            np.matmul(work.modes.T, q.T, out=out)
+            np.matmul(full, q.T, out=out)
 
+    # row i of the time system At[1:, 1:] + lam_k I of mode k couples to row
+    # i-1 through t_lower[i] and to row i+1 through t_upper[i+1], whatever k;
+    # _cyclic_factor takes them negated (row 0's lower coupling, to the
+    # initial time, and the padding above the last row enter no result)
     lanes = ((0, split), (split, nx))  # the modes of each lane
-    lower_band, upper_band, shifted = work.bands.reshape(3, nx, ntn)
-    if march:
-        # lower bidiagonal blocks: each row divided by its diagonal leaves a
-        # unit diagonal, and one forward substitution per lane solves its modes;
-        # row 1 of the band holds the sub-diagonal, and the last entry of each
-        # block stays zero, the coupling to the next
-        band = work.bands[: 2 * nx * ntn].reshape((2, nx * ntn), order="F")
+    t_below = np.negative(t_lower)[:, None]
+    t_above = None if march else np.append(np.negative(t_upper[1:]), 0.0)[:, None]
+    levels = [None, None]
 
-        def factor(lane):
-            lo, hi = lanes[lane]
-            diagonal = np.add(t_main[1:], lam[lo:hi, None], out=shifted[lo:hi])
-            if not diagonal.all():
-                mode = lo + int(np.argmin(diagonal.all(axis=1)))
-                return f"singular shifted time system (zero diagonal in mode {mode})"
-            columns = band[:, lo * ntn : hi * ntn]
-            columns[:] = 0.0
-            np.divide(t_lower[1:], diagonal[:, 1:], out=columns[1].reshape(hi - lo, ntn)[:, :-1])
-            return ""
+    def lane_scratch(lane):
+        lo, hi = lanes[lane]
+        return work.scratch[lo * ntn : hi * ntn]
 
-        def time_solve(lane):
-            lo, hi = lanes[lane]
-            modes = work.modes[lo:hi].reshape(-1)
-            modes /= shifted[lo:hi].reshape(-1)
-            # the contiguous block is solved in place
-            dtbsv(1, band[:, lo * ntn : hi * ntn], modes, lower=1, diag=1, overwrite_x=1)
+    def factor(lane):
+        # each lane's modes, free until the first transform, hold its shifted diagonals
+        lo, hi = lanes[lane]
+        shifted = np.add(t_main[1:, None], lam[lo:hi], out=modes[lane])
+        store = work.levels[3 * lo * ntn : 3 * hi * ntn]
+        levels[lane], zero = _cyclic_factor(t_below, shifted, t_above, store, lane_scratch(lane))
+        return "" if zero is None else f"zero pivot in the time system of mode {lo + zero}"
 
-    else:
-        factors = [None, None]
+    def time_solve(lane):
+        _cyclic_solve(levels[lane], modes[lane], lane_scratch(lane))
 
-        def factor(lane):
-            # one block per mode; the last entry of each off-diagonal block
-            # stays zero, the coupling to the next block, so no pivot leaves
-            # its block and one dgttrf per lane does the arithmetic of one
-            # over all modes
-            lo, hi = lanes[lane]
-            np.add(t_main[1:], lam[lo:hi, None], out=shifted[lo:hi])
-            for block, values in ((lower_band[lo:hi], t_lower[1:]), (upper_band[lo:hi], t_upper[1:])):
-                block[:, :-1], block[:, -1] = values, 0.0
-            *lane_factors, info = dgttrf(
-                lower_band[lo:hi].ravel()[:-1],
-                shifted[lo:hi].ravel(),
-                upper_band[lo:hi].ravel()[:-1],
-                overwrite_dl=True,
-                overwrite_d=True,
-                overwrite_du=True,
-            )
-            factors[lane] = lane_factors
-            if info > 0:  # the row of the first zero pivot, counted over all modes
-                info += lo * ntn
-            return f"shifted tridiagonal factorization failed (dgttrf info {info})" if info else ""
-
-        def time_solve(lane):
-            lo, hi = lanes[lane]
-            dgttrs(*factors[lane], work.modes[lo:hi].reshape(-1, 1), overwrite_b=True)  # in place, as dtbsv
-
-    reason = next(filter(None, _in_lanes(helper, factor)), "")  # lane 0 holds the lower modes
+    # without pivoting a time solve can overflow; the residual gate rejects
+    # what is not finite, so the fast path raises no floating-point warning
+    with np.errstate(all="ignore"):
+        reason = next(filter(None, _in_lanes(helper, factor)), "")  # lane 0 holds the lower modes
     if reason:
         return None, reason
     shape = system.grid.shape
@@ -1121,7 +1204,8 @@ def _fast_diagonalisation(system: LinearSystem):
 
     x0 = system.rhs.copy()
     x0.reshape(shape)[1:, 1:-1] = -0.0
-    values, reason = _refined(system, residual, interior_solve, x0, _lift_residual(system, work.grid).reshape(-1))
+    with np.errstate(all="ignore"):
+        values, reason = _refined(system, residual, interior_solve, x0, _lift_residual(system, work.grid).reshape(-1))
     return (None if values is None else values.reshape(shape)), reason
 
 
@@ -1195,6 +1279,8 @@ def _time_steps(system: LinearSystem, context: str) -> np.ndarray:
     is not applied: a stiff march that is correct can fail it.  A zero pivot
     raises SolveError naming ``context``.
     """
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
     grid, ht = system.grid, system.grid.ht
     step_diagonal = np.full(grid.nx + 2, 1.0 / ht)
     step_diagonal[[0, -1]] = 1.0  # Dirichlet ends

@@ -97,8 +97,9 @@ def _run_python(script, *args):
     )
 
 
-# modules that only solve and sweep need: the solver's numpy and scipy, the
-# dataclasses it is built from (with inspect), and the config and CSV readers
+# modules that only solve and sweep need: the solver's numpy (and scipy, which
+# only some solves import), the dataclasses it is built from (with inspect),
+# and the config and CSV readers
 SOLVER_ONLY_MODULES = ("numpy", "scipy", "dataclasses", "inspect", "configparser", "csv")
 
 
@@ -113,7 +114,7 @@ def test_symbolic_commands_do_not_load_the_solver():
         f"loaded = sorted(set({SOLVER_ONLY_MODULES!r}) & set(sys.modules))\n"
         "assert not loaded, f'symbolic commands loaded {loaded}'\n"
         "from hodge4d import solve\n"
-        "assert callable(solve) and 'scipy' in sys.modules\n"
+        "assert callable(solve) and 'numpy' in sys.modules and 'scipy' not in sys.modules\n"
     )
     done = _run_python(script)
     assert done.returncode == 0, done.stderr
@@ -198,6 +199,52 @@ manufactured = sin(pi*x)*(1+t**2)
 target = limit
 eps_list = 0.1,0.05,0.025,0.0125
 """
+
+
+def _readme_sweep_config():
+    """The ``[sweep]`` example of README.md, as printed there."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def test_the_readme_sweep_example_runs_as_printed(tmp_path, capsys):
+    config = tmp_path / "readme.cfg"
+    config.write_text(_readme_sweep_config())
+    code, out = run(capsys, "sweep", "--config", str(config))
+    assert code == 0
+    assert "fitted slope" in out
+
+
+# (config text, command, whether scipy is loaded after it)
+SCIPY_CASES = {
+    "constant-coefficient-solve": (SOLVE_CONFIG, "solve", False),
+    "readme-sweep": (None, "sweep", False),
+    # x-dependent alpha: the fast path takes its eigenbasis from scipy.linalg
+    "variable-alpha-solve": (SOLVE_CONFIG.replace("alpha = 1.0", "alpha = 1+x"), "solve", True),
+    # a fitted problem far past the scaling guard: sparse LU from scipy.sparse
+    "guard-rejected-solve": (
+        SOLVE_CONFIG.replace("alpha = 1.0", "alpha = 0.001").replace("scheme = centered", "scheme = exp-fitted"),
+        "solve",
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SCIPY_CASES)
+def test_only_solves_that_need_scipy_load_it(tmp_path, case):
+    text, command, loads_scipy = SCIPY_CASES[case]
+    config = tmp_path / "case.cfg"
+    config.write_text(_readme_sweep_config() if text is None else text)
+    script = (
+        "import contextlib, io, sys\n"
+        "from hodge4d.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main([{command!r}, '--config', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))[:1])\n"
+    )
+    done = _run_python(script, str(config))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ("['scipy']" if loads_scipy else "[]")
 
 
 def test_solve_and_sweep_run_without_sympy(tmp_path):

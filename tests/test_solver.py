@@ -291,12 +291,11 @@ def _assert_falls_back_to_splu(caplog, system):
 
 def test_wrong_spatial_eigenvalues_fail_the_residual_gate(caplog, monkeypatch):
     # alpha varies with x, so the spatial stencil is not Toeplitz and its
-    # eigenpairs come from eigh_tridiagonal
-    from hodge4d import solver
-
+    # eigenpairs come from eigh_tridiagonal, which the solver imports when it
+    # needs it
     g = Grid1p1.with_cells(6, 6)
     cfg = make_config(alpha=lambda x: 1.0 + x, f=lambda x, t: 1.0 + x * t, g=lambda x, t: np.sin(x + t))
-    monkeypatch.setattr(solver, "eigh_tridiagonal", _one_percent_off(scipy.linalg.eigh_tridiagonal))
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", _one_percent_off(scipy.linalg.eigh_tridiagonal))
     _assert_falls_back_to_splu(caplog, assemble(cfg, g))
 
 

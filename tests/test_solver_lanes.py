@@ -4,15 +4,16 @@
 thread runs lane 1 while the caller runs lane 0 (``solver._in_lanes``).
 The matrix-free products of the refinement steps split the grid's rows
 into two lanes the same way.  These tests run each of the three fast paths
-(the closed-form sine basis with the dgttrf time solve, the dtbsv forward
-substitution of the eps = 0 backward Euler reference, and the
-``eigh_tridiagonal`` basis) once with lane 1 on a helper and once with both
-lanes in the caller, and pin that the results, the reasons for a rejection
-and an exception in a lane are the same, and that a solve hands five lanes
-to the helper.  They also pin the helper's lifecycle: it starts only while
-every BLAS of the process runs on one thread, solves that find it busy run
-both lanes themselves, four threads solving at once get their serial
-results, and a child forked after a solve gets its own helper.
+(the closed-form sine basis with tridiagonal time systems, the eps = 0
+backward Euler reference with lower bidiagonal ones, and the
+``eigh_tridiagonal`` basis; see ``test_solver_workspace`` for the path ids)
+once with lane 1 on a helper and once with both lanes in the caller, and pin
+that the results, the reasons for a rejection and an exception in a lane
+are the same, and that a solve hands five lanes to the helper.  They also
+pin the helper's lifecycle: it starts only while numpy's BLAS, the only one
+the fast path calls, runs on one thread, solves that find it busy run both
+lanes themselves, four threads solving at once get their serial results,
+and a child forked after a solve gets its own helper.
 """
 
 import multiprocessing
@@ -106,30 +107,24 @@ def _with_zero_diagonals(system, modes):
 
 @pytest.mark.parametrize("modes, first", [((2,), 2), ((5,), 5), ((5, 2), 2)], ids=["lane-0", "lane-1", "both"])
 def test_a_zero_diagonal_is_named_by_its_mode_over_both_lanes(modes, first, helper):
-    # 8 cells: 7 modes, lane 0 holds modes 0-2 and lane 1 modes 3-6
+    # 8 cells: 7 modes, lane 0 holds modes 0-2 and lane 1 modes 3-6; a lower
+    # bidiagonal system's pivots are its diagonal
     system = PATHS["dtbsv march"][0](0.0, Grid1p1.with_cells(8, 6))
     with _with_zero_diagonals(system, modes):
         on_helper = _fast_diagonalisation(system)
         inline = _inline(_fast_diagonalisation, system)
-    assert on_helper == inline == (None, f"singular shifted time system (zero diagonal in mode {first})")
+    assert on_helper == inline == (None, f"zero pivot in the time system of mode {first}")
 
 
-@pytest.mark.parametrize("failing, info", [((1,), 3 * 6 + 5), ((0, 1), 5)], ids=["lane-1", "both"])
-def test_a_failed_factorization_is_named_by_its_row_over_both_lanes(failing, info, helper):
-    # 8 x 6 cells: lane 0 factors 3 modes of 6 time rows, lane 1 four modes;
-    # a failure in lane 1 is numbered after lane 0's 18 rows
+@pytest.mark.parametrize("modes, first", [((4,), 4), ((6, 1), 1)], ids=["lane-1", "both"])
+def test_a_zero_pivot_is_named_by_its_mode_over_both_lanes(modes, first, helper):
+    # the tridiagonal time systems of 8 x 6 cells: 7 modes, lane 0 holds
+    # modes 0-2 and lane 1 modes 3-6; a zero diagonal makes the first pivot zero
     system = PATHS["closed-form dgttrf"][0](0.0, Grid1p1.with_cells(8, 6))
-    dgttrf = solver.dgttrf
-
-    def failed(dl, d, du, **kwargs):
-        *factors, got = dgttrf(dl, d, du, **kwargs)
-        lane = {18: 0, 24: 1}[len(d)]
-        return (*factors, 5 if lane in failing else got)
-
-    with mock.patch.object(solver, "dgttrf", failed):
+    with _with_zero_diagonals(system, modes):
         on_helper = _fast_diagonalisation(system)
         inline = _inline(_fast_diagonalisation, system)
-    assert on_helper == inline == (None, f"shifted tridiagonal factorization failed (dgttrf info {info})")
+    assert on_helper == inline == (None, f"zero pivot in the time system of mode {first}")
 
 
 class LaneError(Exception):
@@ -140,14 +135,14 @@ class LaneError(Exception):
 def test_an_exception_in_a_lane_reaches_the_caller(where, helper):
     system = PATHS["closed-form dgttrf"][0](0.0, GRID)
     expected = _inline(_fast, system)
-    caller, dgttrs = threading.current_thread(), solver.dgttrs
+    caller, time_solve = threading.current_thread(), solver._cyclic_solve
 
-    def failing(*args, **kwargs):
+    def failing(*args):
         if (threading.current_thread() is caller) == (where == "caller"):
             raise LaneError(where)
-        return dgttrs(*args, **kwargs)
+        return time_solve(*args)
 
-    with mock.patch.object(solver, "dgttrs", failing), pytest.raises(LaneError, match=where):
+    with mock.patch.object(solver, "_cyclic_solve", failing), pytest.raises(LaneError, match=where):
         _fast_diagonalisation(system)
     # the helper is free again, and the next solve gets its bits
     assert not helper.idle.locked()
@@ -227,22 +222,19 @@ def unstarted(monkeypatch):
     """A process with no helper yet, on two CPUs, with BLAS on one thread, whose every solve may use the helper."""
     monkeypatch.setattr(solver, "_LANE_HELPER_NODES", (0, 0))
     monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(solver, "_blas_thread_counters", [lambda: 1])
+    monkeypatch.setattr(solver, "_blas_thread_counter", lambda: 1)
     monkeypatch.setattr(solver, "_helper", solver._UNSTARTED)
 
 
 @pytest.mark.parametrize(
-    "counts, started",
-    [((1, 1, 1), True), ((2, 2, 2), False), ((1, 4, 1), False), ((None, 1, 1), False)],
-    ids=["one-thread", "two-threads", "scipy-on-four", "numpy-blas-unknown"],
+    "count, started", [(1, True), (2, False), (None, False)], ids=["one-thread", "two-threads", "numpy-blas-unknown"]
 )
-def test_the_helper_starts_only_when_every_blas_runs_on_one_thread(counts, started, unstarted, monkeypatch):
-    # one count each for numpy's matmul and SciPy's LAPACK and BLAS: a BLAS on
+def test_the_helper_starts_only_when_every_blas_runs_on_one_thread(count, started, unstarted, monkeypatch):
+    # the count of numpy's BLAS, the only one the fast path calls: a BLAS on
     # several threads already uses the cores, and a product called from the
     # helper at the same time stalls in it; an unknown BLAS counts as one on
     # several threads
-    counters = [None if count is None else (lambda count=count: count) for count in counts]
-    monkeypatch.setattr(solver, "_blas_thread_counters", counters)
+    monkeypatch.setattr(solver, "_blas_thread_counter", None if count is None else (lambda: count))
     system = PATHS["closed-form dgttrf"][0](0.0, GRID)
     expected = _inline(_fast, system)
     assert _fast(system).tobytes() == expected.tobytes()
@@ -255,13 +247,13 @@ def test_openblas_thread_counts_are_read_from_the_loaded_libraries(threads):
         pytest.skip("OpenBLAS takes one thread on one CPU")
     code = (
         "from hodge4d import solver; "
-        "print(None in solver._find_blas_thread_counters(), solver._blas_on_one_thread())"
+        "print(solver._find_blas_thread_counter() is None, solver._blas_on_one_thread())"
     )
     env = dict(_checkout_env(), OPENBLAS_NUM_THREADS=threads)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     unknown, one_thread = done.stdout.split()
     if unknown == "True":
-        pytest.skip("numpy or SciPy calls a BLAS other than OpenBLAS here")
+        pytest.skip("numpy calls a BLAS other than OpenBLAS here")
     assert one_thread == str(threads == "1")
 
 

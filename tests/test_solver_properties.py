@@ -13,8 +13,8 @@ failure names it.  The fast-diagonalisation solve is
 checked against a sparse LU of the whole matrix over the same parameters,
 with both spatial eigenbases: the closed form for constant alpha and beta,
 ``eigh_tridiagonal`` for alpha varying with x.  At eps = 0, the backward
-Euler reference, the time solve of each mode is one forward substitution;
-it is checked against the same sparse LU, and ``solve``'s per-step LAPACK
+Euler reference, the time system of each mode is lower bidiagonal; its
+solve is checked against the same sparse LU, and ``solve``'s per-step LAPACK
 fallback for a rejected eps = 0 system against a copy of that loop, bit for
 bit.  The whole-row matrix-free product is checked against the strided
 kernel it replaced, byte for byte but for NaN payloads and floating-point
@@ -46,6 +46,7 @@ from hodge4d.solver import (
     SolveError,
     _fast_diagonalisation,
     _sine_backward,
+    _sine_blocks,
     _sine_combine,
     _sine_forward,
     _toeplitz_eigenpairs,
@@ -360,7 +361,7 @@ def _limit_config(scheme, alpha_of_x, beta):
 )
 def test_triangular_time_solve_agrees_with_splu(scheme, alpha, alpha_slope, beta, lx, duration, cells_x, cells_t):
     # at eps = 0 the time stencil has no upper diagonal, so every shifted
-    # system is lower bidiagonal and dgttrf is never called
+    # system is lower bidiagonal and is factored as such
     grid = Grid1p1.with_cells(cells_x, cells_t, lx=lx, t_final=duration)
 
     def alpha_of_x(x):
@@ -368,9 +369,9 @@ def test_triangular_time_solve_agrees_with_splu(scheme, alpha, alpha_slope, beta
 
     cfg = _limit_config(scheme, alpha_of_x, beta)
     system = _limit_system(cfg, grid)
-    with mock.patch.object(solver, "dgttrf", wraps=solver.dgttrf) as tridiagonal:
+    with mock.patch.object(solver, "_cyclic_factor", wraps=solver._cyclic_factor) as factor:
         fast, reason = _fast_diagonalisation(system)
-    assert not tridiagonal.called
+    assert all(upper is None for (_, _, upper, _, _), _ in factor.call_args_list)
     values = system.rhs.reshape(grid.shape)
     march = solve(system).values
     if fast is None:
@@ -405,7 +406,7 @@ def test_zero_shifted_diagonal_falls_back_to_the_step_loop():
         fast, reason = _fast_diagonalisation(system)
         march = solve(system).values
     assert fast is None
-    assert reason == "singular shifted time system (zero diagonal in mode 2)"
+    assert reason == "zero pivot in the time system of mode 2"
     assert march.tolist() == _step_loop_march(system.x_stencil, values, grid).tolist()
 
 
@@ -469,15 +470,16 @@ def test_toeplitz_eigenpairs_diagonalise_the_stencil(n, s):
     assert np.abs(np.sort(lam) - expected).max() <= 1e-12 * np.abs(expected).max()
 
     y = np.random.default_rng(n).standard_normal((7, n))
-    modes, scratch = np.empty((n, 7)), np.empty(7 * n)
+    modes, scratch = np.empty(7 * n), np.empty(7 * n)
     for lane in (0, 1):
         _sine_forward(halves, y, modes, scratch, lane)
-    assert np.linalg.norm(modes - (y @ q).T) <= 1e-14 * np.linalg.norm(y)
+    coefficients = np.concatenate(_sine_blocks(halves, 7, modes), axis=1)  # time-major, the halves side by side
+    assert np.linalg.norm(coefficients - y @ q) <= 1e-14 * np.linalg.norm(y)
     out = np.full((9, n + 2), np.nan)  # a strided view, as in the solver
     for lane in (0, 1):
         _sine_backward(halves, modes, scratch, lane)
     _sine_combine(halves, out[1:-1, 1:-1], scratch)
-    assert np.linalg.norm(out[1:-1, 1:-1] - modes.T @ q.T) <= 1e-14 * np.linalg.norm(modes)
+    assert np.linalg.norm(out[1:-1, 1:-1] - coefficients @ q.T) <= 1e-14 * np.linalg.norm(coefficients)
     assert np.isnan(out[[0, -1]]).all() and np.isnan(out[:, [0, -1]]).all()
 
 

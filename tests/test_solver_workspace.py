@@ -3,13 +3,16 @@
 ``_fast_diagonalisation`` writes its grid-sized intermediates into one
 workspace per thread (``solver._workspace``) and reuses it across solves of
 the same grid shape.  These tests pin that the reuse is invisible on each of
-its three paths (the closed-form sine basis with the dgttrf time solve, the
-dtbsv forward substitution of the eps = 0 backward Euler reference, and the
-``eigh_tridiagonal`` basis): a solve after garbage in the workspace, or after
-another system of the same shape, equals a solve in a fresh thread bit for
-bit; a returned result never aliases the workspace; the Dirichlet border
-comes back bit for bit; and two threads solving at once get their serial
-results.  Two tracemalloc pins keep the solve from going back to fresh
+its three paths (the closed-form sine basis with tridiagonal time systems,
+the eps = 0 backward Euler reference, whose time systems are lower
+bidiagonal, and the ``eigh_tridiagonal`` basis; the path ids name each kind
+of time system by the LAPACK or BLAS routine for it, dgttrf for a general
+tridiagonal and dtbsv for a triangular band system, and
+``solver._cyclic_factor`` factors both): a solve after garbage in the
+workspace, or after another system of the same shape, equals a solve in a
+fresh thread bit for bit; a returned result never aliases the workspace;
+the Dirichlet border comes back bit for bit; and two threads solving at
+once get their serial results.  Two tracemalloc pins keep the solve from going back to fresh
 grid-sized temporaries and keep a workspace above the size cap from
 outliving its solve.
 """
@@ -23,6 +26,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hodge4d import solver
 from hodge4d.solver import Grid1p1, ProblemConfig, _fast_diagonalisation, assemble
@@ -45,11 +49,20 @@ def _limit(alpha, phase, grid):
     return solver._system(solver._data(cfg, grid), grid, 0.0, cfg.scheme, solver._x_stencil(cfg, grid))
 
 
-# (build(phase, grid), the solver functions that path must call)
+# (build(phase, grid), the (module, function) pairs that path must call)
 PATHS = {
-    "closed-form dgttrf": (lambda phase, grid: _spacetime(1.0, phase, grid), ("_toeplitz_eigenpairs", "dgttrf")),
-    "dtbsv march": (lambda phase, grid: _limit(1.0, phase, grid), ("_toeplitz_eigenpairs", "dtbsv")),
-    "eigh_tridiagonal": (lambda phase, grid: _spacetime("1+x", phase, grid), ("eigh_tridiagonal", "dgttrf")),
+    "closed-form dgttrf": (
+        lambda phase, grid: _spacetime(1.0, phase, grid),
+        ((solver, "_toeplitz_eigenpairs"), (solver, "_cyclic_factor")),
+    ),
+    "dtbsv march": (
+        lambda phase, grid: _limit(1.0, phase, grid),
+        ((solver, "_toeplitz_eigenpairs"), (solver, "_cyclic_factor")),
+    ),
+    "eigh_tridiagonal": (
+        lambda phase, grid: _spacetime("1+x", phase, grid),
+        ((scipy.linalg, "eigh_tridiagonal"), (solver, "_cyclic_factor")),
+    ),
 }
 GRID = Grid1p1.with_cells(14, 10)  # 13 interior nodes, an odd count: the sine halves have a middle column
 
@@ -74,7 +87,9 @@ def _in_fresh_thread(function, *args):
 def test_each_system_takes_its_path(path):
     build, called = PATHS[path]
     with ExitStack() as stack:
-        spies = [stack.enter_context(mock.patch.object(solver, name, wraps=getattr(solver, name))) for name in called]
+        spies = [
+            stack.enter_context(mock.patch.object(module, name, wraps=getattr(module, name))) for module, name in called
+        ]
         _fast(build(0.0, GRID))
     assert all(spy.called for spy in spies)
 
@@ -85,7 +100,7 @@ def test_garbage_in_the_workspace_changes_no_bit(path):
     system = build(0.0, GRID)
     fresh = _in_fresh_thread(_fast, system)
     work = solver._workspace(GRID.shape)
-    for name in ("grid", "rows", "modes", "scratch", "bands"):
+    for name in ("grid", "rows", "modes", "scratch", "levels"):
         getattr(work, name).fill(np.nan)
     assert _fast(system).tobytes() == fresh.tobytes()
     assert solver._workspace(GRID.shape) is work  # the same shape reused it
@@ -112,7 +127,7 @@ def test_a_result_does_not_change_with_a_later_solve(path):
     assert first.tobytes() == kept.tobytes()
     assert not np.shares_memory(first, second)
     work = solver._workspace(GRID.shape)
-    for name in ("grid", "rows", "modes", "scratch", "bands"):
+    for name in ("grid", "rows", "modes", "scratch", "levels"):
         assert not np.shares_memory(first, getattr(work, name))
 
 
@@ -122,7 +137,7 @@ def test_solve_and_march_results_do_not_alias_the_workspace():
     solved = solver.solve(_spacetime(1.0, 0.0, GRID)).values
     work = solver._workspace(GRID.shape)
     for values in (march, solved):
-        for name in ("grid", "rows", "modes", "scratch", "bands"):
+        for name in ("grid", "rows", "modes", "scratch", "levels"):
             assert not np.shares_memory(values, getattr(work, name))
 
 
