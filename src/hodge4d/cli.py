@@ -214,6 +214,10 @@ def _build_problem(values: dict, args) -> tuple:
     return config, grid
 
 
+def _out_of_memory(grid) -> UsageError:
+    return UsageError(f"not enough memory for a grid of {grid.nx + 1}x{grid.nt + 1} cells")
+
+
 def cmd_solve(args) -> int:
     from .solver import AssemblyError, assemble, l2_error, solve
 
@@ -221,13 +225,15 @@ def cmd_solve(args) -> int:
     config, grid = _build_problem(values, args)
     try:
         system = assemble(config, grid)
+        field = solve(system)
+        err = None if config.manufactured is None else l2_error(field, config.manufactured)
     except AssemblyError as exc:
         raise UsageError(str(exc))
-    field = solve(system)
+    except MemoryError:
+        raise _out_of_memory(grid)
     print(f"solved {grid.nx + 1}x{grid.nt + 1} cells, scheme {config.scheme.value}, eps={config.epsilon}")
     print(f"value range: [{field.values.min():.6e}, {field.values.max():.6e}]")
-    if config.manufactured is not None:
-        err = l2_error(field, config.manufactured)
+    if err is not None:
         print(f"space-time L2 error vs manufactured solution: {err:.6e}")
     return 0
 
@@ -250,6 +256,8 @@ def cmd_sweep(args) -> int:
         result = epsilon_sweep(config, grid, eps_list)
     except ValueError as exc:
         raise UsageError(str(exc))
+    except MemoryError:
+        raise _out_of_memory(grid)
     except SweepFloorError as exc:
         print(f"sweep aborted: {exc}")
         return CHECK_ERROR

@@ -26,25 +26,19 @@ stencil (``eigh_tridiagonal``) and for the eps = 0 fallback, and
 The fast path multiplies by the operator without forming the matrix
 (``_apply``), takes its first residual from the Dirichlet lift without a
 product (``_lift_residual``), writes its intermediates into a per-thread
-workspace kept between solves of one grid (``_workspace``), and splits its
-modes and product rows into two lanes that a helper thread may share
-(``_in_lanes``).
+workspace kept between solves of one grid (``_workspace``), and holds its
+modes as one time-major block, so each refinement step transforms and
+solves every mode at once in the calling thread.
 """
 
 from __future__ import annotations
 
-import contextvars
-import ctypes
 import dataclasses
 import logging
 import math
-import os
-import queue
-import sys
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -253,62 +247,51 @@ class LinearSystem:
         open.
         """
         out = np.empty(self.grid.shape)
-        return _apply(self, u, out, np.empty_like(out[1:]), 0, len(out)).ravel()
+        return _apply(self, u, out, np.empty_like(out[1:])).ravel()
 
 
-def _apply(
-    system: LinearSystem, u: np.ndarray, out: np.ndarray, term: np.ndarray, start: int, stop: int
-) -> np.ndarray:
-    """Write grid rows ``start`` to ``stop - 1`` of ``system.matrix @ u`` into those rows of the grid-shaped ``out``.
+def _apply(system: LinearSystem, u: np.ndarray, out: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """Write ``system.matrix @ u`` into the grid-shaped ``out``; returns ``out``.
 
     ``term``, shaped like ``out[1:]`` (the rows above the initial time), is
-    scratch, and only its rows of the range are written, so calls over
-    disjoint ranges may run at once on one ``out`` and ``term``; each row's
-    arithmetic is the same whatever the range.  Every pass but the last
-    covers the range's whole contiguous rows above the initial time, their
-    two Dirichlet columns included.  Each neighbour term multiplies a copy of
-    the neighbours whose Dirichlet columns are zeroed, and the centre
-    coefficient there is 1.0, so those columns sum zeros and 1.0 * u: the
-    identity rows of the matrix, 0.0 + u bit for bit, and no floating-point
-    exception whatever ``u`` holds (for a finite time stencil).  Each
-    interior row is summed in column order from 0.0, as the sparse product
-    sums it, so each node where the product is a number holds its bits, and
-    each node where it is NaN holds a NaN.  Which of two NaNs a sum keeps
-    (IEEE 754 leaves it open) may hang on the node's place in the range;
-    ``solve`` never returns a NaN, so no result depends on it.  The last
-    pass writes the initial-time row, 0.0 + u, when the range starts at 0.
-    Returns ``out``.
+    scratch.  Every pass but the last covers the whole contiguous rows above
+    the initial time, their two Dirichlet columns included.  Each neighbour
+    term multiplies a copy of the neighbours whose Dirichlet columns are
+    zeroed, and the centre coefficient there is 1.0, so those columns sum
+    zeros and 1.0 * u: the identity rows of the matrix, 0.0 + u bit for bit,
+    and no floating-point exception whatever ``u`` holds (for a finite time
+    stencil).  Each interior row is summed in column order from 0.0, as the
+    sparse product sums it, so each node where the product is a number holds
+    its bits, and each node where it is NaN holds a NaN, whose payload IEEE
+    754 leaves open; ``solve`` never returns a NaN, so no result depends on
+    it.  The last pass writes the initial-time row, 0.0 + u.
     """
     (lower_x, main_x, upper_x), (lower_t, main_t, upper_t) = system.x_stencil, system.t_stencil
     v = u.reshape(system.grid.shape)
-    first = max(start, 1)  # the range's first row above the initial time
-    if first < stop:
-        flat, width = v.reshape(-1), v.shape[1]
-        ends = (slice(None), slice(None, None, width - 1))  # the two Dirichlet columns
-        left, right = np.zeros((2, width))
-        left[1:-1], right[1:-1] = lower_x[:-1], upper_x[1:]
-        rows, term = out[first:stop], term[first - 1 : stop - 1]
-        np.copyto(rows, v[first - 1 : stop - 1])  # the neighbours below
-        rows[ends] = 0.0
-        np.multiply(lower_t[first - 1 : stop - 1, None], rows, out=rows)
-        rows += 0.0  # the sum starts from 0.0, so a -0.0 product becomes 0.0
-        np.copyto(term, flat[first * width - 1 : stop * width - 1].reshape(term.shape))  # to the left
-        term[ends] = 0.0
-        rows += np.multiply(left, term, out=term)
-        np.add(main_t[first:stop, None], main_x, out=term)
-        term[ends] = 1.0
-        rows += np.multiply(term, v[first:stop], out=term)
-        right_of = flat[first * width + 1 : stop * width + 1]  # the final row's last one lies past the grid
-        np.copyto(term.reshape(-1)[: right_of.size], right_of)
-        term[ends] = 0.0
-        rows += np.multiply(right, term, out=term)
-        below_final = min(stop, len(v) - 1) - first  # the rows with a row above them
-        above = term[:below_final]
-        np.copyto(above, v[first + 1 : first + 1 + below_final])
-        above[ends] = 0.0
-        rows[:below_final] += np.multiply(upper_t[first : first + below_final, None], above, out=above)
-    if start == 0:
-        np.add(0.0, v[0], out=out[0])
+    flat, width = v.reshape(-1), v.shape[1]
+    ends = (slice(None), slice(None, None, width - 1))  # the two Dirichlet columns
+    left, right = np.zeros((2, width))
+    left[1:-1], right[1:-1] = lower_x[:-1], upper_x[1:]
+    rows = out[1:]
+    np.copyto(rows, v[:-1])  # the neighbours below
+    rows[ends] = 0.0
+    np.multiply(lower_t[:, None], rows, out=rows)
+    rows += 0.0  # the sum starts from 0.0, so a -0.0 product becomes 0.0
+    np.copyto(term, flat[width - 1 : -1].reshape(term.shape))  # to the left
+    term[ends] = 0.0
+    rows += np.multiply(left, term, out=term)
+    np.add(main_t[1:, None], main_x, out=term)
+    term[ends] = 1.0
+    rows += np.multiply(term, v[1:], out=term)
+    right_of = flat[width + 1 :]  # the final row's last one lies past the grid
+    np.copyto(term.reshape(-1)[: right_of.size], right_of)
+    term[ends] = 0.0
+    rows += np.multiply(right, term, out=term)
+    above = term[:-1]  # the rows with a row above them
+    np.copyto(above, v[2:])
+    above[ends] = 0.0
+    rows[:-1] += np.multiply(upper_t[1:, None], above, out=above)
+    np.add(0.0, v[0], out=out[0])
     return out
 
 
@@ -672,57 +655,47 @@ def _toeplitz_eigenpairs(a: float, s: float, n: int) -> tuple:
     return lam, (blocks[:half, :half], blocks[:, half:])
 
 
-def _sine_blocks(halves: tuple, rows: int, scratch: np.ndarray) -> tuple:
-    """Two C-contiguous blocks of ``rows`` rows, one column per mode of each half, split from the flat ``scratch``."""
-    half, n = len(halves[0]), len(halves[0]) + len(halves[1])
-    return scratch[: rows * half].reshape(rows, half), scratch[rows * half : rows * n].reshape(rows, n - half)
-
-
-def _sine_forward(halves: tuple, y: np.ndarray, modes: np.ndarray, scratch: np.ndarray, lane: int) -> None:
-    """Write one half's columns of the mode coefficients ``y @ q`` of the rows of ``y`` into that half's block of ``modes``.
+def _sine_forward(halves: tuple, y: np.ndarray, modes: np.ndarray, scratch: np.ndarray) -> None:
+    """Write the mode coefficients ``y @ q`` of the rows of ``y`` into ``modes``, one column per mode.
 
     ``halves`` is the ``(antisymmetric, symmetric)`` pair of
-    ``_toeplitz_eigenpairs``, and the modes come in its order; lane 0 writes
-    the antisymmetric half, lane 1 the symmetric one.  An antisymmetric mode
-    sees only the differences y[:, j] - y[:, n-1-j], a symmetric one only the
-    sums (and the middle column when n is odd), so each half is one product
-    of about half the size: half the flops of ``y @ q``.  The folded columns
-    go to the lane's block of the flat ``scratch`` and the coefficients to
-    its block of the flat ``modes`` (each of ``y.size`` entries,
-    ``_sine_blocks``), so the two lanes touch disjoint memory.
+    ``_toeplitz_eigenpairs``, and the columns of ``modes`` come in its
+    order.  An antisymmetric mode sees only the differences y[:, j] -
+    y[:, n-1-j], a symmetric one only the sums (and the middle column when n
+    is odd), so each half is one product of about half the size: half the
+    flops of ``y @ q``.  The folded columns go to two C-contiguous blocks of
+    the flat ``scratch`` (``y.size`` entries), and each half's product to its
+    column slice of ``modes``.
     """
     antisymmetric, symmetric = halves
-    half = len(antisymmetric)
+    rows, half = len(y), len(antisymmetric)
     reflected = y[:, ::-1]
-    folded = _sine_blocks(halves, len(y), scratch)[lane]
-    out = _sine_blocks(halves, len(y), modes)[lane]
-    if lane == 0:
-        np.subtract(y[:, :half], reflected[:, :half], out=folded)
-        np.matmul(folded, antisymmetric, out=out)
-    else:
-        np.copyto(folded, y[:, : len(symmetric)])  # the middle column, if any, is its own reflection
-        folded[:, :half] += reflected[:, :half]
-        np.matmul(folded, symmetric, out=out)
+    differences = scratch[: rows * half].reshape(rows, half)
+    sums = scratch[rows * half : y.size].reshape(rows, len(symmetric))
+    np.subtract(y[:, :half], reflected[:, :half], out=differences)
+    np.matmul(differences, antisymmetric, out=modes[:, :half])
+    np.copyto(sums, y[:, : len(symmetric)])  # the middle column, if any, is its own reflection
+    sums[:, :half] += reflected[:, :half]
+    np.matmul(sums, symmetric, out=modes[:, half:])
 
 
-def _sine_backward(halves: tuple, modes: np.ndarray, scratch: np.ndarray, lane: int) -> None:
-    """Write one half's product ``modes_half @ q_half.T`` into the lane's block of ``scratch``.
+def _sine_backward(halves: tuple, modes: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write ``modes @ q.T`` into ``out`` from the two halves' products ``modes_half @ q_half.T``.
 
-    ``modes`` is flat, as ``_sine_forward`` fills it.  ``_sine_combine``
-    then adds the two halves' products into ``modes @ q.T``.
+    ``modes`` is as ``_sine_forward`` fills it.  The half products go to two
+    C-contiguous blocks of the flat ``scratch`` (``modes.size`` entries); the
+    antisymmetric one is added to the symmetric one's first columns and
+    subtracted from their reflections.
     """
-    rows = modes.size // (len(halves[0]) + len(halves[1]))
-    block = _sine_blocks(halves, rows, modes)[lane]
-    np.matmul(block, halves[lane].T, out=_sine_blocks(halves, rows, scratch)[lane])
-
-
-def _sine_combine(halves: tuple, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Write ``modes @ q.T`` into ``out`` from the two half products that ``_sine_backward`` left in ``scratch``."""
-    half = len(halves[0])
-    antisymmetric_part, symmetric_part = _sine_blocks(halves, len(out), scratch)
+    antisymmetric, symmetric = halves
+    rows, half = len(modes), len(antisymmetric)
+    antisymmetric_part = scratch[: rows * half].reshape(rows, half)
+    symmetric_part = scratch[rows * half : modes.size].reshape(rows, len(symmetric))
+    np.matmul(modes[:, :half], antisymmetric.T, out=antisymmetric_part)
+    np.matmul(modes[:, half:], symmetric.T, out=symmetric_part)
     np.add(symmetric_part[:, :half], antisymmetric_part, out=out[:, :half])
     np.subtract(symmetric_part[:, :half], antisymmetric_part, out=out[:, ::-1][:, :half])
-    out[:, half : len(halves[1])] = symmetric_part[:, half:]
+    out[:, half : len(symmetric)] = symmetric_part[:, half:]
 
 
 def _cyclic_factor(lower: np.ndarray, main: np.ndarray, upper, store: np.ndarray, scratch: np.ndarray) -> tuple:
@@ -837,9 +810,9 @@ class _Workspace:
         self.shape = shape
         self.grid = np.empty(shape)  # apply's product, then the residual, then the step
         self.rows = np.empty((ntn, nx + 2))  # apply's term, then (its first ntn*nx entries) the residual over d
-        self.modes = np.empty(nx * ntn)  # time-major: a block per sine half, or one ntn x nx array
-        self.scratch = np.empty(nx * ntn)  # per lane: the sine transforms' halves and the time solves' temporaries
-        self.levels = np.empty(3 * nx * ntn)  # per lane: the cyclic reduction of its time systems
+        self.modes = np.empty((ntn, nx))  # time-major, one column per mode: first the shifted diagonals
+        self.scratch = np.empty(nx * ntn)  # the sine transforms' halves and the time solves' temporaries
+        self.levels = np.empty(3 * nx * ntn)  # the cyclic reduction of the time systems
 
     @property
     def nbytes(self) -> int:
@@ -869,147 +842,6 @@ def _workspace(shape: tuple) -> _Workspace:
     return work
 
 
-class _Helper:
-    """A daemon thread that runs lane 1 of one solve at a time (see ``_in_lanes``)."""
-
-    __slots__ = ("idle", "tasks")
-
-    def __init__(self):
-        self.idle = threading.Lock()  # taken by a caller, released by the helper when its lane is done
-        self.tasks = queue.SimpleQueue()
-        threading.Thread(target=self._serve, name="hodge4d-solver-lane", daemon=True).start()
-
-    def _serve(self):
-        while True:
-            self._run(*self.tasks.get())
-
-    def _run(self, context: contextvars.Context, lane: Callable, done: queue.SimpleQueue):
-        # locals end with the call, so the helper keeps no workspace alive
-        try:
-            result = context.run(lane), None
-        except BaseException as exc:  # re-raised by the caller
-            result = None, exc
-        self.idle.release()
-        done.put(result)
-
-
-# A solve with fewer interior nodes runs both lanes itself: each of its five
-# hand-offs to the helper costs tens of microseconds, more than a lane of a
-# small grid saves.  The first count is for a solve with eps > 0, the second
-# for the eps = 0 march, whose lanes hold less work.  With BLAS on one thread
-# on two cores (80 alternating solves per grid, medians, two runs), an
-# eps > 0 solve of 95 x 95 interior nodes took 1% longer to 3% less with the
-# helper, one of 111 x 111 0-8% less and one of 143 x 143 6-16% less; an
-# eps = 0 solve of 127 x 127 took 8-12% longer, one of 143 x 143 3-4% longer
-# and one of 159 x 159 4% less.
-_LANE_HELPER_NODES = (10_000, 25_000)
-
-_UNSTARTED = object()
-_helper = _UNSTARTED
-_helper_lock = threading.Lock()
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-_OPENBLAS_THREAD_COUNTERS = (
-    "openblas_get_num_threads",
-    "openblas_get_num_threads64_",
-    "scipy_openblas_get_num_threads",
-    "scipy_openblas_get_num_threads64_",
-)
-_blas_thread_counter = _UNSTARTED
-
-
-def _find_blas_thread_counter():
-    """OpenBLAS's thread-count function behind numpy's matmul, the only BLAS the fast path calls, or None.
-
-    Looked up through the handle of numpy's extension, a symbol is found in
-    the libraries it links.  None when that BLAS is not OpenBLAS or the
-    extension is not a shared object.
-    """
-    try:
-        library = ctypes.CDLL(sys.modules["numpy._core._multiarray_umath"].__file__)
-    except (KeyError, AttributeError, OSError):  # not loaded, built in, or not a shared object
-        return None
-    found = [getattr(library, symbol) for symbol in _OPENBLAS_THREAD_COUNTERS if hasattr(library, symbol)]
-    return found[0] if found else None
-
-
-def _blas_on_one_thread() -> bool:
-    """Whether the BLAS the fast path calls is known to run on one thread right now.
-
-    A BLAS on several threads already spreads its products over the cores,
-    and a product that another thread calls at the same time stalls in it
-    (on two cores with OpenBLAS's own threads, a first product took 8-28 ms
-    instead of 0.1 ms), so the fast path then runs both lanes in the caller,
-    as it does for a BLAS that is not OpenBLAS.  The count is read at
-    every solve, so a limit set at run time holds.
-    """
-    global _blas_thread_counter
-    if _blas_thread_counter is _UNSTARTED:
-        _blas_thread_counter = _find_blas_thread_counter()
-    return _blas_thread_counter is not None and _blas_thread_counter() == 1
-
-
-def _lane_helper() -> Optional[_Helper]:
-    """The process's helper, started at the first call that may use it.
-
-    None when BLAS may run on more than one thread (``_blas_on_one_thread``),
-    when the process may run on one CPU only, or when it cannot start a
-    thread.
-    """
-    global _helper
-    if not _blas_on_one_thread():
-        return None
-    with _helper_lock:
-        if _helper is _UNSTARTED:
-            try:
-                _helper = _Helper() if _usable_cpus() >= 2 else None
-            except RuntimeError:  # no thread could be started: the caller runs both lanes
-                _helper = None
-        return _helper
-
-
-def _forget_helper():
-    """In a forked child, where the helper thread does not exist, start a new one at the next solve."""
-    global _helper, _helper_lock
-    _helper, _helper_lock = _UNSTARTED, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
-
-
-def _in_lanes(helper: Optional[_Helper], lane: Callable) -> tuple:
-    """``(lane(0), lane(1))``, with lane 1 run by ``helper`` while the caller runs lane 0.
-
-    The two lanes must write disjoint memory.  Lane 1 runs in a copy of the
-    caller's ``contextvars`` context, so numpy's ``errstate`` holds in it too,
-    and an exception in either lane reaches the caller once both are done.
-    Without a helper, or when another solve is using it, the caller runs both
-    lanes itself, in order; the arithmetic is the same either way.
-    """
-    if helper is None or not helper.idle.acquire(blocking=False):
-        return lane(0), lane(1)
-    done = queue.SimpleQueue()
-    helper.tasks.put((contextvars.copy_context(), partial(lane, 1), done))
-    try:
-        first = lane(0)
-    finally:
-        try:
-            second, error = done.get()
-        except BaseException:
-            _local.work = None  # interrupted: the helper may still write into this thread's workspace
-            raise
-    if error is not None:
-        raise error
-    return first, second
-
-
 def _fast_diagonalisation(system: LinearSystem):
     """Solve through the eigenbasis of the spatial stencil (Lynch, Rice & Thomas).
 
@@ -1028,68 +860,48 @@ def _fast_diagonalisation(system: LinearSystem):
     the split step of Cooley, Lewis & Welch, J. Sound Vib. 12, 1970), half
     the flops of the one full product per transform that the
     ``eigh_tridiagonal`` basis takes.  Its modes come antisymmetric first
-    (k = 2, 4, ...), then symmetric (k = 1, 3, ...), so each half is
-    contiguous.  In that basis each eigenmode k is one shifted tridiagonal
-    solve (T + lam_k I) u_k = b_k in time, and the modes never couple: the
-    Fourier analysis and cyclic reduction scheme of Hockney (J. ACM 12,
-    1965).  The modes are held time-major, one column per mode, and split
-    into two lanes of contiguous modes: the two halves of the sine basis, or
-    the lower and upper half of the ``eigh_tridiagonal`` modes.  Each lane
-    factors its columns' time systems by cyclic reduction
-    (``_cyclic_factor``), which works on all of them at once in row slices,
-    and solves them in place in each refinement step (``_cyclic_solve``);
-    a column's arithmetic is the same whatever lane holds it.  When T has no
-    upper diagonal (the eps = 0 reference, backward Euler), every shifted
-    system is lower bidiagonal, and the reduction skips the upper couplings.
-    The reduction does not pivot; it is stable for diagonally dominant time
-    systems (Heller, SIAM J. Numer. Anal. 13, 1976), and the residual gate
-    judges every other.  Like the sparse LU path, the solve takes one
-    refinement step, which removes most of the rounding that an
-    ill-conditioned W adds.
+    (k = 2, 4, ...), then symmetric (k = 1, 3, ...), so each half is a
+    contiguous range of columns.  In that basis each eigenmode k is one
+    shifted tridiagonal solve (T + lam_k I) u_k = b_k in time, and the modes
+    never couple: the Fourier analysis and cyclic reduction scheme of
+    Hockney (J. ACM 12, 1965).  Every mode is held in one time-major block,
+    one column per mode, so cyclic reduction factors all the time systems
+    once per solve (``_cyclic_factor``), in row slices as wide as the grid's
+    interior, and solves them in place once per refinement step
+    (``_cyclic_solve``).  When T has no upper diagonal (the eps = 0
+    reference, backward Euler), every shifted system is lower bidiagonal,
+    and the reduction skips the upper couplings.  The reduction does not
+    pivot; it is stable for diagonally dominant time systems (Heller, SIAM
+    J. Numer. Anal. 13, 1976), and the residual gate judges every other.
+    Like the sparse LU path, the solve takes one refinement step, which
+    removes most of the rounding that an ill-conditioned W adds.
 
     The refinement starts from the Dirichlet lift x0 (rhs with -0.0 on the
     interior), whose residual needs no product (``_lift_residual``): every
     ``LinearSystem`` has finite stencil coefficients and centre sums, and the
     residual gate rejects any result that is not finite, as from a system
-    whose stencils were changed in place.  The caller runs one lane while a
-    helper thread runs the other (``_in_lanes``), five times per solve: the
-    factorization; in each of the two refinement steps the lane's time
-    solves and, in the sine basis, its half products of both transforms,
-    after which the caller adds the two halves of the backward transform;
-    and each of the two products by the operator with its subtraction from
-    rhs, which the lanes split by grid rows (``_apply``; lane 0 has the
-    initial time and the lower half of the rows above it).  The
-    ``eigh_tridiagonal`` basis keeps its full products in the caller, as do
-    the residual norms and the gate.  The helper starts at the first solve
-    that may use it, and only in a process that may run on at least two
-    CPUs; a solve of fewer interior nodes than ``_LANE_HELPER_NODES``
-    (10,000 with eps > 0, 25,000 for the eps = 0 march), one in a process
-    whose BLAS may run on several threads (``_blas_on_one_thread``), or one
-    that finds the helper busy with another thread's solve runs both lanes
-    in the caller.  Each lane writes only its own part of the workspace, so
-    the results are bit for bit the same wherever the lanes run.
+    whose stencils were changed in place.  The second residual, and the
+    gate's, take the product by the operator over the whole grid
+    (``_apply``).  Everything runs in the calling thread.
 
     Every grid-sized intermediate lives in the current thread's workspace
     (``_workspace``): one grid-shaped array (the lift's residual or the
     product, then the residual, then the step), one of whole rows above the
     initial time (the product's scratch term, then, in its first entries, the
-    scaled residual) and five of the interior's size (the modes, the lanes'
-    blocks of scratch for the sine transforms and the time solves, and the
-    cyclic reduction's levels, at most three rows per row of a time system),
-    about 8.3 MB at 384 x 384 cells.  One workspace is kept per
-    thread, for the last grid shape, if it is at most 32 MiB
-    (``_KEPT_WORKSPACE_BYTES``); a larger one is freed when its solve
-    returns.  The helper has none: its lane writes into the caller's.  The
-    start vector and the returned values are always fresh.
+    scaled residual) and five of the interior's size (the modes, the scratch
+    of the sine transforms and the time solves, and the cyclic reduction's
+    levels, at most three rows per row of a time system), about 8.3 MB at
+    384 x 384 cells.  One workspace is kept per thread, for the last grid
+    shape, if it is at most 32 MiB (``_KEPT_WORKSPACE_BYTES``); a larger one
+    is freed when its solve returns.  The start vector and the returned
+    values are always fresh.
 
     Returns ``(values, "")``, or ``(None, reason)`` when the guard rejects the
     system: complex eigenvalues, a scaling D too ill-conditioned to trust, a
     zero pivot in the reduction of a time system, or a result that fails the
-    residual gate.  A zero pivot is named by the first mode that meets one,
-    numbered over all modes: lane 0's failure, the lower modes, comes first,
-    so the reason reads as one reduction over all modes would give it.  No
-    floating-point warning leaves the fast path: a time solve that overflows
-    is the gate's to reject.
+    residual gate.  A zero pivot is named by the lowest mode that meets one.
+    No floating-point warning leaves the fast path: a time solve that
+    overflows is the gate's to reject.
 
     The scaling guard decides which convection-dominated problems fall back.
     For the fitted scheme D equals exp(-psi/2) up to a constant, where psi =
@@ -1112,23 +924,16 @@ def _fast_diagonalisation(system: LinearSystem):
     if not ratio <= _MAX_SCALING_RATIO:
         return None, f"scaling ratio {ratio:.3g} above {_MAX_SCALING_RATIO:g}"
     work = _workspace(system.grid.shape)
-    nx, ntn = len(main), len(t_main) - 1
-    march = not t_upper[1:].any()  # lower bidiagonal time systems: the eps = 0 reference
-    helper = _lane_helper() if nx * ntn >= _LANE_HELPER_NODES[march] else None
+    modes, scratch = work.modes, work.scratch
     off = np.sign(lower) * np.sqrt(coupling)
     if np.all(main == main[0]) and np.all(off == off[0]):
         lam, halves = _toeplitz_eigenpairs(main[0], off[0], len(main))
-        split = len(halves[0])
-        modes = _sine_blocks(halves, ntn, work.modes)
 
-        def transform(y, time_solve, out):
-            def lane(index):
-                _sine_forward(halves, y, work.modes, work.scratch, index)
-                time_solve(index)
-                _sine_backward(halves, work.modes, work.scratch, index)
+        def forward(y):
+            _sine_forward(halves, y, modes, scratch)
 
-            _in_lanes(helper, lane)
-            _sine_combine(halves, out, work.scratch)
+        def backward(out):
+            _sine_backward(halves, modes, out, scratch)
 
     else:
         from scipy.linalg import LinAlgError, eigh_tridiagonal
@@ -1137,68 +942,43 @@ def _fast_diagonalisation(system: LinearSystem):
             lam, q = eigh_tridiagonal(main, off)
         except LinAlgError as exc:
             return None, f"spatial eigendecomposition failed ({exc})"
-        split = nx // 2
-        full = work.modes.reshape(ntn, nx)
-        modes = (full[:, :split], full[:, split:])
 
-        def transform(y, time_solve, out):
-            # splitting a product by rows of its output need not keep its bits
-            np.matmul(y, q, out=full)
-            _in_lanes(helper, time_solve)
-            np.matmul(full, q.T, out=out)
+        def forward(y):
+            np.matmul(y, q, out=modes)
+
+        def backward(out):
+            np.matmul(modes, q.T, out=out)
 
     # row i of the time system At[1:, 1:] + lam_k I of mode k couples to row
     # i-1 through t_lower[i] and to row i+1 through t_upper[i+1], whatever k;
     # _cyclic_factor takes them negated (row 0's lower coupling, to the
     # initial time, and the padding above the last row enter no result)
-    lanes = ((0, split), (split, nx))  # the modes of each lane
     t_below = np.negative(t_lower)[:, None]
-    t_above = None if march else np.append(np.negative(t_upper[1:]), 0.0)[:, None]
-    levels = [None, None]
-
-    def lane_scratch(lane):
-        lo, hi = lanes[lane]
-        return work.scratch[lo * ntn : hi * ntn]
-
-    def factor(lane):
-        # each lane's modes, free until the first transform, hold its shifted diagonals
-        lo, hi = lanes[lane]
-        shifted = np.add(t_main[1:, None], lam[lo:hi], out=modes[lane])
-        store = work.levels[3 * lo * ntn : 3 * hi * ntn]
-        levels[lane], zero = _cyclic_factor(t_below, shifted, t_above, store, lane_scratch(lane))
-        return "" if zero is None else f"zero pivot in the time system of mode {lo + zero}"
-
-    def time_solve(lane):
-        _cyclic_solve(levels[lane], modes[lane], lane_scratch(lane))
-
+    t_above = np.append(np.negative(t_upper[1:]), 0.0)[:, None] if t_upper[1:].any() else None
     # without pivoting a time solve can overflow; the residual gate rejects
     # what is not finite, so the fast path raises no floating-point warning
     with np.errstate(all="ignore"):
-        reason = next(filter(None, _in_lanes(helper, factor)), "")  # lane 0 holds the lower modes
-    if reason:
-        return None, reason
+        shifted = np.add(t_main[1:, None], lam, out=modes)  # free until the first transform
+        levels, zero = _cyclic_factor(t_below, shifted, t_above, work.levels, scratch)
+    if zero is not None:
+        return None, f"zero pivot in the time system of mode {zero}"
     shape = system.grid.shape
-    scaled = work.rows.reshape(-1)[: ntn * nx].reshape(ntn, nx)  # the residual over d
+    scaled = work.rows.reshape(-1)[: modes.size].reshape(modes.shape)  # the residual over d
     rhs = system.rhs.reshape(shape)
-    row_lanes = ((0, (shape[0] + 1) // 2), ((shape[0] + 1) // 2, shape[0]))  # lane 0 has the initial time too
 
     def residual(u):
-        def lane(index):
-            start, stop = row_lanes[index]
-            product = _apply(system, u, work.grid, work.rows, start, stop)[start:stop]
-            np.subtract(rhs[start:stop], product, out=product)
-
-        _in_lanes(helper, lane)
-        return work.grid.reshape(-1)
+        product = _apply(system, u, work.grid, work.rows)
+        return np.subtract(rhs, product, out=product).reshape(-1)
 
     def interior_solve(residual):
         # the step overwrites the residual (work.grid) inside; on the
         # Dirichlet border the residual, rhs - x there, is already a zero
         # that leaves x as it is
         step = residual.reshape(shape)
-        y = np.divide(step[1:, 1:-1], d, out=scaled)
         interior = step[1:, 1:-1]
-        transform(y, time_solve, interior)  # one block of modes per lane
+        forward(np.divide(interior, d, out=scaled))
+        _cyclic_solve(levels, modes, scratch)
+        backward(interior)
         interior *= d
         return residual
 

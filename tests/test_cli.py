@@ -471,6 +471,21 @@ def test_solve_failure_exits_one(tmp_path, capsys, monkeypatch):
     assert "residual" in err
 
 
+@pytest.mark.parametrize("command, config", [("solve", SOLVE_CONFIG), ("sweep", SWEEP_CONFIG)], ids=["solve", "sweep"])
+def test_a_grid_too_large_for_memory_is_usage_error(tmp_path, capsys, monkeypatch, command, config):
+    import hodge4d.solver
+
+    def no_memory(config, grid):
+        raise MemoryError  # as np.empty raises for a grid of 100000x100000 cells, never allocated here
+
+    monkeypatch.setattr(hodge4d.solver, "_data", no_memory)
+    path = tmp_path / f"{command}.cfg"
+    path.write_text(config)
+    code, err = run_failing(capsys, command, "--config", str(path), "--nx", "100000", "--nt", "100000")
+    assert code == 2
+    assert err == "error: not enough memory for a grid of 100000x100000 cells\n"
+
+
 def test_solve_with_expression_data(tmp_path, capsys):
     config = tmp_path / "solve.cfg"
     config.write_text("[solve]\nnx = 8\nnt = 8\nalpha = 1 + x\nf = sin(pi*x)*t\ng = x*exp(-t)\n")
@@ -508,8 +523,7 @@ def test_sweep_non_finite_data_is_usage_error(tmp_path, capsys):
 def test_sweep_on_data_near_the_float_maximum_prints_one_error_line(tmp_path, nt):
     # the reference overflows on the fast path and in the time steps: no
     # floating-point warning may reach stderr, and under -W error::RuntimeWarning
-    # none may end the run in a traceback; with BLAS on one thread, at 1024
-    # cells the fast path's lanes are large enough for its helper thread
+    # none may end the run in a traceback, on a coarse and on a fine time grid
     config = tmp_path / "sweep.cfg"
     config.write_text(
         f"[sweep]\nnx = 24\nnt = {nt}\nalpha = 1\nbeta = 0.5\nf = 0\ng = 1e307*(1+x)\neps_list = 0.1,0.05\n"

@@ -9,8 +9,7 @@ matrix for every size from one row to past 64 (odd and even, so each level
 meets both parities), at widths 1 to 5; pin the first column with an exactly
 zero pivot at any level, and that it leaves the other columns' solutions as
 they are; and pin that a column's bytes do not depend on which columns
-share its block, or on the block being a strided view, as the lanes and the
-``eigh_tridiagonal`` basis give it.  Each call gets the storage its
+share its block, or on the block being a strided view.  Each call gets the storage its
 docstring promises and no more, filled with NaN so that a read of an entry
 the kernel has not written shows: 3n rows of levels and n rows of scratch
 per column.
@@ -83,12 +82,12 @@ def test_every_column_meets_the_dense_solve(n, bidiagonal):
 @pytest.mark.parametrize("bidiagonal", [False, True], ids=["tridiagonal", "bidiagonal"])
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 64])
 def test_a_columns_bytes_do_not_depend_on_its_block(n, bidiagonal):
-    # one block of five columns, against a lane of two and a lane of three
+    # one block of five columns, against a block of two and a block of three
     # columns, and against a strided view of columns inside a wider array
     lower, main, upper, rhs = _system(n, 5, bidiagonal, seed=n)
     whole, _ = _solve(lower, main, upper, rhs)
-    lanes = np.concatenate([_solve(lower, main[:, s], upper, rhs[:, s])[0] for s in (np.s_[:2], np.s_[2:])], axis=1)
-    assert lanes.tobytes() == whole.tobytes()
+    split = np.concatenate([_solve(lower, main[:, s], upper, rhs[:, s])[0] for s in (np.s_[:2], np.s_[2:])], axis=1)
+    assert split.tobytes() == whole.tobytes()
     wide = np.full((n, 9), np.nan)
     view = wide[:, 3:8]
     view[:] = rhs

@@ -46,8 +46,6 @@ from hodge4d.solver import (
     SolveError,
     _fast_diagonalisation,
     _sine_backward,
-    _sine_blocks,
-    _sine_combine,
     _sine_forward,
     _toeplitz_eigenpairs,
     assemble,
@@ -470,16 +468,12 @@ def test_toeplitz_eigenpairs_diagonalise_the_stencil(n, s):
     assert np.abs(np.sort(lam) - expected).max() <= 1e-12 * np.abs(expected).max()
 
     y = np.random.default_rng(n).standard_normal((7, n))
-    modes, scratch = np.empty(7 * n), np.empty(7 * n)
-    for lane in (0, 1):
-        _sine_forward(halves, y, modes, scratch, lane)
-    coefficients = np.concatenate(_sine_blocks(halves, 7, modes), axis=1)  # time-major, the halves side by side
-    assert np.linalg.norm(coefficients - y @ q) <= 1e-14 * np.linalg.norm(y)
+    modes, scratch = np.empty((7, n)), np.empty(7 * n)
+    _sine_forward(halves, y, modes, scratch)  # time-major, one column per mode
+    assert np.linalg.norm(modes - y @ q) <= 1e-14 * np.linalg.norm(y)
     out = np.full((9, n + 2), np.nan)  # a strided view, as in the solver
-    for lane in (0, 1):
-        _sine_backward(halves, modes, scratch, lane)
-    _sine_combine(halves, out[1:-1, 1:-1], scratch)
-    assert np.linalg.norm(out[1:-1, 1:-1] - coefficients @ q.T) <= 1e-14 * np.linalg.norm(coefficients)
+    _sine_backward(halves, modes, out[1:-1, 1:-1], scratch)
+    assert np.linalg.norm(out[1:-1, 1:-1] - modes @ q.T) <= 1e-14 * np.linalg.norm(modes)
     assert np.isnan(out[[0, -1]]).all() and np.isnan(out[:, [0, -1]]).all()
 
 
@@ -544,14 +538,6 @@ def _same_up_to_nan_payloads(actual, expected):
     return (np.isnan(actual) == nan).all() and actual[~nan].tobytes() == expected[~nan].tobytes()
 
 
-def _flags(product):
-    """The names of the floating-point exceptions that ``product()`` signals, in any ufunc call."""
-    signalled = set()
-    with np.errstate(all="call", call=lambda kind, flag: signalled.add(kind)):
-        product()
-    return signalled
-
-
 @st.composite
 def _products(draw, edge_entries=tuple(_EDGE_ENTRIES)):
     """A system and a vector u over its nodes: a product's draw.
@@ -596,50 +582,14 @@ def test_apply_equals_the_strided_kernel_byte_for_byte(case):
     with np.errstate(all="ignore"):
         expected = strided_apply(system, u)
         out = np.full(grid.shape, np.nan)  # nothing left over may survive
-        solver._apply(system, u, out, np.full_like(out[1:], np.nan), 0, len(out))
+        solver._apply(system, u, out, np.full_like(out[1:], np.nan))
         assert _same_up_to_nan_payloads(out, expected)
         assert _same_up_to_nan_payloads(system.apply(u), expected)
     # the Dirichlet columns add no floating-point exception of their own
     out = np.empty(grid.shape)
     raised = _raised(lambda: strided_apply(system, u))
     event(f"raises {raised}")
-    assert _raised(lambda: solver._apply(system, u, out, np.empty_like(out[1:]), 0, len(out))) == raised
-
-
-@settings(max_examples=100, deadline=None)
-@given(case=_products())
-def test_two_row_ranges_give_the_whole_products_bytes_and_exceptions(case):
-    # the fast path's two lanes each write one range of rows: lane 0 the
-    # initial time and the rows below the split, lane 1 the rest, each into
-    # its own rows of one output and one scratch; at every split point the
-    # bytes are the whole product's, NaN payloads aside, and so is every
-    # floating-point exception signalled.  The first one raised is the whole
-    # product's when one range holds every row above the initial time;
-    # between, the ranges run the passes in another order, so it may be
-    # another one
-    system, u = case
-    rows = system.grid.shape[0]
-    out, term = np.empty(system.grid.shape), np.empty((rows - 1, system.grid.shape[1]))
-
-    def whole():
-        return solver._apply(system, u, out, term, 0, rows)
-
-    with np.errstate(all="ignore"):
-        expected = whole().copy()
-    signalled = _flags(whole)
-    for split in range(1, rows + 1):  # lane 0 from the initial time alone to every row
-
-        def in_two():
-            solver._apply(system, u, out, term, 0, split)
-            return solver._apply(system, u, out, term, split, rows)
-
-        out.fill(np.nan)
-        term.fill(np.nan)
-        with np.errstate(all="ignore"):
-            assert _same_up_to_nan_payloads(in_two(), expected), split
-        assert _flags(in_two) == signalled, split
-        if split in (1, rows):
-            assert _raised(in_two) == _raised(whole), split
+    assert _raised(lambda: solver._apply(system, u, out, np.empty_like(out[1:]))) == raised
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,14 +7,17 @@ its three paths (the closed-form sine basis with tridiagonal time systems,
 the eps = 0 backward Euler reference, whose time systems are lower
 bidiagonal, and the ``eigh_tridiagonal`` basis; the path ids name each kind
 of time system by the LAPACK or BLAS routine for it, dgttrf for a general
-tridiagonal and dtbsv for a triangular band system, and
-``solver._cyclic_factor`` factors both): a solve after garbage in the
-workspace, or after another system of the same shape, equals a solve in a
-fresh thread bit for bit; a returned result never aliases the workspace;
-the Dirichlet border comes back bit for bit; and two threads solving at
-once get their serial results.  Two tracemalloc pins keep the solve from going back to fresh
-grid-sized temporaries and keep a workspace above the size cap from
-outliving its solve.
+tridiagonal and dtbsv for a triangular band system, although
+``solver._cyclic_factor`` factors both and the fast path calls neither).
+Each solve on every path factors all its modes' time systems in one call to
+``solver._cyclic_factor`` and solves them in one call per refinement step.
+A solve after garbage in the workspace, or after another system of the same
+shape, equals a solve in a fresh thread bit for bit; a returned result never
+aliases the workspace; the Dirichlet border comes back bit for bit; and two
+threads solving at once get their serial results (``test_solver_lanes``
+runs four, and a forked child).  Two tracemalloc pins keep the solve from
+going back to fresh grid-sized temporaries and keep a workspace above the
+size cap from outliving its solve.
 """
 
 import dataclasses
@@ -49,20 +52,11 @@ def _limit(alpha, phase, grid):
     return solver._system(solver._data(cfg, grid), grid, 0.0, cfg.scheme, solver._x_stencil(cfg, grid))
 
 
-# (build(phase, grid), the (module, function) pairs that path must call)
+# (build(phase, grid), the (module, function) that takes that path's spatial basis)
 PATHS = {
-    "closed-form dgttrf": (
-        lambda phase, grid: _spacetime(1.0, phase, grid),
-        ((solver, "_toeplitz_eigenpairs"), (solver, "_cyclic_factor")),
-    ),
-    "dtbsv march": (
-        lambda phase, grid: _limit(1.0, phase, grid),
-        ((solver, "_toeplitz_eigenpairs"), (solver, "_cyclic_factor")),
-    ),
-    "eigh_tridiagonal": (
-        lambda phase, grid: _spacetime("1+x", phase, grid),
-        ((scipy.linalg, "eigh_tridiagonal"), (solver, "_cyclic_factor")),
-    ),
+    "closed-form dgttrf": (lambda phase, grid: _spacetime(1.0, phase, grid), (solver, "_toeplitz_eigenpairs")),
+    "dtbsv march": (lambda phase, grid: _limit(1.0, phase, grid), (solver, "_toeplitz_eigenpairs")),
+    "eigh_tridiagonal": (lambda phase, grid: _spacetime("1+x", phase, grid), (scipy.linalg, "eigh_tridiagonal")),
 }
 GRID = Grid1p1.with_cells(14, 10)  # 13 interior nodes, an odd count: the sine halves have a middle column
 
@@ -85,13 +79,16 @@ def _in_fresh_thread(function, *args):
 
 @pytest.mark.parametrize("path", PATHS)
 def test_each_system_takes_its_path(path):
-    build, called = PATHS[path]
+    build, (module, basis) = PATHS[path]
     with ExitStack() as stack:
-        spies = [
-            stack.enter_context(mock.patch.object(module, name, wraps=getattr(module, name))) for module, name in called
-        ]
+        basis_spy, factor, time_solve = (
+            stack.enter_context(mock.patch.object(owner, name, wraps=getattr(owner, name)))
+            for owner, name in ((module, basis), (solver, "_cyclic_factor"), (solver, "_cyclic_solve"))
+        )
         _fast(build(0.0, GRID))
-    assert all(spy.called for spy in spies)
+    assert basis_spy.called
+    # every mode's time system is in one block: one reduction per solve, one solve per refinement step
+    assert (factor.call_count, time_solve.call_count) == (1, 2)
 
 
 @pytest.mark.parametrize("path", PATHS)
@@ -141,20 +138,20 @@ def test_solve_and_march_results_do_not_alias_the_workspace():
             assert not np.shares_memory(values, getattr(work, name))
 
 
-@pytest.mark.parametrize("path", PATHS)
-def test_two_threads_solving_at_once_get_their_serial_results(path):
+def _solving_at_once(path, count):
+    """Whether ``count`` threads, each solving its own system 30 times at once, all get their serial bytes."""
     build = PATHS[path][0]
-    systems = [build(phase, GRID) for phase in (0.0, 0.7)]
+    systems = [build(phase, GRID) for phase in (0.0, 0.3, 0.7, 1.1)[:count]]
     serial = [_in_fresh_thread(_fast, system).tobytes() for system in systems]
-    start = threading.Barrier(2, timeout=60)
-    mismatches = [0, 0]
+    start = threading.Barrier(count, timeout=60)
+    mismatches = [0] * count
 
     def worker(index):
         start.wait()
         for _ in range(30):
             mismatches[index] += _fast(systems[index]).tobytes() != serial[index]
 
-    threads = [threading.Thread(target=worker, args=(index,)) for index in range(2)]
+    threads = [threading.Thread(target=worker, args=(index,)) for index in range(count)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -165,7 +162,12 @@ def test_two_threads_solving_at_once_get_their_serial_results(path):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert mismatches == [0, 0]
+    return mismatches == [0] * count
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_two_threads_solving_at_once_get_their_serial_results(path):
+    assert _solving_at_once(path, 2)
 
 
 @pytest.mark.parametrize("path", PATHS)
