@@ -631,35 +631,46 @@ def _refined(system: LinearSystem, residual: Callable, correction: Callable, x: 
     return x, ""
 
 
-def _toeplitz_eigenpairs(a: float, s: float, n: int) -> tuple:
-    """Eigenpairs ``(lam, (antisymmetric, symmetric))`` of the n x n symmetric tridiagonal Toeplitz matrix.
+def _sine_modes(n: int) -> np.ndarray:
+    """The mode numbers k = 1..n of the closed-form basis in the solver's order: 2, 4, ..., then 1, 3, ..."""
+    return np.concatenate((np.arange(2, n + 1, 2), np.arange(1, n + 1, 2)))
+
+
+def _toeplitz_eigenvalues(a: float, s: float, n: int) -> np.ndarray:
+    """Eigenvalues of the n x n symmetric tridiagonal Toeplitz matrix, in the order of ``_sine_modes``.
 
     The matrix has ``a`` on the diagonal and ``s`` on both off-diagonals.
     Mode k = 1..n has lam_k = a + 2 s cos(k pi/(n+1)) and the orthonormal
     eigenvector q[j, k] = sqrt(2/(n+1)) sin(j k pi/(n+1)), j = 1..n (Lynch,
-    Rice & Thomas, Numer. Math. 6, 1964).  Every entry of q is read from one
-    table of the sine over a full period, at j*k mod 2(n+1).
+    Rice & Thomas, Numer. Math. 6, 1964), which ``_sine_halves`` gives.
+    """
+    return a + 2.0 * s * np.cos(_sine_modes(n) * (np.pi / (n + 1)))
 
-    The reflection j -> n+1-j multiplies q[j, k] by (-1)**(k+1), so q is
-    returned as its two independent blocks: the first n//2 rows of the
+
+def _sine_halves(n: int) -> tuple:
+    """The eigenvectors q of the n x n symmetric tridiagonal Toeplitz matrices as blocks ``(antisymmetric, symmetric)``.
+
+    q[j, k] = sqrt(2/(n+1)) sin(j k pi/(n+1)) depends on n alone.  Every
+    entry is read from one table of the sine over a full period, at j*k mod
+    2(n+1).  The reflection j -> n+1-j multiplies q[j, k] by (-1)**(k+1), so
+    q is returned as its two independent blocks: the first n//2 rows of the
     antisymmetric modes k = 2, 4, ... and the first (n+1)//2 rows of the
-    symmetric modes k = 1, 3, ...  ``lam`` lists the modes in that order;
-    ``_sine_forward`` and ``_sine_backward`` transform through the blocks.
+    symmetric modes k = 1, 3, ..., two views of one array of (n+1)//2 x n
+    doubles.  ``_sine_forward`` and ``_sine_backward`` transform through
+    them.
     """
     period = 2 * (n + 1)
-    k = np.concatenate((np.arange(2, n + 1, 2), np.arange(1, n + 1, 2)))
-    lam = a + 2.0 * s * np.cos(k * (np.pi / (n + 1)))
     table = math.sqrt(2.0 / (n + 1)) * np.sin(np.arange(period) * (np.pi / (n + 1)))
     half, rows = n // 2, np.arange(1, (n + 1) // 2 + 1)
-    blocks = table[np.outer(rows, k) % period]
-    return lam, (blocks[:half, :half], blocks[:, half:])
+    blocks = table[np.outer(rows, _sine_modes(n)) % period]
+    return blocks[:half, :half], blocks[:, half:]
 
 
 def _sine_forward(halves: tuple, y: np.ndarray, modes: np.ndarray, scratch: np.ndarray) -> None:
     """Write the mode coefficients ``y @ q`` of the rows of ``y`` into ``modes``, one column per mode.
 
     ``halves`` is the ``(antisymmetric, symmetric)`` pair of
-    ``_toeplitz_eigenpairs``, and the columns of ``modes`` come in its
+    ``_sine_halves``, and the columns of ``modes`` come in its
     order.  An antisymmetric mode sees only the differences y[:, j] -
     y[:, n-1-j], a symmetric one only the sums (and the middle column when n
     is odd), so each half is one product of about half the size: half the
@@ -698,65 +709,69 @@ def _sine_backward(halves: tuple, modes: np.ndarray, out: np.ndarray, scratch: n
     out[:, half : len(symmetric)] = symmetric_part[:, half:]
 
 
-def _cyclic_factor(lower: np.ndarray, main: np.ndarray, upper, store: np.ndarray, scratch: np.ndarray) -> tuple:
-    """Factor the tridiagonal systems in the columns of ``main`` by cyclic reduction; returns ``(levels, zero)``.
+def _cyclic_factor(n: int, row: tuple, last: tuple) -> tuple:
+    """Factor n-row tridiagonal systems, one per column, whose rows but the last are alike; returns ``(levels, zero)``.
 
-    Column k is the system main[i, k] u[i] - lower[i] u[i-1] - upper[i] u[i+1]
-    = b[i], i = 0..n-1.  ``lower`` and ``upper`` are ``(n, 1)`` columns of
-    couplings that every system shares; lower[0] and upper[-1], which couple
-    to no row, enter no result.  ``upper`` is None for lower bidiagonal
-    systems.  Odd-even reduction (Hockney, J. ACM 12, 1965; Heller, SIAM J.
-    Numer. Anal. 13, 1976) eliminates the even rows from the odd ones, which
-    leaves the odd rows as one more such system of n//2 rows, down to one
-    row; it does not pivot, so it is stable for diagonally dominant systems,
-    and the caller judges the solution by its residual.  Every level is a
-    few elementwise passes over row slices, the same arithmetic for a column
-    whatever other columns share its block.
+    ``row = (lower, main, upper)`` and ``last = (last_lower, last_main)``:
+    column k is the system main[k] u[i] - lower u[i-1] - upper u[i+1] = b[i]
+    on the rows i = 0..n-2 and last_main[k] u[n-1] - last_lower u[n-2] =
+    b[n-1] on the last row.  The couplings are scalars that every system
+    shares, the diagonals ``(columns,)`` vectors; row 0's lower coupling
+    enters no result, and ``upper`` is None for lower bidiagonal systems.
+    Odd-even reduction (Hockney, J. ACM 12, 1965; Heller, SIAM J. Numer.
+    Anal. 13, 1976) eliminates the even rows from the odd ones, which leaves
+    the odd rows as one more such system of n//2 rows, down to one row: the
+    odd rows but the highest have alike rows beside them, so they stay
+    alike, and the highest, the last row or the one below it, is the next
+    level's last row.  So a level is one interior row and one last row of
+    ``(columns,)`` vectors, and the factor takes O(columns log n) and no
+    grid-sized array.  Each element takes the operations, in the same order,
+    that a reduction keeping every row gives it (``tests/cyclic_reference.py``
+    keeps one as the oracle).  It does not pivot, so it is stable for
+    diagonally dominant systems, and the caller judges the solution by its
+    residual.
 
-    ``main`` is overwritten (its odd rows become the next level's diagonal).
-    Each level keeps the reciprocals of its even rows' pivots and, below the
-    first, its own ``(rows, columns)`` couplings, at most 3n - 2 rows per
-    column in all, in the flat ``store``; ``scratch`` holds n rows of
-    temporaries.  ``levels`` is what ``_cyclic_solve`` needs; ``zero`` is
-    the first column that meets an exactly zero pivot at any level, else
+    ``levels`` holds per level the reciprocals of the interior and of the
+    last pivot (None where the level has no such even row) and the lower,
+    last lower and upper couplings, what ``_cyclic_solve`` needs; ``zero``
+    is the first column that meets an exactly zero pivot at any level, else
     None.  Its reduction then holds infinities and NaNs, and so does its
     solution, but no other column is touched.
     """
-    width = main.shape[1]
-    levels, used, zero = [], 0, None
-
-    def take(rows):
-        nonlocal used
-        used += rows * width
-        return store[used - rows * width : used].reshape(rows, width)
-
-    def block(start, rows):
-        return scratch[start * width : (start + rows) * width].reshape(rows, width)
-
+    lower, main, upper = row
+    last_lower, last_main = last
+    levels, zero = [], None
     while True:
-        n = len(main)
-        evens, odds, inner = (n + 1) // 2, n // 2, (n - 1) // 2  # inner: the odd rows with an even row above
-        pivots = main[0::2]
-        if not pivots.all():
-            column = int(np.argmin(pivots.all(axis=0)))
-            zero = column if zero is None else min(zero, column)
-        reciprocal = np.divide(1.0, pivots, out=take(evens))
-        levels.append((reciprocal, lower, upper))
+        # the even rows are the pivots: row 0 up, and the last row when n is odd
+        for pivots in ([main] if n > 1 else []) + ([last_main] if n % 2 else []):
+            if not pivots.all():
+                column = int(np.argmin(pivots != 0))
+                zero = column if zero is None else min(zero, column)
+        reciprocal = np.divide(1.0, main) if n > 1 else None
+        last_reciprocal = np.divide(1.0, last_main) if n % 2 else None
+        levels.append((reciprocal, last_reciprocal, lower, last_lower, upper))
         if n == 1:
             return levels, zero
         # odd row i meets u[i-1] = reciprocal (b + lower u[i-2] + upper u[i]) of
-        # the even row below it and u[i+1] likewise from the one above
-        below = np.multiply(lower[1::2], reciprocal[:odds], out=take(odds))
-        main = main[1::2]
+        # the even row below it and u[i+1] likewise from the one above; the
+        # highest odd row is the last row when n is even, else the row below it
+        below = np.multiply(lower, reciprocal)
+        if n % 2:
+            last_below, last_main = below, main
+        else:
+            last_below = np.multiply(last_lower, reciprocal)
         if upper is not None:
-            term = np.multiply(below, upper[0::2][:odds], out=block(0, odds))
-            next_upper = take(odds)
-            above = np.multiply(upper[1::2][:inner], reciprocal[1 : inner + 1], out=next_upper[:inner])
-            term[:inner] += np.multiply(above, lower[2::2][:inner], out=block(odds, inner))
-            main -= term
-            above *= upper[2::2][:inner]
-            upper = next_upper  # its top row, when n is even, couples to no row
-        lower = np.multiply(below, lower[0::2][:odds], out=below)
+            term = np.multiply(below, upper)
+            above = np.multiply(upper, reciprocal)
+            main = main - (term + np.multiply(above, lower))
+            if n % 2:
+                last_main = last_main - (term + np.multiply(np.multiply(upper, last_reciprocal), last_lower))
+            else:
+                last_main = last_main - np.multiply(last_below, upper)
+            upper = np.multiply(above, upper)
+        last_lower = np.multiply(last_below, lower)
+        lower = np.multiply(below, lower)
+        n //= 2
 
 
 def _cyclic_solve(levels: list, x: np.ndarray, scratch: np.ndarray) -> None:
@@ -765,9 +780,10 @@ def _cyclic_solve(levels: list, x: np.ndarray, scratch: np.ndarray) -> None:
     Going down, each level scales its even rows by their pivots' reciprocals
     and adds them, through the couplings, into its odd rows, the next
     level's right-hand sides; going up, each even row adds the solved odd
-    rows beside it.  The two coupling terms of a row are summed in
-    ``scratch`` (n rows), so each level reads and writes the strided rows of
-    ``x`` as few times as it can.
+    rows beside it.  The interior rows take each level's vectors broadcast
+    over them, and the last row its own.  The two coupling terms of a row
+    are summed in ``scratch`` (n rows), so each level reads and writes the
+    strided rows of ``x`` as few times as it can.
     """
     width = x.shape[1]
 
@@ -775,70 +791,87 @@ def _cyclic_solve(levels: list, x: np.ndarray, scratch: np.ndarray) -> None:
         return scratch[start * width : (start + rows) * width].reshape(rows, width)
 
     views = [x]
-    for reciprocal, lower, upper in levels[:-1]:
+    for reciprocal, last_reciprocal, lower, last_lower, upper in levels[:-1]:
         v = views[-1]
-        odds, inner = len(v) // 2, (len(v) - 1) // 2
+        odds, inner = len(v) // 2, (len(v) - 1) // 2  # inner: the odd rows with an even row above
         even, odd = v[0::2], v[1::2]
-        even *= reciprocal
-        term = np.multiply(lower[1::2], even[:odds], out=block(0, odds))
+        if len(v) % 2:
+            even[:-1] *= reciprocal
+            even[-1] *= last_reciprocal
+        else:
+            even *= reciprocal
+        term = block(0, odds)
+        np.multiply(lower, even[:inner], out=term[:inner])
         if upper is not None:
-            term[:inner] += np.multiply(upper[1::2][:inner], even[1 : inner + 1], out=block(odds, inner))
+            term[:inner] += np.multiply(upper, even[1 : inner + 1], out=block(odds, inner))
+        if inner < odds:  # the last row, with no row above it
+            np.multiply(last_lower, even[-1], out=term[-1])
         odd += term
         views.append(odd)
-    views[-1] *= levels[-1][0]
-    for (reciprocal, lower, upper), v in zip(levels[-2::-1], views[-2::-1]):
-        evens, odds = (len(v) + 1) // 2, len(v) // 2
+    views[-1] *= levels[-1][1]
+    for (reciprocal, last_reciprocal, lower, last_lower, upper), v in zip(levels[-2::-1], views[-2::-1]):
+        odds = len(v) // 2
         even, odd = v[0::2], v[1::2]
+        term = block(0, odds)
         if upper is None:
-            term = np.multiply(lower[0::2][1:], odd[: evens - 1], out=block(0, evens - 1))
-            even[1:] += np.multiply(term, reciprocal[1:], out=term)
+            coupled = np.multiply(lower, odd[: odds - 1], out=term[: odds - 1])
+            even[1:odds] += np.multiply(coupled, reciprocal, out=coupled)
         else:
-            term = block(0, evens)
-            np.multiply(upper[0::2][:odds], odd, out=term[:odds])
-            term[odds:] = 0.0  # the top even row, when n is odd, has no odd row above it
-            term[1:] += np.multiply(lower[0::2][1:], odd[: evens - 1], out=block(evens, evens - 1))
-            even += np.multiply(term, reciprocal, out=term)
+            np.multiply(upper, odd, out=term)
+            term[1:] += np.multiply(lower, odd[: odds - 1], out=block(odds, odds - 1))
+            even[:odds] += np.multiply(term, reciprocal, out=term)
+        if len(v) % 2:  # the last row is even, with no odd row above it
+            top = np.multiply(last_lower, odd[-1], out=term[0])
+            if upper is not None:
+                np.add(0.0, top, out=top)  # its sum starts from 0.0, so a -0.0 product becomes 0.0
+            even[-1] += np.multiply(top, last_reciprocal, out=top)
 
 
 class _Workspace:
     """The fast path's buffers for one grid shape, reused by every solve of that shape in one thread."""
 
-    __slots__ = ("shape", "grid", "rows", "modes", "scratch", "levels")
+    __slots__ = ("shape", "grid", "rows", "modes", "scratch", "halves")
 
     def __init__(self, shape: tuple):
         ntn, nx = shape[0] - 1, shape[1] - 2
         self.shape = shape
         self.grid = np.empty(shape)  # apply's product, then the residual, then the step
         self.rows = np.empty((ntn, nx + 2))  # apply's term, then (its first ntn*nx entries) the residual over d
-        self.modes = np.empty((ntn, nx))  # time-major, one column per mode: first the shifted diagonals
+        self.modes = np.empty((ntn, nx))  # time-major, one column per mode
         self.scratch = np.empty(nx * ntn)  # the sine transforms' halves and the time solves' temporaries
-        self.levels = np.empty(3 * nx * ntn)  # the cyclic reduction of the time systems
+        self.halves = None  # the closed-form basis (``_sine_halves``), built by its first solve
 
     @property
     def nbytes(self) -> int:
-        return self.grid.nbytes + self.rows.nbytes + self.modes.nbytes + self.scratch.nbytes + self.levels.nbytes
+        """The bytes it holds: the four arrays and, once built, the (nx+1)//2 x nx doubles of the sine blocks."""
+        nx = self.shape[1] - 2
+        blocks = 0 if self.halves is None else 8 * ((nx + 1) // 2) * nx
+        return self.grid.nbytes + self.rows.nbytes + self.modes.nbytes + self.scratch.nbytes + blocks
 
 
 _local = threading.local()
 
-# A workspace above this many bytes (a grid of about 600,000 nodes) serves its
-# one solve and is freed when the solve returns, instead of being kept.
+# A workspace that holds more than this many bytes serves its one solve and
+# is freed when the solve returns, instead of being kept: its four arrays
+# pass it at about 1,000,000 nodes, and with the sine blocks, which add half
+# an array on a square grid, at about 930,000 nodes when square.
 _KEPT_WORKSPACE_BYTES = 32 * 2**20
 
 
-def _workspace(shape: tuple) -> _Workspace:
-    """The current thread's workspace for ``shape``; one of another shape is replaced.
+def _workspace(shape: tuple, sine: bool = False) -> _Workspace:
+    """The current thread's workspace for ``shape``, with the closed-form sine blocks if ``sine``.
 
-    A new workspace is kept for the next solve only if it is at most
-    ``_KEPT_WORKSPACE_BYTES``, so a thread holds at most one workspace, of
-    at most that size.
+    A workspace of another shape is replaced.  The workspace is kept for the
+    next solve only while it holds at most ``_KEPT_WORKSPACE_BYTES``, so a
+    thread holds at most one workspace, of at most that size.
     """
     work = getattr(_local, "work", None)
     if work is None or work.shape != shape:
         _local.work = None  # free the old buffers before taking the new ones
         work = _Workspace(shape)
-        if work.nbytes <= _KEPT_WORKSPACE_BYTES:
-            _local.work = work
+    if sine and work.halves is None:
+        work.halves = _sine_halves(shape[1] - 2)
+    _local.work = work if work.nbytes <= _KEPT_WORKSPACE_BYTES else None
     return work
 
 
@@ -852,23 +885,27 @@ def _fast_diagonalisation(system: LinearSystem):
     tridiagonal, so X = W diag(lam) W^-1 with W = D Q and W^-1 = Q^T D^-1.
     When S is Toeplitz (every diagonal entry equal and every off-diagonal
     entry equal, as for constant alpha and beta), its eigenpairs are known in
-    closed form (``_toeplitz_eigenpairs``); for any other S they come from
-    LAPACK's ``eigh_tridiagonal``, imported from scipy when first needed.
-    The closed-form basis is the discrete
-    sine transform, whose reflection symmetry splits each transform into two
-    products of about half the size (``_sine_forward``, ``_sine_backward``;
-    the split step of Cooley, Lewis & Welch, J. Sound Vib. 12, 1970), half
-    the flops of the one full product per transform that the
-    ``eigh_tridiagonal`` basis takes.  Its modes come antisymmetric first
+    closed form (``_toeplitz_eigenvalues``, ``_sine_halves``); for any other
+    S they come from LAPACK's ``eigh_tridiagonal``, imported from scipy when
+    first needed.  The closed-form basis is the discrete sine transform,
+    whose reflection symmetry splits each transform into two products of
+    about half the size (``_sine_forward``, ``_sine_backward``; the split
+    step of Cooley, Lewis & Welch, J. Sound Vib. 12, 1970), half the flops
+    of the one full product per transform that the ``eigh_tridiagonal``
+    basis takes.  Its modes come antisymmetric first
     (k = 2, 4, ...), then symmetric (k = 1, 3, ...), so each half is a
     contiguous range of columns.  In that basis each eigenmode k is one
     shifted tridiagonal solve (T + lam_k I) u_k = b_k in time, and the modes
     never couple: the Fourier analysis and cyclic reduction scheme of
-    Hockney (J. ACM 12, 1965).  Every mode is held in one time-major block,
-    one column per mode, so cyclic reduction factors all the time systems
-    once per solve (``_cyclic_factor``), in row slices as wide as the grid's
-    interior, and solves them in place once per refinement step
-    (``_cyclic_solve``).  When T has no upper diagonal (the eps = 0
+    Hockney (J. ACM 12, 1965).  T has one perturbation eps and one step ht,
+    so every row of T + lam_k I but the last, where the ghost slab is folded
+    in, has the same coefficients; the fast path checks that, and cyclic
+    reduction keeps it on every level, so it factors all the time systems
+    once per solve on one interior row and one last row per level
+    (``_cyclic_factor``, O(nx log nt)).  Every mode is held in one
+    time-major block, one column per mode, and the reduction solves them in
+    place once per refinement step (``_cyclic_solve``), in row slices as
+    wide as the grid's interior.  When T has no upper diagonal (the eps = 0
     reference, backward Euler), every shifted system is lower bidiagonal,
     and the reduction skips the upper couplings.  The reduction does not
     pivot; it is stable for diagonally dominant time systems (Heller, SIAM
@@ -888,18 +925,23 @@ def _fast_diagonalisation(system: LinearSystem):
     (``_workspace``): one grid-shaped array (the lift's residual or the
     product, then the residual, then the step), one of whole rows above the
     initial time (the product's scratch term, then, in its first entries, the
-    scaled residual) and five of the interior's size (the modes, the scratch
-    of the sine transforms and the time solves, and the cyclic reduction's
-    levels, at most three rows per row of a time system), about 8.3 MB at
-    384 x 384 cells.  One workspace is kept per thread, for the last grid
-    shape, if it is at most 32 MiB (``_KEPT_WORKSPACE_BYTES``); a larger one
-    is freed when its solve returns.  The start vector and the returned
-    values are always fresh.
+    scaled residual) and two of the interior's size (the modes, and the
+    scratch of the sine transforms and the time solves), about 4.7 MB at
+    384 x 384 cells.  The closed-form basis's sine blocks, which depend on
+    nx alone, are built by the first closed-form solve of the workspace and
+    kept with it (0.6 MB more at 384 x 384 cells).  One workspace is kept
+    per thread, for the last grid shape, while it holds at most
+    ``_KEPT_WORKSPACE_BYTES`` (``_workspace``); a larger one is freed when
+    its solve returns.  The start vector and the returned values are always
+    fresh.
 
     Returns ``(values, "")``, or ``(None, reason)`` when the guard rejects the
-    system: complex eigenvalues, a scaling D too ill-conditioned to trust, a
-    zero pivot in the reduction of a time system, or a result that fails the
-    residual gate.  A zero pivot is named by the lowest mode that meets one.
+    system: a time stencil whose rows above the initial time but the last
+    are not alike (only a hand-built system has one; the reason names the
+    first time row that differs from the row below it), complex eigenvalues,
+    a scaling D too ill-conditioned to trust, a zero pivot in the reduction
+    of a time system, or a result that fails the residual gate.  A zero
+    pivot is named by the lowest mode that meets one.
     No floating-point warning leaves the fast path: a time solve that
     overflows is the gate's to reject.
 
@@ -912,8 +954,15 @@ def _fast_diagonalisation(system: LinearSystem):
     with |beta| lx/alpha above about 28 on all but the coarsest grids: at
     alpha = 1e-3, beta = 1 on 32 cells the ratio is exp(468.75) = 3.8e203.
     """
-    lower, main, upper = (diagonal[1:-1] for diagonal in system.x_stencil)
     t_lower, t_main, t_upper = system.t_stencil
+    # time row j couples to row j-1 through t_lower[j-1] and to row j+1
+    # through t_upper[j]; rows 1..nt must be alike but for row 1's lower
+    # coupling, to the initial time, which enters the lift
+    varies = (t_main[2:-1] != t_main[1:-2]) | (t_upper[2:] != t_upper[1:-1])
+    varies[1:] |= t_lower[2:-1] != t_lower[1:-2]
+    if varies.any():
+        return None, f"time stencil varies in time (row {int(np.argmax(varies)) + 2})"
+    lower, main, upper = (diagonal[1:-1] for diagonal in system.x_stencil)
     coupling = lower * upper
     if not np.all(coupling > 0):
         row = int(np.argmin(coupling > 0))
@@ -923,11 +972,13 @@ def _fast_diagonalisation(system: LinearSystem):
         ratio = d.max() / d.min()
     if not ratio <= _MAX_SCALING_RATIO:
         return None, f"scaling ratio {ratio:.3g} above {_MAX_SCALING_RATIO:g}"
-    work = _workspace(system.grid.shape)
-    modes, scratch = work.modes, work.scratch
     off = np.sign(lower) * np.sqrt(coupling)
-    if np.all(main == main[0]) and np.all(off == off[0]):
-        lam, halves = _toeplitz_eigenpairs(main[0], off[0], len(main))
+    toeplitz = bool(np.all(main == main[0]) and np.all(off == off[0]))
+    work = _workspace(system.grid.shape, sine=toeplitz)
+    modes, scratch = work.modes, work.scratch
+    if toeplitz:
+        lam = _toeplitz_eigenvalues(main[0], off[0], len(main))
+        halves = work.halves
 
         def forward(y):
             _sine_forward(halves, y, modes, scratch)
@@ -949,17 +1000,17 @@ def _fast_diagonalisation(system: LinearSystem):
         def backward(out):
             np.matmul(modes, q.T, out=out)
 
-    # row i of the time system At[1:, 1:] + lam_k I of mode k couples to row
-    # i-1 through t_lower[i] and to row i+1 through t_upper[i+1], whatever k;
-    # _cyclic_factor takes them negated (row 0's lower coupling, to the
-    # initial time, and the padding above the last row enter no result)
-    t_below = np.negative(t_lower)[:, None]
-    t_above = np.append(np.negative(t_upper[1:]), 0.0)[:, None] if t_upper[1:].any() else None
+    # every row of the time system At[1:, 1:] + lam_k I of mode k but the
+    # last has the couplings t_lower[1] and t_upper[1] and the diagonal
+    # t_main[1] + lam_k, the last row t_lower[-1] and t_main[-1] + lam_k;
+    # _cyclic_factor takes the couplings negated
+    t_above = -t_upper[1] if t_upper[1] else None
     # without pivoting a time solve can overflow; the residual gate rejects
     # what is not finite, so the fast path raises no floating-point warning
     with np.errstate(all="ignore"):
-        shifted = np.add(t_main[1:, None], lam, out=modes)  # free until the first transform
-        levels, zero = _cyclic_factor(t_below, shifted, t_above, work.levels, scratch)
+        levels, zero = _cyclic_factor(
+            len(modes), (-t_lower[1], np.add(t_main[1], lam), t_above), (-t_lower[-1], np.add(t_main[-1], lam))
+        )
     if zero is not None:
         return None, f"zero pivot in the time system of mode {zero}"
     shape = system.grid.shape
@@ -995,9 +1046,10 @@ def solve(system: LinearSystem) -> DiscreteField:
     The fast-diagonalisation path (``_fast_diagonalisation``) runs first.  If
     its guard rejects the system, a direct sparse LU of the whole matrix with
     one refinement step solves it instead, or, for the eps = 0 reference
-    (backward Euler, see ``_system``), ``_time_steps`` marches it one time
-    step at a time with LAPACK.  One debug record on the ``hodge4d.solver``
-    logger names the path taken and the reason for any fallback.
+    when its time stencil is backward Euler's (see ``_system``),
+    ``_time_steps`` marches it one time step at a time with LAPACK.  One
+    debug record on the ``hodge4d.solver`` logger names the path taken and
+    the reason for any fallback.
 
     A right-hand side whose largest entry is subnormal carries too few
     significant bits for any path to keep the solution inside the data's
@@ -1022,7 +1074,7 @@ def solve(system: LinearSystem) -> DiscreteField:
         if values is not None:
             logger.debug("solve path: fast-diagonalisation (%s)", context)
             return DiscreteField(system.grid, values)
-        if system.epsilon == 0.0:
+        if system.epsilon == 0.0 and _is_backward_euler(system):
             logger.debug("solve path: time steps, fallback because %s (%s)", reason, context)
             values = _time_steps(system, context)
             if not np.all(np.isfinite(values)):
@@ -1046,6 +1098,12 @@ def solve(system: LinearSystem) -> DiscreteField:
         if x is None:
             raise SolveError(f"{reason} ({context})")
         return DiscreteField(system.grid, x.reshape(system.grid.shape))
+
+
+def _is_backward_euler(system: LinearSystem) -> bool:
+    """Whether the time stencil is the one ``_system`` builds at eps = 0, the one ``_time_steps`` marches."""
+    euler, _ = _t_stencil(0.0, Scheme.UPWIND, system.grid)
+    return all(map(np.array_equal, system.t_stencil, euler))
 
 
 def _time_steps(system: LinearSystem, context: str) -> np.ndarray:

@@ -280,9 +280,9 @@ def _one_percent_off(eigenpairs):
     return faulty
 
 
-def _assert_falls_back_to_splu(caplog, system):
+def _assert_falls_back_to_splu(caplog, system, because="relative residual"):
     out, message = solve_logged(caplog, system)
-    assert message.startswith("solve path: splu, fallback because relative residual")
+    assert message.startswith(f"solve path: splu, fallback because {because}")
     lu = scipy.sparse.linalg.splu(system.matrix.tocsc())
     expected = lu.solve(system.rhs)
     expected += lu.solve(system.rhs - system.matrix @ expected)
@@ -305,8 +305,65 @@ def test_wrong_closed_form_eigenvalues_fail_the_residual_gate(caplog, monkeypatc
 
     g = Grid1p1.with_cells(6, 6)
     cfg = make_config(f=lambda x, t: 1.0 + x * t, g=lambda x, t: np.sin(x + t))
-    monkeypatch.setattr(solver, "_toeplitz_eigenpairs", _one_percent_off(solver._toeplitz_eigenpairs))
+    eigenvalues = solver._toeplitz_eigenvalues
+    monkeypatch.setattr(solver, "_toeplitz_eigenvalues", lambda *args: eigenvalues(*args) * 1.01)
     _assert_falls_back_to_splu(caplog, assemble(cfg, g))
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.0], ids=["splu", "time-steps"])
+@pytest.mark.parametrize("diagonal, row", [(0, 4), (1, 5), (2, 3)], ids=["lower", "main", "upper"])
+def test_a_time_stencil_that_varies_in_time_takes_the_fallback(caplog, epsilon, diagonal, row):
+    # the fast path's time solves need every time row but the last alike,
+    # which every built system has; a hand-built one with one middle-row
+    # coefficient changed is named by that row and falls back to splu, also
+    # at eps = 0: it is not the backward Euler system the time steps march
+    from hodge4d import solver
+
+    g = Grid1p1.with_cells(6, 8)
+    cfg = make_config(beta=0.5, epsilon=epsilon, f=lambda x, t: 1.0 + x * t, g=lambda x, t: np.sin(x + t))
+    if epsilon:
+        built = assemble(cfg, g)
+    else:
+        built = solver._system(solver._data(cfg, g), g, 0.0, cfg.scheme, solver._x_stencil(cfg, g))
+    stencil = [diagonal_values.copy() for diagonal_values in built.t_stencil]
+    stencil[diagonal][row - (diagonal == 0)] += 0.25  # the lower diagonal's entry k is row k+1's
+    system = dataclasses.replace(built, t_stencil=tuple(stencil))
+    reason = f"time stencil varies in time (row {row})"
+    assert solver._fast_diagonalisation(system) == (None, reason)
+    _assert_falls_back_to_splu(caplog, system, because=reason)
+    residual = system.rhs - system.matrix @ solve(system).values.ravel()
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(system.rhs)
+
+
+def test_an_eps_zero_system_that_is_not_backward_euler_falls_back_to_splu(caplog):
+    # the time steps march backward Euler alone: an eps = 0 system with
+    # another time stencil (here twice backward Euler's, constant in time)
+    # that the fast path rejects is solved by splu
+    from hodge4d import solver
+
+    g = Grid1p1.with_cells(24, 12)
+    cfg = make_config(alpha=lambda x: 0.01 * (1.0 + x), beta=lambda x: 2.0 - x, epsilon=0.0, f=lambda x, t: 1.0 + x * t)
+    built = solver._system(solver._data(cfg, g), g, 0.0, cfg.scheme, solver._x_stencil(cfg, g))
+    system = dataclasses.replace(built, t_stencil=tuple(2.0 * diagonal for diagonal in built.t_stencil))
+    _assert_falls_back_to_splu(caplog, system, because="complex spatial eigenvalues")
+
+
+@pytest.mark.parametrize("diagonal, index", [(0, 0), (0, -1), (1, -1)], ids=["first-lower", "last-lower", "last-main"])
+def test_the_time_solves_take_the_first_lower_and_the_last_row_as_their_own(diagonal, index):
+    # row 1's lower coupling, to the initial time, enters the lift, and the
+    # last row, where the ghost slab is folded in, has its own coefficients:
+    # a change there keeps the fast path, which solves the changed system
+    from hodge4d import solver
+
+    cfg = make_config(beta=0.5, f=lambda x, t: 1.0 + x * t, g=lambda x, t: np.sin(x + t))
+    built = assemble(cfg, Grid1p1.with_cells(6, 8))
+    stencil = [diagonal_values.copy() for diagonal_values in built.t_stencil]
+    stencil[diagonal][index] *= 1.5
+    system = dataclasses.replace(built, t_stencil=tuple(stencil))
+    values, reason = solver._fast_diagonalisation(system)
+    assert reason == ""
+    expected = scipy.sparse.linalg.spsolve(system.matrix.tocsc(), system.rhs)
+    assert np.abs(values.ravel() - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_fast_path_solve_never_forms_the_matrix(caplog, monkeypatch):

@@ -20,8 +20,10 @@ bit.  The whole-row matrix-free product is checked against the strided
 kernel it replaced, byte for byte but for NaN payloads and floating-point
 exception for exception, and against itself run in two row ranges; the
 residual of the Dirichlet lift, which the fast path takes without a product,
-against rhs minus the product, byte for byte; and a system is never built
-with a stencil coefficient that is not finite, which that residual needs.
+against rhs minus the product, byte for byte; a system is never built
+with a stencil coefficient that is not finite, which that residual needs;
+and every built time stencil has its rows above the initial time alike but
+the last, which the fast path's time solves need.
 """
 
 import dataclasses
@@ -47,7 +49,8 @@ from hodge4d.solver import (
     _fast_diagonalisation,
     _sine_backward,
     _sine_forward,
-    _toeplitz_eigenpairs,
+    _sine_halves,
+    _toeplitz_eigenvalues,
     assemble,
     bernoulli,
     solve,
@@ -296,7 +299,7 @@ def test_fast_diagonalisation_agrees_with_splu(
     )
     system = assemble(cfg, grid)
     oracle = _splu_refined(system)
-    with mock.patch.object(solver, "_toeplitz_eigenpairs", wraps=solver._toeplitz_eigenpairs) as closed_form:
+    with mock.patch.object(solver, "_toeplitz_eigenvalues", wraps=solver._toeplitz_eigenvalues) as closed_form:
         fast, reason = _fast_diagonalisation(system)
     if fast is None:
         # rejected by the guard: the solve is the sparse LU, bit for bit
@@ -311,6 +314,40 @@ def test_fast_diagonalisation_agrees_with_splu(
         error = np.linalg.norm(fast.ravel() - oracle) / np.linalg.norm(oracle)
         assert error <= 1e-10
         assert solve(system).values.ravel().tolist() == fast.ravel().tolist()
+
+
+def _one_value(values):
+    """Whether ``values`` all hold one bit pattern (so 0.0 and -0.0 differ)."""
+    return np.unique(np.ascontiguousarray(values).view(np.int64)).size == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scheme=st.sampled_from(list(Scheme)),
+    eps=st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
+    alpha=st.floats(1e-3, 10.0),
+    beta=st.floats(-50.0, 50.0),
+    lx=st.floats(0.1, 10.0),
+    t_final=st.floats(0.1, 10.0),
+    cells_x=st.integers(3, 12),
+    cells_t=st.integers(3, 40),
+)
+def test_every_built_time_stencil_is_constant_in_time(scheme, eps, alpha, beta, lx, t_final, cells_x, cells_t):
+    # the fast path's time solves keep one interior row and the last row per
+    # level and reject a time stencil whose rows but the last differ; the
+    # systems that assemble and _system build (eps = 0 included) have one
+    # value on every main and upper row above the initial time and on every
+    # lower row but the last, where the ghost slab is folded in, so none
+    # meets that reason
+    grid = Grid1p1.with_cells(cells_x, cells_t, lx=lx, t_final=t_final)
+    cfg = ProblemConfig(alpha=alpha, beta=beta, epsilon=eps, f=_zero, g=_zero, scheme=scheme)
+    systems = [solver._system(solver._data(cfg, grid), grid, eps, scheme, solver._x_stencil(cfg, grid))]
+    if eps > 0:
+        systems.append(assemble(cfg, grid))
+    for system in systems:
+        lower, main, upper = system.t_stencil
+        assert _one_value(main[1:]) and _one_value(upper[1:]) and _one_value(lower[:-1])
+        assert "varies in time" not in _fast_diagonalisation(system)[1]
 
 
 def _limit_system(config, grid):
@@ -369,7 +406,7 @@ def test_triangular_time_solve_agrees_with_splu(scheme, alpha, alpha_slope, beta
     system = _limit_system(cfg, grid)
     with mock.patch.object(solver, "_cyclic_factor", wraps=solver._cyclic_factor) as factor:
         fast, reason = _fast_diagonalisation(system)
-    assert all(upper is None for (_, _, upper, _, _), _ in factor.call_args_list)
+    assert all(row[2] is None for (_, row, _), _ in factor.call_args_list)
     values = system.rhs.reshape(grid.shape)
     march = solve(system).values
     if fast is None:
@@ -395,12 +432,12 @@ def test_zero_shifted_diagonal_falls_back_to_the_step_loop():
     step_main = system.t_stencil[1][1]
 
     def singular(a, s, n):
-        lam, halves = _toeplitz_eigenpairs(a, s, n)
+        lam = _toeplitz_eigenvalues(a, s, n)
         lam[2] = -step_main
-        return lam, halves
+        return lam
 
     values = system.rhs.reshape(grid.shape)
-    with mock.patch.object(solver, "_toeplitz_eigenpairs", singular):
+    with mock.patch.object(solver, "_toeplitz_eigenvalues", singular):
         fast, reason = _fast_diagonalisation(system)
         march = solve(system).values
     assert fast is None
@@ -458,7 +495,7 @@ def test_toeplitz_eigenpairs_diagonalise_the_stencil(n, s):
     # transforms must equal the full products with q, for both parities of n
     # (an odd n has a middle column that is its own reflection)
     a = 7.3
-    lam, halves = _toeplitz_eigenpairs(a, s, n)
+    lam, halves = _toeplitz_eigenvalues(a, s, n), _sine_halves(n)
     q = _full_sine_basis(n)
     stencil = np.diag(np.full(n, a)) + np.diag(np.full(n - 1, s), 1) + np.diag(np.full(n - 1, s), -1)
     norm = np.linalg.norm(stencil, 2)

@@ -10,14 +10,16 @@ of time system by the LAPACK or BLAS routine for it, dgttrf for a general
 tridiagonal and dtbsv for a triangular band system, although
 ``solver._cyclic_factor`` factors both and the fast path calls neither).
 Each solve on every path factors all its modes' time systems in one call to
-``solver._cyclic_factor`` and solves them in one call per refinement step.
+``solver._cyclic_factor`` and solves them in one call per refinement step;
+the closed-form sine blocks are built once per workspace.
 A solve after garbage in the workspace, or after another system of the same
 shape, equals a solve in a fresh thread bit for bit; a returned result never
 aliases the workspace; the Dirichlet border comes back bit for bit; and two
 threads solving at once get their serial results (``test_solver_lanes``
 runs four, and a forked child).  Two tracemalloc pins keep the solve from
 going back to fresh grid-sized temporaries and keep a workspace above the
-size cap from outliving its solve.
+size cap from outliving its solve, and the sine blocks count towards that
+cap once they are built.
 """
 
 import dataclasses
@@ -54,10 +56,11 @@ def _limit(alpha, phase, grid):
 
 # (build(phase, grid), the (module, function) that takes that path's spatial basis)
 PATHS = {
-    "closed-form dgttrf": (lambda phase, grid: _spacetime(1.0, phase, grid), (solver, "_toeplitz_eigenpairs")),
-    "dtbsv march": (lambda phase, grid: _limit(1.0, phase, grid), (solver, "_toeplitz_eigenpairs")),
+    "closed-form dgttrf": (lambda phase, grid: _spacetime(1.0, phase, grid), (solver, "_toeplitz_eigenvalues")),
+    "dtbsv march": (lambda phase, grid: _limit(1.0, phase, grid), (solver, "_toeplitz_eigenvalues")),
     "eigh_tridiagonal": (lambda phase, grid: _spacetime("1+x", phase, grid), (scipy.linalg, "eigh_tridiagonal")),
 }
+WORKSPACE_ARRAYS = ("grid", "rows", "modes", "scratch")
 GRID = Grid1p1.with_cells(14, 10)  # 13 interior nodes, an odd count: the sine halves have a middle column
 
 
@@ -91,13 +94,50 @@ def test_each_system_takes_its_path(path):
     assert (factor.call_count, time_solve.call_count) == (1, 2)
 
 
+def test_the_sine_blocks_are_built_once_per_workspace():
+    # they depend on nx alone: the first closed-form solve of a workspace
+    # builds them, every later solve of its shape (another eps, the eps = 0
+    # march) reuses them, and a workspace of another shape builds its own
+    def count(systems):
+        with mock.patch.object(solver, "_sine_halves", wraps=solver._sine_halves) as halves:
+            for system in systems:
+                _fast(system)
+        return halves.call_count
+
+    other = Grid1p1.with_cells(9, 12)
+    assert _in_fresh_thread(count, [PATHS[path][0](0.0, GRID) for path in PATHS] * 2) == 1
+    assert _in_fresh_thread(count, [PATHS["eigh_tridiagonal"][0](0.0, GRID)]) == 0
+    systems = [_spacetime(1.0, 0.0, GRID), _limit(1.0, 0.3, other), _spacetime(1.0, 0.7, GRID)]
+    assert _in_fresh_thread(count, systems) == 3
+
+
+def test_the_sine_blocks_count_towards_the_cap_once_built():
+    # with the cap one byte below a workspace's four arrays and its sine
+    # blocks, (nx+1)//2 x nx doubles, the arrays alone are kept, and taking
+    # the blocks frees the workspace when its solve returns
+    grid = Grid1p1.with_cells(41, 3)
+    blocks = 8 * ((grid.nx + 1) // 2) * grid.nx
+
+    arrays = solver._Workspace(grid.shape).nbytes
+
+    def take():
+        with mock.patch.object(solver, "_KEPT_WORKSPACE_BYTES", arrays + blocks - 1):
+            work = solver._workspace(grid.shape)
+            kept = solver._local.work is work and work.nbytes == arrays
+            assert solver._workspace(grid.shape, sine=True) is work
+            return kept, work.nbytes - arrays, solver._local.work
+
+    kept, added, after = _in_fresh_thread(take)
+    assert kept and added == blocks and after is None
+
+
 @pytest.mark.parametrize("path", PATHS)
 def test_garbage_in_the_workspace_changes_no_bit(path):
     build = PATHS[path][0]
     system = build(0.0, GRID)
     fresh = _in_fresh_thread(_fast, system)
     work = solver._workspace(GRID.shape)
-    for name in ("grid", "rows", "modes", "scratch", "levels"):
+    for name in WORKSPACE_ARRAYS:
         getattr(work, name).fill(np.nan)
     assert _fast(system).tobytes() == fresh.tobytes()
     assert solver._workspace(GRID.shape) is work  # the same shape reused it
@@ -124,7 +164,7 @@ def test_a_result_does_not_change_with_a_later_solve(path):
     assert first.tobytes() == kept.tobytes()
     assert not np.shares_memory(first, second)
     work = solver._workspace(GRID.shape)
-    for name in ("grid", "rows", "modes", "scratch", "levels"):
+    for name in WORKSPACE_ARRAYS:
         assert not np.shares_memory(first, getattr(work, name))
 
 
@@ -134,7 +174,7 @@ def test_solve_and_march_results_do_not_alias_the_workspace():
     solved = solver.solve(_spacetime(1.0, 0.0, GRID)).values
     work = solver._workspace(GRID.shape)
     for values in (march, solved):
-        for name in ("grid", "rows", "modes", "scratch", "levels"):
+        for name in WORKSPACE_ARRAYS:
             assert not np.shares_memory(values, getattr(work, name))
 
 
@@ -201,8 +241,8 @@ def test_the_dirichlet_border_comes_back_bit_for_bit(path):
 
 
 def test_a_workspace_above_the_cap_is_freed_when_its_solve_returns():
-    grid = Grid1p1.with_cells(800, 800)
-    assert 7 * grid.n_nodes * 8 > solver._KEPT_WORKSPACE_BYTES  # about 36 MB against 32 MiB
+    grid = Grid1p1.with_cells(1024, 1024)
+    assert 4 * grid.n_nodes * 8 > solver._KEPT_WORKSPACE_BYTES  # about 34 MB against 32 MiB
     system = _spacetime(1.0, 0.0, grid)
     small = _spacetime(1.0, 0.0, GRID)
 
@@ -220,5 +260,5 @@ def test_a_workspace_above_the_cap_is_freed_when_its_solve_returns():
 
     values, held, kept = _in_fresh_thread(one_shot)
     assert kept is None
-    # the returned values stay; the workspace alone is seven arrays of their size
+    # the returned values stay; the workspace alone is four arrays of their size and the sine blocks
     assert held < 1.5 * values.nbytes
