@@ -12,7 +12,7 @@ each built once, give At (x) I + I (x) Ax on the interior nodes, which
 diagonalisation, its time solves by cyclic reduction) with a sparse LU of
 the whole matrix as guarded fallback.  The zero-perturbation reference is
 backward Euler, I/ht + Ax, which is the eps = 0 member of the same family
-under the upwind time flux (``_system``); ``solve`` solves it the same way,
+under the upwind time flux (``LinearSystem``); ``solve`` solves it the same way,
 each mode's time system then being lower bidiagonal, with one LAPACK
 tridiagonal solve per time step as the guarded fallback.
 
@@ -178,10 +178,14 @@ class LinearSystem:
     grid's (``Grid1p1.dirichlet``).  ``apply`` multiplies by it, and only the
     sparse LU fallback forms ``matrix``.
 
-    A system is built only with every stencil coefficient and every centre
-    coefficient main_t + main_x of the product finite, which ``_apply`` and
-    ``_lift_residual`` rely on: the first one that is not (a huge but finite
-    eps, alpha or beta can overflow them) raises AssemblyError naming it.
+    At is derived, not passed: ``_t_stencil`` of ``epsilon``, ``scheme`` and
+    ``grid`` on every build, ``dataclasses.replace`` included, with the upwind
+    time flux at eps = 0 whatever ``scheme``: backward Euler, row for row.
+    ``epsilon`` must be >= 0 and finite, and a system is built only with
+    every stencil coefficient and every centre coefficient main_t + main_x of
+    the product finite, which ``_apply`` and ``_lift_residual`` rely on: the
+    first one that is not (a huge but finite eps, alpha or beta can overflow
+    them) raises AssemblyError naming it.
     """
 
     rhs: np.ndarray
@@ -189,13 +193,16 @@ class LinearSystem:
     epsilon: float
     scheme: Scheme
     x_stencil: tuple
-    t_stencil: tuple
+    t_stencil: tuple = dataclasses.field(init=False)
 
     def __post_init__(self):
-        grid = self.grid
+        eps, grid = self.epsilon, self.grid
+        if not 0.0 <= eps < math.inf:
+            raise AssemblyError(f"epsilon must be >= 0 and finite, got {eps}")
+        self.t_stencil = _t_stencil(eps, Scheme.UPWIND if eps == 0.0 else self.scheme, grid)
         for axis, stencil, cause in (
             ("x", self.x_stencil, f"alpha or beta too large for hx={grid.hx:g}"),
-            ("t", self.t_stencil, f"eps={self.epsilon:g} too large for ht={grid.ht:g}"),
+            ("t", self.t_stencil, f"eps={eps:g} too large for ht={grid.ht:g}"),
         ):
             for name, diagonal in zip(("lower", "main", "upper"), stencil):
                 bad = ~np.isfinite(diagonal)
@@ -205,16 +212,15 @@ class LinearSystem:
                         f"the {axis} stencil's {name} coefficient of row {row} is not finite ({cause})"
                     )
         # the centre sums run over every row above the initial time and every
-        # column; rounding is monotone, so they are all finite when the sum of
-        # the two largest and the sum of the two smallest are
+        # column; eps >= 0 makes every main_t >= 0, so they can overflow only
+        # upward, and rounding is monotone: all are finite if the largest is
         main_t, main_x = self.t_stencil[1][1:], self.x_stencil[1]
-        for pick in (np.argmax, np.argmin):
-            row, column = int(pick(main_t)), int(pick(main_x))
-            if not math.isfinite(float(main_t[row]) + float(main_x[column])):
-                raise AssemblyError(
-                    f"the centre coefficient main_t + main_x of t row {row + 1} and x row {column} "
-                    f"is not finite (eps={self.epsilon:g})"
-                )
+        row, column = int(np.argmax(main_t)), int(np.argmax(main_x))
+        if not math.isfinite(float(main_t[row]) + float(main_x[column])):
+            raise AssemblyError(
+                f"the centre coefficient main_t + main_x of t row {row + 1} and x row {column} "
+                f"is not finite (eps={eps:g})"
+            )
 
     @property
     def dirichlet(self) -> np.ndarray:
@@ -259,12 +265,12 @@ def _apply(system: LinearSystem, u: np.ndarray, out: np.ndarray, term: np.ndarra
     term multiplies a copy of the neighbours whose Dirichlet columns are
     zeroed, and the centre coefficient there is 1.0, so those columns sum
     zeros and 1.0 * u: the identity rows of the matrix, 0.0 + u bit for bit,
-    and no floating-point exception whatever ``u`` holds (for a finite time
-    stencil).  Each interior row is summed in column order from 0.0, as the
-    sparse product sums it, so each node where the product is a number holds
-    its bits, and each node where it is NaN holds a NaN, whose payload IEEE
-    754 leaves open; ``solve`` never returns a NaN, so no result depends on
-    it.  The last pass writes the initial-time row, 0.0 + u.
+    and no floating-point exception whatever ``u`` holds.  Each interior row
+    is summed in column order from 0.0, as the sparse product sums it, so
+    each node where the product is a number holds its bits, and each node
+    where it is NaN holds a NaN, whose payload IEEE 754 leaves open;
+    ``solve`` never returns a NaN, so no result depends on it.  The last
+    pass writes the initial-time row, 0.0 + u.
     """
     (lower_x, main_x, upper_x), (lower_t, main_t, upper_t) = system.x_stencil, system.t_stencil
     v = u.reshape(system.grid.shape)
@@ -540,19 +546,18 @@ def _t_stencil(eps: float, scheme: Scheme, grid: Grid1p1) -> tuple:
     above the final time.  The final-time row eliminates the ghost through
     the centered terminal condition eps*(u_ghost - u_below)/(2 ht) = q, which
     folds the ghost coupling into the sub-diagonal; the ghost row is then
-    dropped.  Row 0 (the initial-time face) is zero.  Returns the diagonals
-    and the ghost coupling, through which q enters the right-hand side.  A
-    coefficient may overflow (eps too large for the grid); an infinite ghost
-    coupling makes the last lower coefficient infinite, so ``LinearSystem``
-    rejects the stencil then.
+    dropped.  Row 0 (the initial-time face) is zero.  All edges share one
+    pair of weights, so the rows above t0 but the last are alike, and each
+    of their upper coefficients is the ghost coupling, through which q
+    enters the right-hand side.  A coefficient may overflow (eps too large
+    for the grid); ``LinearSystem`` rejects the stencil then.
     """
     with np.errstate(all="ignore"):
         wd, wu = _edge_weights(eps, -1.0, grid.ht, scheme)
         edges = grid.nt + 2
         lower, main, upper = _stencil(np.full(edges, wd), np.full(edges, wu), grid.ht)
-        ghost = upper[-1]
-        lower[-2] += ghost
-    return (lower[:-1], main[:-1], upper[:-1]), ghost
+        lower[-2] += upper[-1]  # the ghost coupling
+    return lower[:-1], main[:-1], upper[:-1]
 
 
 def _data(config: ProblemConfig, grid: Grid1p1) -> np.ndarray:
@@ -585,18 +590,15 @@ def assemble(config: ProblemConfig, grid: Grid1p1) -> LinearSystem:
     eps = float(config.epsilon)
     if not 0 < eps < math.inf:
         raise AssemblyError(f"space-time assembly needs epsilon > 0 and finite, got {eps}")
-    ht = grid.ht
-
-    t_stencil, ghost_coupling = _t_stencil(eps, config.scheme, grid)
     rhs = _data(config, grid)
-    system = LinearSystem(rhs.ravel(), grid, eps, config.scheme, _x_stencil(config, grid), t_stencil)
+    system = LinearSystem(rhs.ravel(), grid, eps, config.scheme, _x_stencil(config, grid))
     if config.q_terminal is not None:
-        # ghost slab from eps*(u_ghost - u_below)/(2 ht) = q; added once the
-        # stencils have passed, so an overflowing ghost coupling is named first
+        # ghost slab from eps*(u_ghost - u_below)/(2 ht) = q; its coupling is
+        # every upper time coefficient above t0 (see ``_t_stencil``)
         q = _evaluate("q_terminal", config.q_terminal, grid.xs[1:-1], grid.ts[-1:])
         final = rhs[-1, 1:-1]
         with np.errstate(all="ignore"):
-            final -= ghost_coupling * (2.0 * ht / eps) * q
+            final -= system.t_stencil[2][-1] * (2.0 * grid.ht / eps) * q
         bad = ~np.isfinite(final)
         if bad.any():
             x = grid.xs[1 + int(np.argmax(bad))]
@@ -892,15 +894,14 @@ def _fast_diagonalisation(system: LinearSystem):
     about half the size (``_sine_forward``, ``_sine_backward``; the split
     step of Cooley, Lewis & Welch, J. Sound Vib. 12, 1970), half the flops
     of the one full product per transform that the ``eigh_tridiagonal``
-    basis takes.  Its modes come antisymmetric first
-    (k = 2, 4, ...), then symmetric (k = 1, 3, ...), so each half is a
-    contiguous range of columns.  In that basis each eigenmode k is one
+    basis takes.  Its modes come antisymmetric first (k = 2, 4, ...), then
+    symmetric (k = 1, 3, ...), so each half is a contiguous range of columns.  In that basis each eigenmode k is one
     shifted tridiagonal solve (T + lam_k I) u_k = b_k in time, and the modes
     never couple: the Fourier analysis and cyclic reduction scheme of
     Hockney (J. ACM 12, 1965).  T has one perturbation eps and one step ht,
     so every row of T + lam_k I but the last, where the ghost slab is folded
-    in, has the same coefficients; the fast path checks that, and cyclic
-    reduction keeps it on every level, so it factors all the time systems
+    in, has the same coefficients (``LinearSystem`` derives At), and cyclic
+    reduction keeps that on every level, so it factors all the time systems
     once per solve on one interior row and one last row per level
     (``_cyclic_factor``, O(nx log nt)).  Every mode is held in one
     time-major block, one column per mode, and the reduction solves them in
@@ -914,12 +915,10 @@ def _fast_diagonalisation(system: LinearSystem):
     removes most of the rounding that an ill-conditioned W adds.
 
     The refinement starts from the Dirichlet lift x0 (rhs with -0.0 on the
-    interior), whose residual needs no product (``_lift_residual``): every
-    ``LinearSystem`` has finite stencil coefficients and centre sums, and the
-    residual gate rejects any result that is not finite, as from a system
-    whose stencils were changed in place.  The second residual, and the
-    gate's, take the product by the operator over the whole grid
-    (``_apply``).  Everything runs in the calling thread.
+    interior), whose residual needs no product (``_lift_residual``), as every
+    ``LinearSystem`` has finite stencil coefficients and centre sums.  The
+    second residual, and the gate's, take the product by the operator over
+    the whole grid (``_apply``).  Everything runs in the calling thread.
 
     Every grid-sized intermediate lives in the current thread's workspace
     (``_workspace``): one grid-shaped array (the lift's residual or the
@@ -936,12 +935,9 @@ def _fast_diagonalisation(system: LinearSystem):
     fresh.
 
     Returns ``(values, "")``, or ``(None, reason)`` when the guard rejects the
-    system: a time stencil whose rows above the initial time but the last
-    are not alike (only a hand-built system has one; the reason names the
-    first time row that differs from the row below it), complex eigenvalues,
-    a scaling D too ill-conditioned to trust, a zero pivot in the reduction
-    of a time system, or a result that fails the residual gate.  A zero
-    pivot is named by the lowest mode that meets one.
+    system: complex eigenvalues, a scaling D too ill-conditioned to trust, a
+    zero pivot in the reduction of a time system, or a result that fails the
+    residual gate.  A zero pivot is named by the lowest mode that meets one.
     No floating-point warning leaves the fast path: a time solve that
     overflows is the gate's to reject.
 
@@ -954,14 +950,6 @@ def _fast_diagonalisation(system: LinearSystem):
     with |beta| lx/alpha above about 28 on all but the coarsest grids: at
     alpha = 1e-3, beta = 1 on 32 cells the ratio is exp(468.75) = 3.8e203.
     """
-    t_lower, t_main, t_upper = system.t_stencil
-    # time row j couples to row j-1 through t_lower[j-1] and to row j+1
-    # through t_upper[j]; rows 1..nt must be alike but for row 1's lower
-    # coupling, to the initial time, which enters the lift
-    varies = (t_main[2:-1] != t_main[1:-2]) | (t_upper[2:] != t_upper[1:-1])
-    varies[1:] |= t_lower[2:-1] != t_lower[1:-2]
-    if varies.any():
-        return None, f"time stencil varies in time (row {int(np.argmax(varies)) + 2})"
     lower, main, upper = (diagonal[1:-1] for diagonal in system.x_stencil)
     coupling = lower * upper
     if not np.all(coupling > 0):
@@ -1004,6 +992,7 @@ def _fast_diagonalisation(system: LinearSystem):
     # last has the couplings t_lower[1] and t_upper[1] and the diagonal
     # t_main[1] + lam_k, the last row t_lower[-1] and t_main[-1] + lam_k;
     # _cyclic_factor takes the couplings negated
+    t_lower, t_main, t_upper = system.t_stencil
     t_above = -t_upper[1] if t_upper[1] else None
     # without pivoting a time solve can overflow; the residual gate rejects
     # what is not finite, so the fast path raises no floating-point warning
@@ -1045,8 +1034,8 @@ def solve(system: LinearSystem) -> DiscreteField:
 
     The fast-diagonalisation path (``_fast_diagonalisation``) runs first.  If
     its guard rejects the system, a direct sparse LU of the whole matrix with
-    one refinement step solves it instead, or, for the eps = 0 reference
-    when its time stencil is backward Euler's (see ``_system``),
+    one refinement step solves it instead, or, for the eps = 0 reference,
+    whose time stencil is backward Euler's (see ``LinearSystem``),
     ``_time_steps`` marches it one time step at a time with LAPACK.  One
     debug record on the ``hodge4d.solver`` logger names the path taken and
     the reason for any fallback.
@@ -1074,7 +1063,7 @@ def solve(system: LinearSystem) -> DiscreteField:
         if values is not None:
             logger.debug("solve path: fast-diagonalisation (%s)", context)
             return DiscreteField(system.grid, values)
-        if system.epsilon == 0.0 and _is_backward_euler(system):
+        if system.epsilon == 0.0:
             logger.debug("solve path: time steps, fallback because %s (%s)", reason, context)
             values = _time_steps(system, context)
             if not np.all(np.isfinite(values)):
@@ -1100,14 +1089,8 @@ def solve(system: LinearSystem) -> DiscreteField:
         return DiscreteField(system.grid, x.reshape(system.grid.shape))
 
 
-def _is_backward_euler(system: LinearSystem) -> bool:
-    """Whether the time stencil is the one ``_system`` builds at eps = 0, the one ``_time_steps`` marches."""
-    euler, _ = _t_stencil(0.0, Scheme.UPWIND, system.grid)
-    return all(map(np.array_equal, system.t_stencil, euler))
-
-
 def _time_steps(system: LinearSystem, context: str) -> np.ndarray:
-    """Backward Euler through the eps = 0 system (see ``_system``), one time step at a time.
+    """Backward Euler through the eps = 0 system (see ``LinearSystem``), one time step at a time.
 
     The tridiagonal step matrix I/ht + Ax (identity rows at the Dirichlet
     ends) is factored once by LAPACK's partially pivoting dgttrf.  Row n of
@@ -1133,31 +1116,18 @@ def _time_steps(system: LinearSystem, context: str) -> np.ndarray:
     return values
 
 
-def _system(rhs: np.ndarray, grid: Grid1p1, eps: float, scheme: Scheme, x_stencil: tuple) -> LinearSystem:
-    """The space-time system over the node data ``rhs`` (see ``_data``) with homogeneous terminal data.
-
-    At eps = 0 the time flux is upwind whatever ``scheme``: the time stencil
-    is then -1/ht below the diagonal, 1/ht on it and zero above it, with no
-    ghost coupling, so the interior row at time n reads (u_n - u_{n-1})/ht +
-    Ax u_n = f_n, backward Euler row for row.
-    """
-    t_stencil, _ = _t_stencil(eps, Scheme.UPWIND if eps == 0.0 else scheme, grid)
-    return LinearSystem(rhs.ravel(), grid, eps, scheme, x_stencil, t_stencil)
-
-
 def reference_evolution(config: ProblemConfig, grid: Grid1p1) -> DiscreteField:
     """Backward Euler marching of the eps = 0 evolution problem.
 
     Each step solves (I/ht + Ax) u_n = u_{n-1}/ht + f_n with the spatial
     stencil Ax of the space-time assembly and the grid's own time step;
-    unconditionally stable.  This is the eps = 0 member of the space-time
-    family under the upwind time flux (``_system``), and ``solve`` solves it
-    as such.
+    unconditionally stable.  ``solve`` solves it as the eps = 0 member of the
+    space-time family, the upwind time flux (see ``LinearSystem``).
     """
     if float(config.epsilon) != 0.0:
         raise ValueError("the reference evolution is the epsilon = 0 problem")
     x_stencil = _x_stencil(config, grid)  # bad alpha or beta is reported before bad data
-    return solve(_system(_data(config, grid), grid, 0.0, config.scheme, x_stencil))
+    return solve(LinearSystem(_data(config, grid).ravel(), grid, 0.0, config.scheme, x_stencil))
 
 
 # ---------------------------------------------------------------------------
@@ -1265,16 +1235,16 @@ def epsilon_sweep(config: ProblemConfig, grid: Grid1p1, eps_list: Sequence[float
     # finer grid shares it too; Ax goes first because reference_evolution
     # reports bad alpha or beta before bad data
     x_stencil = _x_stencil(config, grid)
-    rhs = _data(config, grid)
-    reference = solve(_system(rhs, grid, 0.0, config.scheme, x_stencil))
+    rhs = _data(config, grid).ravel()
+    reference = solve(LinearSystem(rhs, grid, 0.0, config.scheme, x_stencil))
     fine_grid = dataclasses.replace(grid, nt=2 * grid.nt + 1)
-    fine_final = solve(_system(_data(config, fine_grid), fine_grid, 0.0, config.scheme, x_stencil)).values[-1]
+    fine_final = solve(LinearSystem(_data(config, fine_grid).ravel(), fine_grid, 0.0, config.scheme, x_stencil)).values[-1]
     floor_estimate = _l2_x(fine_final - reference.values[-1], grid)
 
     mid = (grid.nt + 1) // 2
     entries = []
     for eps in eps_list:
-        perturbed = solve(_system(rhs, grid, eps, config.scheme, x_stencil))
+        perturbed = solve(LinearSystem(rhs, grid, eps, config.scheme, x_stencil))
         diff = perturbed.values - reference.values
         l2_T = _l2_x(diff[-1], grid)
         entry = SweepEntry(

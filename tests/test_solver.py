@@ -244,32 +244,6 @@ def test_convection_dominated_solve_falls_back_to_splu(caplog, scheme, reason):
     assert message.startswith("solve path: splu, fallback because " + reason)
 
 
-def stencils(grid, x_main=0.0):
-    """Zero stencils (lower, main, upper) for x and t; Ax gets ``x_main`` on its interior rows."""
-    main = np.zeros(grid.nx + 2)
-    main[1:-1] = x_main
-    return (
-        (np.zeros(grid.nx + 1), main, np.zeros(grid.nx + 1)),
-        (np.zeros(grid.nt + 1), np.zeros(grid.nt + 2), np.zeros(grid.nt + 1)),
-    )
-
-
-def test_solve_identity_system():
-    g = Grid1p1.with_cells(6, 6)
-
-    def data(x, t):
-        return np.sin(x + t)
-
-    cfg = make_config(alpha=1.0, epsilon=1.0, g=data)
-    system = assemble(cfg, g)
-    # replace with the identity, Ax = diag(0, 1, ..., 1, 0) and At = 0:
-    # solution equals the right-hand side
-    x_stencil, t_stencil = stencils(g, x_main=1.0)
-    system = dataclasses.replace(system, x_stencil=x_stencil, t_stencil=t_stencil)
-    out = solve(system)
-    assert np.allclose(out.values.ravel(), system.rhs)
-
-
 def _one_percent_off(eigenpairs):
     """``eigenpairs`` with every eigenvalue 1% too large: a fault in the fast path."""
 
@@ -308,62 +282,6 @@ def test_wrong_closed_form_eigenvalues_fail_the_residual_gate(caplog, monkeypatc
     eigenvalues = solver._toeplitz_eigenvalues
     monkeypatch.setattr(solver, "_toeplitz_eigenvalues", lambda *args: eigenvalues(*args) * 1.01)
     _assert_falls_back_to_splu(caplog, assemble(cfg, g))
-
-
-@pytest.mark.parametrize("epsilon", [0.1, 0.0], ids=["splu", "time-steps"])
-@pytest.mark.parametrize("diagonal, row", [(0, 4), (1, 5), (2, 3)], ids=["lower", "main", "upper"])
-def test_a_time_stencil_that_varies_in_time_takes_the_fallback(caplog, epsilon, diagonal, row):
-    # the fast path's time solves need every time row but the last alike,
-    # which every built system has; a hand-built one with one middle-row
-    # coefficient changed is named by that row and falls back to splu, also
-    # at eps = 0: it is not the backward Euler system the time steps march
-    from hodge4d import solver
-
-    g = Grid1p1.with_cells(6, 8)
-    cfg = make_config(beta=0.5, epsilon=epsilon, f=lambda x, t: 1.0 + x * t, g=lambda x, t: np.sin(x + t))
-    if epsilon:
-        built = assemble(cfg, g)
-    else:
-        built = solver._system(solver._data(cfg, g), g, 0.0, cfg.scheme, solver._x_stencil(cfg, g))
-    stencil = [diagonal_values.copy() for diagonal_values in built.t_stencil]
-    stencil[diagonal][row - (diagonal == 0)] += 0.25  # the lower diagonal's entry k is row k+1's
-    system = dataclasses.replace(built, t_stencil=tuple(stencil))
-    reason = f"time stencil varies in time (row {row})"
-    assert solver._fast_diagonalisation(system) == (None, reason)
-    _assert_falls_back_to_splu(caplog, system, because=reason)
-    residual = system.rhs - system.matrix @ solve(system).values.ravel()
-    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(system.rhs)
-
-
-def test_an_eps_zero_system_that_is_not_backward_euler_falls_back_to_splu(caplog):
-    # the time steps march backward Euler alone: an eps = 0 system with
-    # another time stencil (here twice backward Euler's, constant in time)
-    # that the fast path rejects is solved by splu
-    from hodge4d import solver
-
-    g = Grid1p1.with_cells(24, 12)
-    cfg = make_config(alpha=lambda x: 0.01 * (1.0 + x), beta=lambda x: 2.0 - x, epsilon=0.0, f=lambda x, t: 1.0 + x * t)
-    built = solver._system(solver._data(cfg, g), g, 0.0, cfg.scheme, solver._x_stencil(cfg, g))
-    system = dataclasses.replace(built, t_stencil=tuple(2.0 * diagonal for diagonal in built.t_stencil))
-    _assert_falls_back_to_splu(caplog, system, because="complex spatial eigenvalues")
-
-
-@pytest.mark.parametrize("diagonal, index", [(0, 0), (0, -1), (1, -1)], ids=["first-lower", "last-lower", "last-main"])
-def test_the_time_solves_take_the_first_lower_and_the_last_row_as_their_own(diagonal, index):
-    # row 1's lower coupling, to the initial time, enters the lift, and the
-    # last row, where the ghost slab is folded in, has its own coefficients:
-    # a change there keeps the fast path, which solves the changed system
-    from hodge4d import solver
-
-    cfg = make_config(beta=0.5, f=lambda x, t: 1.0 + x * t, g=lambda x, t: np.sin(x + t))
-    built = assemble(cfg, Grid1p1.with_cells(6, 8))
-    stencil = [diagonal_values.copy() for diagonal_values in built.t_stencil]
-    stencil[diagonal][index] *= 1.5
-    system = dataclasses.replace(built, t_stencil=tuple(stencil))
-    values, reason = solver._fast_diagonalisation(system)
-    assert reason == ""
-    expected = scipy.sparse.linalg.spsolve(system.matrix.tocsc(), system.rhs)
-    assert np.abs(values.ravel() - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_fast_path_solve_never_forms_the_matrix(caplog, monkeypatch):
@@ -405,12 +323,16 @@ def test_manufactured_convergence_second_order():
 
 
 def test_singular_system_reports_context():
-    g = Grid1p1.with_cells(6, 6)
+    # Ax with zero off-diagonals and main = -main_t decouples the columns,
+    # each into At[1:, 1:] with a zero diagonal: a tridiagonal matrix of 7
+    # rows, an odd count, with a zero diagonal is singular, so splu fails
+    g = Grid1p1.with_cells(6, 7)
     system = assemble(make_config(), g)
-    # zero stencils: every interior row of the matrix is zero
-    x_stencil, t_stencil = stencils(g)
-    system = dataclasses.replace(system, x_stencil=x_stencil, t_stencil=t_stencil)
-    with pytest.raises(SolveError, match="eps"):
+    main = np.zeros(g.nx + 2)
+    main[1:-1] = -system.t_stencil[1][1]
+    off = np.zeros(g.nx + 1)
+    system = dataclasses.replace(system, x_stencil=(off, main, off))
+    with pytest.raises(SolveError, match=r"^factorization failed \(eps=0.1, scheme=centered, grid=5x6\): .*singular"):
         solve(system)
 
 
@@ -445,35 +367,77 @@ def test_a_sweep_with_an_eps_too_large_for_the_grid_raises_assembly_error():
         (0, 0, "the x stencil's lower coefficient of row 3 is not finite"),
         (0, 1, "the x stencil's main coefficient of row 2 is not finite"),
         (0, 2, "the x stencil's upper coefficient of row 2 is not finite"),
-        (1, 0, "the t stencil's lower coefficient of row 3 is not finite"),
-        (1, 1, "the t stencil's main coefficient of row 2 is not finite"),
-        (1, 2, "the t stencil's upper coefficient of row 2 is not finite"),
     ],
 )
 def test_the_fast_path_rejects_a_stencil_that_is_not_finite(axis, diagonal, reason):
     # a directly built system is rejected when it is built, as assembly's
-    # is: the fast path's lift residual needs every coefficient finite
+    # is: the fast path's lift residual needs every coefficient finite; axis
+    # 0 is x, the only stencil a caller passes (the t stencil is derived from
+    # eps, whose overflow assembly's tests cover)
     system = assemble(make_config(beta=0.5, g=lambda x, t: 1.0 + x), Grid1p1.with_cells(6, 6))
-    stencils = [list(system.x_stencil), list(system.t_stencil)]
-    stencils[axis][diagonal] = stencils[axis][diagonal].copy()
-    stencils[axis][diagonal][2] = np.inf
-    cause = ["alpha or beta too large for hx=0.166667", "eps=0.1 too large for ht=0.166667"][axis]
+    stencil = list(system.x_stencil)
+    stencil[diagonal] = stencil[diagonal].copy()
+    stencil[diagonal][2] = np.inf
     with pytest.raises(AssemblyError) as raised:
-        dataclasses.replace(system, x_stencil=tuple(stencils[0]), t_stencil=tuple(stencils[1]))
-    assert str(raised.value) == f"{reason} ({cause})"
+        dataclasses.replace(system, x_stencil=tuple(stencil))
+    assert str(raised.value) == f"{reason} (alpha or beta too large for hx=0.166667)"
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0])
+# only the largest sums can overflow: eps >= 0 makes every main_t >= 0
+@pytest.mark.parametrize("sign", [1.0])
 def test_the_fast_path_rejects_a_centre_sum_that_is_not_finite(sign):
-    # the largest or the smallest centre coefficients overflow their sum; a
-    # directly built system is rejected when it is built
+    # main_t = 2 eps/ht**2 = 1.08e308 at eps = 1.5e306 on 6 cells, and one
+    # main_x of 1e308: each is finite, their sum is not; a directly built
+    # system is rejected when it is built
     system = assemble(make_config(beta=0.5, g=lambda x, t: 1.0 + x), Grid1p1.with_cells(6, 6))
-    (lower, main, upper), (t_lower, t_main, t_upper) = system.x_stencil, system.t_stencil
-    main, t_main = main.copy(), t_main.copy()
-    main[3], t_main[4] = sign * 1e308, sign * 1e308
+    lower, main, upper = system.x_stencil
+    main = main.copy()
+    main[3] = sign * 1e308
     with pytest.raises(AssemblyError) as raised:
-        dataclasses.replace(system, x_stencil=(lower, main, upper), t_stencil=(t_lower, t_main, t_upper))
-    assert str(raised.value) == "the centre coefficient main_t + main_x of t row 4 and x row 3 is not finite (eps=0.1)"
+        dataclasses.replace(system, epsilon=1.5e306, x_stencil=(lower, main, upper))
+    assert str(raised.value) == "the centre coefficient main_t + main_x of t row 1 and x row 3 is not finite (eps=1.5e+306)"
+
+
+@pytest.mark.parametrize("epsilon", [-1.0, -5e-324, math.nan, math.inf, -math.inf])
+def test_a_system_rejects_an_epsilon_that_is_negative_or_not_finite(epsilon):
+    system = assemble(make_config(), Grid1p1.with_cells(6, 6))
+    with pytest.raises(AssemblyError, match=rf"^epsilon must be >= 0 and finite, got {epsilon}$"):
+        LinearSystem(system.rhs, system.grid, epsilon, Scheme.CENTERED, system.x_stencil)
+
+
+def test_the_time_stencil_is_not_an_argument():
+    system = assemble(make_config(), Grid1p1.with_cells(6, 6))
+    args = (system.rhs, system.grid, 0.1, Scheme.CENTERED, system.x_stencil)
+    with pytest.raises(TypeError):
+        LinearSystem(*args, t_stencil=system.t_stencil)
+    with pytest.raises(TypeError):
+        LinearSystem(*args, system.t_stencil)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(system, t_stencil=system.t_stencil)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_the_eps_zero_time_stencil_is_backward_euler_whatever_the_scheme(scheme):
+    # -1/ht below the diagonal, 1/ht on it and zero above it above the
+    # initial time, with no ghost coupling in the last row
+    g = Grid1p1.with_cells(6, 8)
+    system = assemble(make_config(scheme=scheme), g)
+    lower, main, upper = dataclasses.replace(system, epsilon=0.0).t_stencil
+    assert lower.tolist() == [-1.0 / g.ht] * (g.nt + 1)
+    assert main.tolist() == [0.0] + [1.0 / g.ht] * (g.nt + 1)
+    assert upper.tolist() == [0.0] * (g.nt + 1)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_replace_derives_the_time_stencil_again(scheme):
+    from hodge4d import solver
+
+    # eps = 0 is the backward Euler test's
+    system = assemble(make_config(scheme=scheme), Grid1p1.with_cells(6, 8))
+    for change in [dict(epsilon=0.05), dict(epsilon=2.0)] + [dict(scheme=other) for other in Scheme]:
+        changed = dataclasses.replace(system, **change)
+        expected = solver._t_stencil(changed.epsilon, changed.scheme, system.grid)
+        assert [d.tobytes() for d in changed.t_stencil] == [d.tobytes() for d in expected]
 
 
 def test_a_failed_time_step_factorization_raises_solve_error(monkeypatch):
@@ -486,7 +450,7 @@ def test_a_failed_time_step_factorization_raises_solve_error(monkeypatch):
     main = np.full(grid.nx + 2, -1.0 / grid.ht)
     main[[0, -1]] = 0.0
     off = np.zeros(grid.nx + 1)
-    system = solver._system(np.ones(grid.shape), grid, 0.0, Scheme.UPWIND, (off, main, off))
+    system = LinearSystem(np.ones(grid.n_nodes), grid, 0.0, Scheme.UPWIND, (off, main, off))
     monkeypatch.setattr(solver, "_fast_diagonalisation", lambda system: (None, "rejected"))
     message = r"^factorization failed \(eps=0.0, scheme=upwind, grid=7x5\): I/ht \+ Ax is singular \(dgttrf info 2\)$"
     with pytest.raises(SolveError, match=message):

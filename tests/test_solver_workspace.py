@@ -34,7 +34,7 @@ import pytest
 import scipy.linalg
 
 from hodge4d import solver
-from hodge4d.solver import Grid1p1, ProblemConfig, _fast_diagonalisation, assemble
+from hodge4d.solver import Grid1p1, LinearSystem, ProblemConfig, _fast_diagonalisation, assemble
 
 EXPRESSION = "sin(pi*x)*(1+t**2)"
 
@@ -51,7 +51,7 @@ def _limit(alpha, phase, grid):
     cfg = ProblemConfig.from_manufactured(
         f"sin(pi*x + {phase})*(1+t**2)", alpha=alpha, beta=0.5, epsilon=0.0, scheme="centered", target="limit"
     )
-    return solver._system(solver._data(cfg, grid), grid, 0.0, cfg.scheme, solver._x_stencil(cfg, grid))
+    return LinearSystem(solver._data(cfg, grid).ravel(), grid, 0.0, cfg.scheme, solver._x_stencil(cfg, grid))
 
 
 # (build(phase, grid), the (module, function) that takes that path's spatial basis)
