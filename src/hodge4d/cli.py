@@ -194,6 +194,13 @@ def _build_problem(values: dict, args) -> tuple:
     alpha = pick("alpha", "1.0")
     beta = pick("beta", "0.0")
     manufactured = pick("manufactured")
+    # a key the data source would drop unread is an error, not a silent no-op
+    if manufactured:
+        ignored = [key for key in ("f", "g") if pick(key) is not None]
+        if ignored:
+            raise UsageError(f"{' and '.join(ignored)} cannot be set with manufactured, which derives f and g")
+    elif pick("target") is not None:
+        raise UsageError("target needs manufactured: it chooses the problem that the manufactured solution solves")
     try:
         grid = Grid1p1.with_cells(cells_x, cells_t, lx=lx, t0=t0, t_final=t_final)
         if manufactured:
@@ -215,7 +222,7 @@ def _build_problem(values: dict, args) -> tuple:
 
 
 def _out_of_memory(grid) -> UsageError:
-    return UsageError(f"not enough memory for a grid of {grid.nx + 1}x{grid.nt + 1} cells")
+    return UsageError(f"not enough memory for a grid of {grid.cells}")
 
 
 def cmd_solve(args) -> int:
@@ -231,7 +238,7 @@ def cmd_solve(args) -> int:
         raise UsageError(str(exc))
     except MemoryError:
         raise _out_of_memory(grid)
-    print(f"solved {grid.nx + 1}x{grid.nt + 1} cells, scheme {config.scheme.value}, eps={config.epsilon}")
+    print(f"solved {grid.cells}, scheme {config.scheme.value}, eps={config.epsilon}")
     print(f"value range: [{field.values.min():.6e}, {field.values.max():.6e}]")
     if err is not None:
         print(f"space-time L2 error vs manufactured solution: {err:.6e}")

@@ -24,11 +24,8 @@ stencil (``eigh_tridiagonal``) and for the eps = 0 fallback, and
 ``epsilon_sweep`` measures the decay of the difference as eps shrinks.
 
 The fast path multiplies by the operator without forming the matrix
-(``_apply``), takes its first residual from the Dirichlet lift without a
-product (``_lift_residual``), writes its intermediates into a per-thread
-workspace kept between solves of one grid (``_workspace``), and holds its
-modes as one time-major block, so each refinement step transforms and
-solves every mode at once in the calling thread.
+(``_apply``) and keeps its intermediates in a per-thread workspace
+(``_Workspace``).
 """
 
 from __future__ import annotations
@@ -142,6 +139,11 @@ class Grid1p1:
         return (self.nt + 2, self.nx + 2)
 
     @property
+    def cells(self) -> str:
+        """The grid as messages name it, by its cell counts in x and t: ``64x8192 cells``."""
+        return f"{self.nx + 1}x{self.nt + 1} cells"
+
+    @property
     def n_nodes(self) -> int:
         return (self.nx + 2) * (self.nt + 2)
 
@@ -176,7 +178,8 @@ class LinearSystem:
     The operator is stored once, as the diagonals ``(lower, main, upper)`` of
     ``x_stencil`` (Ax) and ``t_stencil`` (At); the Dirichlet rows are the
     grid's (``Grid1p1.dirichlet``).  ``apply`` multiplies by it, and only the
-    sparse LU fallback forms ``matrix``.
+    sparse LU fallback forms ``matrix``.  ``scheme`` is a ``Scheme`` or its
+    value, as in ``ProblemConfig``.
 
     At is derived, not passed: ``_t_stencil`` of ``epsilon``, ``scheme`` and
     ``grid`` on every build, ``dataclasses.replace`` included, with the upwind
@@ -196,6 +199,7 @@ class LinearSystem:
     t_stencil: tuple = dataclasses.field(init=False)
 
     def __post_init__(self):
+        self.scheme = Scheme(self.scheme)
         eps, grid = self.epsilon, self.grid
         if not 0.0 <= eps < math.inf:
             raise AssemblyError(f"epsilon must be >= 0 and finite, got {eps}")
@@ -830,7 +834,13 @@ def _cyclic_solve(levels: list, x: np.ndarray, scratch: np.ndarray) -> None:
 
 
 class _Workspace:
-    """The fast path's buffers for one grid shape, reused by every solve of that shape in one thread."""
+    """The fast path's buffers for one grid shape, reused by every solve of that shape in one thread.
+
+    Four arrays, about 4.7 MB at 384 x 384 cells.  The closed-form basis's
+    sine blocks (``_sine_halves``) depend on nx alone, so the first
+    closed-form solve of a workspace builds them and every later one reuses
+    them (0.6 MB more at 384 x 384 cells).
+    """
 
     __slots__ = ("shape", "grid", "rows", "modes", "scratch", "halves")
 
@@ -841,11 +851,11 @@ class _Workspace:
         self.rows = np.empty((ntn, nx + 2))  # apply's term, then (its first ntn*nx entries) the residual over d
         self.modes = np.empty((ntn, nx))  # time-major, one column per mode
         self.scratch = np.empty(nx * ntn)  # the sine transforms' halves and the time solves' temporaries
-        self.halves = None  # the closed-form basis (``_sine_halves``), built by its first solve
+        self.halves = None  # the sine blocks
 
     @property
     def nbytes(self) -> int:
-        """The bytes it holds: the four arrays and, once built, the (nx+1)//2 x nx doubles of the sine blocks."""
+        """The bytes it holds: the arrays and, once built, the sine blocks."""
         nx = self.shape[1] - 2
         blocks = 0 if self.halves is None else 8 * ((nx + 1) // 2) * nx
         return self.grid.nbytes + self.rows.nbytes + self.modes.nbytes + self.scratch.nbytes + blocks
@@ -853,10 +863,11 @@ class _Workspace:
 
 _local = threading.local()
 
-# A workspace that holds more than this many bytes serves its one solve and
-# is freed when the solve returns, instead of being kept: its four arrays
-# pass it at about 1,000,000 nodes, and with the sine blocks, which add half
-# an array on a square grid, at about 930,000 nodes when square.
+# A workspace that holds more than this many bytes (``_Workspace.nbytes``)
+# serves its one solve and is freed when the solve returns, instead of being
+# kept: its arrays pass it at about 1,000,000 nodes, and with the sine
+# blocks, which add half an array on a square grid, at about 930,000 nodes
+# when square.
 _KEPT_WORKSPACE_BYTES = 32 * 2**20
 
 
@@ -887,52 +898,40 @@ def _fast_diagonalisation(system: LinearSystem):
     tridiagonal, so X = W diag(lam) W^-1 with W = D Q and W^-1 = Q^T D^-1.
     When S is Toeplitz (every diagonal entry equal and every off-diagonal
     entry equal, as for constant alpha and beta), its eigenpairs are known in
-    closed form (``_toeplitz_eigenvalues``, ``_sine_halves``); for any other
-    S they come from LAPACK's ``eigh_tridiagonal``, imported from scipy when
-    first needed.  The closed-form basis is the discrete sine transform,
-    whose reflection symmetry splits each transform into two products of
-    about half the size (``_sine_forward``, ``_sine_backward``; the split
-    step of Cooley, Lewis & Welch, J. Sound Vib. 12, 1970), half the flops
-    of the one full product per transform that the ``eigh_tridiagonal``
-    basis takes.  Its modes come antisymmetric first (k = 2, 4, ...), then
-    symmetric (k = 1, 3, ...), so each half is a contiguous range of columns.  In that basis each eigenmode k is one
-    shifted tridiagonal solve (T + lam_k I) u_k = b_k in time, and the modes
-    never couple: the Fourier analysis and cyclic reduction scheme of
-    Hockney (J. ACM 12, 1965).  T has one perturbation eps and one step ht,
-    so every row of T + lam_k I but the last, where the ghost slab is folded
-    in, has the same coefficients (``LinearSystem`` derives At), and cyclic
-    reduction keeps that on every level, so it factors all the time systems
-    once per solve on one interior row and one last row per level
-    (``_cyclic_factor``, O(nx log nt)).  Every mode is held in one
-    time-major block, one column per mode, and the reduction solves them in
-    place once per refinement step (``_cyclic_solve``), in row slices as
-    wide as the grid's interior.  When T has no upper diagonal (the eps = 0
-    reference, backward Euler), every shifted system is lower bidiagonal,
-    and the reduction skips the upper couplings.  The reduction does not
-    pivot; it is stable for diagonally dominant time systems (Heller, SIAM
-    J. Numer. Anal. 13, 1976), and the residual gate judges every other.
+    closed form (``_toeplitz_eigenvalues``, ``_sine_halves``): the discrete
+    sine transform, whose reflection symmetry splits each transform into two
+    products of about half the size (``_sine_forward``, ``_sine_backward``;
+    the split step of Cooley, Lewis & Welch, J. Sound Vib. 12, 1970).  Its
+    modes come antisymmetric first (k = 2, 4, ...), then symmetric (k = 1, 3,
+    ...), so each half is a contiguous range of columns.  For any other S the
+    eigenpairs come from LAPACK's ``eigh_tridiagonal``, imported from scipy
+    when first needed, and each transform is one full product.
+
+    In that basis each eigenmode k is one shifted tridiagonal solve
+    (T + lam_k I) u_k = b_k in time, and the modes never couple: the Fourier
+    analysis and cyclic reduction scheme of Hockney (J. ACM 12, 1965).  The
+    modes are held as one time-major block, one column per mode.  T has one
+    perturbation eps and one step ht, so every row of T + lam_k I but the
+    last, where the ghost slab is folded in, has the same coefficients
+    (``LinearSystem`` derives At), and cyclic reduction keeps that on every
+    level: it factors every mode's time system once per solve
+    (``_cyclic_factor``, O(nx log nt)) and solves the whole block in place
+    once per refinement step (``_cyclic_solve``).  When T has no upper
+    diagonal (the eps = 0 reference, backward Euler), every shifted system is
+    lower bidiagonal, and the reduction skips the upper couplings.  The
+    reduction does not pivot; it is stable for diagonally dominant time
+    systems (Heller, SIAM J. Numer. Anal. 13, 1976), and the residual gate
+    judges every other.
+
     Like the sparse LU path, the solve takes one refinement step, which
-    removes most of the rounding that an ill-conditioned W adds.
-
-    The refinement starts from the Dirichlet lift x0 (rhs with -0.0 on the
-    interior), whose residual needs no product (``_lift_residual``), as every
-    ``LinearSystem`` has finite stencil coefficients and centre sums.  The
-    second residual, and the gate's, take the product by the operator over
-    the whole grid (``_apply``).  Everything runs in the calling thread.
-
-    Every grid-sized intermediate lives in the current thread's workspace
-    (``_workspace``): one grid-shaped array (the lift's residual or the
-    product, then the residual, then the step), one of whole rows above the
-    initial time (the product's scratch term, then, in its first entries, the
-    scaled residual) and two of the interior's size (the modes, and the
-    scratch of the sine transforms and the time solves), about 4.7 MB at
-    384 x 384 cells.  The closed-form basis's sine blocks, which depend on
-    nx alone, are built by the first closed-form solve of the workspace and
-    kept with it (0.6 MB more at 384 x 384 cells).  One workspace is kept
-    per thread, for the last grid shape, while it holds at most
-    ``_KEPT_WORKSPACE_BYTES`` (``_workspace``); a larger one is freed when
-    its solve returns.  The start vector and the returned values are always
-    fresh.
+    removes most of the rounding that an ill-conditioned W adds.  It starts
+    from the Dirichlet lift x0 (rhs with -0.0 on the interior), whose
+    residual needs no product (``_lift_residual``); the second residual, and
+    the gate's, take the product by the operator over the whole grid
+    (``_apply``).  Every grid-sized intermediate lives in the current
+    thread's workspace (``_Workspace``, ``_workspace``); the start vector and
+    the returned values are always fresh.  Everything runs in the calling
+    thread.
 
     Returns ``(values, "")``, or ``(None, reason)`` when the guard rejects the
     system: complex eigenvalues, a scaling D too ill-conditioned to trust, a
@@ -1054,10 +1053,7 @@ def solve(system: LinearSystem) -> DiscreteField:
         exponent = int(np.frexp(peak)[1])
         scaled = solve(dataclasses.replace(system, rhs=np.ldexp(system.rhs, -exponent)))
         return DiscreteField(system.grid, np.ldexp(scaled.values, exponent))
-    context = (
-        f"eps={system.epsilon}, scheme={system.scheme.value}, "
-        f"grid={system.grid.nx}x{system.grid.nt}"
-    )
+    context = f"eps={system.epsilon}, scheme={system.scheme.value}, grid={system.grid.cells}"
     with np.errstate(all="ignore"):
         values, reason = _fast_diagonalisation(system)
         if values is not None:

@@ -86,4 +86,4 @@ def test_guard_rejected_march_equals_loop_marcher(caplog, scheme, alpha, beta, r
         assert_march_equals_loop_marcher(scheme, alpha, beta)
     messages = [r.getMessage() for r in caplog.records if r.name == "hodge4d.solver"]
     assert len(messages) == 1 and messages[0].startswith("solve path: time steps, fallback because " + reason)
-    assert messages[0].endswith(f"(eps=0.0, scheme={scheme.value}, grid=12x39)")
+    assert messages[0].endswith(f"(eps=0.0, scheme={scheme.value}, grid=13x40 cells)")

@@ -306,6 +306,30 @@ def test_solve_unknown_key_rejected(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize(
+    "lines, err",
+    [
+        # g is rejected before it is parsed: manufactured would drop it unread
+        (["manufactured = sin(pi*x)", "g = nonsense("], "error: g cannot be set with manufactured, which derives f and g\n"),
+        (
+            ["manufactured = sin(pi*x)", "f = 0", "g = 0"],
+            "error: f and g cannot be set with manufactured, which derives f and g\n",
+        ),
+        (
+            ["f = 0", "g = 0", "target = limit"],
+            "error: target needs manufactured: it chooses the problem that the manufactured solution solves\n",
+        ),
+    ],
+    ids=["manufactured-and-g", "manufactured-and-f-g", "target-without-manufactured"],
+)
+def test_a_data_key_that_the_data_source_ignores_is_usage_error(tmp_path, capsys, command, lines, err):
+    config = tmp_path / f"{command}.cfg"
+    sweep = ["eps_list = 0.1"] if command == "sweep" else []
+    config.write_text("\n".join([f"[{command}]", "nx = 8", "nt = 8", *sweep, *lines]) + "\n")
+    assert run_failing(capsys, command, "--config", str(config)) == (2, err)
+
+
 def test_solve_missing_config_rejected(capsys):
     code, _ = run(capsys, "solve", "--config", "/nonexistent.cfg")
     assert code == 2
@@ -534,7 +558,7 @@ def test_sweep_on_data_near_the_float_maximum_prints_one_error_line(tmp_path, nt
     )
     assert done.returncode == 1
     assert done.stderr == (
-        f"error: the time steps reached a value that is not finite (eps=0.0, scheme=centered, grid=23x{nt - 1})\n"
+        f"error: the time steps reached a value that is not finite (eps=0.0, scheme=centered, grid=24x{nt} cells)\n"
     )
 
 
@@ -602,8 +626,8 @@ def test_a_one_eps_sweep_of_zero_data_fits_no_slope_quietly(tmp_path):
 
 
 def _sweep_with(*lines):
-    """SWEEP_CONFIG without its manufactured solution, each ``key = value`` line set."""
-    keys = {line.split("=")[0].strip() for line in lines} | {"manufactured"}
+    """SWEEP_CONFIG without its manufactured solution and its target, each ``key = value`` line set."""
+    keys = {line.split("=")[0].strip() for line in lines} | {"manufactured", "target"}
     kept = [line for line in SWEEP_CONFIG.splitlines() if line.split("=")[0].strip() not in keys]
     return "\n".join(kept + list(lines)) + "\n"
 

@@ -332,7 +332,7 @@ def test_singular_system_reports_context():
     main[1:-1] = -system.t_stencil[1][1]
     off = np.zeros(g.nx + 1)
     system = dataclasses.replace(system, x_stencil=(off, main, off))
-    with pytest.raises(SolveError, match=r"^factorization failed \(eps=0.1, scheme=centered, grid=5x6\): .*singular"):
+    with pytest.raises(SolveError, match=r"^factorization failed \(eps=0.1, scheme=centered, grid=6x7 cells\): .*singular"):
         solve(system)
 
 
@@ -417,6 +417,19 @@ def test_the_time_stencil_is_not_an_argument():
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
+def test_a_system_takes_a_scheme_by_name_as_the_config_does(scheme):
+    g = Grid1p1.with_cells(8, 8)
+    system = assemble(make_config(scheme=scheme, beta=0.5, g=lambda x, t: np.sin(np.pi * x) + t), g)
+    for eps in (0.1, 0.0):
+        named = LinearSystem(system.rhs, g, eps, scheme.value, system.x_stencil)
+        member = LinearSystem(system.rhs, g, eps, scheme, system.x_stencil)
+        assert named.scheme is scheme
+        assert solve(named).values.tobytes() == solve(member).values.tobytes()
+    with pytest.raises(ValueError, match="bogus"):
+        LinearSystem(system.rhs, g, 0.1, "bogus", system.x_stencil)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
 def test_the_eps_zero_time_stencil_is_backward_euler_whatever_the_scheme(scheme):
     # -1/ht below the diagonal, 1/ht on it and zero above it above the
     # initial time, with no ghost coupling in the last row
@@ -452,7 +465,7 @@ def test_a_failed_time_step_factorization_raises_solve_error(monkeypatch):
     off = np.zeros(grid.nx + 1)
     system = LinearSystem(np.ones(grid.n_nodes), grid, 0.0, Scheme.UPWIND, (off, main, off))
     monkeypatch.setattr(solver, "_fast_diagonalisation", lambda system: (None, "rejected"))
-    message = r"^factorization failed \(eps=0.0, scheme=upwind, grid=7x5\): I/ht \+ Ax is singular \(dgttrf info 2\)$"
+    message = r"^factorization failed \(eps=0.0, scheme=upwind, grid=8x6 cells\): I/ht \+ Ax is singular \(dgttrf info 2\)$"
     with pytest.raises(SolveError, match=message):
         solve(system)
 
@@ -477,7 +490,7 @@ def test_reference_that_overflows_raises_with_context(caplog):
     # in the time steps u/ht overflows
     cfg = make_config(alpha=1.0, beta=0.5, epsilon=0.0, g=lambda x, t: 1e307 * (1.0 + x) + 0.0 * t)
     with np.errstate(all="ignore"), caplog.at_level(logging.DEBUG, logger="hodge4d.solver"):
-        with pytest.raises(SolveError, match=r"not finite \(eps=0.0, scheme=centered, grid=23x95\)$"):
+        with pytest.raises(SolveError, match=r"not finite \(eps=0.0, scheme=centered, grid=24x96 cells\)$"):
             reference_evolution(cfg, Grid1p1.with_cells(24, 96))
     messages = [r.getMessage() for r in caplog.records if r.name == "hodge4d.solver"]
     assert len(messages) == 1 and messages[0].startswith("solve path: time steps, fallback because")
@@ -713,7 +726,7 @@ def test_sweep_logs_the_path_of_each_solve(caplog, cells, alpha, beta, target, e
     expected += [(eps, grid.nt, paths[1]) for eps in eps_list]
     for message, (eps, nt, path) in zip(messages, expected):
         assert message.startswith("solve path: " + path)
-        assert message.endswith(f"(eps={eps}, scheme=centered, grid={grid.nx}x{nt})")
+        assert message.endswith(f"(eps={eps}, scheme=centered, grid={grid.nx + 1}x{nt + 1} cells)")
 
 
 # -- bilinear form ------------------------------------------------------------------

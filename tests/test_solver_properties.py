@@ -464,7 +464,7 @@ def test_data_that_is_not_finite_at_any_node_ends_in_solve_error(scheme, alpha, 
     cfg = dataclasses.replace(_limit_config(scheme, alpha, beta), epsilon=eps)
     system = _limit_system(cfg, grid) if eps == 0.0 else assemble(cfg, grid)
     assert (_fast_diagonalisation(system)[0] is not None) == admitted
-    context = f"(eps={system.epsilon}, scheme={system.scheme.value}, grid={grid.nx}x{grid.nt})"
+    context = f"(eps={system.epsilon}, scheme={system.scheme.value}, grid=12x10 cells)"
     for value in (np.nan, np.inf, -np.inf):
         for node in range(grid.n_nodes):
             rhs = system.rhs.copy()

@@ -1,28 +1,35 @@
-"""The fast solve's per-thread workspace: reuse must not change a bit.
+"""The fast solve's workspace, its block of modes and its threads: none may change a bit.
 
-``_fast_diagonalisation`` writes its grid-sized intermediates into one
-workspace per thread (``solver._workspace``) and reuses it across solves of
-the same grid shape.  These tests pin that the reuse is invisible on each of
-its three paths (the closed-form sine basis with tridiagonal time systems,
-the eps = 0 backward Euler reference, whose time systems are lower
-bidiagonal, and the ``eigh_tridiagonal`` basis; the path ids name each kind
-of time system by the LAPACK or BLAS routine for it, dgttrf for a general
-tridiagonal and dtbsv for a triangular band system, although
-``solver._cyclic_factor`` factors both and the fast path calls neither).
-Each solve on every path factors all its modes' time systems in one call to
-``solver._cyclic_factor`` and solves them in one call per refinement step;
-the closed-form sine blocks are built once per workspace.
-A solve after garbage in the workspace, or after another system of the same
+``_fast_diagonalisation`` takes one of three paths, named here by the
+spatial basis and the kind of time system: ``sine/tridiagonal`` (the
+closed-form sine basis, eps > 0), ``sine/bidiagonal`` (the eps = 0 backward
+Euler reference, whose time systems are lower bidiagonal) and
+``eigh/tridiagonal`` (the ``eigh_tridiagonal`` basis of an x-dependent
+coefficient).  Each solve factors all its modes' time systems in one call
+to ``solver._cyclic_factor`` and solves them in one call per refinement
+step; the closed-form sine blocks are built once per workspace.
+
+The grid-sized intermediates live in one workspace per thread
+(``solver._workspace``), reused across solves of the same grid shape.  A
+solve after garbage in the workspace, or after another system of the same
 shape, equals a solve in a fresh thread bit for bit; a returned result never
-aliases the workspace; the Dirichlet border comes back bit for bit; and two
-threads solving at once get their serial results (``test_solver_lanes``
-runs four, and a forked child).  Two tracemalloc pins keep the solve from
-going back to fresh grid-sized temporaries and keep a workspace above the
-size cap from outliving its solve, and the sine blocks count towards that
-cap once they are built.
+aliases the workspace; and the Dirichlet border comes back bit for bit.
+Two tracemalloc pins keep the solve from going back to fresh grid-sized
+temporaries and keep a workspace above the size cap from outliving its
+solve, and the sine blocks count towards that cap once they are built.
+
+The sine basis holds its modes as one time-major block of two halves of
+columns, the antisymmetric modes and then the symmetric ones.  A zero pivot
+is named by its lowest mode whichever half holds it, an exception in a time
+solve reaches the caller and leaves the next solve its bits, data near the
+float maximum raises no warning, a solve starts no thread, and two or four
+threads solving at once, or a child forked after a solve, get the serial
+bytes.
 """
 
 import dataclasses
+import multiprocessing
+import os
 import sys
 import threading
 import tracemalloc
@@ -34,7 +41,8 @@ import pytest
 import scipy.linalg
 
 from hodge4d import solver
-from hodge4d.solver import Grid1p1, LinearSystem, ProblemConfig, _fast_diagonalisation, assemble
+from hodge4d.errors import SolveError
+from hodge4d.solver import Grid1p1, LinearSystem, ProblemConfig, _fast_diagonalisation, assemble, reference_evolution
 
 EXPRESSION = "sin(pi*x)*(1+t**2)"
 
@@ -56,9 +64,9 @@ def _limit(alpha, phase, grid):
 
 # (build(phase, grid), the (module, function) that takes that path's spatial basis)
 PATHS = {
-    "closed-form dgttrf": (lambda phase, grid: _spacetime(1.0, phase, grid), (solver, "_toeplitz_eigenvalues")),
-    "dtbsv march": (lambda phase, grid: _limit(1.0, phase, grid), (solver, "_toeplitz_eigenvalues")),
-    "eigh_tridiagonal": (lambda phase, grid: _spacetime("1+x", phase, grid), (scipy.linalg, "eigh_tridiagonal")),
+    "sine/tridiagonal": (lambda phase, grid: _spacetime(1.0, phase, grid), (solver, "_toeplitz_eigenvalues")),
+    "sine/bidiagonal": (lambda phase, grid: _limit(1.0, phase, grid), (solver, "_toeplitz_eigenvalues")),
+    "eigh/tridiagonal": (lambda phase, grid: _spacetime("1+x", phase, grid), (scipy.linalg, "eigh_tridiagonal")),
 }
 WORKSPACE_ARRAYS = ("grid", "rows", "modes", "scratch")
 GRID = Grid1p1.with_cells(14, 10)  # 13 interior nodes, an odd count: the sine halves have a middle column
@@ -106,7 +114,7 @@ def test_the_sine_blocks_are_built_once_per_workspace():
 
     other = Grid1p1.with_cells(9, 12)
     assert _in_fresh_thread(count, [PATHS[path][0](0.0, GRID) for path in PATHS] * 2) == 1
-    assert _in_fresh_thread(count, [PATHS["eigh_tridiagonal"][0](0.0, GRID)]) == 0
+    assert _in_fresh_thread(count, [PATHS["eigh/tridiagonal"][0](0.0, GRID)]) == 0
     systems = [_spacetime(1.0, 0.0, GRID), _limit(1.0, 0.3, other), _spacetime(1.0, 0.7, GRID)]
     assert _in_fresh_thread(count, systems) == 3
 
@@ -211,6 +219,11 @@ def test_two_threads_solving_at_once_get_their_serial_results(path):
 
 
 @pytest.mark.parametrize("path", PATHS)
+def test_four_threads_solving_at_once_get_their_serial_results(path):
+    assert _solving_at_once(path, 4)
+
+
+@pytest.mark.parametrize("path", PATHS)
 def test_a_repeated_solve_keeps_few_grid_sized_arrays(path):
     # with the workspace warm, a solve takes the returned values, its start
     # vector and small arrays: about 6 grid-sized arrays at most on every
@@ -262,3 +275,106 @@ def test_a_workspace_above_the_cap_is_freed_when_its_solve_returns():
     assert kept is None
     # the returned values stay; the workspace alone is four arrays of their size and the sine blocks
     assert held < 1.5 * values.nbytes
+
+
+def _with_zero_diagonals(system, modes):
+    """``_toeplitz_eigenvalues`` with the shifted diagonal of each of ``modes`` zero in every row."""
+    eigenvalues, step_main = solver._toeplitz_eigenvalues, system.t_stencil[1][1]
+
+    def singular(a, s, n):
+        lam = eigenvalues(a, s, n)
+        lam[list(modes)] = -step_main
+        return lam
+
+    return mock.patch.object(solver, "_toeplitz_eigenvalues", singular)
+
+
+@pytest.mark.parametrize("modes, first", [((2,), 2), ((5,), 5), ((5, 2), 2)], ids=["antisymmetric", "symmetric", "both"])
+def test_a_zero_diagonal_is_named_by_its_mode_over_both_sine_halves(modes, first):
+    # 8 cells: 7 modes, the antisymmetric half holds modes 0-2 and the
+    # symmetric half modes 3-6; a lower bidiagonal system's pivots are its diagonal
+    system = PATHS["sine/bidiagonal"][0](0.0, Grid1p1.with_cells(8, 6))
+    with _with_zero_diagonals(system, modes):
+        assert _fast_diagonalisation(system) == (None, f"zero pivot in the time system of mode {first}")
+
+
+@pytest.mark.parametrize("modes, first", [((4,), 4), ((6, 1), 1)], ids=["symmetric", "both"])
+def test_a_zero_pivot_is_named_by_its_mode_over_both_sine_halves(modes, first):
+    # the tridiagonal time systems of 8 x 6 cells: 7 modes, the antisymmetric
+    # half holds modes 0-2 and the symmetric half modes 3-6; a zero diagonal
+    # makes the first pivot zero
+    system = PATHS["sine/tridiagonal"][0](0.0, Grid1p1.with_cells(8, 6))
+    with _with_zero_diagonals(system, modes):
+        assert _fast_diagonalisation(system) == (None, f"zero pivot in the time system of mode {first}")
+
+
+class Injected(Exception):
+    pass
+
+
+def test_an_exception_in_a_time_solve_reaches_the_caller():
+    system = PATHS["sine/tridiagonal"][0](0.0, GRID)
+    expected = _fast(system)
+
+    def failing(*args):
+        raise Injected("time solve")
+
+    with mock.patch.object(solver, "_cyclic_solve", failing), pytest.raises(Injected):
+        _fast_diagonalisation(system)
+    # the workspace the failed solve left half written gives the next solve its bits
+    assert _fast(system).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("caller", ["warn", "raise"])
+def test_data_near_the_float_maximum_raises_no_warning_in_either_sine_half(caller):
+    # the fast path overflows in both sine halves before the time steps report
+    # the value that is not finite; a RuntimeWarning would fail the test.
+    # solve ignores floating-point exceptions whatever the caller's errstate,
+    # so a caller that raises on them gets the SolveError, not FloatingPointError
+    cfg = ProblemConfig.from_expressions("0", "1e307*(1+x)", alpha=1.0, beta=0.5, epsilon=0.0)
+    with np.errstate(all=caller):
+        with pytest.raises(SolveError, match=r"not finite \(eps=0.0, scheme=centered, grid=24x96 cells\)$"):
+            reference_evolution(cfg, Grid1p1.with_cells(24, 96))
+
+
+def test_a_solve_starts_no_thread():
+    # a process that may start no thread solves as any other: the solve
+    # asks for no thread, on any of its paths
+    systems = [PATHS[path][0](0.0, GRID) for path in PATHS]
+    expected = [_fast(system).tobytes() for system in systems]
+    started = []
+
+    def refuse(thread):
+        started.append(thread)
+        raise RuntimeError("can't start new thread")
+
+    with mock.patch.object(threading.Thread, "start", refuse):
+        assert [_fast(system).tobytes() for system in systems] == expected
+    assert started == []
+
+
+def _solve_into(writer, system):
+    writer.send_bytes(_fast(system).tobytes())
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="fork is POSIX-only")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_child_forked_after_a_solve_gets_the_parents_bytes():
+    # the child inherits the parent's workspace for the grid and reuses it
+    system = PATHS["sine/tridiagonal"][0](0.0, GRID)
+    parent = _fast(system)
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+    child = context.Process(target=_solve_into, args=(writer, system))
+    child.start()
+    writer.close()
+    try:
+        assert reader.poll(60), "the forked child did not solve"
+        values = reader.recv_bytes()
+    finally:
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=60)
+    assert values == parent.tobytes()
+    assert child.exitcode == 0
