@@ -326,7 +326,7 @@ def test_an_exception_in_a_time_solve_reaches_the_caller():
 
 
 @pytest.mark.parametrize("caller", ["warn", "raise"])
-def test_data_near_the_float_maximum_raises_no_warning_in_either_sine_half(caller):
+def test_data_near_the_float_maximum_warns_in_neither_sine_half(caller):
     # the fast path overflows in both sine halves before the time steps report
     # the value that is not finite; a RuntimeWarning would fail the test.
     # solve ignores floating-point exceptions whatever the caller's errstate,
