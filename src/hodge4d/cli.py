@@ -184,9 +184,6 @@ def _build_problem(values: dict, args) -> tuple:
         t_final = float(pick("t_final", 1.0))
     except ValueError as exc:
         raise UsageError(f"bad numeric value in configuration: {exc}")
-    few = [f"{name}={cells}" for name, cells in (("nx", cells_x), ("nt", cells_t)) if cells < 3]
-    if few:
-        raise UsageError(f"nx and nt need at least 3 cells, got {', '.join(few)}")
     try:
         scheme = Scheme(pick("scheme", "centered"))
     except ValueError:

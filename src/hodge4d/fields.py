@@ -6,7 +6,10 @@ literal equality instead of floating tolerances while the inner loops of the
 arithmetic run on plain ints.  ``ExpPolyField`` adds a single exponential
 weight factor ``exp(p)`` with a polynomial exponent; it is closed under
 differentiation and under the products that arise in exponentially fitted
-fluxes.
+fluxes.  ``_exp`` builds every ``ExpPolyField`` and owns its one rule: a
+zero weight or a zero amplitude gives the plain ``PolyField`` amplitude.
+Scalars go through ``exact_scalar`` and integer arguments (axes, exponents,
+powers) through ``operator.index``, so floats are rejected, never rounded.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import or_
+from operator import index, or_
 
 AXES = ("x", "y", "z", "t")
 X, Y, Z, T = range(4)
@@ -37,7 +40,7 @@ def axis_index(axis) -> int:
             return _AXIS_BY_NAME[axis]
         except KeyError:
             raise ValueError(f"unknown axis {axis!r}") from None
-    axis = int(axis)
+    axis = index(axis)
     if not 0 <= axis <= 3:
         raise ValueError(f"axis index out of range: {axis}")
     return axis
@@ -45,10 +48,8 @@ def axis_index(axis) -> int:
 
 def _shift(axis) -> int:
     """Bit offset of one axis's exponent in a monomial key."""
-    try:
-        return _SHIFT[axis]
-    except (KeyError, TypeError):
-        return 16 * axis_index(axis)  # raises the messages of axis_index
+    shift = _SHIFT.get(axis) if type(axis) in (int, str) else None  # 1.0 would find the key of 1
+    return 16 * axis_index(axis) if shift is None else shift  # raises the messages of axis_index
 
 
 def _pack(exps) -> int:
@@ -139,11 +140,11 @@ def _scaled(field: "PolyField", constant: "PolyField") -> "PolyField":
 
 
 def _exp(weight: "PolyField", amplitude: "PolyField"):
-    """Trusted constructor for exponential results.
+    """The one constructor of ``ExpPolyField``, for trusted polynomial parts.
 
     A zero weight or a zero amplitude gives the plain ``PolyField``
-    amplitude, so an ``ExpPolyField`` result has a nonzero weight and
-    a nonzero amplitude.
+    amplitude, so every ``ExpPolyField`` has a nonzero weight and a
+    nonzero amplitude.
     """
     if weight.is_zero or amplitude.is_zero:
         return amplitude
@@ -151,18 +152,6 @@ def _exp(weight: "PolyField", amplitude: "PolyField"):
     field.weight = weight
     field.amplitude = amplitude
     return field
-
-
-def _sum_weight(a: "ExpPolyField", b: "ExpPolyField") -> "PolyField":
-    """The weight of a sum of two exponential fields; a zero field fits any weight."""
-    if a.is_zero:
-        return b.weight
-    if b.is_zero or a.weight == b.weight:
-        return a.weight
-    raise ValueError(
-        "cannot add exponential fields with different weights: "
-        f"exp({a.weight}) vs exp({b.weight})"
-    )
 
 
 class PolyField:
@@ -191,7 +180,7 @@ class PolyField:
             coeff = exact_scalar(coeff)
             if coeff == 0:
                 continue
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(index, exps))
             if len(exps) != 4:
                 raise ValueError(f"bad exponent tuple {exps!r}")
             coeffs[_pack(exps)] = coeff
@@ -262,10 +251,7 @@ class PolyField:
         if not isinstance(other, PolyField):
             if isinstance(other, ExpPolyField):
                 return NotImplemented
-            try:
-                other = PolyField.constant(other)
-            except TypeError:
-                return NotImplemented
+            other = PolyField.constant(other)
         return _sum(self, other, 1)
 
     __radd__ = __add__
@@ -274,9 +260,11 @@ class PolyField:
         return _make({k: -c for k, c in self.num.items()}, self.den)  # negation keeps the gcd 1
 
     def __sub__(self, other):
-        if isinstance(other, ExpPolyField):  # a weight mismatch names the exponential weight first
-            return _exp(_sum_weight(other, ExpPolyField.coerce(self)), _sum(self, other.amplitude, -1))
-        return _sum(self, PolyField.coerce(other), -1)
+        if not isinstance(other, PolyField):
+            if isinstance(other, ExpPolyField):
+                return NotImplemented
+            other = PolyField.constant(other)
+        return _sum(self, other, -1)
 
     def __rsub__(self, other):
         return _sum(PolyField.constant(other), self, -1)
@@ -285,10 +273,7 @@ class PolyField:
         if not isinstance(other, PolyField):
             if isinstance(other, ExpPolyField):
                 return NotImplemented
-            try:
-                other = PolyField.constant(other)
-            except TypeError:
-                return NotImplemented
+            other = PolyField.constant(other)
         snum, onum = self.num, other.num
         if len(onum) == 1 and 0 in onum:
             return _scaled(self, other)
@@ -307,7 +292,7 @@ class PolyField:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        n = int(n)
+        n = index(n)
         if n < 0:
             raise ValueError("negative powers are not polynomial")
         out = PolyField.one()
@@ -421,39 +406,26 @@ class PolyField:
 class ExpPolyField:
     """Field of the shape ``exp(weight) * amplitude`` with polynomial parts.
 
-    Differentiation stays inside the class: d(e^p q) = e^p (q dp + dq).
-    Addition is defined only between values sharing the same weight, which is
-    all the exponential-fitting computations ever need; products add weights.
-    An operation whose result has a zero weight or a zero amplitude returns
-    the plain ``PolyField`` amplitude.  A value built directly with a zero
-    weight still equals and hashes like its amplitude, and ``coerce_field``
-    turns it into the amplitude.
+    The constructor and every operation build their result through
+    ``_exp``, so an instance never has a zero weight and never equals a
+    polynomial.  Differentiation stays inside the class: d(e^p q) = e^p
+    (q dp + dq).  Addition is defined only between values sharing the same
+    weight (a zero value fits any weight), which is all the
+    exponential-fitting computations ever need; products add weights.
     """
 
     __slots__ = ("weight", "amplitude")
+    is_zero = False
 
-    def __init__(self, weight, amplitude):
-        weight = PolyField.coerce(weight)
-        amplitude = PolyField.coerce(amplitude)
-        if amplitude.is_zero:
-            weight = PolyField.zero()
-        self.weight = weight
-        self.amplitude = amplitude
+    def __new__(cls, weight, amplitude):
+        return _exp(PolyField.coerce(weight), PolyField.coerce(amplitude))
 
-    @classmethod
-    def coerce(cls, value) -> "ExpPolyField":
-        if isinstance(value, ExpPolyField):
-            return value
-        return cls(PolyField.zero(), PolyField.coerce(value))
+    def __reduce__(self):  # copy, deepcopy and pickle go through the constructor
+        return ExpPolyField, (self.weight, self.amplitude)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.amplitude.is_zero
-
-    def to_poly(self) -> PolyField:
-        if not self.weight.is_zero:
-            raise ValueError(f"nonzero exponential weight: exp({self.weight})")
-        return self.amplitude
+    def to_poly(self):
+        """Never a polynomial: raises ``ValueError`` naming the weight."""
+        raise ValueError(f"nonzero exponential weight: exp({self.weight})")
 
     def diff(self, axis):
         return _exp(self.weight, self.amplitude * self.weight.diff(axis) + self.amplitude.diff(axis))
@@ -462,44 +434,34 @@ class ExpPolyField:
         return _exp(self.weight.substitute(axis, value), self.amplitude.substitute(axis, value))
 
     def __add__(self, other):
-        other = ExpPolyField.coerce(other)
-        return _exp(_sum_weight(self, other), _sum(self.amplitude, other.amplitude, 1))
+        return _exp_sum(self, other, 1)
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        return _exp_sum(other, self, 1)
 
     def __neg__(self):
         return _exp(self.weight, -self.amplitude)
 
     def __sub__(self, other):
-        other = ExpPolyField.coerce(other)
-        return _exp(_sum_weight(self, other), _sum(self.amplitude, other.amplitude, -1))
+        return _exp_sum(self, other, -1)
 
     def __rsub__(self, other):
-        other = ExpPolyField.coerce(other)
-        return _exp(_sum_weight(other, self), _sum(other.amplitude, self.amplitude, -1))
+        return _exp_sum(other, self, -1)
 
     def __mul__(self, other):
-        other = ExpPolyField.coerce(other)
-        return _exp(self.weight + other.weight, self.amplitude * other.amplitude)
+        if isinstance(other, ExpPolyField):
+            return _exp(self.weight + other.weight, self.amplitude * other.amplitude)
+        return _exp(self.weight, self.amplitude * other)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, ExpPolyField):
             return self.weight == other.weight and self.amplitude == other.amplitude
-        if isinstance(other, (PolyField, int, Fraction)):
-            if not self.weight.is_zero:
-                return False
-            return self.amplitude == other
         return NotImplemented
 
     def __hash__(self):
-        if self.weight.is_zero:  # equal to its amplitude, so hashes like it
-            return hash(self.amplitude)
         return hash((self.weight, self.amplitude))
-
-    def __bool__(self):
-        return not self.is_zero
 
     def __repr__(self):
         return f"ExpPolyField(exp({self.weight}) * ({self.amplitude}))"
@@ -507,14 +469,29 @@ class ExpPolyField:
     __str__ = __repr__
 
 
-def coerce_field(value):
-    """A coefficient field from outside input.
+def _exp_sum(a, b, sign: int):
+    """``a + sign * b`` for ``sign`` 1 or -1, where ``a`` or ``b`` is an ``ExpPolyField``.
 
-    Scalars become a ``PolyField`` and an ``ExpPolyField`` with zero weight
-    becomes its amplitude; other fields pass through unchanged.
+    A non-exponential operand has weight zero.  The weights must agree
+    unless one amplitude is zero; a mismatch names ``a``'s weight first.
     """
-    if isinstance(value, PolyField):
-        return value
+    (aw, aa), (bw, ba) = _pair(a), _pair(b)
+    if aa.is_zero:
+        aw = bw
+    elif not (ba.is_zero or aw == bw):
+        raise ValueError(f"cannot add exponential fields with different weights: exp({aw}) vs exp({bw})")
+    return _exp(aw, _sum(aa, ba, sign))
+
+
+def _pair(value) -> tuple:
+    """``(weight, amplitude)`` of an operand; any other than a field goes through ``exact_scalar``."""
     if isinstance(value, ExpPolyField):
-        return value.amplitude if value.weight.is_zero else value
+        return value.weight, value.amplitude
+    return PolyField.zero(), PolyField.coerce(value)
+
+
+def coerce_field(value):
+    """A coefficient field from outside input: scalars become a ``PolyField``, fields pass through."""
+    if isinstance(value, (PolyField, ExpPolyField)):
+        return value
     return PolyField.constant(value)

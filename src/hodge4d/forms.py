@@ -24,6 +24,7 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from itertools import chain
+from operator import index
 from typing import Optional
 
 from ._record import FrozenRecord
@@ -152,7 +153,7 @@ class KForm:
     __slots__ = ("degree", "components")
 
     def __init__(self, degree: int, components=None):
-        degree = int(degree)
+        degree = index(degree)
         if degree < 0:
             raise ValueError(f"negative form degree: {degree}")
         clean = {}

@@ -107,7 +107,7 @@ class Grid1p1:
 
     def __post_init__(self):
         if self.nx < 2 or self.nt < 2:
-            raise ValueError("need at least two interior nodes per direction")
+            raise ValueError(f"need at least 3 cells per direction, got {self.cells}")
         for name in ("lx", "t0", "t_final"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

@@ -1,5 +1,6 @@
 import itertools
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -213,6 +214,19 @@ def test_the_readme_sweep_example_runs_as_printed(tmp_path, capsys):
     code, out = run(capsys, "sweep", "--config", str(config))
     assert code == 0
     assert "fitted slope" in out
+
+
+def test_the_readme_cli_examples_run_as_printed(capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    ran = []
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "hodge4d"
+        if "--config" not in argv:  # the solve and sweep lines read a config file
+            assert run(capsys, *argv[1:])[0] == 0, line
+            ran.append(argv[1])
+    assert ran == ["verify-tables", "identities", "expand", "boundary"]
 
 
 # (config text, command, whether scipy is loaded after it)
@@ -443,11 +457,11 @@ def test_solve_too_few_cells_is_usage_error(tmp_path, capsys):
     config.write_text(SOLVE_CONFIG)
     code, err = run_failing(capsys, "solve", "--config", str(config), "--nx", "2")
     assert code == 2
-    assert err == "error: nx and nt need at least 3 cells, got nx=2\n"
+    assert err == "error: need at least 3 cells per direction, got 2x16 cells\n"
     # the CLI's nx and nt count cells, so the message counts cells too
     code, err = run_failing(capsys, "solve", "--config", str(config), "--nx", "1", "--nt", "0")
     assert code == 2
-    assert err == "error: nx and nt need at least 3 cells, got nx=1, nt=0\n"
+    assert err == "error: need at least 3 cells per direction, got 1x0 cells\n"
 
 
 def test_solve_zero_epsilon_is_usage_error(tmp_path, capsys):

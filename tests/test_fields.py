@@ -1,7 +1,11 @@
 import ast
+import copy
+import operator
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +29,33 @@ def test_axis_lookup():
     assert axis_index(2) == 2
     with pytest.raises(ValueError):
         axis_index("w")
+
+
+def test_axes_must_be_integers_or_names(xyzt):
+    y = xyzt[1]
+    for axis in (1.5, 1.0, Fraction(1), 1.9):
+        with pytest.raises(TypeError):
+            PolyField.variable(axis)
+        with pytest.raises(TypeError):
+            y.diff(axis)
+    assert PolyField.variable(np.int64(1)) == PolyField.variable(True) == y
+    assert axis_index(np.int8(3)) == 3
+
+
+def test_exponents_must_be_integers(xyzt):
+    for exps in ((1.5, 0, 0, 0), (Fraction(1), 0, 0, 0), ("1", 0, 0, 0)):
+        with pytest.raises(TypeError):
+            PolyField({exps: 1})
+    assert PolyField({(np.int64(2), True, 0, 0): 1}) == xyzt[0] ** 2 * xyzt[1]
+
+
+def test_powers_must_be_integers(xyzt):
+    x = xyzt[0]
+    for n in (Fraction(1, 2), 2.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            x**n
+    assert x ** np.int64(2) == x * x
+    assert x**True == x
 
 
 def test_basic_arithmetic(xyzt):
@@ -188,8 +219,9 @@ def test_exp_field_derivative_rule(xyzt):
 
 def test_exp_field_zero_weight_reduces_to_poly(xyzt):
     x, _, _, _ = xyzt
-    e = ExpPolyField(PolyField.zero(), x + 2)
-    assert e.to_poly() == x + 2
+    p = x + 2
+    e = ExpPolyField(PolyField.zero(), p)
+    assert e is p
     assert e == x + 2
 
 
@@ -241,19 +273,22 @@ def test_mixed_weight_and_float_errors(xyzt):
     cases = [
         (lambda: ex - ey, ValueError, "exp(x) vs exp(y)"),
         (lambda: ex + ey, ValueError, "exp(x) vs exp(y)"),
-        (lambda: x - ey, ValueError, "exp(y) vs exp(0)"),
+        (lambda: x - ey, ValueError, "exp(0) vs exp(y)"),
         (lambda: ey - x, ValueError, "exp(y) vs exp(0)"),
-        (lambda: x + ey, ValueError, "exp(y) vs exp(0)"),
+        (lambda: x + ey, ValueError, "exp(0) vs exp(y)"),
         (lambda: 3 - ey, ValueError, "exp(0) vs exp(y)"),
-        (lambda: x - 1.5, TypeError, "exact scalar expected (int, Fraction or str), got float"),
-        (lambda: 1.5 - x, TypeError, "exact scalar expected (int, Fraction or str), got float"),
-        (lambda: ex - 1.5, TypeError, "exact scalar expected (int, Fraction or str), got float"),
-        (lambda: x + 1.5, TypeError, "unsupported operand type(s) for +: 'PolyField' and 'float'"),
     ]
     for op, error, message in cases:
         with pytest.raises(error) as raised:
             op()
         assert str(raised.value).endswith(message)
+    # every operator of both field types, in both operand orders, has the one scalar rule
+    for field in (x, ex):
+        for op in (operator.add, operator.sub, operator.mul):
+            for left, right in ((field, 1.5), (1.5, field)):
+                with pytest.raises(TypeError) as raised:
+                    op(left, right)
+                assert str(raised.value) == "exact scalar expected (int, Fraction or str), got float"
 
 
 def test_exp_field_nonzero_weight_refuses_poly_conversion(xyzt):
@@ -323,6 +358,37 @@ def test_equal_values_hash_equal(pair, a, b):
     assert hash(first) == hash(second)
     if a == b:
         assert hash(a) == hash(b)
+
+
+def _assert_field(value):
+    """A ``PolyField``, or an ``ExpPolyField`` with a nonzero weight and a nonzero amplitude."""
+    if type(value) is ExpPolyField:
+        assert not value.weight.is_zero and not value.amplitude.is_zero
+    else:
+        assert type(value) is PolyField
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys, _polys, _values, _values, _scalars, st.integers(0, 3))
+def test_every_exponential_field_has_a_nonzero_weight_and_amplitude(w, p, a, b, c, axis):
+    built = [ExpPolyField(w, p), ExpPolyField(0, p), ExpPolyField(w, 0)]
+    fields = built + [v for v in (a, b) if isinstance(v, (PolyField, ExpPolyField))]
+    results = list(built)
+    for u in fields:
+        results += [-u, u.diff(axis), u.substitute(axis, c)]
+        for trip in (copy.copy(u), copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
+            assert trip == u
+            results.append(trip)
+        for v in fields + [c]:
+            results += [u * v, v * u]
+            for left, right in ((u, v), (v, u)):
+                for op in (operator.add, operator.sub):
+                    try:
+                        results.append(op(left, right))
+                    except ValueError as error:
+                        assert "cannot add exponential fields with different weights" in str(error)
+    for value in results:
+        _assert_field(value)
 
 
 # the monomial encoding (packed int keys, the numerator map) is private to fields.py

@@ -5,6 +5,7 @@ import pickle
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hodge4d
@@ -126,6 +127,13 @@ def test_basis_mask_out_of_range_is_rejected(mask):
 def test_basis_mask_must_be_an_int():
     with pytest.raises(TypeError):
         BasisForm(2.0)
+
+
+def test_form_degree_must_be_an_int():
+    for degree in (1.5, 1.0, Fraction(1), "1"):
+        with pytest.raises(TypeError):
+            KForm(degree, {})
+    assert KForm(np.int64(1), {}) == KForm(True, {}) == KForm.zero(1)
 
 
 def test_basis_forms_are_immutable():
