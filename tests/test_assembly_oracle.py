@@ -6,10 +6,12 @@ right-hand side value is unchanged, so the comparison is literal equality.
 The reference march is compared with the exact solution of the same
 float64 backward Euler steps, which ``loop_reference`` computes in 40-digit
 decimal arithmetic.  The 1e-14 bound (relative to the largest value) is a
-property of the configs tested here, among them the two stencils that the
+property of the configs tested here, among them three stencils that the
 guard rejects, not of the march in general: it depends on the data and the
-stiffness, and random guard-rejected stencils on other data have reached
-errors of about 1e-13 with either step solver.
+stiffness.  Every solve takes one refinement step, the time steps of a
+rejected stencil included; without it those steps read 3.3e-13 on the
+256x8-cell one, and with it random rejected stencils on other data have
+come within 9.8e-15 (``tests/test_solver_properties.py``).
 """
 
 import logging
@@ -87,3 +89,19 @@ def test_guard_rejected_march_equals_loop_marcher(caplog, scheme, alpha, beta, r
     messages = [r.getMessage() for r in caplog.records if r.name == "hodge4d.solver"]
     assert len(messages) == 1 and messages[0].startswith("solve path: time steps, fallback because " + reason)
     assert messages[0].endswith(f"(eps=0.0, scheme={scheme.value}, grid=13x40 cells)")
+
+
+def test_the_guard_rejected_march_is_refined(caplog):
+    # centered at cell Peclet 600/256 = 2.3, so the spatial eigenvalues are
+    # complex and solve marches; the steps alone read 3.3e-13 here, and the
+    # refinement step that every solve takes brings them to 1.0e-15
+    cfg = ProblemConfig.from_manufactured(
+        "sin(pi*x)*(1+t**2)", alpha=1.0, beta=600.0, epsilon=0.0, scheme=Scheme.CENTERED, target="limit",
+    )
+    grid = Grid1p1.with_cells(256, 8)
+    with caplog.at_level(logging.DEBUG, logger="hodge4d.solver"):
+        values = reference_evolution(cfg, grid).values
+    messages = [r.getMessage() for r in caplog.records if r.name == "hodge4d.solver"]
+    assert len(messages) == 1 and messages[0].startswith("solve path: time steps, fallback because complex")
+    expected = loop_reference(cfg, grid)
+    assert np.abs(values - expected).max() <= 1e-14 * max(np.abs(expected).max(), 1.0)

@@ -498,7 +498,7 @@ def test_solve_failure_exits_one(tmp_path, capsys, monkeypatch):
     from hodge4d.solver import SolveError
 
     def failing_solve(system):
-        raise SolveError("relative residual 1.000e+00 above 1e-10")
+        raise SolveError("backward error 1.000e+00 above 1e-12")
 
     # the CLI imports the solver inside the command, so patch it at its home
     monkeypatch.setattr(hodge4d.solver, "solve", failing_solve)
@@ -506,7 +506,7 @@ def test_solve_failure_exits_one(tmp_path, capsys, monkeypatch):
     config.write_text(SOLVE_CONFIG)
     code, err = run_failing(capsys, "solve", "--config", str(config))
     assert code == 1
-    assert "residual" in err
+    assert "backward error" in err
 
 
 @pytest.mark.parametrize("command, config", [("solve", SOLVE_CONFIG), ("sweep", SWEEP_CONFIG)], ids=["solve", "sweep"])
@@ -559,7 +559,8 @@ def test_sweep_non_finite_data_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("nt", [96, 1024])
 def test_sweep_on_data_near_the_float_maximum_prints_one_error_line(tmp_path, nt):
-    # the reference overflows on the fast path and in the time steps: no
+    # the reference overflows on the fast path and in the time steps, which
+    # share the gate and its message for a result that is not finite: no
     # floating-point warning may reach stderr, and under -W error::RuntimeWarning
     # none may end the run in a traceback, on a coarse and on a fine time grid
     config = tmp_path / "sweep.cfg"
@@ -572,7 +573,7 @@ def test_sweep_on_data_near_the_float_maximum_prints_one_error_line(tmp_path, nt
     )
     assert done.returncode == 1
     assert done.stderr == (
-        f"error: the time steps reached a value that is not finite (eps=0.0, scheme=centered, grid=24x{nt} cells)\n"
+        f"error: the solution is not finite (eps=0.0, scheme=centered, grid=24x{nt} cells)\n"
     )
 
 
@@ -663,6 +664,21 @@ def test_sweep_names_the_first_non_finite_data(tmp_path, capsys, lines, err):
     code, got = run_quietly(capsys, "sweep", "--config", str(config))
     assert code == 2
     assert got == err
+
+
+def test_solve_and_sweep_report_bad_alpha_before_bad_data(tmp_path, capsys):
+    # both build Ax before they evaluate the data, so one config gives one line
+    lines = ("alpha = -1", "f = 1/0", "g = 0")
+    configs = {
+        "solve": "[solve]\nnx = 16\nnt = 16\nepsilon = 0.1\n" + "\n".join(lines) + "\n",
+        "sweep": _sweep_with(*lines),
+    }
+    for command, text in configs.items():
+        config = tmp_path / f"{command}.cfg"
+        config.write_text(text)
+        assert run_quietly(capsys, command, "--config", str(config)) == (
+            2, "error: nonpositive diffusion coefficient on an edge\n"
+        ), command
 
 
 @pytest.mark.parametrize(

@@ -254,12 +254,16 @@ def _one_percent_off(eigenpairs):
     return faulty
 
 
-def _assert_falls_back_to_splu(caplog, system, because="relative residual"):
+def _assert_falls_back_to_splu(caplog, system, because="backward error"):
     out, message = solve_logged(caplog, system)
     assert message.startswith(f"solve path: splu, fallback because {because}")
+    # from the Dirichlet lift, rhs with -0.0 on the interior, two steps of the
+    # sparse LU's correction
     lu = scipy.sparse.linalg.splu(system.matrix.tocsc())
-    expected = lu.solve(system.rhs)
-    expected += lu.solve(system.rhs - system.matrix @ expected)
+    expected = system.rhs.copy()
+    expected.reshape(system.grid.shape)[1:, 1:-1] = -0.0
+    for _ in range(2):
+        expected += lu.solve(system.rhs - system.matrix @ expected)
     assert out.values.ravel().tolist() == expected.tolist()
 
 
@@ -487,7 +491,7 @@ def test_reference_zero_data():
 
 def test_reference_that_overflows_raises_with_context(caplog):
     # data near the float maximum: the fast path's result is not finite, and
-    # in the time steps u/ht overflows
+    # so is the time steps', in which u/ht overflows
     cfg = make_config(alpha=1.0, beta=0.5, epsilon=0.0, g=lambda x, t: 1e307 * (1.0 + x) + 0.0 * t)
     with np.errstate(all="ignore"), caplog.at_level(logging.DEBUG, logger="hodge4d.solver"):
         with pytest.raises(SolveError, match=r"not finite \(eps=0.0, scheme=centered, grid=24x96 cells\)$"):
@@ -727,6 +731,19 @@ def test_sweep_logs_the_path_of_each_solve(caplog, cells, alpha, beta, target, e
     for message, (eps, nt, path) in zip(messages, expected):
         assert message.startswith("solve path: " + path)
         assert message.endswith(f"(eps={eps}, scheme=centered, grid={grid.nx + 1}x{nt + 1} cells)")
+
+
+def test_the_readme_sweep_on_8192_time_cells_passes_the_gate(caplog, sweep_config):
+    # ||A|| grows like eps*4/ht**2, and with it the relative residual ||r||/||b||
+    # of an accurate solve, 1.4e-10 at eps = 0.1 on this grid; the gate reads
+    # the backward error, 1.9e-16 here
+    grid = Grid1p1.with_cells(64, 8192)
+    with caplog.at_level(logging.DEBUG, logger="hodge4d.solver"):
+        result = epsilon_sweep(sweep_config, grid, [0.1, 0.05, 0.025, 0.0125])
+    messages = [r.getMessage() for r in caplog.records if r.name == "hodge4d.solver"]
+    assert len(messages) == 6 and all(m.startswith("solve path: fast-diagonalisation") for m in messages)
+    errors = [e.l2_error_T for e in result.entries]
+    assert all(later < earlier for earlier, later in zip(errors, errors[1:]))
 
 
 # -- bilinear form ------------------------------------------------------------------

@@ -15,13 +15,14 @@ with both spatial eigenbases: the closed form for constant alpha and beta,
 ``eigh_tridiagonal`` for alpha varying with x.  At eps = 0, the backward
 Euler reference, the time system of each mode is lower bidiagonal; its
 solve is checked against the same sparse LU, and ``solve``'s per-step LAPACK
-fallback for a rejected eps = 0 system against a copy of that loop, bit for
-bit.  The whole-row matrix-free product is checked against the strided
-kernel it replaced, byte for byte but for NaN payloads and floating-point
-exception for exception, and against itself run in two row ranges; the
-residual of the Dirichlet lift, which the fast path takes without a product,
-against rhs minus the product, byte for byte; a system is never built
-with a stencil coefficient that is not finite, which that residual needs;
+fallback for a rejected eps = 0 system against the exact solution of the
+float64 backward Euler steps (``loop_reference``).  The whole-row
+matrix-free product is checked against the strided kernel it replaced, byte
+for byte but for NaN payloads and floating-point exception for exception,
+and against itself run in two row ranges; the residual of the Dirichlet
+lift, which every solve takes without a product, against rhs minus the
+product, byte for byte; a system is never built with a stencil coefficient
+that is not finite, which that residual needs;
 and every built time stencil has its rows above the initial time alike but
 the last, which the fast path's time solves need.
 """
@@ -35,9 +36,8 @@ import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
-from loop_reference import scalar_bernoulli, strided_apply
+from loop_reference import loop_reference, scalar_bernoulli, strided_apply
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from hodge4d import solver
 from hodge4d.solver import (
@@ -262,10 +262,12 @@ def test_centered_and_upwind_fluxes_miss_the_steady_kernel(scheme):
 
 
 def _splu_refined(system):
-    """Sparse LU of the whole matrix with one refinement step: the oracle."""
+    """Sparse LU of the whole matrix from the Dirichlet lift (rhs, -0.0 on the interior), refined once: the oracle."""
     lu = spla.splu(system.matrix.tocsc())
-    x = lu.solve(system.rhs)
-    x += lu.solve(system.rhs - system.matrix @ x)
+    x = system.rhs.copy()
+    x.reshape(system.grid.shape)[1:, 1:-1] = -0.0
+    for _ in range(2):
+        x += lu.solve(system.rhs - system.matrix @ x)
     return x
 
 
@@ -355,20 +357,16 @@ def _limit_system(config, grid):
     return LinearSystem(solver._data(config, grid).ravel(), grid, 0.0, config.scheme, x_stencil)
 
 
-def _step_loop_march(x_stencil, values, grid):
-    """Backward Euler with one LAPACK ``dgttrs`` per time step: ``solve``'s eps = 0 fallback, as an oracle."""
-    ht = grid.ht
-    step_diagonal = np.full(grid.nx + 2, 1.0 / ht)
-    step_diagonal[[0, -1]] = 1.0
-    lower, main, upper = x_stencil
-    *factors, info = dgttrf(lower, step_diagonal + main, upper)
-    assert info == 0
-    values = values.copy()
-    for n in range(1, grid.nt + 2):
-        values[n, 1:-1] += values[n - 1, 1:-1] / ht
-        values[n], info = dgttrs(*factors, values[n])
-        assert info == 0
-    return values
+def _march_error(march, config, grid):
+    """The largest distance of ``march`` from the exact solution of the float64 steps, relative to its largest value.
+
+    Over this module's guard-rejected eps = 0 stencils the refined time steps
+    came within 9.8e-15 of it (centered, alpha 1e-3, cell Peclet 417) and
+    within 8.5e-16 on 1,000 random draws; the steps without refinement reached
+    1.3e-12.
+    """
+    expected = loop_reference(config, grid)
+    return np.abs(march - expected).max() / max(np.abs(expected).max(), 1.0)
 
 
 def _limit_config(scheme, alpha_of_x, beta):
@@ -406,13 +404,12 @@ def test_triangular_time_solve_agrees_with_splu(scheme, alpha, alpha_slope, beta
     with mock.patch.object(solver, "_cyclic_factor", wraps=solver._cyclic_factor) as factor:
         fast, reason = _fast_diagonalisation(system)
     assert all(row[2] is None for (_, row, _), _ in factor.call_args_list)
-    values = system.rhs.reshape(grid.shape)
     march = solve(system).values
     if fast is None:
-        # rejected by the guard: solve steps with dgttrs, bit for bit
+        # rejected by the guard: solve refines its steps with dgttrs
         event(" ".join(reason.split()[:2]))
         assert reason
-        assert march.tolist() == _step_loop_march(system.x_stencil, values, grid).tolist()
+        assert _march_error(march, cfg, grid) <= 1e-13
     else:
         event("closed-form basis" if alpha_slope == 0.0 else "eigh_tridiagonal basis")
         assert reason == ""
@@ -435,13 +432,12 @@ def test_zero_shifted_diagonal_falls_back_to_the_step_loop():
         lam[2] = -step_main
         return lam
 
-    values = system.rhs.reshape(grid.shape)
     with mock.patch.object(solver, "_toeplitz_eigenvalues", singular):
         fast, reason = _fast_diagonalisation(system)
         march = solve(system).values
     assert fast is None
     assert reason == "zero pivot in the time system of mode 2"
-    assert march.tolist() == _step_loop_march(system.x_stencil, values, grid).tolist()
+    assert _march_error(march, cfg, grid) <= 1e-13
 
 
 @pytest.mark.parametrize(
@@ -457,9 +453,8 @@ def test_zero_shifted_diagonal_falls_back_to_the_step_loop():
 )
 def test_data_that_is_not_finite_at_any_node_ends_in_solve_error(scheme, alpha, beta, eps, admitted):
     # no solve returns a NaN or an infinity, which is why the matrix-free
-    # product may leave NaN payloads open: every path's result is rejected,
-    # the fast path's and splu's by the residual gate, the time steps' by
-    # their finiteness check, with no floating-point warning on the way
+    # product may leave NaN payloads open: every path's result is rejected
+    # by the one gate, with no floating-point warning on the way
     grid = Grid1p1.with_cells(12, 10)
     cfg = dataclasses.replace(_limit_config(scheme, alpha, beta), epsilon=eps)
     system = _limit_system(cfg, grid) if eps == 0.0 else assemble(cfg, grid)
