@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import hodge4d.vectorcalc as vc  # not "from . import", which asks the package (see hodge4d)
 from ._record import FrozenRecord, Record
-from .fields import ExpPolyField, PolyField, T
+from .fields import ExpPolyField, PolyField, T, signed_sum
 from .forms import (
     KForm,
     MaterialParams,
@@ -25,6 +25,7 @@ from .forms import (
     one_form,
     spatial_form,
     spatial_parts,
+    sum_forms,
     temporal_parts,
     wedge,
 )
@@ -108,7 +109,7 @@ def operator_pieces(w: KForm, m: MaterialParams) -> dict:
     delta_d = codifferential_1a(exterior_derivative(w), m)
     # the convection wedge overflows degree four, where this piece vanishes
     delta_wedge = (
-        KForm.zero(k) if k >= 4 else -hodge_star(exterior_derivative(scaled_star_convection(w, m)))
+        KForm.zero(k) if k >= 4 else hodge_star(exterior_derivative(scaled_star_convection(w, m)), -1)
     )
     if k == 0:
         # no codifferential below 0-forms; this piece is identically zero
@@ -120,8 +121,7 @@ def operator_pieces(w: KForm, m: MaterialParams) -> dict:
 
 def unified_operator(w: KForm, m: MaterialParams) -> KForm:
     """Full operator: codiff(flux w) + d(codiff w), same degree as the input."""
-    pieces = operator_pieces(w, m)
-    return pieces["delta_d"] + pieces["delta_wedge"] + pieces["d_delta"]
+    return sum_forms(*operator_pieces(w, m).values())
 
 
 def hodge_laplacian(w: KForm, m: MaterialParams) -> KForm:
@@ -150,9 +150,9 @@ class ExpansionRow(Record):
     def residuals(self) -> dict:
         out = {}
         for col in (*PIECES, "total"):
-            diff = self.actual[col] - self.expected[col]
-            if not diff.is_zero:
-                out[col] = diff
+            actual, expected = self.actual[col], self.expected[col]
+            if actual != expected:  # equality is literal: equal fields are equal values
+                out[col] = actual - expected
         return out
 
 
@@ -255,7 +255,7 @@ def _expected_cells(degree, fields, m):
     else:
         raise ValueError(f"degree out of range: {degree}")
     for cells in rows.values():
-        cells["total"] = cells["delta_d"] + cells["delta_wedge"] + cells["d_delta"]
+        cells["total"] = signed_sum([(1, cells[name], None) for name in PIECES])
     return rows
 
 
@@ -270,8 +270,7 @@ def expand_componentwise(degree: int, fields, m: MaterialParams) -> ExpansionRep
     w = spatial_form(degree, fields)
     pieces = operator_pieces(w, m)
     actual_cols = {name: dict(display_components(piece)) for name, piece in pieces.items()}
-    total = pieces["delta_d"] + pieces["delta_wedge"] + pieces["d_delta"]
-    actual_cols["total"] = dict(display_components(total))
+    actual_cols["total"] = dict(display_components(sum_forms(*pieces.values())))
     expected = _expected_cells(degree, fields, m)
 
     input_coeffs = dict(display_components(w))

@@ -136,31 +136,36 @@ def _derivative(tree: ast.expr, var: str) -> ast.expr:
     return substitute(_RULES[rule], **parts)
 
 
-def variables(tree: ast.expr) -> set:
-    """The names among x and t that ``tree`` uses."""
-    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id in ("x", "t")}
-
-
 def numpy_function(tree: ast.expr, *args: str):
-    """Compile ``tree`` once into a numpy function of ``args``; its scope has no builtins."""
-    if variables(tree) - set(args):
-        raise ExpressionError(f"{ast.unparse(tree)!r} may depend on {' and '.join(args)} only")
+    """Compile ``tree`` once into a numpy function of ``args``; its scope has no builtins.
+
+    The function's ``variables`` attribute is the set of names among x and t
+    that ``tree`` uses; a name outside ``args`` raises ExpressionError.
+    """
     scope = {"__builtins__": {}, "pi": np.float64(np.pi), "Abs": np.abs, "sign": np.sign}
     scope.update((name, getattr(np, name)) for name in FUNCTIONS - {"Abs"})
+    names = set()
+    at = {"lineno": 1, "col_offset": 0, "end_lineno": 1, "end_col_offset": 0}
 
-    def float64(node):  # a copy of node with each constant a name bound to its float64 value
+    def float64(node):  # a located copy of node with each constant a name bound to its float64 value
         if isinstance(node, ast.Constant):
             scope[f"_{len(scope)}"] = np.float64(node.value)
-            return ast.Name(f"_{len(scope) - 1}", ast.Load())
+            return ast.Name(f"_{len(scope) - 1}", ast.Load(), **at)
         if isinstance(node, ast.BinOp):
-            return ast.BinOp(float64(node.left), node.op, float64(node.right))
+            return ast.BinOp(float64(node.left), node.op, float64(node.right), **at)
         if isinstance(node, ast.UnaryOp):
-            return ast.UnaryOp(node.op, float64(node.operand))
+            return ast.UnaryOp(node.op, float64(node.operand), **at)
         if isinstance(node, ast.Call):
-            return ast.Call(node.func, [float64(node.args[0])], [])
-        return node
+            return ast.Call(ast.Name(node.func.id, ast.Load(), **at), [float64(node.args[0])], [], **at)
+        if node.id in ("x", "t"):
+            names.add(node.id)
+        return ast.Name(node.id, ast.Load(), **at)
 
-    signature = ast.arguments([], [ast.arg(name) for name in args], None, [], [], None, [])
     with _shallow():
-        code = ast.fix_missing_locations(ast.Expression(ast.Lambda(signature, float64(tree))))
-        return eval(compile(code, "<expression>", "eval"), scope)
+        body = float64(tree)
+        if names - set(args):
+            raise ExpressionError(f"{ast.unparse(tree)!r} may depend on {' and '.join(args)} only")
+        signature = ast.arguments([], [ast.arg(name, **at) for name in args], None, [], [], None, [])
+        function = eval(compile(ast.Expression(ast.Lambda(signature, body, **at)), "<expression>", "eval"), scope)
+    function.variables = names
+    return function

@@ -120,7 +120,7 @@ def _make(num: dict, den: int) -> "PolyField":
 
 
 def _sum(a: "PolyField", b: "PolyField", sign: int) -> "PolyField":
-    """``a + sign * b`` for ``sign`` 1 or -1, in one pass over each operand."""
+    """``a + sign * b`` for ``sign`` 1 or -1: ``signed_sum`` of two fields, without building its terms."""
     den, oden = a.den, b.den
     g = gcd(den, oden)
     scale, oscale = oden // g, sign * (den // g)
@@ -129,6 +129,96 @@ def _sum(a: "PolyField", b: "PolyField", sign: int) -> "PolyField":
     for k, c in b.num.items():
         num[k] = get(k, 0) + c * oscale
     return _field(num, den * scale)
+
+
+def signed_sum(terms):
+    """``sign * part`` summed over the ``(sign, a, b)`` terms of a sequence, in one pass.
+
+    ``sign`` is 1 or -1 and ``a`` is a field; the part is ``a`` itself when
+    ``b`` is None, ``a.diff(b)`` when ``b`` is an axis and ``a * b`` when
+    ``b`` is a field.  Polynomial parts accumulate into one dict over the
+    lcm of their denominators, and the products' exponent guard runs before
+    zero numerators are dropped, so a product past the limit raises
+    ``OverflowError`` even when it cancels.  With an ``ExpPolyField`` among
+    the operands the parts fold left to right through ``+`` and ``-``, whose
+    ``ValueError`` names mismatched weights.  No terms give zero.  One term
+    and two plain fields, the first positive, skip the common denominator:
+    they are the field itself, its negation or ``_sum``.
+    """
+    if len(terms) == 1:
+        sign, a, b = terms[0]
+        if b is None:
+            return a if sign > 0 else -a
+        if sign > 0:
+            return _part(a, b)
+    elif len(terms) == 2:
+        (sign, a, b), (other_sign, c, d) = terms
+        if sign > 0 and b is None is d and a.__class__ is PolyField is c.__class__:
+            return _sum(a, c, other_sign)
+    den = 1
+    for _, a, b in terms:
+        if a.__class__ is not PolyField or b.__class__ is ExpPolyField:
+            return _fold(terms)
+        d = a.den * b.den if b.__class__ is PolyField else a.den
+        if den % d:
+            den = lcm(den, d)
+    num = {}
+    get = num.get
+    product = False
+    for sign, a, b in terms:
+        if b.__class__ is PolyField:  # a constant factor keeps the other's keys
+            scale = sign * (den // (a.den * b.den))
+            if len(b.num) == 1 and 0 in b.num:
+                b, scale = None, scale * b.num[0]
+            elif len(a.num) == 1 and 0 in a.num:
+                a, b, scale = b, None, scale * a.num[0]
+        else:
+            scale = sign * (den // a.den)
+        if b is None:
+            if num:
+                for k, c in a.num.items():
+                    num[k] = get(k, 0) + c * scale
+            else:  # the first part is copied in one step
+                num = dict(a.num) if scale == 1 else {k: c * scale for k, c in a.num.items()}
+                get = num.get
+        elif b.__class__ is PolyField:
+            product = True
+            b_items = b.num.items()
+            for ka, ca in a.num.items():
+                ca *= scale
+                for kb, cb in b_items:
+                    k = ka + kb
+                    num[k] = get(k, 0) + ca * cb
+        else:  # lowering one exponent keeps the monomials of one part apart
+            shift = _shift(b)
+            unit = 1 << shift
+            for k, c in a.num.items():
+                if e := k >> shift & MAX_EXPONENT:
+                    k -= unit
+                    num[k] = get(k, 0) + c * e * scale
+    if product:
+        _check_exponents(num, "product")
+    return _field(num, den)
+
+
+def _part(a, b):
+    """The part of one ``signed_sum`` term, by the fields' own operations."""
+    if b is None:
+        return a
+    return a * b if isinstance(b, (PolyField, ExpPolyField)) else a.diff(b)
+
+
+def _fold(terms):
+    """``signed_sum`` through the fields' own ``+``, ``-`` and unary ``-``, left to right."""
+    total = None
+    for sign, a, b in terms:
+        if b is not None:
+            a = _part(a, b)
+        if total is None:
+            total = a if sign > 0 else -a
+        else:
+            total = total + a if sign > 0 else total - a
+    return total
 
 
 def _scaled(field: "PolyField", constant: "PolyField") -> "PolyField":
@@ -428,7 +518,8 @@ class ExpPolyField:
         raise ValueError(f"nonzero exponential weight: exp({self.weight})")
 
     def diff(self, axis):
-        return _exp(self.weight, self.amplitude * self.weight.diff(axis) + self.amplitude.diff(axis))
+        amplitude = self.amplitude
+        return _exp(self.weight, signed_sum(((1, amplitude, self.weight.diff(axis)), (1, amplitude, axis))))
 
     def substitute(self, axis, value):
         return _exp(self.weight.substitute(axis, value), self.amplitude.substitute(axis, value))

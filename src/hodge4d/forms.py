@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-from itertools import chain
 from operator import index
 from typing import Optional
 
 from ._record import FrozenRecord
-from .fields import AXES, PolyField, T, coerce_field, exact_scalar
+from .fields import AXES, PolyField, T, coerce_field, exact_scalar, signed_sum
 
 FULL_MASK = 0b1111
 T_BIT = 1 << T
@@ -179,7 +178,7 @@ class KForm:
 
     @classmethod
     def from_scalar(cls, value) -> "KForm":
-        return _form(0, ((_BASIS[0], coerce_field(value)),))
+        return _form(0, ((0, 1, coerce_field(value), None),))
 
     # -- queries ------------------------------------------------------------
 
@@ -198,23 +197,23 @@ class KForm:
     def __add__(self, other):
         if not isinstance(other, KForm):
             return NotImplemented
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        return _form(self.degree, chain(self.items(), other.items()))
+        return _combination(((1, self), (1, other)))
 
     def __neg__(self):
-        return _form(self.degree, ((b, -c) for b, c in self.items()))
+        return _form(self.degree, [(b.mask, -1, c, None) for b, c in self.items()])
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, KForm):
+            return NotImplemented
+        return _combination(((1, self), (-1, other)))
 
     def scale(self, factor) -> "KForm":
         """Multiply every coefficient by a scalar or coefficient field."""
         factor = coerce_field(factor)
-        return _form(self.degree, ((b, factor * c) for b, c in self.items()))
+        return _form(self.degree, [(b.mask, 1, factor * c, None) for b, c in self.items()])
 
     def map_coefficients(self, fn) -> "KForm":
-        return _form(self.degree, ((b, coerce_field(fn(c))) for b, c in self.items()))
+        return _form(self.degree, ((b.mask, 1, coerce_field(fn(c)), None) for b, c in self.items()))
 
     def substitute_t(self, value) -> "KForm":
         """Restrict symbolically to a constant-time hyperplane t = value."""
@@ -243,27 +242,55 @@ class KForm:
 def _form(degree: int, images) -> KForm:
     """Trusted constructor for operation results.
 
-    ``images`` yields (basis, coefficient) pairs with bases of the right
-    degree and coefficients that are field operation results or have passed
-    ``coerce_field``.  Coefficients on one basis are summed and zero sums
-    are dropped.
+    ``images`` yields ``(mask, sign, a, b)`` with masks of the right degree:
+    the image is the ``signed_sum`` term ``(sign, a, b)`` on that basis, its
+    fields results of field operations or passed through ``coerce_field``.
+    Each basis's terms are summed by one ``signed_sum``, in the order they
+    come (a lone field term is taken or negated without the call), and zero
+    sums are dropped.
     """
+    groups = {}  # a lone term as itself, two or more in a list
+    for mask, sign, a, b in images:
+        terms = groups.get(mask)
+        if terms is None:
+            groups[mask] = (sign, a, b)
+        elif terms.__class__ is list:
+            terms.append((sign, a, b))
+        else:
+            groups[mask] = [terms, (sign, a, b)]
     comps = {}
-    for basis, coeff in images:
-        total = comps.get(basis)
-        comps[basis] = coeff if total is None else total + coeff
-    for basis, coeff in list(comps.items()):
-        if coeff.is_zero:
-            del comps[basis]
+    for mask, terms in groups.items():
+        if terms.__class__ is list:
+            coeff = signed_sum(terms)
+        elif terms[2] is None:
+            coeff = terms[1] if terms[0] > 0 else -terms[1]
+        else:
+            coeff = signed_sum((terms,))
+        if not coeff.is_zero:
+            comps[_BASIS[mask]] = coeff
     form = object.__new__(KForm)
     form.degree = degree
     form.components = comps
     return form
 
 
+def _combination(signed_forms) -> KForm:
+    """The sum of ``sign * form`` over a sequence of ``(sign, form)`` pairs, forms of one degree."""
+    degree = signed_forms[0][1].degree
+    for _, form in signed_forms:
+        if form.degree != degree:
+            raise ValueError(f"degree mismatch: {degree} vs {form.degree}")
+    return _form(degree, [(b.mask, sign, c, None) for sign, form in signed_forms for b, c in form.items()])
+
+
+def sum_forms(first: KForm, *rest: KForm) -> KForm:
+    """The sum of forms of one degree, each output coefficient in one pass."""
+    return _combination([(1, form) for form in (first, *rest)])
+
+
 def one_form(x, y, z, t) -> KForm:
     """The 1-form x dx + y dy + z dz + t dt, from scalars or coefficient fields."""
-    return _form(1, ((_BASIS[1 << i], coerce_field(c)) for i, c in enumerate((x, y, z, t))))
+    return _form(1, ((1 << i, 1, coerce_field(c), None) for i, c in enumerate((x, y, z, t))))
 
 
 class MaterialParams(FrozenRecord):
@@ -321,7 +348,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
         signs = _SIGN[mask_a]
         for mask_b, cb in b_items:
             if sign := signs[mask_b]:
-                images.append((_BASIS[mask_a | mask_b], _signed(sign, ca * cb)))
+                images.append((mask_a | mask_b, sign, ca, cb))
     return _form(a.degree + b.degree, images)
 
 
@@ -332,36 +359,34 @@ def exterior_derivative(w: KForm) -> KForm:
         mask = basis.mask
         for axis in range(4):
             bit = 1 << axis
-            if mask & bit:
-                continue
-            dc = coeff.diff(axis)
-            if not dc.is_zero:
-                images.append((_BASIS[mask | bit], _signed(_SIGN[bit][mask], dc)))
+            if not mask & bit:
+                images.append((mask | bit, _SIGN[bit][mask], coeff, axis))
     return _form(w.degree + 1, images)
 
 
-def _star(w: KForm, factors=None) -> KForm:
-    """The star of ``w``; ``factors`` = (dt-free, dt) weights each coefficient first."""
+def _star(w: KForm, sign: int, factors=None) -> KForm:
+    """``sign`` times the star of ``w``; ``factors`` = (dt-free, dt) fields weight each coefficient first."""
     if w.degree > 4:
         raise ValueError(f"no star for degree {w.degree}")
+    if type(sign) is not int or sign not in (1, -1):  # a float or bool sign is refused too
+        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
     images = []
     for basis, coeff in w.items():
         mask = basis.mask
-        if factors:
-            coeff = coeff * factors[mask >> T]  # 1 exactly when dt is present
         complement = mask ^ FULL_MASK
-        images.append((_BASIS[complement], _signed(_SIGN[mask][complement], coeff)))
+        # mask >> T is 1 exactly when dt is present
+        images.append((complement, sign * _SIGN[mask][complement], coeff, factors[mask >> T] if factors else None))
     return _form(4 - w.degree, images)
 
 
-def hodge_star(w: KForm) -> KForm:
-    """Euclidean star mapping degree k to degree 4 - k."""
-    return _star(w)
+def hodge_star(w: KForm, sign: int = 1) -> KForm:
+    """Euclidean star mapping degree k to degree 4 - k, times ``sign`` (1 or -1)."""
+    return _star(w, sign)
 
 
-def scaled_hodge_star(w: KForm, m: MaterialParams) -> KForm:
-    """Star weighted by alpha on dt-free inputs and by epsilon otherwise."""
-    return _star(w, (m.spatial_diffusion, m.epsilon))
+def scaled_hodge_star(w: KForm, m: MaterialParams, sign: int = 1) -> KForm:
+    """Star weighted by alpha on dt-free inputs and by epsilon otherwise, times ``sign`` (1 or -1)."""
+    return _star(w, sign, (coerce_field(m.spatial_diffusion), PolyField.constant(m.epsilon)))
 
 
 def _codifferential_out_of_range(w: KForm) -> Optional[KForm]:
@@ -386,14 +411,14 @@ def codifferential_1a(w: KForm, m: MaterialParams) -> KForm:
     """Weighted codifferential, literally -(star (d (scaled_star w)))."""
     if (zero := _codifferential_out_of_range(w)) is not None:
         return zero
-    return -hodge_star(exterior_derivative(scaled_hodge_star(w, m)))
+    return hodge_star(exterior_derivative(scaled_hodge_star(w, m)), -1)
 
 
 def codifferential_a1(w: KForm, m: MaterialParams) -> KForm:
     """Weighted codifferential with the stars swapped: -(scaled_star (d (star w)))."""
     if (zero := _codifferential_out_of_range(w)) is not None:
         return zero
-    return -scaled_hodge_star(exterior_derivative(hodge_star(w)), m)
+    return scaled_hodge_star(exterior_derivative(hodge_star(w)), m, -1)
 
 
 def interior_product_dt(w: KForm) -> KForm:
@@ -406,7 +431,7 @@ def interior_product_dt(w: KForm) -> KForm:
     """
     if w.degree == 0:
         return KForm.zero(0)
-    return _form(w.degree - 1, ((_BASIS[b.mask ^ T_BIT], c) for b, c in w.items() if b.mask & T_BIT))
+    return _form(w.degree - 1, ((b.mask ^ T_BIT, 1, c, None) for b, c in w.items() if b.mask & T_BIT))
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +505,7 @@ def spatial_form(degree: int, fields) -> KForm:
     if len(block) == 1:
         fields = (fields,)
     pairs = zip(block, fields, strict=True)
-    return _form(degree, ((basis, _signed(sign, coerce_field(f))) for (basis, sign), f in pairs))
+    return _form(degree, ((basis.mask, sign, coerce_field(f), None) for (basis, sign), f in pairs))
 
 
 def spatial_parts(w: KForm):

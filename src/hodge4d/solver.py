@@ -41,7 +41,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import SolveError
-from .expressions import derivative, numpy_function, parse_expression, substitute, variables
+from .expressions import derivative, numpy_function, parse_expression, substitute
 
 logger = logging.getLogger(__name__)
 
@@ -453,7 +453,8 @@ def manufactured_forcing(u, alpha, beta, epsilon, target: str) -> tuple:
 def _coefficient_data(tree):
     """A float for a constant coefficient tree, else its numpy function of x."""
     with np.errstate(all="ignore"):
-        return numpy_function(tree, "x") if variables(tree) else float(numpy_function(tree)())
+        function = numpy_function(tree, "x")
+        return function if function.variables else float(function(0.0))  # a constant ignores x
 
 
 def _evaluate(name: str, data, *coords: np.ndarray) -> np.ndarray:
@@ -639,7 +640,7 @@ def _peak(values: np.ndarray):
     return max(values.max(), -values.min())
 
 
-def _refined(system: LinearSystem, correction: Callable, out: np.ndarray, term: np.ndarray):
+def _refined(system: LinearSystem, correction: Callable, out: np.ndarray, term: np.ndarray, rhs_peak):
     """Every path's solve: two steps of x += correction(rhs - A x) from the Dirichlet lift, then the gate.
 
     ``correction`` maps a residual on the grid to the step, which it may
@@ -650,7 +651,8 @@ def _refined(system: LinearSystem, correction: Callable, out: np.ndarray, term: 
     scratch.  The gate reads the normwise backward error ||r|| / (||A|| ||x||
     + ||b||) in the infinity norm (Rigal & Gaches, J. ACM 14, 1967; Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., 7.1), which does
-    not grow with ||A|| for an accurate solve, as ||r|| / ||b|| does.
+    not grow with ||A|| for an accurate solve, as ||r|| / ||b|| does;
+    ``rhs_peak`` is ||b||, which ``solve`` has already taken.
     Returns ``(x, "")``, x fresh and grid-shaped, or ``(None, reason)``.
     """
     rhs = system.rhs.reshape(system.grid.shape)
@@ -662,7 +664,7 @@ def _refined(system: LinearSystem, correction: Callable, out: np.ndarray, term: 
     size = _peak(x)
     if not math.isfinite(size):
         return None, "the solution is not finite"
-    scale = _operator_norm(system) * size + _peak(rhs)
+    scale = _operator_norm(system) * size + rhs_peak
     error = _peak(residual) / scale if scale else 0.0  # a zero scale has x = b = 0, so r = 0
     if not error <= _BACKWARD_ERROR_TOLERANCE:
         return None, f"backward error {error:.3e} above {_BACKWARD_ERROR_TOLERANCE:g}"
@@ -920,7 +922,7 @@ def _workspace(shape: tuple, sine: bool = False) -> _Workspace:
     return work
 
 
-def _fast_diagonalisation(system: LinearSystem):
+def _fast_diagonalisation(system: LinearSystem, rhs_peak=None):
     """Solve through the eigenbasis of the spatial stencil (Lynch, Rice & Thomas).
 
     With X = Ax[1:-1, 1:-1] and T = At[1:, 1:] the interior unknowns U (time
@@ -963,6 +965,8 @@ def _fast_diagonalisation(system: LinearSystem):
     rejects the system (complex eigenvalues, a scaling D too ill-conditioned
     to trust, a zero pivot in a time system's reduction, named by its lowest
     mode) or the result fails the gate, with no floating-point warning.
+    ``rhs_peak`` is ||rhs||_inf for the gate when the caller has taken it
+    (``solve`` has); None takes it here.
 
     The scaling guard decides which convection-dominated problems fall back.
     For the fitted scheme D equals exp(-psi/2) up to a constant, where psi =
@@ -1037,7 +1041,9 @@ def _fast_diagonalisation(system: LinearSystem):
             interior *= d
             return residual
 
-        return _refined(system, interior_solve, work.grid, work.rows)
+        if rhs_peak is None:
+            rhs_peak = _peak(system.rhs)
+        return _refined(system, interior_solve, work.grid, work.rows, rhs_peak)
 
 
 def solve(system: LinearSystem) -> DiscreteField:
@@ -1060,12 +1066,12 @@ def solve(system: LinearSystem) -> DiscreteField:
         return DiscreteField(system.grid, np.ldexp(scaled.values, exponent))
     context = f"eps={system.epsilon}, scheme={system.scheme.value}, grid={system.grid.cells}"
     with np.errstate(all="ignore"):
-        values, reason = _fast_diagonalisation(system)
+        values, reason = _fast_diagonalisation(system, peak)
         if values is None:
             path, fallback = ("time steps", _time_steps) if system.epsilon == 0.0 else ("splu", _sparse_lu)
             logger.debug("solve path: %s, fallback because %s (%s)", path, reason, context)
             out = np.empty(system.grid.shape)
-            values, reason = _refined(system, fallback(system, context), out, np.empty_like(out[1:]))
+            values, reason = _refined(system, fallback(system, context), out, np.empty_like(out[1:]), peak)
             if values is None:
                 raise SolveError(f"{reason} ({context})")
         else:

@@ -68,6 +68,12 @@ GOLDEN = Path(__file__).parent / "golden"
     [
         (("identities", "--seed", "42", "--count", "20"), "identities-seed42-count20.txt"),
         (("verify-tables", "--seed", "0"), "verify-tables-seed0.txt"),
+        # README's expansion example at every degree, and every boundary report
+        *(
+            (("expand", "--k", str(k), "--alpha", "2", "--eps", "1/2", "--beta", "1,0,-1"), f"expand-k{k}.txt")
+            for k in range(5)
+        ),
+        *((("boundary", "--k", str(k)), f"boundary-k{k}.txt") for k in range(4)),
     ],
 )
 def test_exact_commands_print_their_pinned_bytes(capsys, argv, golden):

@@ -10,7 +10,8 @@ result passes the limit.  Constant and zero operands, the exponential
 weight of a product with a polynomial and substitution of zero get
 properties of their own.  The random polynomials of ``verification`` are
 checked against their ``Fraction``-built oracle in the same way, and their
-one integer draw rule against ``random.Random.randrange``.
+one integer draw rule against ``random.Random.randrange``.  The signed-sum
+kernel is checked against the oracle's pairwise sums of the same parts.
 """
 
 import ast
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 
 import random_reference
 from fraction_reference import FractionPolyField
-from hodge4d.fields import MAX_EXPONENT, ExpPolyField, PolyField
+from hodge4d.fields import MAX_EXPONENT, ExpPolyField, PolyField, signed_sum
 from hodge4d import verification
 from hodge4d.verification import _below, random_fraction, random_poly
 
@@ -281,3 +282,96 @@ def test_operations_near_the_exponent_limit_match_fraction_oracle(ta, tb, axis, 
     partial = a.substitute(axis, s)
     assert_canonical(partial)
     assert partial.terms == ra.substitute(axis, s).terms
+
+
+# signed_sum terms as drawn: (sign, terms of a, b), where b is None (the part
+# is a), an axis (the part is a's derivative) or the terms of a second field
+# (the part is the product); the coefficients have different denominators
+_signs = st.sampled_from((1, -1))
+_sum_terms = st.lists(st.tuples(_signs, _terms, st.one_of(st.none(), _axes, _terms)), max_size=5)
+
+
+def _kernel_terms(drawn, lift=None):
+    """The ``signed_sum`` terms of drawn triples and the oracle's pairwise sum of their parts.
+
+    With ``lift`` (a nonzero weight) each ``a`` becomes ``ExpPolyField(lift, a)``
+    and the oracle sums the amplitudes: e^w a, d(e^w a) = e^w (a dw + da), e^w a b.
+    """
+    terms, total = [], FractionPolyField()
+    rw = None if lift is None else FractionPolyField(lift.terms)
+    for sign, ta, tb in drawn:
+        a, ra = PolyField(ta), FractionPolyField(ta)
+        if tb is None:
+            b, part = None, ra
+        elif isinstance(tb, int):
+            b, part = tb, ra.diff(tb) + (ra * rw.diff(tb) if rw is not None else 0)
+        else:
+            b, part = PolyField(tb), ra * FractionPolyField(tb)
+        terms.append((sign, a if lift is None else ExpPolyField(lift, a), b))
+        total = total + part if sign > 0 else total - part
+    return terms, total
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sum_terms)
+def test_signed_sum_matches_the_pairwise_fraction_oracle(drawn):
+    terms, ref = _kernel_terms(drawn)
+    assert_matches(signed_sum(terms), ref)
+    # every term against its negation: the sum cancels to the canonical zero
+    cancelled = signed_sum(terms + [(-sign, a, b) for sign, a, b in terms])
+    assert_matches(cancelled, FractionPolyField())
+    assert (cancelled.num, cancelled.den) == ({}, 1)
+    for sign, a, b in terms:
+        single, single_ref = _kernel_terms([(sign, a.terms, b if b is None or isinstance(b, int) else b.terms)])
+        assert_matches(signed_sum(single), single_ref)
+    if terms:
+        a = terms[0][1]
+        assert signed_sum([(1, a, None)]) is a  # one positive field is the field itself
+        assert_matches(signed_sum([(-1, a, None)]), -FractionPolyField(a.terms))
+
+
+_nonzero = st.builds(PolyField, _terms).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nonzero, _sum_terms)
+def test_signed_sum_of_exponential_fields_folds_through_the_operators(weight, drawn):
+    terms, ref = _kernel_terms(drawn, lift=weight)
+    total = signed_sum(terms)
+    if ref.is_zero:
+        assert total == PolyField.zero()
+    else:
+        assert type(total) is ExpPolyField and total.weight == weight
+        assert_matches(total.amplitude, ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_nonzero, _nonzero, _nonzero, _nonzero, _signs)
+def test_signed_sum_names_mismatched_weights_as_the_operators_do(weight, other, a, b, sign):
+    if weight == other:
+        other = other + weight
+    first, second = ExpPolyField(weight, a), ExpPolyField(other, b)
+    for head in ([first], [first, first]):
+        with pytest.raises(ValueError) as pairwise:
+            total = sum(head[1:], head[0])
+            total + second if sign > 0 else total - second
+        assert str(pairwise.value).startswith("cannot add exponential fields with different weights: ")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(pairwise.value))}$"):
+            signed_sum([(1, field, None) for field in head] + [(sign, second, None)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_high_terms, _high_terms, _high_terms, _signs)
+def test_signed_sum_raises_for_an_overflowed_product_that_cancels(ta, tb, tc, sign):
+    a, b, c = PolyField(ta), PolyField(tb), PolyField(tc)
+    ra, rb, rc = FractionPolyField(ta), FractionPolyField(tb), FractionPolyField(tc)
+    terms = [(sign, a, b), (1, c, None), (-sign, a, b)]
+    if not ra.is_zero and not rb.is_zero and any(p + q > MAX_EXPONENT for p, q in zip(_tops(ra), _tops(rb))):
+        with pytest.raises(OverflowError, match=f"^product: exponent above {MAX_EXPONENT}$"):
+            signed_sum(terms)
+    else:
+        assert_matches(signed_sum(terms), rc)
+
+
+def test_signed_sum_of_no_terms_is_zero():
+    assert (signed_sum([]).num, signed_sum([]).den) == ({}, 1)

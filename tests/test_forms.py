@@ -2,11 +2,14 @@ import ast
 import copy
 import itertools
 import pickle
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hodge4d
 from hodge4d.fields import ExpPolyField, PolyField
@@ -28,10 +31,11 @@ from hodge4d.forms import (
     scaled_hodge_star,
     spatial_form,
     spatial_parts,
+    sum_forms,
     temporal_parts,
     wedge,
 )
-from hodge4d.verification import random_kform, random_poly
+from hodge4d.verification import random_kform, random_material, random_poly
 
 
 def bubble_sort_sign(axes):
@@ -528,3 +532,93 @@ def test_forms_does_not_know_the_exponential_field_type():
         "ExpPolyField\n"
     )
     assert _names_exp_poly_field(leaky) == [1, 3, 4]
+
+
+# -- every operation against a pairwise reference -------------------------------
+#
+# The reference builds each image with the fields' own *, diff and unary -,
+# and adds the images on one basis pairwise with +, as the form operations did
+# before they summed each coefficient in one pass.
+
+
+def _pairwise(degree, images):
+    comps = {}
+    for basis, coeff in images:
+        comps[basis] = comps[basis] + coeff if basis in comps else coeff
+    return KForm(degree, comps)  # drops the zero sums
+
+
+def _signed_image(sign, coeff):
+    return coeff if sign > 0 else -coeff
+
+
+def _reference_d(w):
+    images = []
+    for basis, coeff in w.items():
+        for axis in set(range(4)) - set(basis.axes):
+            image, sign = BasisForm.from_axes((axis, *basis.axes))
+            images.append((image, _signed_image(sign, coeff.diff(axis))))
+    return _pairwise(w.degree + 1, images)
+
+
+def _reference_wedge(a, b):
+    images = []
+    for ba, ca in a.items():
+        for bb, cb in b.items():
+            image, sign = BasisForm.from_axes((*ba.axes, *bb.axes))
+            if sign:
+                images.append((image, _signed_image(sign, ca * cb)))
+    return _pairwise(a.degree + b.degree, images)
+
+
+def _reference_star(w, m=None):
+    images = []
+    for basis, coeff in w.items():
+        complement = tuple(sorted(set(range(4)) - set(basis.axes)))
+        image, sign = BasisForm.from_axes(complement)[0], BasisForm.from_axes((*basis.axes, *complement))[1]
+        if m is not None:
+            coeff = coeff * (m.epsilon if basis.contains_dt else m.spatial_diffusion)
+        images.append((image, _signed_image(sign, coeff)))
+    return _pairwise(4 - w.degree, images)
+
+
+def _reference_neg(w):
+    return _pairwise(w.degree, ((basis, -coeff) for basis, coeff in w.items()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64), st.integers(0, 4), st.booleans(), st.booleans())
+def test_each_operation_equals_its_pairwise_reference(seed, degree, alpha_field, lift):
+    rng = random.Random(seed)
+    a, b = random_kform(rng, degree), random_kform(rng, degree)
+    other = random_kform(rng, rng.randrange(5 - degree))
+    m = random_material(rng)
+    if alpha_field:
+        m = MaterialParams(m.alpha, m.epsilon, m.beta, alpha_field=random_poly(rng, max_degree=2))
+    if lift:  # exponential coefficients of one weight: the operations fold through the field operators
+        factor = ExpPolyField(random_poly(rng, max_degree=2) + PolyField.variable(rng.randrange(4)), 1)
+        a, b, other = a.scale(factor), b.scale(factor), other.scale(factor)
+    assert exterior_derivative(a) == _reference_d(a)
+    assert wedge(a, other) == _reference_wedge(a, other)
+    assert wedge(other, a) == _reference_wedge(other, a)
+    assert hodge_star(a) == _reference_star(a)
+    assert hodge_star(a, -1) == _reference_neg(_reference_star(a))
+    assert scaled_hodge_star(a, m) == _reference_star(a, m)
+    assert scaled_hodge_star(a, m, -1) == _reference_neg(_reference_star(a, m))
+    if degree:
+        assert codifferential_1a(a, m) == _reference_neg(_reference_star(_reference_d(_reference_star(a, m))))
+        assert codifferential_a1(a, m) == _reference_neg(_reference_star(_reference_d(_reference_star(a)), m))
+    assert a + b == _pairwise(degree, itertools.chain(a.items(), b.items()))
+    assert a - b == _pairwise(degree, itertools.chain(a.items(), _reference_neg(b).items()))
+    assert -a == _reference_neg(a)
+    assert sum_forms(a, b, -a) == b
+    assert (a - a).is_zero
+
+
+def test_a_star_sign_is_one_or_minus_one():
+    w = form_of("dx", PolyField.variable(0))
+    for sign in (0, 2, -2, 1.0, True):
+        with pytest.raises(ValueError, match=f"^sign must be 1 or -1, got {sign!r}$"):
+            hodge_star(w, sign)
+        with pytest.raises(ValueError, match=f"^sign must be 1 or -1, got {sign!r}$"):
+            scaled_hodge_star(w, MaterialParams(), sign)

@@ -468,7 +468,7 @@ def test_a_failed_time_step_factorization_raises_solve_error(monkeypatch):
     main[[0, -1]] = 0.0
     off = np.zeros(grid.nx + 1)
     system = LinearSystem(np.ones(grid.n_nodes), grid, 0.0, Scheme.UPWIND, (off, main, off))
-    monkeypatch.setattr(solver, "_fast_diagonalisation", lambda system: (None, "rejected"))
+    monkeypatch.setattr(solver, "_fast_diagonalisation", lambda system, rhs_peak: (None, "rejected"))
     message = r"^factorization failed \(eps=0.0, scheme=upwind, grid=8x6 cells\): I/ht \+ Ax is singular \(dgttrf info 2\)$"
     with pytest.raises(SolveError, match=message):
         solve(system)

@@ -37,6 +37,13 @@ def test_cross_and_dot(xyzt):
     assert vc.dot((x, y, z), (x, y, z)) == x * x + y * y + z * z
 
 
+def test_cross_and_dot_take_scalar_components(xyzt):
+    x, y, z, _ = xyzt
+    assert vc.dot((x, y, z), (1, 0, 0)) == x
+    assert vc.dot((1, 2, 0), (x, y, z)) == x + 2 * y
+    assert vc.cross((x, y, z), (1, 0, 0)) == (ZERO, z, -y)
+
+
 def test_time_derivative(xyzt):
     t = xyzt[3]
     assert vc.time_derivative(t**3, order=2) == 6 * t
