@@ -139,11 +139,12 @@ def signed_sum(terms):
     ``b`` is a field.  Polynomial parts accumulate into one dict over the
     lcm of their denominators, and the products' exponent guard runs before
     zero numerators are dropped, so a product past the limit raises
-    ``OverflowError`` even when it cancels.  With an ``ExpPolyField`` among
-    the operands the parts fold left to right through ``+`` and ``-``, whose
-    ``ValueError`` names mismatched weights.  No terms give zero.  One term
-    and two plain fields, the first positive, skip the common denominator:
-    they are the field itself, its negation or ``_sum``.
+    ``OverflowError`` even when it cancels.  Exponential terms of one
+    weight sum their amplitudes in one such pass (``_exp_signed_sum``); any
+    other mix with an ``ExpPolyField`` folds left to right through ``+`` and
+    ``-``, whose ``ValueError`` names mismatched weights.  No terms give
+    zero.  One term and two plain fields, the first positive, skip the
+    common denominator: they are the field itself, its negation or ``_sum``.
     """
     if len(terms) == 1:
         sign, a, b = terms[0]
@@ -158,7 +159,8 @@ def signed_sum(terms):
     den = 1
     for _, a, b in terms:
         if a.__class__ is not PolyField or b.__class__ is ExpPolyField:
-            return _fold(terms)
+            total = _exp_signed_sum(terms)
+            return _fold(terms) if total is None else total
         d = a.den * b.den if b.__class__ is PolyField else a.den
         if den % d:
             den = lcm(den, d)
@@ -199,6 +201,39 @@ def signed_sum(terms):
     if product:
         _check_exponents(num, "product")
     return _field(num, den)
+
+
+def _exp_signed_sum(terms):
+    """``signed_sum`` of exponential terms that share one weight, or None for any other mix.
+
+    Every part is e^w times a polynomial, so the amplitudes are summed by
+    one polynomial pass: e^w q and e^w q b give ``(sign, q, None | b)`` and
+    a partial along an axis gives two terms by d(e^w q) = e^w (q dw + dq).
+    The weight's partial along each axis is taken once.  A polynomial
+    ``a``, a product with an exponential ``b`` or another weight gives None.
+    """
+    weight = None
+    partials = {}
+    amplitudes = []
+    for sign, a, b in terms:
+        if a.__class__ is not ExpPolyField or b.__class__ is ExpPolyField:
+            return None
+        if a.weight is not weight:
+            if weight is None:
+                weight = a.weight
+            elif a.weight != weight:
+                return None
+        q = a.amplitude
+        if b is None or b.__class__ is PolyField:
+            amplitudes.append((sign, q, b))
+        else:
+            dw = partials.get(b)
+            if dw is None:
+                dw = partials[b] = weight.diff(b)
+            if dw.num:
+                amplitudes.append((sign, q, dw))
+            amplitudes.append((sign, q, b))
+    return _exp(weight, signed_sum(amplitudes))
 
 
 def _part(a, b):
@@ -330,6 +365,11 @@ class PolyField:
     @property
     def is_zero(self) -> bool:
         return not self.num
+
+    @property
+    def is_constant(self) -> bool:
+        """True for a field without a monomial other than 1, zero included."""
+        return self.num.keys() <= {0}
 
     def depends_on(self, axis) -> bool:
         shift = _shift(axis)
@@ -498,14 +538,16 @@ class ExpPolyField:
 
     The constructor and every operation build their result through
     ``_exp``, so an instance never has a zero weight and never equals a
-    polynomial.  Differentiation stays inside the class: d(e^p q) = e^p
-    (q dp + dq).  Addition is defined only between values sharing the same
-    weight (a zero value fits any weight), which is all the
-    exponential-fitting computations ever need; products add weights.
+    polynomial.  Differentiation is one term of ``signed_sum``'s
+    exponential pass, which writes d(e^p q) = e^p (q dp + dq).  Addition is
+    defined only between values sharing the same weight (a zero value fits
+    any weight), which is all the exponential-fitting computations ever
+    need; products add weights.
     """
 
     __slots__ = ("weight", "amplitude")
     is_zero = False
+    is_constant = False
 
     def __new__(cls, weight, amplitude):
         return _exp(PolyField.coerce(weight), PolyField.coerce(amplitude))
@@ -518,8 +560,7 @@ class ExpPolyField:
         raise ValueError(f"nonzero exponential weight: exp({self.weight})")
 
     def diff(self, axis):
-        amplitude = self.amplitude
-        return _exp(self.weight, signed_sum(((1, amplitude, self.weight.diff(axis)), (1, amplitude, axis))))
+        return _exp_signed_sum(((1, self, axis),))
 
     def substitute(self, axis, value):
         return _exp(self.weight.substitute(axis, value), self.amplitude.substitute(axis, value))

@@ -356,6 +356,8 @@ def exterior_derivative(w: KForm) -> KForm:
     """Degree-raising derivative; satisfies d(d(w)) = 0 exactly."""
     images = []
     for basis, coeff in w.items():
+        if coeff.is_constant:  # every partial is zero
+            continue
         mask = basis.mask
         for axis in range(4):
             bit = 1 << axis
@@ -470,15 +472,22 @@ _DISPLAY_ROWS = {
 }
 
 
-def _display_block(degree: int, with_dt: bool, degrees: range) -> list:
-    """(basis, sign) of the display rows of one degree with or without dt."""
+# (basis, sign) of the display rows of each degree without and with dt
+_DISPLAY_BLOCKS = {
+    (degree, with_dt): tuple((basis, sign) for _, basis, sign in rows if basis.contains_dt == with_dt)
+    for degree, rows in _DISPLAY_ROWS.items()
+    for with_dt in (False, True)
+}
+
+
+def _display_block(degree: int, with_dt: bool, degrees: range) -> tuple:
+    """(basis, sign) of the display rows of one degree with or without dt, built once."""
     if degree not in degrees:
         raise ValueError(f"degree out of range: {degree}")
-    rows = _DISPLAY_ROWS[degree]
-    return [(basis, sign) for _, basis, sign in rows if basis.contains_dt == with_dt]
+    return _DISPLAY_BLOCKS[degree, with_dt]
 
 
-def _read_block(w: KForm, block: list):
+def _read_block(w: KForm, block: tuple):
     """Coefficients of ``w`` on a display block: a scalar for one row, else a tuple."""
     values = tuple(_signed(sign, w.coefficient(basis)) for basis, sign in block)
     return values[0] if len(values) == 1 else values

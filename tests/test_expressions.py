@@ -91,11 +91,12 @@ def _magnitude(node):
     The size sums the magnitudes of the terms the engine adds, so it stays
     large where they cancel, and carries each operand's rounding through the
     factor by which an operation amplifies it: sums and differences add their
-    operands' sizes, products multiply them, a quotient a/b is size_a/|b| +
-    |a/b**2| size_b, a call f(a) is |f(a)| + |f'(a)| size_a and a power a**b
-    is |a**b| + |b a**(b-1)| size_a + |a**b log|a|| size_b; leaves count at
-    their own magnitude.  Where an operation amplifies without bound (sqrt
-    at 0) the size is infinite.
+    operands' sizes, a product ab is |b| size_a + |a| size_b (first order,
+    so one factor's amplified rounding does not compound with the other's),
+    a quotient a/b is size_a/|b| + |a/b**2| size_b, a call f(a) is |f(a)| +
+    |f'(a)| size_a and a power a**b is |a**b| + |b a**(b-1)| size_a +
+    |a**b log|a|| size_b; leaves count at their own magnitude.  Where an
+    operation amplifies without bound (sqrt at 0) the size is infinite.
     """
     if isinstance(node, ast.Constant):
         value = np.float64(node.value)
@@ -114,7 +115,7 @@ def _magnitude(node):
         if kind in (ast.Add, ast.Sub):
             return (a + b if kind is ast.Add else a - b), size_a + size_b
         if kind is ast.Mult:
-            return a * b, size_a * size_b
+            return a * b, np.abs(b) * size_a + np.abs(a) * size_b
         if kind is ast.Div:
             return a / b, size_a / np.abs(b) + np.abs(a / b**2) * size_b
         value = a**b

@@ -23,7 +23,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import random_reference
@@ -291,15 +291,18 @@ _signs = st.sampled_from((1, -1))
 _sum_terms = st.lists(st.tuples(_signs, _terms, st.one_of(st.none(), _axes, _terms)), max_size=5)
 
 
-def _kernel_terms(drawn, lift=None):
+def _kernel_terms(drawn, lift=None, copies=False):
     """The ``signed_sum`` terms of drawn triples and the oracle's pairwise sum of their parts.
 
     With ``lift`` (a nonzero weight) each ``a`` becomes ``ExpPolyField(lift, a)``
     and the oracle sums the amplitudes: e^w a, d(e^w a) = e^w (a dw + da), e^w a b.
+    With ``copies`` every term after the first gets its own copy of the
+    weight: equal to ``lift`` but not the same object.
     """
     terms, total = [], FractionPolyField()
     rw = None if lift is None else FractionPolyField(lift.terms)
-    for sign, ta, tb in drawn:
+    for n, (sign, ta, tb) in enumerate(drawn):
+        weight = PolyField(lift.terms) if copies and n else lift
         a, ra = PolyField(ta), FractionPolyField(ta)
         if tb is None:
             b, part = None, ra
@@ -307,7 +310,7 @@ def _kernel_terms(drawn, lift=None):
             b, part = tb, ra.diff(tb) + (ra * rw.diff(tb) if rw is not None else 0)
         else:
             b, part = PolyField(tb), ra * FractionPolyField(tb)
-        terms.append((sign, a if lift is None else ExpPolyField(lift, a), b))
+        terms.append((sign, a if lift is None else ExpPolyField(weight, a), b))
         total = total + part if sign > 0 else total - part
     return terms, total
 
@@ -331,18 +334,29 @@ def test_signed_sum_matches_the_pairwise_fraction_oracle(drawn):
 
 
 _nonzero = st.builds(PolyField, _terms).filter(bool)
+# weights free of one axis, so that a partial along that axis has no weight term
+_lacking = st.builds(lambda w, axis: w.substitute(axis, 0), _nonzero, _axes).filter(bool)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_nonzero, _sum_terms)
-def test_signed_sum_of_exponential_fields_folds_through_the_operators(weight, drawn):
-    terms, ref = _kernel_terms(drawn, lift=weight)
+@given(st.one_of(_nonzero, _lacking), _sum_terms, st.booleans())
+@example(PolyField({(1, 0, 0, 0): 1}), [(1, {(0, 1, 0, 0): 1}, 1), (-1, {(2, 0, 0, 0): 3}, 0)], True)
+def test_signed_sum_of_exponential_fields_folds_through_the_operators(weight, drawn, copies):
+    terms, ref = _kernel_terms(drawn, lift=weight, copies=copies)
     total = signed_sum(terms)
     if ref.is_zero:
         assert total == PolyField.zero()
     else:
         assert type(total) is ExpPolyField and total.weight == weight
         assert_matches(total.amplitude, ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_terms)
+def test_is_constant_matches_fraction_oracle(ta):
+    field = PolyField(ta)
+    assert field.is_constant == (FractionPolyField(ta).terms.keys() <= {(0, 0, 0, 0)})
+    assert not ExpPolyField(PolyField.variable(0), 1).is_constant
 
 
 @settings(max_examples=100, deadline=None)

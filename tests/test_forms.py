@@ -233,6 +233,20 @@ def test_d_product_rule_example(xyzt):
     assert d == form_of("dx", t) + form_of("dt", x)
 
 
+@pytest.mark.parametrize("degree", range(5))
+def test_d_of_constant_coefficients_is_the_zero_form_of_one_degree_more(degree):
+    w = KForm(degree, {basis: Fraction((-1) ** n * (n + 1), 3) for n, basis in enumerate(basis_forms(degree))})
+    assert len(w.components) == len(basis_forms(degree))
+    assert exterior_derivative(w) == KForm.zero(degree + 1)
+
+
+def test_d_of_an_exponential_coefficient_is_not_skipped(xyzt):
+    x = xyzt[0]
+    e = ExpPolyField(x, 1)  # e^x dy: its amplitude is constant, the field is not
+    dy, dxdy = parse_basis_label("dy")[0], parse_basis_label("dx^dy")[0]
+    assert exterior_derivative(KForm(1, {dy: e})) == KForm(2, {dxdy: e})
+
+
 def test_d_after_d_zero(rng):
     for degree in range(4):
         for _ in range(200):
