@@ -1093,16 +1093,18 @@ def _sparse_lu(system: LinearSystem, context: str) -> Callable:
 def _time_steps(system: LinearSystem, context: str) -> Callable:
     """The eps = 0 fallback's correction: backward Euler (see ``LinearSystem``), one time step at a time.
 
-    LAPACK's partially pivoting dgttrf factors the step matrix I/ht + Ax
-    (identity rows at the Dirichlet ends) once; a zero pivot raises
-    SolveError.  The correction solves A c = r in r's array: adding
-    c_{n-1}/ht to the interior of row n makes it the right-hand side of step
-    n, which one dgttrs replaces by c_n.
+    The t stencil at eps = 0 gives every row above t0 the centre 1/ht and
+    the coupling -1/ht to the row below.  LAPACK's partially pivoting dgttrf
+    factors the step matrix I/ht + Ax (identity rows at the Dirichlet ends)
+    once; a zero pivot raises SolveError.  The correction solves A c = r in
+    r's array: adding c_{n-1}/ht to the interior of row n makes it the
+    right-hand side of step n, which one dgttrs replaces by c_n.
     """
     from scipy.linalg.lapack import dgttrf, dgttrs
 
-    grid, ht = system.grid, system.grid.ht
-    step_diagonal = np.full(grid.nx + 2, 1.0 / ht)
+    grid = system.grid
+    coupling, centre, _ = system.t_stencil
+    step_diagonal = np.full(grid.nx + 2, centre[1])
     step_diagonal[[0, -1]] = 1.0  # Dirichlet ends
     lower, main, upper = system.x_stencil
     *factors, info = dgttrf(lower, step_diagonal + main, upper, overwrite_d=True)
@@ -1111,7 +1113,7 @@ def _time_steps(system: LinearSystem, context: str) -> Callable:
 
     def march(residual):
         for n in range(1, grid.nt + 2):
-            residual[n, 1:-1] += residual[n - 1, 1:-1] / ht
+            residual[n, 1:-1] -= coupling[n - 1] * residual[n - 1, 1:-1]
             dgttrs(*factors, residual[n], overwrite_b=True)
         return residual
 

@@ -1,9 +1,13 @@
 """Classical vector calculus on exact coefficient fields.
 
 These helpers only use field differentiation and arithmetic; they never touch
-the exterior-algebra machinery, so they serve as the independent oracle for
-the component-wise expansion checks.  Each sum of derivatives or products
-goes through ``signed_sum``, one pass per result.
+the exterior-algebra machinery, so they serve as the oracle for the
+component-wise expansion checks.  Each sum of derivatives or products goes
+through ``signed_sum``, one pass per result: the kernel that ``forms`` sums
+its images with, so the oracle shares that kernel with what it checks.
+``tests/test_fields_oracle.py`` checks the kernel against ``Fraction``
+arithmetic, and ``tests/test_vectorcalc.py`` each helper against its formula
+in the fields' own ``+``, ``-``, ``*`` and ``diff``.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 import hodge4d
 from hodge4d import convdiff, verification
-from hodge4d.cli import main
+from hodge4d.cli import build_parser, main
 from hodge4d.convdiff import NoPotentialError
 from hodge4d.forms import BasisForm, KForm
 
@@ -98,9 +99,13 @@ def _checkout_env():
 
 
 def _run_python(script, *args):
-    """Run ``script`` in a fresh interpreter that imports hodge4d from this checkout."""
+    """Run ``script`` in a fresh interpreter that imports hodge4d from this checkout.
+
+    A floating-point warning is an error there, as it is in this suite.
+    """
     return subprocess.run(
-        [sys.executable, "-c", script, *args], env=_checkout_env(), capture_output=True, text=True
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", script, *args],
+        env=_checkout_env(), capture_output=True, text=True,
     )
 
 
@@ -235,9 +240,50 @@ def test_the_readme_cli_examples_run_as_printed(capsys):
     assert ran == ["verify-tables", "identities", "expand", "boundary"]
 
 
+def _workflow_commands():
+    """The arguments of each ``hodge4d`` line in the CI workflow's run blocks, once per value of a loop variable."""
+    yaml = pytest.importorskip("yaml")
+    path = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    workflow = yaml.safe_load(path.read_text(encoding="utf-8"))
+    ended = (">", "2>", "|", "&", ";")  # the arguments end where a redirection or another command begins
+    commands = []
+    for job in workflow["jobs"].values():
+        for step in job["steps"]:
+            variable, values = None, [None]
+            for line in step.get("run", "").splitlines():
+                loop = re.match(r"\s*for (\w+) in ([^;]*); do$", line)
+                if loop:
+                    variable, values = loop[1], loop[2].split()
+                elif line.strip() == "done":
+                    variable, values = None, [None]
+                elif re.search(r"(^|\s)hodge4d\s", line.split("#")[0]):
+                    for value in values:
+                        words = shlex.split(line if variable is None else line.replace(f"${variable}", value))
+                        words = words[words.index("hodge4d") + 1:]
+                        commands.append(list(itertools.takewhile(lambda w: not w.startswith(ended), words)))
+    return commands
+
+
+def test_every_workflow_command_parses():
+    # a renamed command or flag fails here, not in the first CI run
+    parser = build_parser()
+    commands = _workflow_commands()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"hodge4d {shlex.join(argv)} does not parse")
+    assert {argv[0] for argv in commands} == {"identities", "verify-tables", "expand", "boundary", "solve", "sweep"}
+
+
 # (config text, command, whether scipy is loaded after it)
 SCIPY_CASES = {
     "constant-coefficient-solve": (SOLVE_CONFIG, "solve", False),
+    # 9 cells give 8 interior nodes, an even count: the closed-form sine
+    # transforms split into two halves with no middle column
+    "even-interior-count-solve": (
+        SOLVE_CONFIG.replace("nx = 16", "nx = 9").replace("scheme = centered", "scheme = upwind"), "solve", False
+    ),
     "readme-sweep": (None, "sweep", False),
     # x-dependent alpha: the fast path takes its eigenbasis from scipy.linalg
     "variable-alpha-solve": (SOLVE_CONFIG.replace("alpha = 1.0", "alpha = 1+x"), "solve", True),
@@ -332,6 +378,7 @@ def test_solve_unknown_key_rejected(tmp_path, capsys):
     [
         # g is rejected before it is parsed: manufactured would drop it unread
         (["manufactured = sin(pi*x)", "g = nonsense("], "error: g cannot be set with manufactured, which derives f and g\n"),
+        (["manufactured = sin(pi*x)", "f = 0"], "error: f cannot be set with manufactured, which derives f and g\n"),
         (
             ["manufactured = sin(pi*x)", "f = 0", "g = 0"],
             "error: f and g cannot be set with manufactured, which derives f and g\n",
@@ -341,7 +388,7 @@ def test_solve_unknown_key_rejected(tmp_path, capsys):
             "error: target needs manufactured: it chooses the problem that the manufactured solution solves\n",
         ),
     ],
-    ids=["manufactured-and-g", "manufactured-and-f-g", "target-without-manufactured"],
+    ids=["manufactured-and-g", "manufactured-and-f", "manufactured-and-f-g", "target-without-manufactured"],
 )
 def test_a_data_key_that_the_data_source_ignores_is_usage_error(tmp_path, capsys, command, lines, err):
     config = tmp_path / f"{command}.cfg"
@@ -547,12 +594,20 @@ def run_quietly(capsys, *argv):
     return code, err
 
 
-def test_solve_non_finite_data_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ("nx = 8\nnt = 8\ng = log(x)", "error: g is not finite at x=0, t=0\n"),
+        # the row t = 0.75 of 384 x 384 cells lies in the fourth block of rows
+        # that f is called on: the first bad node in row-major order is named
+        ("nx = 384\nnt = 384\nf = 1/(t-0.75)\ng = 0", "error: f is not finite at x=0.00260417, t=0.75\n"),
+    ],
+    ids=["g-at-the-first-node", "f-in-a-later-row-block"],
+)
+def test_solve_non_finite_data_is_usage_error(tmp_path, capsys, text, err):
     config = tmp_path / "solve.cfg"
-    config.write_text("[solve]\nnx = 8\nnt = 8\ng = log(x)\n")
-    code, err = run_quietly(capsys, "solve", "--config", str(config))
-    assert code == 2
-    assert err == "error: g is not finite at x=0, t=0\n"
+    config.write_text(f"[solve]\n{text}\n")
+    assert run_quietly(capsys, "solve", "--config", str(config)) == (2, err)
 
 
 def test_sweep_non_finite_data_is_usage_error(tmp_path, capsys):
